@@ -49,7 +49,7 @@ from .orbits import (
 )
 from .quiver import DoubledRep, delta, is_stable, make_quiver, moment_map
 from .roots import CartanData, Verdict, cb_solvable
-from .scalars import GaussianRational
+from .scalars import GaussianRational, scalar_key
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class ProblemInstance:
         for pole in self.poles:
             if pole.orbit.n != self.n:
                 raise ValueError("residue orbits at finite poles live in rank n")
-        keys = [_pos_key(p.position) for p in self.poles]
+        keys = [scalar_key(p.position) for p in self.poles]
         if len(set(keys)) != len(keys):
             raise ValueError("finite pole positions must be pairwise distinct")
 
@@ -115,12 +115,6 @@ class ProblemInstance:
             for p in self.poles
         )
         return ProblemInstance(self.n, self.irregular.to_float(), blocks, poles)
-
-
-def _pos_key(x):
-    from .scalars import scalar_key
-
-    return scalar_key(x)
 
 
 @dataclass
@@ -223,26 +217,31 @@ class DSVerdict:
         return self.verdict.nonempty
 
     def to_json(self) -> dict:
-        from .quiver import quiver_to_json
+        return verdict_to_json(self.verdict, self.gq.quiver, self.gq.dims, self.gq.zeta)
 
-        out = {
-            "verdict": "undecided"
-            if self.verdict.undecided
-            else ("nonempty" if self.verdict.nonempty else "empty"),
-            "quiver": quiver_to_json(self.gq.quiver, self.gq.dims, self.gq.zeta),
-            "delta": self.verdict.delta,
-            "detail": self.verdict.detail,
-        }
-        if self.verdict.nonempty:
-            out["dim"] = self.verdict.dim
-        if self.verdict.failed_condition is not None:
-            out["failed_condition"] = self.verdict.failed_condition
-        if self.verdict.witness is not None:
-            order = list(self.gq.quiver.vertices)
-            out["witness"] = [
-                {v: w[i] for i, v in enumerate(order) if w[i]} for w in self.verdict.witness
-            ]
-        return out
+
+def verdict_to_json(verdict: Verdict, quiver, dims, zeta) -> dict:
+    """Report form of a criterion verdict on (quiver, dims, zeta)."""
+    from .quiver import quiver_to_json
+
+    out = {
+        "verdict": "undecided"
+        if verdict.undecided
+        else ("nonempty" if verdict.nonempty else "empty"),
+        "quiver": quiver_to_json(quiver, dims, zeta),
+        "delta": verdict.delta,
+        "detail": verdict.detail,
+    }
+    if verdict.nonempty:
+        out["dim"] = verdict.dim
+    if verdict.failed_condition is not None:
+        out["failed_condition"] = verdict.failed_condition
+    if verdict.witness is not None:
+        order = list(quiver.vertices)
+        out["witness"] = [
+            {v: w[i] for i, v in enumerate(order) if w[i]} for w in verdict.witness
+        ]
+    return out
 
 
 def decide_ds(instance: ProblemInstance, max_nodes: int = 200_000) -> DSVerdict:
@@ -372,25 +371,18 @@ def assemble_residue(gq: GlobalQuiver, rep: DoubledRep, j: int) -> np.ndarray:
     return out
 
 
-def core_bracket_blocks(gq: GlobalQuiver, rep: DoubledRep) -> dict:
-    """Block-diagonal of the summed core commutators [Q_i, P_i]."""
-    T = gq.instance.irregular
-    core = _core_rep_of(gq, rep)
-    mu = moment_map(core)
-    return {b: mu[f"p{b}"] for b in range(T.block_count)}
-
-
 def exponent_blocks(gq: GlobalQuiver, rep: DoubledRep) -> dict:
     """The block exponents forced by the moment equations:
     L_b = -(core bracket)_bb - sum_t (R_t)_bb."""
     inst = gq.instance
     T = inst.irregular
-    brackets = core_bracket_blocks(gq, rep)
+    # block-diagonal of the summed core commutators [Q_i, P_i]
+    mu = moment_map(_core_rep_of(gq, rep))
     residues = [assemble_residue(gq, rep, j) for j in range(len(inst.poles))]
     slices = _block_slices(T)
     out = {}
     for b in range(T.block_count):
-        acc = -brackets[b]
+        acc = -mu[f"p{b}"]
         for r in residues:
             acc = acc - r[slices[b], slices[b]]
         out[b] = acc
@@ -514,13 +506,9 @@ def is_stable_connection(conn: ConnectionData, rtol: float = linalg.RANK_RTOL) -
 # numeric realization
 
 
-def _arrow_order(gq: GlobalQuiver):
-    return [a for a in gq.quiver.arrows]
-
-
 def _pack(gq: GlobalQuiver, rep: DoubledRep) -> np.ndarray:
     parts = []
-    for a in _arrow_order(gq):
+    for a in gq.quiver.arrows:
         parts.append(np.asarray(rep.fwd[a.id], dtype=complex).reshape(-1))
         parts.append(np.asarray(rep.rev[a.id], dtype=complex).reshape(-1))
     return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
@@ -529,7 +517,7 @@ def _pack(gq: GlobalQuiver, rep: DoubledRep) -> np.ndarray:
 def _unpack(gq: GlobalQuiver, x: np.ndarray) -> DoubledRep:
     rep = DoubledRep.zero(gq.quiver, gq.dims, exact=False)
     pos = 0
-    for a in _arrow_order(gq):
+    for a in gq.quiver.arrows:
         ds, dt = gq.dims[a.src], gq.dims[a.dst]
         rep.fwd[a.id] = x[pos : pos + ds * dt].reshape(dt, ds)
         pos += ds * dt
@@ -556,7 +544,7 @@ def moment_jacobian(gq: GlobalQuiver, rep: DoubledRep) -> np.ndarray:
         row_off[v] = pos
         pos += gq.dims[v] ** 2
     rows = pos
-    arrows = _arrow_order(gq)
+    arrows = list(gq.quiver.arrows)
     col_off = {}
     pos = 0
     for a in arrows:

@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Subcommands: check, build-quiver, realize, verify, reduce, leg.  Every
-run writes a machine-readable JSON report (stdout by default); exit
-status 0 means nonempty/verified/success, 1 means empty/falsified, 2
-means undecided or error.  Randomized paths are reproducible through
---seed.
+Subcommands: check, build-quiver, realize, verify, reduce, leg; each
+accepts only the options it reads.  Every run writes a machine-readable
+JSON report (stdout by default); exit status 0 means
+nonempty/verified/success, 1 means empty/falsified, 2 means undecided or
+error.  Input files are parsed once, in the mode their scalars are
+written in (float if any is a JSON float or an [re, im] pair, exact
+otherwise); check always needs exact scalars.  Randomized paths are
+reproducible through --seed.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .assembly import (
     realize_numeric,
     rep_from_json,
     rep_to_json,
+    verdict_to_json,
     verify_instance,
 )
 from .irregular import irregular_type_from_json
@@ -34,7 +38,7 @@ from .orbits import (
 )
 from .quiver import quiver_from_json, quiver_to_json, to_dot
 from .roots import CartanData, cb_solvable
-from .serialize import matrix_from_json, matrix_to_json, scalar_to_json
+from .serialize import matrix_from_json, matrix_to_json, payload_is_float, scalar_to_json
 
 SCHEMA_VERSION = 1
 
@@ -76,36 +80,10 @@ def _load_json(path):
         return json.load(f)
 
 
-def _load_instance(path, exact):
-    data = _load_json(path)
+def _instance(data):
+    """Validate a problem payload and parse it in its own scalar mode."""
     _validate_instance_shape(data)
-    return instance_from_json(data, exact)
-
-
-def _verdict_report(verdict, quiver_json):
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "verdict": "undecided" if verdict.undecided else ("nonempty" if verdict.nonempty else "empty"),
-        "quiver": quiver_json,
-        "delta": verdict.delta,
-        "detail": verdict.detail,
-    }
-    if verdict.nonempty:
-        report["dim"] = verdict.dim
-    if verdict.failed_condition is not None:
-        report["failed_condition"] = verdict.failed_condition
-    if verdict.witness is not None:
-        order = quiver_json["vertices"]
-        report["witness"] = [
-            {v: w[i] for i, v in enumerate(order) if w[i]} for w in verdict.witness
-        ]
-    return report
-
-
-def _emit_dot(args, quiver, dims, zeta):
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as f:
-            f.write(to_dot(quiver, dims, zeta, full=args.dot_mode == "full"))
+    return instance_from_json(data, exact=not payload_is_float(data))
 
 
 def cmd_check(args):
@@ -116,39 +94,29 @@ def cmd_check(args):
             raise SchemaError("quiver payload needs dims and zeta")
         cartan = CartanData.from_quiver(quiver)
         verdict = cb_solvable(cartan, cartan.vec(dims), zeta, max_nodes=args.max_decompositions)
-        quiver_json = quiver_to_json(quiver, dims, zeta)
-        _emit_dot(args, quiver, dims, zeta)
-        report = _verdict_report(verdict, quiver_json)
     else:
         _validate_instance_shape(data)
-        instance = instance_from_json(data, exact=True)
-        ds = decide_ds(instance, max_nodes=args.max_decompositions)
-        _emit_dot(args, ds.gq.quiver, ds.gq.dims, ds.gq.zeta)
-        report = _verdict_report(ds.verdict, quiver_to_json(ds.gq.quiver, ds.gq.dims, ds.gq.zeta))
+        ds = decide_ds(instance_from_json(data, exact=True), max_nodes=args.max_decompositions)
+        verdict, quiver, dims, zeta = ds.verdict, ds.gq.quiver, ds.gq.dims, ds.gq.zeta
+    report = verdict_to_json(verdict, quiver, dims, zeta)
+    report["schema_version"] = SCHEMA_VERSION
     code = 2 if report["verdict"] == "undecided" else (0 if report["verdict"] == "nonempty" else 1)
     return report, code
 
 
 def cmd_build_quiver(args):
-    instance = _load_instance(args.input, exact=not args.float_mode)
-    gq = build_global_quiver(instance)
+    gq = build_global_quiver(_instance(_load_json(args.input)))
     payload = quiver_to_json(gq.quiver, gq.dims, gq.zeta)
     payload["schema_version"] = SCHEMA_VERSION
-    _emit_dot(args, gq.quiver, gq.dims, gq.zeta)
+    if args.dot:
+        with open(args.dot, "w", encoding="utf-8") as f:
+            f.write(to_dot(gq.quiver, gq.dims, gq.zeta, full=args.dot_mode == "full"))
     return payload, 0
 
 
 def cmd_realize(args):
-    if args.exact_mode:
-        raise SchemaError("realize runs in float mode (drop --exact)")
-    try:
-        instance = _load_instance(args.input, exact=True)
-    except ValueError:
-        instance = _load_instance(args.input, exact=False)
-    gq = build_global_quiver(instance.as_float())
-    result = realize_numeric(
-        gq, attempts=args.attempts, seed=args.seed, tol=args.tolerance or 1e-8
-    )
+    gq = build_global_quiver(_instance(_load_json(args.input)).as_float())
+    result = realize_numeric(gq, attempts=args.attempts, seed=args.seed)
     report = {
         "schema_version": SCHEMA_VERSION,
         "success": result.success,
@@ -164,12 +132,9 @@ def cmd_realize(args):
 
 def cmd_verify(args):
     data = _load_json(args.input)
-    inst_data = _require(data, "instance", "", dict)
-    _validate_instance_shape(inst_data)
-    instance = instance_from_json(inst_data, exact=not args.float_mode)
-    gq = build_global_quiver(instance.as_float() if instance.exact else instance)
+    gq = build_global_quiver(_instance(_require(data, "instance", "", dict)).as_float())
     rep = rep_from_json(gq, _require(data, "rep", "", dict))
-    report = verify_instance(gq, rep, rtol=args.tolerance or 1e-8)
+    report = verify_instance(gq, rep, rtol=args.tolerance)
     report["schema_version"] = SCHEMA_VERSION
     return report, 0 if report["all_ok"] else 1
 
@@ -178,7 +143,7 @@ def cmd_reduce(args):
     from .reduction import normalize
 
     data = _load_json(args.input)
-    exact = args.exact_mode
+    exact = not payload_is_float(data)
     T = irregular_type_from_json(_require(data, "irregular_type", "", dict), exact)
     jet_data = _require(data, "jet", "", dict)
     k = _require(jet_data, "k", "/jet", int)
@@ -189,7 +154,7 @@ def cmd_reduce(args):
     n = T.n
     jet = ConnectionJet(n, k, tuple(matrix_from_json(c, n, n, exact) for c in coeffs))
     try:
-        out = normalize(jet, T, rtol=args.tolerance or 1e-8)
+        out = normalize(jet, T, rtol=args.tolerance)
     except ValueError as e:
         return {"schema_version": SCHEMA_VERSION, "compatible": False, "detail": str(e)}, 1
     report = {
@@ -249,27 +214,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="decide, realize and verify additive irregular Deligne-Simpson instances",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("check", "decide non-emptiness from a problem file (exact scalars)"),
-        ("build-quiver", "synthesize (Q, v, zeta) from a problem file"),
-        ("realize", "search for a stable numeric point (float mode)"),
-        ("verify", "run all invariant checks on a representation"),
-        ("reduce", "formal reduction of a connection jet against a type"),
-        ("leg", "marking, leg dimensions and chain maps of an orbit"),
-    ]:
+
+    def command(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="input JSON path ('-' for stdin)")
         p.add_argument("-o", "--output", default=None, help="report path (default stdout)")
-        p.add_argument("--exact", dest="exact_mode", action="store_true", help="exact scalars")
-        p.add_argument("--float", dest="float_mode", action="store_true", help="float scalars")
-        p.add_argument("--tolerance", type=float, default=None, help="relative tolerance override")
-        p.add_argument("--max-decompositions", type=int, default=200_000,
-                       help="search cap before reporting undecided")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized paths")
-        p.add_argument("--dot", default=None, help="write Graphviz DOT here")
-        p.add_argument("--dot-mode", choices=["basic", "full"], default="basic",
-                       help="full adds the parameters to vertex labels")
-        p.add_argument("--attempts", type=int, default=50, help="realizer restarts")
+        return p
+
+    p = command("check", "decide non-emptiness from a problem file (exact scalars)")
+    p.add_argument("--max-decompositions", type=int, default=200_000,
+                   help="search cap before reporting undecided")
+    p = command("build-quiver", "synthesize (Q, v, zeta) from a problem file")
+    p.add_argument("--dot", default=None, help="write Graphviz DOT here")
+    p.add_argument("--dot-mode", choices=["basic", "full"], default="basic",
+                   help="full adds the parameters to vertex labels")
+    p = command("realize", "search for a stable numeric point (float mode)")
+    p.add_argument("--seed", type=int, default=0, help="seed for the random restarts")
+    p.add_argument("--attempts", type=int, default=50, help="realizer restarts")
+    for name, help_text in [
+        ("verify", "run all invariant checks on a representation"),
+        ("reduce", "formal reduction of a connection jet against a type"),
+    ]:
+        p = command(name, help_text)
+        p.add_argument("--tolerance", type=float, default=1e-8, help="relative tolerance")
+    p = command("leg", "marking, leg dimensions and chain maps of an orbit")
+    p.add_argument("--exact", dest="exact_mode", action="store_true", help="exact scalars")
     return parser
 
 

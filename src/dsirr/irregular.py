@@ -20,9 +20,12 @@ The kernel implemented here:
                       ones, via the split g = u_i^- + p_i^+ per degree;
 * qp_to_orbit      -- the descending slot recursion reconstructing an
                       orbit element from coordinates (Q, P);
-* orbit_to_qp      -- membership test and inverse map, via a
-                      stabilizer-chain reduction of the orbit element
-                      back to dT followed by factorize;
+* orbit_to_qp      -- membership test and inverse map: the orbit
+                      element, embedded as a connection jet, is
+                      conjugated back to dT by the stabilizer-chain
+                      stage loop of reduction (the one normalize and
+                      bv_chain use), and the chain of gauge factors is
+                      factorized;
 * qp_to_rep/rep_to_qp -- the grading that matches z^i blocks with the
                       parallel arrows of the core quiver.
 """
@@ -35,15 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .jets import (
-    JetMatrix,
-    PrincipalPart,
-    coadjoint,
-    jet_exp,
-    jet_inv,
-    jet_mul,
-    pp_left_mul,
-)
+from .jets import ConnectionJet, JetMatrix, PrincipalPart, jet_inv, pp_left_mul
 from .quiver import DoubledRep, make_quiver
 from .scalars import GaussianRational, scalar_key, scalars_equal
 
@@ -351,85 +346,30 @@ def qp_to_orbit(T: IrregularType, qp: QPPair, check: bool = True, rtol: float = 
 def orbit_to_qp(T: IrregularType, B: PrincipalPart, rtol: float = 1e-8) -> QPPair:
     """Invert qp_to_orbit; doubles as the orbit membership test.
 
-    A stabilizer-chain sweep conjugates B back to dT: stage i works
-    inside the centralizer of the top i coefficients of dT and kills,
-    degree by degree, the component of each slot that separates at
-    level k-i-1, by inverting the commutator with dT's slot k-i on
-    that piece.  The accumulated jet is factorized and (Q, P) are read
-    off.  A final residual above rtol (relative) means B is not in the
-    orbit.
+    B is embedded as a connection jet (jet slot s is B slot k-1-s) and
+    reduction.stage_loop conjugates its polar slots back to dT along the
+    level filtration of T.  The chain of gauge factors is factorized and
+    (Q, P) are read off.  A slot that does not reach dT (relative
+    tolerance rtol) raises OrbitMembershipError.
     """
+    from .reduction import stage_loop
+
     n, k = T.n, T.k
     if B.tag != "polar" or B.n != n or B.k != k:
         raise ValueError("orbit elements are polar principal parts matching T")
     exact = B.exact
     _require_same_mode(T, exact)
-    dt = T.dt()
-    scale = max(1.0, B.norm(), dt.norm())
-    top_defect = B.coeffs[k - 1] - dt.coeffs[k - 1]
-    if not linalg.is_zero_matrix(top_defect, rtol=rtol, scale=scale):
-        raise OrbitMembershipError(
-            "top coefficient differs from dT (it is fixed under the truncated action)",
-            residual=linalg.mat_norm(top_defect),
-        )
-    work = B
-    chain = JetMatrix.identity(n, k, exact)
-    for stage in range(1, k - 1):
-        level_hi = k - stage  # classes of h_{k-i}
-        level_lo = k - stage - 1  # refinement being separated
-        dvals = _diag_values(T, k - stage)
-        for degree in range(1, k - stage):
-            s = k - stage - degree
-            piece = _filtration_piece(T, work.coeffs[s], level_hi, level_lo)
-            if linalg.is_zero_matrix(piece, rtol=0.0, scale=0.0):
-                continue
-            x = _invert_commutator(T, piece, dvals, level_hi, level_lo, exact)
-            g = jet_exp(x, degree, k)
-            work = coadjoint(g, work)
-            chain = jet_mul(g, chain)
-    residual = max(
-        linalg.mat_norm(work.coeffs[s] - dt.coeffs[s]) for s in range(1, k)
-    )
-    if residual > rtol * scale:
-        raise OrbitMembershipError(
-            f"reduction to dT left residual {residual:.3e}", residual=residual
-        )
-    b = jet_inv(chain)
-    b_minus, _ = factorize(T, b)
+    slots = [B.coeffs[k - 1 - s] for s in range(k - 1)] + [linalg.zeros(n, n, exact)]
+    classes = [T.coord_classes(k - 1 - i) for i in range(k)]
+    expected = [T.dt_slot(k - 1 - i) for i in range(k - 1)]
+    chain = stage_loop(ConnectionJet(n, k, tuple(slots)), classes, expected, k - 2, rtol)
+    b_minus, _ = factorize(T, jet_inv(chain.gauge_jet(k)))
     q = [linalg.zeros(n, n, exact)] + [b_minus.coeffs[i] for i in range(1, k)]
     bprime = pp_left_mul(jet_inv(b_minus), B)
     p = [linalg.zeros(n, n, exact)]
     for s in range(1, k):
         p.append(T.project(bprime.coeffs[s], s, "upper"))
     return QPPair(n, k, tuple(q), tuple(p))
-
-
-def _diag_values(T: IrregularType, slot: int) -> list:
-    """Diagonal of dT's coefficient at the slot, per ambient coordinate."""
-    d = T.dt_slot(slot)
-    return [d[i, i] for i in range(T.n)]
-
-
-def _filtration_piece(T, m, level_hi, level_lo):
-    """Component inside h_{level_hi} but off the diagonal of h_{level_lo}."""
-    inside = T.project(m, level_hi, "diag")
-    return inside - T.project(inside, level_lo, "diag")
-
-
-def _invert_commutator(T, piece, dvals, level_hi, level_lo, exact):
-    """Solve [X, D] = -piece on the filtration piece, entrywise."""
-    n = T.n
-    x = linalg.zeros(n, n, exact)
-    cls_hi = T.coord_classes(level_hi)
-    cls_lo = T.coord_classes(level_lo)
-    for r in range(n):
-        for c in range(n):
-            if cls_hi[r] == cls_hi[c] and cls_lo[r] != cls_lo[c]:
-                v = piece[r, c]
-                if exact and not v:
-                    continue
-                x[r, c] = -v / (dvals[c] - dvals[r])
-    return x
 
 
 def qp_to_rep(T: IrregularType, qp: QPPair) -> DoubledRep:

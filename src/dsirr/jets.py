@@ -53,12 +53,6 @@ class JetMatrix:
         coeffs = [linalg.eye(n, exact)] + [linalg.zeros(n, n, exact) for _ in range(k - 1)]
         return JetMatrix(n, k, tuple(coeffs))
 
-    @staticmethod
-    def from_coeffs(coeffs) -> "JetMatrix":
-        coeffs = tuple(np.asarray(c) for c in coeffs)
-        n = coeffs[0].shape[0]
-        return JetMatrix(n, len(coeffs), coeffs)
-
     def is_invertible(self, rtol: float = DEFAULT_RTOL) -> bool:
         return linalg.rank(self.coeffs[0]) == self.n
 

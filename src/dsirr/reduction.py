@@ -4,15 +4,24 @@ bv_split removes, degree by degree, the part of a connection jet that
 does not commute with its semisimple leading coefficient: the degree-j
 gauge factor exp(z^j X_j) has X_j in the range of ad of the leading
 coefficient, found by entrywise division of the offending component by
-eigenvalue differences.  bv_chain iterates the split through the
-stabilizer chain of the top coefficients (which must lie in a common
-torus), ending with a jet valued in the joint centralizer.
+eigenvalue differences.
 
-normalize runs the chain against a prescribed irregular type, checks
-at every stage that the invariant (centralizer-valued) component of
-the leading slot matches the type, and returns the residue of the
-reduced jet: the exponent.  The exponent does not depend on the gauge
-used, which is what the invariance tests exercise.
+stage_loop iterates that split through a stabilizer chain (Babbitt-
+Varadarajan): stage i checks that slot i-1 has reached its expected
+diagonal value, then clears, from every later slot, the component that
+the classes of level i-1 join but those of level i separate.  Its three
+callers differ only in where the chain comes from:
+
+* bv_chain reads the classes and the expected values off the diagonal
+  top slots of the jet itself;
+* normalize reads them off a prescribed irregular type (coord_classes,
+  dt_slot) and returns the residue of the reduced jet: the exponent,
+  which does not depend on the gauge used;
+* irregular.orbit_to_qp embeds an orbit element as a jet and cleans its
+  polar slots only, reading the chain of gauge factors back.
+
+A slot off its expected value raises OrbitMembershipError (a
+ValueError carrying the residual).
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .irregular import IrregularType
+from .irregular import IrregularType, OrbitMembershipError
 from .jets import ConnectionJet, JetMatrix, gauge, jet_exp, jet_mul
 
 CLUSTER_RTOL = 1e-8
@@ -72,39 +81,37 @@ def _eigen_data(a0: np.ndarray, rtol: float):
     return list(vals), vecs, np.linalg.inv(vecs)
 
 
-def _split_pass(
-    jet: ConnectionJet,
-    slot0: int,
-    allowed,
-    divisor,
-    depth: int,
-):
+def _split_pass(jet: ConnectionJet, slot0: int, allowed, divisor, last: int):
     """Kill, for every degree j, the allowed-positions component of slot
-    slot0 + j by conjugating with exp(z^j X); divisor[r][c] is the
-    eigenvalue difference to divide by.  Returns (factors, reduced)."""
+    slot0 + j <= last by conjugating with exp(z^j X); divisor[r][c] is
+    the eigenvalue difference to divide by.  The gauge factors keep the
+    jet's own precision.  Returns (factors, reduced)."""
     n = jet.n
     exact = jet.exact
     factors = []
     work = jet
-    for j in range(1, depth - slot0 + 1):
-        s = slot0 + j
-        c = work.coeffs[s]
+    for j in range(1, last - slot0 + 1):
+        c = work.coeffs[slot0 + j]
         x = linalg.zeros(n, n, exact)
         dirty = False
         for r in range(n):
             for q in range(n):
-                if allowed[r][q]:
-                    v = c[r, q]
-                    if not v:
-                        continue
-                    x[r, q] = -v / divisor[r][q]
+                if allowed[r][q] and c[r, q]:
+                    x[r, q] = -c[r, q] / divisor[r][q]
                     dirty = True
         if not dirty:
             continue
-        g = jet_exp(x, j, depth + 1)
-        work = gauge(g, work)
+        work = gauge(jet_exp(x, j, jet.depth + 1), work)
         factors.append((j, x))
     return factors, work
+
+
+def _truncate(a: ConnectionJet, depth) -> ConnectionJet:
+    if depth is None:
+        return a
+    if depth > a.depth:
+        raise ValueError(f"requested depth {depth} exceeds trusted depth {a.depth}")
+    return ConnectionJet(a.n, a.k, a.coeffs[: depth + 1])
 
 
 def bv_split(a: ConnectionJet, depth: int = None, rtol: float = CLUSTER_RTOL) -> ReductionResult:
@@ -114,26 +121,78 @@ def bv_split(a: ConnectionJet, depth: int = None, rtol: float = CLUSTER_RTOL) ->
     trusted depth, with A'_0 = A_0; slots already commuting with A_0
     are returned unchanged.
     """
-    depth = a.depth if depth is None else depth
-    if depth > a.depth:
-        raise ValueError(f"requested depth {depth} exceeds trusted depth {a.depth}")
+    work = _truncate(a, depth)
     n = a.n
-    a0 = a.coeffs[0]
-    vals, vecs, vecs_inv = _eigen_data(a0, rtol)
-    work = a
+    vals, vecs, vecs_inv = _eigen_data(a.coeffs[0], rtol)
     if vecs is not None:
         # work in the eigenbasis; transform back at the end
-        work = ConnectionJet(n, a.k, tuple(vecs_inv @ c @ vecs for c in a.coeffs))
+        work = ConnectionJet(n, a.k, tuple(vecs_inv @ c @ vecs for c in work.coeffs))
         scale = max(abs(v) for v in vals) if vals else 0.0
         tol = rtol * max(scale, 1.0)
         allowed = [[abs(vals[r] - vals[c]) > tol for c in range(n)] for r in range(n)]
     else:
         allowed = [[bool(vals[r] - vals[c]) for c in range(n)] for r in range(n)]
     divisor = [[vals[c] - vals[r] if allowed[r][c] else None for c in range(n)] for r in range(n)]
-    factors, work = _split_pass(work, 0, allowed, divisor, depth)
+    factors, work = _split_pass(work, 0, allowed, divisor, work.depth)
     if vecs is not None:
         factors = [(j, vecs @ x @ vecs_inv) for j, x in factors]
         work = ConnectionJet(n, a.k, tuple(vecs @ c @ vecs_inv for c in work.coeffs))
+    return ReductionResult(factors, work)
+
+
+def _restore_invariant_slots(before: ConnectionJet, after: ConnectionJet, upto: int) -> ConnectionJet:
+    """Slots <= upto are invariant under the stage by the centralizer
+    property; recomputing them only adds rounding noise, so copy them
+    back (guarded against real drift)."""
+    coeffs = list(after.coeffs)
+    for s in range(min(upto + 1, len(coeffs))):
+        drift = linalg.mat_norm(after.coeffs[s] - before.coeffs[s])
+        scale = max(1.0, linalg.mat_norm(before.coeffs[s]))
+        if drift > 1e-9 * scale:
+            raise AssertionError(f"stage moved an invariant slot {s} by {drift:.3e}")
+        coeffs[s] = before.coeffs[s]
+    return ConnectionJet(after.n, after.k, tuple(coeffs))
+
+
+def stage_loop(
+    a: ConnectionJet, classes, expected, last: int = None, rtol: float = CLUSTER_RTOL
+) -> ReductionResult:
+    """The stabilizer-chain reduction shared by bv_chain, normalize and
+    orbit_to_qp.
+
+    classes[i] (i = 0..k-1) is the class id of every coordinate once
+    slots 0..i-1 are taken into account, so classes[0] is a single
+    class; expected[i] (i = 0..k-2) is the diagonal value slot i must
+    reach.  Stage i checks slot i-1 against expected[i-1] (relative to
+    the largest coefficient) and then clears from slots i..last (default
+    the trusted depth) the component inside a class of classes[i-1] but
+    across classes of classes[i], dividing by differences of the
+    diagonal of expected[i-1].
+    """
+    n, k = a.n, a.k
+    last = a.depth if last is None else last
+    scale = max(linalg.mat_norm(m) for m in list(a.coeffs) + list(expected))
+    work = a
+    factors = []
+    for stage in range(1, k):
+        slot = stage - 1
+        defect = work.coeffs[slot] - expected[slot]
+        if not linalg.is_zero_matrix(defect, rtol=rtol, scale=scale):
+            residual = linalg.mat_norm(defect)
+            raise OrbitMembershipError(
+                f"slot {slot} differs from its expected value (residual {residual:.3e})",
+                residual=residual,
+            )
+        hi, lo = classes[stage - 1], classes[stage]
+        dvals = [expected[slot][i, i] for i in range(n)]
+        allowed = [[hi[r] == hi[c] and lo[r] != lo[c] for c in range(n)] for r in range(n)]
+        divisor = [
+            [dvals[c] - dvals[r] if allowed[r][c] else None for c in range(n)]
+            for r in range(n)
+        ]
+        stage_factors, cleaned = _split_pass(work, slot, allowed, divisor, last)
+        work = _restore_invariant_slots(work, cleaned, slot)
+        factors.extend(stage_factors)
     return ReductionResult(factors, work)
 
 
@@ -160,71 +219,27 @@ def _close(a, b, rtol: float) -> bool:
     return a == b
 
 
-def _diag_of(m: np.ndarray):
-    return [m[i, i] for i in range(m.shape[0])]
-
-
-def _check_torus(m: np.ndarray, rtol: float) -> bool:
-    off = m.copy()
-    for i in range(m.shape[0]):
-        off[i, i] = off[i, i] - m[i, i]
-    return linalg.is_zero_matrix(off, rtol=rtol, scale=linalg.mat_norm(m))
-
-
 def bv_chain(a: ConnectionJet, depth: int = None, rtol: float = CLUSTER_RTOL) -> ReductionResult:
     """Iterated split through the stabilizer chain of the top slots.
 
-    Requires the coefficients below the residue slot (indices <= k-2)
-    to be diagonal.  The reduced jet is valued in their joint
-    centralizer, and those coefficients are returned unchanged.
+    The chain is read off the diagonals of the coefficients below the
+    residue slot (indices <= k-2), which must equal their diagonals
+    when their stage comes.  The reduced jet is valued in their joint
+    centralizer, and for diagonal input those coefficients are returned
+    unchanged.  Equal diagonal entries need not be adjacent.
     """
-    depth = a.depth if depth is None else depth
-    if depth > a.depth:
-        raise ValueError(f"requested depth {depth} exceeds trusted depth {a.depth}")
+    a = _truncate(a, depth)
     n, k = a.n, a.k
-    exact = a.exact
+    expected = []
     for i in range(k - 1):
-        if not _check_torus(a.coeffs[i], rtol):
-            raise ValueError(f"chain hypothesis violated: coefficient {i} is not diagonal")
-    work = a
-    all_factors = []
-    tol = 0.0 if exact else rtol
-    for stage in range(1, k):
-        lead = work.coeffs[stage - 1]
-        diags = [_diag_of(work.coeffs[i]) for i in range(stage - 1)]
-        cls_prev = _diag_tuple_classes(diags, tol) if diags else [0] * n
-        cls_now = _diag_tuple_classes(diags + [_diag_of(lead)], tol)
-        dvals = _diag_of(lead)
-        allowed = [
-            [
-                cls_prev[r] == cls_prev[c] and cls_now[r] != cls_now[c]
-                for c in range(n)
-            ]
-            for r in range(n)
-        ]
-        divisor = [
-            [dvals[c] - dvals[r] if allowed[r][c] else None for c in range(n)]
-            for r in range(n)
-        ]
-        before = work
-        factors, work = _split_pass(work, stage - 1, allowed, divisor, depth)
-        work = _restore_invariant_slots(before, work, stage - 1)
-        all_factors.extend(factors)
-    return ReductionResult(all_factors, work)
-
-
-def _restore_invariant_slots(before: ConnectionJet, after: ConnectionJet, upto: int) -> ConnectionJet:
-    """Slots <= upto are invariant under the stage by the centralizer
-    property; recomputing them only adds rounding noise, so copy them
-    back (guarded against real drift)."""
-    coeffs = list(after.coeffs)
-    for s in range(min(upto + 1, len(coeffs))):
-        drift = linalg.mat_norm(after.coeffs[s] - before.coeffs[s])
-        scale = max(1.0, linalg.mat_norm(before.coeffs[s]))
-        if drift > 1e-9 * scale:
-            raise AssertionError(f"stage moved an invariant slot {s} by {drift:.3e}")
-        coeffs[s] = before.coeffs[s]
-    return ConnectionJet(after.n, after.k, tuple(coeffs))
+        d = linalg.zeros(n, n, a.exact)
+        for r in range(n):
+            d[r, r] = a.coeffs[i][r, r]
+        expected.append(d)
+    diags = [[m[r, r] for r in range(n)] for m in expected]
+    tol = 0.0 if a.exact else rtol
+    classes = [[0] * n] + [_diag_tuple_classes(diags[:i], tol) for i in range(1, k)]
+    return stage_loop(a, classes, expected, rtol=rtol)
 
 
 def normalize(
@@ -233,51 +248,22 @@ def normalize(
     """Reduce a connection jet against a prescribed irregular type.
 
     The jet need not have diagonal coefficients: each stage first
-    checks that the invariant component of its leading slot equals the
-    matching dT coefficient (else the polar part is incompatible with
-    the type) and then removes the separating component at that level.
-    Returns the gauge factors, the reduced jet, and the exponent: the
-    residue coefficient of the reduced jet, block-diagonal for the
-    type.  The exponent is independent of the unipotent gauge used.
+    checks that its leading slot equals the matching dT coefficient
+    (else the polar part is incompatible with the type) and then
+    removes the separating component at that level.  Returns the gauge
+    factors, the reduced jet, and the exponent: the residue coefficient
+    of the reduced jet, block-diagonal for the type.  The exponent is
+    independent of the unipotent gauge used.
     """
     if T.exact != a.exact:
         raise TypeError("backend mismatch between the jet and the irregular type")
     if a.n != T.n or a.k != T.k:
         raise ValueError("jet size or pole order does not match the irregular type")
-    depth = (2 * T.k if 2 * T.k <= a.depth else a.depth) if depth is None else depth
-    if depth > a.depth:
-        raise ValueError(f"requested depth {depth} exceeds trusted depth {a.depth}")
-    if depth < a.k - 1:
+    k = T.k
+    depth = min(2 * k, a.depth) if depth is None else depth
+    if depth < k - 1:
         raise ValueError("depth underflow: cannot even trust the residue slot")
-    n, k = a.n, a.k
-    exact = a.exact
-    scale = max(1.0, max(linalg.mat_norm(c) for c in a.coeffs))
-    work = a
-    all_factors = []
-    for stage in range(1, k):
-        slot_value = T.dt_slot(k - stage)
-        defect = work.coeffs[stage - 1] - slot_value
-        if not linalg.is_zero_matrix(defect, rtol=rtol, scale=scale):
-            raise ValueError(
-                f"polar part incompatible with the irregular type at slot {stage - 1} "
-                f"(residual {linalg.mat_norm(defect):.3e})"
-            )
-        level_hi = k - stage
-        level_lo = k - stage - 1
-        cls_hi = T.coord_classes(level_hi)
-        cls_lo = T.coord_classes(level_lo)
-        dvals = [slot_value[i, i] for i in range(n)]
-        allowed = [
-            [cls_hi[r] == cls_hi[c] and cls_lo[r] != cls_lo[c] for c in range(n)]
-            for r in range(n)
-        ]
-        divisor = [
-            [dvals[c] - dvals[r] if allowed[r][c] else None for c in range(n)]
-            for r in range(n)
-        ]
-        before = work
-        factors, work = _split_pass(work, stage - 1, allowed, divisor, depth)
-        work = _restore_invariant_slots(before, work, stage - 1)
-        all_factors.extend(factors)
-    exponent = work.coeffs[k - 1]
-    return NormalizeResult(all_factors, work, exponent=exponent)
+    classes = [T.coord_classes(k - 1 - i) for i in range(k)]
+    expected = [T.dt_slot(k - 1 - i) for i in range(k - 1)]
+    out = stage_loop(_truncate(a, depth), classes, expected, rtol=rtol)
+    return NormalizeResult(out.factors, out.reduced, exponent=out.reduced.coeffs[k - 1])

@@ -165,15 +165,18 @@ def parse_exact(text: str) -> GaussianRational:
     s = re.sub(r"\s+", "", text)
     if not s:
         raise ValueError("empty exact scalar")
-    m = _RE_BOTH.match(s)
-    if m:
-        return GaussianRational(Fraction(m["re"]), Fraction(m["im"]))
-    m = _RE_IMAG.match(s)
-    if m:
-        return GaussianRational(0, Fraction(m["im"]))
-    m = _RE_REAL.match(s)
-    if m:
-        return GaussianRational(Fraction(m["re"]))
+    try:
+        m = _RE_BOTH.match(s)
+        if m:
+            return GaussianRational(Fraction(m["re"]), Fraction(m["im"]))
+        m = _RE_IMAG.match(s)
+        if m:
+            return GaussianRational(0, Fraction(m["im"]))
+        m = _RE_REAL.match(s)
+        if m:
+            return GaussianRational(Fraction(m["re"]))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in exact scalar {text!r}") from None
     raise ValueError(f"cannot parse exact scalar {text!r}")
 
 

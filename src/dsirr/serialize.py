@@ -41,6 +41,31 @@ def scalar_from_json(obj, exact: bool = None):
     raise ValueError(f"cannot decode scalar from {obj!r}")
 
 
+# keys holding one scalar, and keys holding a list of scalars (or of
+# scalar matrices); every other list in a payload holds integers
+_SCALAR_KEYS = ("value", "position")
+_SCALAR_LIST_KEYS = ("coeffs", "marking", "matrix", "eigenvalue_hints")
+
+
+def payload_is_float(obj, scalar: bool = False) -> bool:
+    """Float mode iff some scalar in the payload is a JSON float or an
+    [re, im] pair; payloads of strings and integers are exact."""
+    if isinstance(obj, float):
+        return True
+    if isinstance(obj, dict):
+        return any(
+            any(payload_is_float(x, True) for x in val)
+            if key in _SCALAR_LIST_KEYS and isinstance(val, list)
+            else payload_is_float(val, key in _SCALAR_KEYS)
+            for key, val in obj.items()
+        )
+    if isinstance(obj, list):
+        if scalar and len(obj) == 2 and all(type(x) in (int, float) for x in obj):
+            return True
+        return any(payload_is_float(x, scalar) for x in obj)
+    return False
+
+
 def matrix_to_json(a: np.ndarray) -> list:
     return [scalar_to_json(x) for x in np.asarray(a).reshape(-1)]
 

@@ -1,5 +1,8 @@
 import json
 import os
+import warnings
+
+import pytest
 
 from dsirr.cli import main
 
@@ -136,3 +139,62 @@ def test_schema_error_pointer(tmp_path, capsys):
 def test_error_on_missing_file(capsys):
     code, report = run(capsys, "check", "/nonexistent/xyz.json")
     assert code == 2 and "error" in report
+
+
+def _star_rigid():
+    return json.loads(open(path("star_rigid.json")).read())
+
+
+def test_check_zero_denominator_is_an_error(tmp_path, capsys):
+    data = _star_rigid()
+    data["finite_poles"][0]["orbit"]["eigenvalues"][0]["value"] = "1/0"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, report = run(capsys, "check", str(bad))
+    assert code == 2
+    assert "zero denominator" in report["error"]
+
+
+def test_realize_reports_the_exact_mode_error(tmp_path, capsys):
+    # an all-exact file is parsed once, in exact mode: its own error
+    # stands and no float-mode parse (with its warning) follows
+    data = _star_rigid()
+    data["finite_poles"][0]["orbit"]["eigenvalues"][1]["blocks"] = [2]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report = run(capsys, "realize", str(bad), "--attempts", "1")
+    assert code == 2
+    assert "sum to 3, expected n=2" in report["error"]
+
+
+def test_float_payload_is_parsed_in_float_mode(tmp_path, capsys):
+    data = _star_rigid()
+    data["finite_poles"][0]["position"] = [1.0, 0.0]
+    floats = tmp_path / "float.json"
+    floats.write_text(json.dumps(data))
+    with pytest.warns(UserWarning, match="float irregular-type"):
+        code, report = run(capsys, "build-quiver", str(floats))
+    assert code == 0 and report["dims"] == {"p0": 1, "p1": 1, "t0.1": 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--seed", "1"),
+        ("check", "--dot", "{dot}"),
+        ("leg", "--dot", "{dot}"),
+        ("realize", "--exact"),
+        ("realize", "--tolerance", "1e-3"),
+        ("verify", "--float"),
+    ],
+)
+def test_unread_option_is_rejected(argv, tmp_path, capsys):
+    dot = tmp_path / "x.dot"
+    command, *options = (a.format(dot=dot) for a in argv)
+    with pytest.raises(SystemExit) as exc:
+        main([command, path("star_rigid.json"), *options])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not dot.exists()

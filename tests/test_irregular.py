@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -308,17 +310,48 @@ def test_orbit_membership_residual_error():
         orbit_to_qp(T, bad)
 
 
+def rand_exact_type(rng, k, mults=(2, 1, 1)):
+    """Distinct blocks whose coefficient tails often agree, so the level
+    filtration has proper refinements; the canonical order puts the
+    double block anywhere."""
+    pool = [G(0), G(1, 1), G(-1, 2)]
+    blocks = []
+    while len(blocks) < len(mults):
+        coeffs = tuple(pool[int(rng.integers(0, len(pool)))] for _ in range(k - 1))
+        if all(coeffs != b for b, _ in blocks):
+            blocks.append((coeffs, mults[len(blocks)]))
+    return make_irregular_type(k, blocks)
+
+
+def rand_exact_qp(rng, T):
+    def rand_matrix():
+        m = linalg.zeros(T.n, T.n, True)
+        for idx in np.ndindex(T.n, T.n):
+            m[idx] = G(Fraction(int(rng.integers(-3, 4)), 2), int(rng.integers(-2, 3)))
+        return m
+
+    q = [linalg.zeros(T.n, T.n, True)] + [T.project(rand_matrix(), s, "lower") for s in range(1, T.k)]
+    p = [linalg.zeros(T.n, T.n, True)] + [T.project(rand_matrix(), s, "upper") for s in range(1, T.k)]
+    return QPPair(T.n, T.k, tuple(q), tuple(p))
+
+
 def test_orbit_exact_round_trip():
+    # exact equality: the stage loop must invert qp_to_orbit with no noise
     T = make_irregular_type(3, [((G(0), G(1)), 1), ((G(0), G(-1)), 1)])
     q = [linalg.zeros(2, 2, True) for _ in range(3)]
     p = [linalg.zeros(2, 2, True) for _ in range(3)]
     q[1][1, 0] = G(2, 3)
     p[1][0, 1] = G(-1, 5)
-    qp = QPPair(2, 3, tuple(q), tuple(p))
-    b = qp_to_orbit(T, qp)
-    back = orbit_to_qp(T, b)
-    assert linalg.matrices_equal(back.q[1], qp.q[1])
-    assert linalg.matrices_equal(back.p[1], qp.p[1])
+    cases = [(T, QPPair(2, 3, tuple(q), tuple(p)))]
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        T = rand_exact_type(rng, k=3 + seed % 2)
+        cases.append((T, rand_exact_qp(rng, T)))
+    for T, qp in cases:
+        back = orbit_to_qp(T, qp_to_orbit(T, qp))
+        for s in range(1, T.k):
+            assert linalg.matrices_equal(back.q[s], qp.q[s])
+            assert linalg.matrices_equal(back.p[s], qp.p[s])
 
 
 # --- rep <-> qp ---------------------------------------------------------------

@@ -125,6 +125,23 @@ def test_chain_restores_block_structure(rng):
         assert linalg.mat_norm(off) < 1e-9 * max(1.0, linalg.mat_norm(c))
     for s in range(k - 1):
         assert np.array_equal(out.reduced.coeffs[s], a.coeffs[s])
+    # equal but non-adjacent diagonal entries: coordinates 0 and 2 share
+    # every value, so the joint centralizer keeps the (0, 2) and (2, 0)
+    # entries and clears everything coupling them to coordinate 1
+    k, n, depth = 3, 3, 6
+    t2 = np.diag([1.0, -1.0, 1.0]).astype(complex)
+    t1 = np.diag([2.0, 2.0, 2.0]).astype(complex)
+    coeffs = [t2, t1] + [rand_complex(rng, n, n) for _ in range(depth - k + 2)]
+    a = ConnectionJet(n, k, tuple(coeffs))
+    out = bv_chain(a)
+    for s in range(k - 1, depth + 1):
+        c = out.reduced.coeffs[s]
+        scale = max(1.0, linalg.mat_norm(c))
+        for r, q in [(0, 1), (1, 0), (1, 2), (2, 1)]:
+            assert abs(c[r, q]) < 1e-9 * scale
+        assert abs(c[0, 2]) > 1e-3 and abs(c[2, 0]) > 1e-3
+    for s in range(k - 1):
+        assert np.array_equal(out.reduced.coeffs[s], a.coeffs[s])
 
 
 def test_chain_gauge_factors_in_prescribed_ranges(rng):

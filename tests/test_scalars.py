@@ -10,6 +10,7 @@ from dsirr.scalars import (
     rationalize,
     scalar_key,
 )
+from dsirr.serialize import payload_is_float
 
 
 def test_field_arithmetic():
@@ -61,6 +62,27 @@ def test_parse_and_format_round_trip():
         parse_exact("1.5")
     with pytest.raises(ValueError):
         parse_exact("")
+    for text in ("1/0", "1/2+3/0 i", "5/0 i"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_exact(text)
+
+
+def test_payload_mode_detection():
+    float_payloads = [
+        {"value": [1, 0]},
+        {"position": 0.5},
+        {"coeffs": [[0, 1], [1, 0]]},
+        {"jet": {"coeffs": [[[1, 0], [0, 0], [0, 0], [2, 0]]]}},
+        {"matrix": [[1, 0]]},
+    ]
+    exact_payloads = [
+        {"value": "1/2", "blocks": [1, 2]},
+        {"coeffs": [0, 1], "mult": 2},
+        {"jet": {"coeffs": [["1", "0", "0", "2"]]}},
+        {"matrix": [1, 0, 0, 1], "marking": ["0", 4]},
+    ]
+    assert all(payload_is_float(p) for p in float_payloads)
+    assert not any(payload_is_float(p) for p in exact_payloads)
 
 
 def test_rationalize_bounds_denominator():
