@@ -231,6 +231,7 @@ def verdict_to_json(verdict: Verdict, quiver, dims, zeta) -> dict:
         "quiver": quiver_to_json(quiver, dims, zeta),
         "delta": verdict.delta,
         "detail": verdict.detail,
+        "stats": {"candidates": verdict.candidates, "search_states": verdict.nodes},
     }
     if verdict.nonempty:
         out["dim"] = verdict.dim

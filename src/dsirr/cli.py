@@ -170,7 +170,7 @@ def cmd_reduce(args):
 
 def cmd_leg(args):
     data = _load_json(args.input)
-    exact = args.exact_mode
+    exact = not payload_is_float(data)
     n = _require(data, "n", "", int)
     spec = orbit_spec_from_json(_require(data, "orbit", "", dict), n, exact)
     marking = greedy_marking(spec)
@@ -223,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("check", "decide non-emptiness from a problem file (exact scalars)")
     p.add_argument("--max-decompositions", type=int, default=200_000,
-                   help="search cap before reporting undecided")
+                   help="search budget (candidate enumeration steps, which also bound "
+                        "the decomposition DP's states) before reporting undecided")
     p = command("build-quiver", "synthesize (Q, v, zeta) from a problem file")
     p.add_argument("--dot", default=None, help="write Graphviz DOT here")
     p.add_argument("--dot-mode", choices=["basic", "full"], default="basic",
@@ -238,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = command(name, help_text)
         p.add_argument("--tolerance", type=float, default=1e-8, help="relative tolerance")
     p = command("leg", "marking, leg dimensions and chain maps of an orbit")
-    p.add_argument("--exact", dest="exact_mode", action="store_true", help="exact scalars")
     return parser
 
 

@@ -267,14 +267,18 @@ def gauge(g: JetMatrix, a: ConnectionJet) -> ConnectionJet:
         raise ValueError("depth underflow: gauge jet too short for the polar part")
     n, exact = a.n, a.exact
     h = jet_inv(g)
+    # conjugation term sum_{i+j+l=s} g_i A_j h_l, as (g A) then (g A) h
+    ga = []
+    for t in range(out_depth + 1):
+        acc = linalg.zeros(n, n, exact)
+        for i in range(t + 1):
+            acc = acc + np.dot(g.coeffs[i], a.coeffs[t - i])
+        ga.append(acc)
     out = []
     for s in range(out_depth + 1):
         acc = linalg.zeros(n, n, exact)
-        # conjugation term: sum over g_i A_j h_l with i + l + j = s
-        for i in range(0, s + 1):
-            for l in range(0, s - i + 1):
-                j = s - i - l
-                acc = acc + np.dot(np.dot(g.coeffs[i], a.coeffs[j]), h.coeffs[l])
+        for t in range(s + 1):
+            acc = acc + np.dot(ga[t], h.coeffs[s - t])
         # derivative term dg g^{-1}: coefficient of z^{s-k} dz needs s >= k
         m = s - a.k  # z^m dz with m = s - k >= 0
         if m >= 0:

@@ -1,0 +1,104 @@
+"""Reference implementations that the tests compare the package against.
+
+These are the straightforward algorithms the package used before it
+moved to faster ones: a scan of the whole box with exact Q(i)
+arithmetic for the zeta-orthogonal positive roots, a depth-first
+search over multisets for condition (3) of the criterion, and the
+triple-sum conjugation term of a gauge transform.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from dsirr import linalg
+from dsirr.jets import ConnectionJet, jet_inv
+from dsirr.roots import SearchCapExceeded, Verdict, is_positive_root
+from dsirr.scalars import GaussianRational, as_exact
+
+
+def _zeta_dot(zeta_vec, w) -> GaussianRational:
+    total = GaussianRational(0)
+    for z, c in zip(zeta_vec, w):
+        if c:
+            total = total + z * c
+    return total
+
+
+def brute_candidates(cartan, v, zeta):
+    """Positive roots 0 < w <= v with zeta.w = 0, by scanning the box."""
+    v = tuple(int(x) for x in v)
+    zeta_vec = tuple(as_exact(zeta[u]) for u in cartan.vertices)
+    out = []
+    for w in itertools.product(*(range(x + 1) for x in v)):
+        if any(w) and not _zeta_dot(zeta_vec, w) and is_positive_root(cartan, w):
+            out.append(w)
+    return sorted(out)
+
+
+def dfs_solvable(cartan, v, zeta, max_nodes: int = 200_000) -> Verdict:
+    """The criterion with condition (3) decided by a DFS over multisets."""
+    v = tuple(int(x) for x in v)
+    dv = cartan.delta(v)
+    if not is_positive_root(cartan, v):
+        return Verdict(False, failed_condition=1, delta=dv)
+    zeta_vec = tuple(as_exact(zeta[u]) for u in cartan.vertices)
+    if _zeta_dot(zeta_vec, v):
+        return Verdict(False, failed_condition=2, delta=dv)
+    # non-increasing order canonicalizes multisets during the search
+    cands = sorted(brute_candidates(cartan, v, zeta), reverse=True)
+    deltas = [cartan.delta(w) for w in cands]
+    nodes = 0
+
+    def dfs(start, rem, picked, picked_delta):
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise SearchCapExceeded(f"decomposition search exceeded {max_nodes} nodes")
+        if not any(rem):
+            if len(picked) >= 2 and not (dv > picked_delta):
+                return list(picked)
+            return None
+        for idx in range(start, len(cands)):
+            nxt = tuple(r - x for r, x in zip(rem, cands[idx]))
+            if any(x < 0 for x in nxt):
+                continue
+            picked.append(cands[idx])
+            hit = dfs(idx, nxt, picked, picked_delta + deltas[idx])
+            picked.pop()
+            if hit is not None:
+                return hit
+        return None
+
+    try:
+        witness = dfs(0, v, [], 0)
+    except SearchCapExceeded:
+        return Verdict(None, delta=dv, nodes=nodes)
+    if witness is not None:
+        return Verdict(False, failed_condition=3, witness=[list(w) for w in witness],
+                       delta=dv, nodes=nodes)
+    return Verdict(True, delta=dv, dim=2 * dv, nodes=nodes)
+
+
+def gauge_triple_sum(g, a) -> ConnectionJet:
+    """g[A] = g A g^{-1} + dg g^{-1}, conjugation term as sum g_i A_j h_l."""
+    out_depth = min(a.depth, g.k - 1)
+    n, exact = a.n, a.exact
+    h = jet_inv(g)
+    out = []
+    for s in range(out_depth + 1):
+        acc = linalg.zeros(n, n, exact)
+        for i in range(0, s + 1):
+            for l in range(0, s - i + 1):
+                j = s - i - l
+                acc = acc + np.dot(np.dot(g.coeffs[i], a.coeffs[j]), h.coeffs[l])
+        m = s - a.k
+        if m >= 0:
+            for i in range(1, m + 2):
+                l = m + 1 - i
+                if i < g.k and l < g.k:
+                    acc = acc + np.dot(g.coeffs[i] * i, h.coeffs[l])
+        out.append(acc)
+    return ConnectionJet(n, a.k, tuple(out))

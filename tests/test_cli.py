@@ -25,6 +25,8 @@ def test_check_rigid_star(capsys):
     assert report["verdict"] == "nonempty"
     assert report["dim"] == 0
     assert set(report["quiver"]["dims"]) == {"p0", "p1", "t0.1"}
+    # generic zeta: v is the only candidate, and the DP evaluates v alone
+    assert report["stats"] == {"candidates": 1, "search_states": 1}
 
 
 def test_check_trace_perturbed(capsys):
@@ -120,12 +122,23 @@ def test_reduce_incompatible(tmp_path, capsys):
 
 
 def test_leg_command(capsys):
-    code, report = run(capsys, "leg", path("leg_example.json"), "--exact")
+    code, report = run(capsys, "leg", path("leg_example.json"))
     assert code == 0 and report["ok"]
     # greedy: the nilpotent 2-block wins ties, then the simple eigenvalue
     assert report["marking"] == ["0", "0", "4"]
     assert report["leg_dimensions"] == [2, 1]
     assert "1>0" in report["maps"] and "2>1" in report["maps"]
+
+
+def test_leg_reads_float_mode_from_payload(tmp_path, capsys):
+    data = json.loads(open(path("leg_example.json")).read())
+    for entry in data["orbit"]["eigenvalues"]:
+        entry["value"] = float(entry["value"])
+    src = tmp_path / "leg.json"
+    src.write_text(json.dumps(data))
+    code, report = run(capsys, "leg", str(src))
+    assert code == 0 and report["marking"] == [[0.0, 0.0], [0.0, 0.0], [4.0, 0.0]]
+    assert report["leg_dimensions"] == [2, 1]
 
 
 def test_schema_error_pointer(tmp_path, capsys):
@@ -185,6 +198,7 @@ def test_float_payload_is_parsed_in_float_mode(tmp_path, capsys):
         ("check", "--seed", "1"),
         ("check", "--dot", "{dot}"),
         ("leg", "--dot", "{dot}"),
+        ("leg", "--exact"),
         ("realize", "--exact"),
         ("realize", "--tolerance", "1e-3"),
         ("verify", "--float"),

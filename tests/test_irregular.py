@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_complex, unit_matrix
-from dsirr import linalg
+from dsirr import jets, linalg, reduction
 from dsirr.irregular import (
     OrbitMembershipError,
     QPPair,
@@ -24,6 +24,7 @@ from dsirr.irregular import (
 from dsirr.jets import JetMatrix, coadjoint, jet_exp, jet_mul, pairing
 from dsirr.quiver import symplectic_form
 from dsirr.scalars import GaussianRational as G
+from oracles import gauge_triple_sum
 
 
 def two_block_k3():
@@ -352,6 +353,40 @@ def test_orbit_exact_round_trip():
         for s in range(1, T.k):
             assert linalg.matrices_equal(back.q[s], qp.q[s])
             assert linalg.matrices_equal(back.p[s], qp.p[s])
+
+
+def test_gauge_matches_triple_sum_with_fewer_products(monkeypatch):
+    """On the exact round trips, jets.gauge's (g A) h equals the triple sum
+    g_i A_j h_l exactly and takes fewer Gaussian-rational products."""
+    orbits = []
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        T = rand_exact_type(rng, k=3 + seed % 2)
+        orbits.append((T, qp_to_orbit(T, rand_exact_qp(rng, T))))
+
+    mul, count, products = G.__mul__, [0], {"two": 0, "triple": 0}
+
+    def counting(self, other):
+        count[0] += 1
+        return mul(self, other)
+
+    def checked(g, a):
+        start = count[0]
+        out = jets.gauge(g, a)
+        middle = count[0]
+        ref = gauge_triple_sum(g, a)
+        products["two"] += middle - start
+        products["triple"] += count[0] - middle
+        assert len(out.coeffs) == len(ref.coeffs)
+        assert all(linalg.matrices_equal(x, y) for x, y in zip(out.coeffs, ref.coeffs))
+        return out
+
+    monkeypatch.setattr(reduction, "gauge", checked)
+    monkeypatch.setattr(G, "__mul__", counting)
+    monkeypatch.setattr(G, "__rmul__", counting)
+    for T, orbit in orbits:
+        orbit_to_qp(T, orbit)
+    assert 0 < products["two"] < products["triple"]
 
 
 # --- rep <-> qp ---------------------------------------------------------------

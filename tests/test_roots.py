@@ -1,10 +1,24 @@
+import collections
+import copy
 import itertools
+import math
+import random
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
+from dsirr.assembly import decide_ds, instance_from_json
 from dsirr.quiver import delta, make_quiver
-from dsirr.roots import CartanData, cb_solvable, is_positive_root, summand_candidates
+from dsirr.roots import (
+    CartanData,
+    SearchCapExceeded,
+    cb_solvable,
+    is_positive_root,
+    summand_candidates,
+)
 from dsirr.scalars import GaussianRational as G
+from oracles import brute_candidates, dfs_solvable
 
 
 def a2():
@@ -151,3 +165,214 @@ def test_cb_search_cap_reports_undecided():
     d = double()
     v = cb_solvable(d, (6, 6), {"1": G(0), "2": G(0)}, max_nodes=5)
     assert v.undecided
+
+
+def test_budget_is_checked_before_allocation():
+    # (10^6, 10^6) is an imaginary root of the doubled arrow and zeta = 0, so
+    # the criterion reaches the enumeration, whose half boxes exceed the cap
+    tracemalloc.start()
+    try:
+        v = cb_solvable(double(), (10**6, 10**6), {"1": G(0), "2": G(0)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.undecided and v.nodes == 0
+    assert v.detail.startswith("enumeration budget of 200000 exhausted")
+    assert peak < 100_000
+    single = CartanData.from_quiver(make_quiver(["1"], []))
+    with pytest.raises(SearchCapExceeded, match="enumeration budget of 2000000"):
+        summand_candidates(single, (10**7,), {"1": G(0)})
+
+
+# --- the integer engine against the box scan and the multiset DFS -------------
+
+
+def random_case(rng):
+    """A small loop-free quiver, a positive root v and a zeta with zeta.v = 0.
+
+    zeta is generic, zero, or split (also orthogonal to some 0 < w < v),
+    so condition (3) meets one, many and some decompositions.
+    """
+    m = rng.randint(1, 4)
+    names = [str(i) for i in range(m)]
+    arrows = [
+        (f"a{i}{j}{r}", names[i], names[j])
+        for i, j in itertools.combinations(range(m), 2)
+        for r in range(rng.choice((0, 1, 1, 2)))
+    ]
+    cartan = CartanData.from_quiver(make_quiver(names, arrows))
+    while True:
+        v = tuple(rng.randint(0, 3) for _ in range(m))
+        if math.prod(x + 1 for x in v) <= 120 and is_positive_root(cartan, v):
+            break
+    kind = rng.choice(("generic", "zero", "split"))
+    zeta = [G(0)] * m
+    if kind != "zero":
+        orth = [v]
+        if kind == "split":
+            orth.append(tuple(rng.randint(0, x) for x in v))
+        zeta = [G(Fraction(rng.randint(-9, 9), rng.randint(1, 5)), rng.randint(-2, 2))
+                for _ in range(m)]
+        # solve zeta on len(orth) vertices so that zeta . u = 0 for each u in orth
+        for pivots in itertools.permutations(range(m), len(orth)):
+            det = [[u[i] for i in pivots] for u in orth]
+            if len(orth) == 1 and det[0][0] or len(orth) == 2 and (
+                    det[0][0] * det[1][1] - det[0][1] * det[1][0]):
+                break
+        else:
+            pivots = ()
+        if pivots:
+            rest = [sum((zeta[i] * u[i] for i in range(m) if i not in pivots), G(0)) for u in orth]
+            if len(pivots) == 1:
+                zeta[pivots[0]] = -rest[0] / G(det[0][0])
+            else:
+                (a, b), (c, d) = det
+                den = G(a * d - b * c)
+                zeta[pivots[0]] = (-rest[0] * d + rest[1] * b) / den
+                zeta[pivots[1]] = (-rest[1] * a + rest[0] * c) / den
+        else:
+            zeta = [G(0)] * m
+    return cartan, v, dict(zip(names, zeta)), kind
+
+
+def check_witness(cartan, v, zeta, verdict):
+    """>= 2 zeta-orthogonal positive roots summing to v, with sum delta >= delta(v)."""
+    parts = [tuple(w) for w in verdict.witness]
+    assert len(parts) >= 2
+    for w in parts:
+        assert is_positive_root(cartan, w)
+        assert sum((zeta[x] * c for x, c in zip(cartan.vertices, w)), G(0)) == G(0)
+    assert tuple(map(sum, zip(*parts))) == v
+    assert sum(cartan.delta(w) for w in parts) >= cartan.delta(v)
+
+
+def test_integer_engine_matches_oracles_on_random_corpus():
+    rng = random.Random(20261017)
+    seen = {"generic": 0, "zero": 0, "split": 0}
+    outcomes = collections.Counter()
+    for _ in range(240):
+        cartan, v, zeta, kind = random_case(rng)
+        seen[kind] += 1
+        assert summand_candidates(cartan, v, zeta) == brute_candidates(cartan, v, zeta)
+        new, old = cb_solvable(cartan, v, zeta), dfs_solvable(cartan, v, zeta)
+        assert not new.undecided and new.nodes >= 1 and new.candidates >= 1
+        if not old.undecided:
+            key = (new.nonempty, new.failed_condition, new.dim)
+            assert key == (old.nonempty, old.failed_condition, old.dim), (v, zeta)
+            outcomes[key[:2]] += 1
+        if new.failed_condition == 3:
+            check_witness(cartan, v, zeta, new)
+    assert min(seen.values()) >= 50
+    assert outcomes[True, None] >= 50 and outcomes[False, 3] >= 50
+
+
+def test_dp_decides_where_the_dfs_runs_out():
+    # the null root of E6~ at zeta = 0: nonempty, moduli dimension 2
+    names = ["c", "a1", "a2", "b1", "b2", "d1", "d2"]
+    arrows = [("x", "a1", "c"), ("y", "a2", "a1"), ("z", "b1", "c"),
+              ("u", "b2", "b1"), ("s", "d1", "c"), ("t", "d2", "d1")]
+    c = CartanData.from_quiver(make_quiver(names, arrows))
+    v, zeta = (3, 2, 1, 2, 1, 2, 1), {x: G(0) for x in names}
+    assert dfs_solvable(c, v, zeta, max_nodes=5000).undecided
+    verdict = cb_solvable(c, v, zeta, max_nodes=5000)
+    assert verdict.nonempty and verdict.dim == 2 and 1 <= verdict.nodes <= 5000
+
+
+# --- metamorphic: the verdict is a property of the local data ----------------
+
+
+def random_problem(rng):
+    """A small problem file with generic, split or nilpotent residues."""
+    n, k, poles = rng.randint(2, 4), rng.choice((2, 3)), rng.randint(1, 3)
+    mults = [(n + 1) // 2, n // 2]
+    family = rng.choice(("generic", "split", "nilpotent"))
+
+    def value():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    def orbit(size):
+        if family == "nilpotent":
+            return [[Fraction(0), [2] * (size // 2) + [1] * (size % 2)]]
+        if family == "split" and size >= 2:
+            return [[value(), [1] * (size // 2)], [value(), [1] * (size - size // 2)]]
+        return [[value(), [1]] for _ in range(size)]
+
+    orbits = [orbit(m) for m in mults] + [orbit(n) for _ in range(poles)]
+    if family != "nilpotent":
+        last = orbits[-1][-1]
+        rest = sum(x * sum(b) for o in orbits for x, b in o) - last[0] * sum(last[1])
+        last[0] = -rest / sum(last[1]) + rng.choice((0, 0, 0, Fraction(1, 2)))
+    coeffs = [["0"] * (k - 2) + [top] for top in ("3", "1")]
+    return {
+        "rank": n,
+        "infinity": {
+            "irregular_type": {"k": k, "blocks": [
+                {"coeffs": c, "mult": m} for c, m in zip(coeffs, mults)]},
+            "residue_blocks": [{"eigenvalues": o} for o in orbits[:2]],
+        },
+        "finite_poles": [
+            {"position": str(j), "orbit": {"eigenvalues": o}} for j, o in enumerate(orbits[2:])
+        ],
+    }
+
+
+def _format(doc):
+    """Exact strings for the Fraction eigenvalues of random_problem."""
+    doc = copy.deepcopy(doc)
+    for o in [r["eigenvalues"] for r in doc["infinity"]["residue_blocks"]] + [
+            p["orbit"]["eigenvalues"] for p in doc["finite_poles"]]:
+        o[:] = [{"value": str(x), "blocks": list(b)} for x, b in o]
+    return doc
+
+
+def _outcome(doc):
+    try:
+        inst = instance_from_json(_format(doc), exact=True)
+    except ValueError:
+        return None  # two eigenvalues of one orbit collided
+    v = decide_ds(inst).verdict
+    return v.nonempty, v.failed_condition, v.dim, v.delta
+
+
+def _permute_poles(doc, rng):
+    rng.shuffle(doc["finite_poles"])
+
+
+def _move_poles(doc, rng):
+    for p, x in zip(doc["finite_poles"], rng.sample(range(-50, 50), len(doc["finite_poles"]))):
+        p["position"] = f"{x}/7{rng.randint(-3, 3):+d}i"
+
+
+def _reorder_blocks(doc, rng):
+    inf = doc["infinity"]
+    order = [1, 0]
+    inf["irregular_type"]["blocks"] = [inf["irregular_type"]["blocks"][i] for i in order]
+    inf["residue_blocks"] = [inf["residue_blocks"][i] for i in order]
+    for o in [r["eigenvalues"] for r in inf["residue_blocks"]] + [
+            p["orbit"]["eigenvalues"] for p in doc["finite_poles"]]:
+        rng.shuffle(o)
+        for entry in o:
+            entry[1].reverse()
+
+
+def _rescale(doc, rng):
+    c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    for o in [r["eigenvalues"] for r in doc["infinity"]["residue_blocks"]] + [
+            p["orbit"]["eigenvalues"] for p in doc["finite_poles"]]:
+        for entry in o:
+            entry[0] *= c
+
+
+@pytest.mark.parametrize("transform", [_permute_poles, _move_poles, _reorder_blocks, _rescale])
+def test_check_verdict_is_invariant(transform):
+    rng = random.Random(transform.__name__)
+    outcomes = set()
+    for _ in range(40):
+        doc = random_problem(rng)
+        base = _outcome(doc)
+        if base is None:
+            continue
+        transform(doc, rng)
+        assert _outcome(doc) == base
+        outcomes.add(base[:2])
+    assert {(True, None), (False, 2), (False, 3)} <= outcomes
