@@ -47,7 +47,7 @@ from .orbits import (
     orbit_membership,
     realize_leg,
 )
-from .quiver import DoubledRep, delta, is_stable, make_quiver, moment_map
+from .quiver import DoubledRep, delta, is_stable, make_quiver, moment_map, rep_stability, stability
 from .roots import CartanData, Verdict, cb_solvable
 from .scalars import GaussianRational, scalar_key
 
@@ -486,21 +486,10 @@ def _install_leg(rep: DoubledRep, leg, prefix: str, foot_blocks=None, foot_verte
                 rep.rev[f"{prefix}1>p{b}"] = lr.rev[a.id][:, sl]
 
 
-def matrix_algebra_is_dense(mats, n: int, rtol: float = linalg.RANK_RTOL) -> bool:
-    """Span closure of the unital algebra generated by the matrices."""
-    if n == 0:
-        raise ValueError("empty space")
-    from .quiver import algebra_span_dimension
-
-    return algebra_span_dimension(list(mats), n, rtol) == n * n
-
-
 def is_stable_connection(conn: ConnectionData, rtol: float = linalg.RANK_RTOL) -> bool:
     """No proper non-zero subspace preserved by every coefficient."""
-    if conn.n == 1:
-        return True
     gens = list(conn.poly) + list(conn.residues) + [conn.residue_at_infinity()]
-    return matrix_algebra_is_dense(gens, conn.n, rtol)
+    return stability(gens, conn.n, rtol).stable
 
 
 # ---------------------------------------------------------------------------
@@ -707,8 +696,9 @@ def verify_instance(gq: GlobalQuiver, rep: DoubledRep, rtol: float = 1e-8) -> di
 
     stable_rep = None
     try:
-        stable_rep = is_stable(rep)
-        record("stability_rep", True, f"stable={stable_rep}")
+        certificate = rep_stability(rep)
+        stable_rep = certificate.stable
+        record("stability_rep", True, certificate.detail)
     except ValueError as e:
         record("stability_rep", False, e)
 

@@ -11,10 +11,31 @@ a vertex i is
 and the symplectic form on the doubled representation space is
 (1/2) sum_a sign(a) tr dXi_a ^ dXi_{a-bar}.
 
-Stability means irreducibility of the doubled-path-algebra module; it
-is decided by a density test: the unital algebra generated by the
-vertex projections and all arrow maps inside End(sum of vertex spaces)
-must have full dimension (total dim)^2.
+Stability means irreducibility of the doubled-path-algebra module: no
+proper non-zero subspace of the sum of the vertex spaces is invariant
+under the vertex projections and all arrow maps.  Float input is
+decided by Norton's irreducibility test from the MeatAxe (Holt and
+Rees, Testing modules for irreducibility, 1994):
+
+1. the generators are scaled by their largest spectral norm;
+2. theta is a random combination, from a fixed seed, of the identity,
+   the generators and their pairwise products;
+3. an eigenvalue lambda of theta that is well separated from the others
+   is taken, with right and left null vectors v, w of theta - lambda;
+4. v is spun under the generators and w under their adjoints (the
+   smallest invariant subspace containing the vector, built breadth
+   first with the absolute cutoff rtol).
+
+If theta - lambda has a one-dimensional kernel, the module is simple
+exactly when both spins reach the whole space: a proper submodule U
+either contains v or, when theta - lambda is invertible on U, its
+annihilator contains w.  So a stable verdict is always certified by two
+full spins, and an unstable one by the proper invariant subspace a spin
+stopped in.  A simple module has simple eigenvalues for almost every
+theta; when none turns up, a retry adds one longer random word to theta,
+and after NORTON_TRIES tries the module is reported unstable, as an
+isotypic module such as S + S must be.  Exact Q(i) input is decided by
+the dimension of the generated algebra, which must be (total dim)^2.
 """
 
 from __future__ import annotations
@@ -186,54 +207,158 @@ def total_endomorphism_generators(rep: DoubledRep):
     return gens, total
 
 
-def algebra_span_dimension(gens: list, total: int, rtol: float = linalg.RANK_RTOL) -> int:
-    """Dimension of the unital algebra generated inside End(C^total).
+def algebra_span_dimension(gens: list, total: int) -> int:
+    """Dimension of the unital algebra generated inside End(Q(i)^total).
 
-    Words are collected with a generous per-vector test; the reported
-    dimension is the rank of the whole collection, so in float mode the
-    threshold is rtol times the largest singular value of the stacked
-    word matrix.  That global cutoff is what makes the density test
-    robust near the locus where some maps degenerate to zero.
+    Exact span closure: words are added breadth first, each level
+    multiplying the previous level's new words by every generator on
+    both sides, until no word enlarges the span.
     """
-    exact = linalg.is_exact(gens[0]) if gens else False
-    target = total * total
-    collect_rtol = rtol if exact else min(rtol, 1e-13)
-    span = linalg.SpanBasis(target, exact, collect_rtol)
-    words = [linalg.eye(total, exact)]
-    span.add(words[0].reshape(-1))
-    frontier = []
-    for g in gens:
-        if span.add(g.reshape(-1)):
-            words.append(g)
-            frontier.append(g)
-    while frontier and span.rank < target:
-        new_frontier = []
-        for b in frontier:
-            for g in gens:
-                for prod in (np.dot(b, g), np.dot(g, b)):
-                    if span.rank >= target:
-                        break
-                    if span.add(prod.reshape(-1)):
-                        words.append(prod)
-                        new_frontier.append(prod)
-        frontier = new_frontier
-    if exact:
-        return span.rank
-    stacked = np.array([w.reshape(-1) for w in words], dtype=complex)
-    return linalg.rank(stacked, rtol)
+    span = linalg.SpanBasis(total * total, exact=True)
+    span.add(linalg.eye(total, True).reshape(-1))
+    frontier = [g for g in gens if span.add(g.reshape(-1))]
+    while frontier and span.rank < total * total:
+        frontier = [
+            prod
+            for b in frontier
+            for g in gens
+            for prod in (np.dot(b, g), np.dot(g, b))
+            if span.add(prod.reshape(-1))
+        ]
+    return span.rank
 
 
-def is_stable(rep: DoubledRep, rtol: float = linalg.RANK_RTOL) -> bool:
-    """Irreducibility via the density characterization.
+# theta is a random element of the generated algebra; the generator is
+# seeded so that a verdict depends on the input alone
+NORTON_SEED = 1994
+NORTON_TRIES = 4
+# an eigenvalue of theta counts as simple when every other eigenvalue lies
+# farther than this share of |theta| from it; its null vectors are then
+# accurate to about machine precision over the gap, far below the cutoff
+NORTON_GAP = 1e-3
 
-    Builds the span closure of the unital algebra generated by the
-    vertex projections and all arrow maps; the module is simple exactly
-    when the closure has dimension (total dim)^2.
+
+@dataclass(frozen=True)
+class Stability:
+    """A stability verdict and the dimension that certifies it.
+
+    Float input: dim is the dimension of the invariant subspace that
+    Norton's spins found, total when both reached the whole space, and
+    None when no try found a simple eigenvalue.  Exact input: dim is
+    the dimension of the generated algebra and total is n^2.
     """
+
+    stable: bool
+    dim: int | None
+    total: int
+    measure: str  # "invariant_dim" or "algebra_dim"
+
+    @property
+    def detail(self) -> str:
+        if self.dim is None:
+            return f"stable={self.stable} no simple eigenvalue in {NORTON_TRIES} tries"
+        return f"stable={self.stable} {self.measure}={self.dim}/{self.total}"
+
+
+def _spin(gens: np.ndarray, vec: np.ndarray, rtol: float) -> int:
+    """Dimension of the smallest gens-invariant subspace containing vec.
+
+    Breadth-first orthonormal spin: each level applies every generator
+    to the previous level's new directions at once, removes the span so
+    far (twice, for orthogonality) and keeps the directions of what
+    remains whose singular value exceeds rtol.  No generator is longer
+    than 1 and every direction has unit length, so the cutoff is absolute.
+    """
+    n = gens.shape[1]
+    basis = (vec / np.linalg.norm(vec))[:, None]
+    frontier = basis
+    while frontier.shape[1] and basis.shape[1] < n:
+        img = np.matmul(gens, frontier).transpose(1, 0, 2).reshape(n, -1)
+        for _ in range(2):
+            img = img - basis @ (basis.conj().T @ img)
+        u, s, _ = np.linalg.svd(img, full_matrices=False)
+        frontier = u[:, s > rtol]
+        basis = np.concatenate([basis, frontier], axis=1)
+    return basis.shape[1]
+
+
+def _norton(gens: list, n: int, rtol: float) -> Stability:
+    """Norton's irreducibility test of C^n under float matrices."""
+    stack = np.array([np.eye(n, dtype=complex)] + [np.asarray(g, dtype=complex) for g in gens])
+    # one common scale: a map that is zero up to rounding next to the
+    # others must stay below the cutoff, not be blown up to unit norm
+    scale = np.linalg.norm(stack[1:], 2, axis=(1, 2)).max(initial=0.0)
+    if scale > 0:
+        stack[1:] /= scale
+    m = len(stack)
+    rng = np.random.default_rng(NORTON_SEED)
+
+    def coeffs(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    # theta = sum_j g_j sum_k c_jk g_k with g_0 = 1: the identity, the
+    # generators and their pairwise products, in one matrix product
+    inner = np.einsum("jk,kab->jab", coeffs(m, m), stack)
+    theta = stack.transpose(1, 0, 2).reshape(n, m * n) @ inner.reshape(m * n, n)
+    for attempt in range(NORTON_TRIES):
+        if attempt:
+            word = stack[rng.integers(m)]
+            for j in rng.integers(m, size=attempt + 1):
+                word = word @ stack[j]
+            theta = theta + coeffs(1)[0] * word
+        eig = np.linalg.eigvals(theta)
+        nearest = (np.abs(eig[:, None] - eig[None, :]) + np.diag(np.full(n, np.inf))).min(axis=1)
+        best = int(np.argmax(nearest))
+        if nearest[best] <= NORTON_GAP * np.linalg.norm(theta):
+            continue
+        u, _, vh = np.linalg.svd(theta - eig[best] * np.eye(n))
+        right = _spin(stack, vh[-1].conj(), rtol)
+        if right < n:
+            return Stability(False, right, n, "invariant_dim")
+        left = _spin(stack.conj().transpose(0, 2, 1), u[:, -1], rtol)
+        return Stability(left == n, n - left if left < n else n, n, "invariant_dim")
+    return Stability(False, None, n, "invariant_dim")
+
+
+def stability(gens: list, n: int, rtol: float = linalg.RANK_RTOL) -> Stability:
+    """Whether no proper non-zero subspace of C^n (or Q(i)^n) is
+    invariant under every matrix in gens, with the certificate.
+
+    Float input runs Norton's test (see the module docstring) with the
+    absolute cutoff rtol; exact input compares the dimension of the
+    generated algebra with n^2.
+    """
+    if n == 0:
+        raise ValueError("the module is zero-dimensional")
+    if gens and linalg.is_exact(gens[0]):
+        dim = algebra_span_dimension(gens, n)
+        return Stability(dim == n * n, dim, n * n, "algebra_dim")
+    return _norton(gens, n, rtol)
+
+
+def rep_stability(rep: DoubledRep, rtol: float = linalg.RANK_RTOL) -> Stability:
+    """Stability of rep as a module of the doubled path algebra, with
+    its certificate; see is_stable."""
     if all(d == 0 for d in rep.dims.values()):
         raise ValueError("dimension vector is identically zero")
     gens, total = total_endomorphism_generators(rep)
-    return algebra_span_dimension(gens, total, rtol) == total * total
+    return stability(gens, total, rtol)
+
+
+def is_stable(rep: DoubledRep, rtol: float = linalg.RANK_RTOL) -> bool:
+    """Whether rep is a simple module of the doubled path algebra.
+
+    The generators are the vertex projections and all arrow maps, as
+    endomorphisms of the sum of the vertex spaces.  In float mode a True
+    verdict is certified by two Norton spins that both reach the whole
+    space.  False means that a spin stopped in a proper invariant
+    subspace (directions shorter than rtol, next to unit-norm
+    generators, count as zero), or that no simple eigenvalue of theta
+    turned up in NORTON_TRIES tries, as happens for isotypic modules
+    such as S + S.  Exact input is decided by the dimension of the
+    generated algebra.
+    """
+    return rep_stability(rep, rtol).stable
 
 
 def invariant_closure(rep: DoubledRep, seeds: dict, rtol: float = linalg.RANK_RTOL) -> dict:

@@ -3,8 +3,9 @@
 These are the straightforward algorithms the package used before it
 moved to faster ones: a scan of the whole box with exact Q(i)
 arithmetic for the zeta-orthogonal positive roots, a depth-first
-search over multisets for condition (3) of the criterion, and the
-triple-sum conjugation term of a gauge transform.
+search over multisets for condition (3) of the criterion, the
+triple-sum conjugation term of a gauge transform, and the float density
+test of irreducibility.
 """
 
 from __future__ import annotations
@@ -102,3 +103,35 @@ def gauge_triple_sum(g, a) -> ConnectionJet:
                     acc = acc + np.dot(g.coeffs[i] * i, h.coeffs[l])
         out.append(acc)
     return ConnectionJet(n, a.k, tuple(out))
+
+
+def density_is_dense(gens, n: int, rtol: float = linalg.RANK_RTOL) -> bool:
+    """Irreducibility of C^n under float matrices by the density test.
+
+    The unital algebra the matrices generate is closed over words with a
+    generous per-vector test; C^n is simple iff the algebra is all of
+    End(C^n), that is, iff the rank of the stacked words (threshold rtol
+    times their largest singular value) is n^2.
+    """
+    target = n * n
+    span = linalg.SpanBasis(target, False, min(rtol, 1e-13))
+    words = [np.eye(n, dtype=complex)]
+    span.add(words[0].reshape(-1))
+    frontier = []
+    for g in gens:
+        if span.add(g.reshape(-1)):
+            words.append(g)
+            frontier.append(g)
+    while frontier and span.rank < target:
+        new_frontier = []
+        for b in frontier:
+            for g in gens:
+                for prod in (np.dot(b, g), np.dot(g, b)):
+                    if span.rank >= target:
+                        break
+                    if span.add(prod.reshape(-1)):
+                        words.append(prod)
+                        new_frontier.append(prod)
+        frontier = new_frontier
+    stacked = np.array([w.reshape(-1) for w in words], dtype=complex)
+    return linalg.rank(stacked, rtol) == target
