@@ -25,7 +25,8 @@ slot j equal to -A_{j-1} (because z^i dz = -w^{-i-2} dw) and residue
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -133,6 +134,11 @@ class GlobalQuiver:
         exact = self.instance.exact
         d = self.dims[vertex]
         return self.zeta[vertex] * linalg.eye(d, exact)
+
+    @cached_property
+    def moment_plan(self) -> "_MomentPlan":
+        """The moment map compiled to index arrays; built on first use."""
+        return _MomentPlan.build(self)
 
 
 def build_global_quiver(instance: ProblemInstance) -> GlobalQuiver:
@@ -516,85 +522,145 @@ def _unpack(gq: GlobalQuiver, x: np.ndarray) -> DoubledRep:
     return rep
 
 
-def _residual_vector(gq: GlobalQuiver, rep: DoubledRep) -> np.ndarray:
-    mu = moment_map(rep)
-    parts = []
-    for v in gq.quiver.vertices:
-        parts.append((mu[v] - gq.zeta_vertex_matrix(v)).reshape(-1))
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
+@dataclass(frozen=True)
+class _MomentPlan:
+    """mu - zeta on packed coordinates, as fixed index arrays.
+
+    The moment map is bilinear, so entry p of the stacked vertex blocks
+    (row-major, vertices in quiver order) is a sum of terms
+    sign * x[left] * x[right], one per (row, left, right, sign), minus
+    zeta_flat[p].  The Jacobian entry (row, left) gains sign * x[right]
+    and (row, right) gains sign * x[left]; jac_index holds those flat
+    positions and jac_factor the coordinates they read.
+    """
+
+    rows: int
+    cols: int
+    row: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    sign: np.ndarray
+    zeta_flat: np.ndarray
+    jac_index: np.ndarray
+    jac_factor: np.ndarray
+    jac_sign: np.ndarray
+
+    @staticmethod
+    def build(gq: GlobalQuiver) -> "_MomentPlan":
+        row_off, zeta_flat, rows = {}, [], 0
+        for v in gq.quiver.vertices:
+            row_off[v] = rows
+            rows += gq.dims[v] ** 2
+            z = gq.zeta[v]
+            z = z.to_complex() if isinstance(z, GaussianRational) else complex(z)
+            zeta_flat.append((z * np.eye(gq.dims[v])).reshape(-1))
+        empty = np.zeros(0, dtype=np.intp)
+        terms, cols = [(empty, empty, empty, 1.0)], 0
+        for a in gq.quiver.arrows:
+            ds, dt = gq.dims[a.src], gq.dims[a.dst]
+            f = cols + np.arange(dt * ds).reshape(dt, ds)
+            r = cols + dt * ds + np.arange(ds * dt).reshape(ds, dt)
+            cols += 2 * ds * dt
+            # mu[dst][i, k] += f[i, j] r[j, k]
+            i, j, k = np.indices((dt, ds, dt))
+            terms.append((row_off[a.dst] + i * dt + k, f[i, j], r[j, k], 1.0))
+            # mu[src][j, l] -= r[j, i] f[i, l]
+            j, i, l = np.indices((ds, dt, ds))
+            terms.append((row_off[a.src] + j * ds + l, r[j, i], f[i, l], -1.0))
+        row, left, right = (np.concatenate([t[c].reshape(-1) for t in terms]) for c in range(3))
+        sign = np.concatenate([np.full(t[0].size, t[3]) for t in terms])
+        return _MomentPlan(
+            rows, cols, row, left, right, sign, np.concatenate(zeta_flat),
+            jac_index=np.concatenate([row * cols + left, row * cols + right]),
+            jac_factor=np.concatenate([right, left]),
+            jac_sign=np.concatenate([sign, sign]),
+        )
 
 
-def moment_jacobian(gq: GlobalQuiver, rep: DoubledRep) -> np.ndarray:
-    """Complex Jacobian of the stacked moment values in the packed
-    arrow coordinates (analytic: the moment map is bilinear)."""
-    vlist = list(gq.quiver.vertices)
-    row_off = {}
-    pos = 0
-    for v in vlist:
-        row_off[v] = pos
-        pos += gq.dims[v] ** 2
-    rows = pos
-    arrows = list(gq.quiver.arrows)
-    col_off = {}
-    pos = 0
-    for a in arrows:
-        col_off[a.id] = pos
-        pos += 2 * gq.dims[a.src] * gq.dims[a.dst]
-    cols = pos
-    jac = np.zeros((rows, cols), dtype=complex)
-    for a in arrows:
-        ds, dt = gq.dims[a.src], gq.dims[a.dst]
-        f = np.asarray(rep.fwd[a.id], dtype=complex)
-        r = np.asarray(rep.rev[a.id], dtype=complex)
-        cf = col_off[a.id]
-        cr = cf + ds * dt
-        # vec_row(X @ M @ Y) = kron(X, Y.T) @ vec_row(M)
-        ro = row_off[a.dst]
-        jac[ro : ro + dt * dt, cf : cf + dt * ds] += np.kron(np.eye(dt), r.T)
-        jac[ro : ro + dt * dt, cr : cr + ds * dt] += np.kron(f, np.eye(dt))
-        ro = row_off[a.src]
-        jac[ro : ro + ds * ds, cr : cr + ds * dt] -= np.kron(np.eye(ds), f.T)
-        jac[ro : ro + ds * ds, cf : cf + dt * ds] -= np.kron(r, np.eye(ds))
-    return jac
+def _scatter_add(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Sum complex values into a vector of the given size by index;
+    repeated indices accumulate."""
+    return np.bincount(index, values.real, size) + 1j * np.bincount(index, values.imag, size)
+
+
+def _residual_vector(gq: GlobalQuiver, x: np.ndarray) -> np.ndarray:
+    """mu(x) - zeta stacked over the vertices, x in packed coordinates."""
+    plan = gq.moment_plan
+    terms = plan.sign * x[plan.left] * x[plan.right]
+    return _scatter_add(plan.row, terms, plan.rows) - plan.zeta_flat
+
+
+def moment_jacobian(gq: GlobalQuiver, x: np.ndarray) -> np.ndarray:
+    """Complex Jacobian of _residual_vector at the packed point x.
+
+    Rows follow the stacked vertex blocks, columns the packed arrow
+    coordinates; the map is holomorphic, so this one complex matrix is
+    the whole derivative.  Assembled by one scatter from the compiled
+    moment plan.
+    """
+    plan = gq.moment_plan
+    values = plan.jac_sign * x[plan.jac_factor]
+    return _scatter_add(plan.jac_index, values, plan.rows * plan.cols).reshape(
+        plan.rows, plan.cols
+    )
+
+
+def _damped_steps(jac: np.ndarray, r: np.ndarray):
+    """lam -> the step -(J^H J + lam I)^{-1} J^H r, from one eigendecomposition.
+
+    The Gram matrix is taken on the smaller side of J: with J J^H =
+    U L U^H (rows <= cols) the step is -J^H U (L + lam)^{-1} U^H r, and
+    with J^H J = V L V^H it is -V (L + lam)^{-1} V^H J^H r.  Eigenvalues
+    are clipped at 0, so every lam > 0 gives a finite step, and each
+    step costs one matrix-vector product.
+    """
+    rows, cols = jac.shape
+    jh = jac.conj().T
+    if rows <= cols:
+        evals, u = np.linalg.eigh(jac @ jh)
+        basis, coef = jh @ u, u.conj().T @ r
+    else:
+        evals, basis = np.linalg.eigh(jh @ jac)
+        coef = basis.conj().T @ (jh @ r)
+    evals = np.maximum(evals, 0.0)
+    return lambda lam: -(basis @ (coef / (evals + lam)))
 
 
 def _lm_minimize(gq: GlobalQuiver, x0: np.ndarray, max_iter: int = 500):
-    """Damped Gauss-Newton on the moment residual."""
+    """Levenberg-Marquardt (damped Gauss-Newton) on ||mu(x) - zeta||^2.
+
+    x is the packed coordinate vector.  Each iteration builds the
+    Jacobian once and eigendecomposes its Gram matrix once
+    (`_damped_steps`); up to 25 damping trials then cost one residual
+    evaluation each.  The first trial with a lower cost is taken and
+    lam shrinks by 3 (floor 1e-14); a rejected trial multiplies lam by 4.
+
+    Returns (x, cost, iterations, trials, stop), where stop is
+    "converged" (cost below 1e-28), "stalled" (five accepted steps in a
+    row each cut the cost by a relative 1e-12 or less),
+    "damping-overflow" (no trial lowered the cost before lam passed
+    1e12 or the 25-trial cap) or "iteration-limit".
+    """
     x = x0.copy()
-    rep = _unpack(gq, x)
-    r = _residual_vector(gq, rep)
+    r = _residual_vector(gq, x)
     cost = float(np.vdot(r, r).real)
     lam = 1e-3
-    stall = 0
+    stall = iterations = trials = 0
     for _ in range(max_iter):
         if cost < 1e-28:
+            stop = "converged"
             break
-        jac = moment_jacobian(gq, rep)
-        jr = np.concatenate(
-            [
-                np.concatenate([jac.real, -jac.imag], axis=1),
-                np.concatenate([jac.imag, jac.real], axis=1),
-            ],
-            axis=0,
-        )
-        rr = np.concatenate([r.real, r.imag])
-        g = jr.T @ rr
-        h = jr.T @ jr
+        step = _damped_steps(moment_jacobian(gq, x), r)
+        iterations += 1
         accepted = False
         for _ in range(25):
-            try:
-                step = np.linalg.solve(h + lam * np.eye(h.shape[0]), -g)
-            except np.linalg.LinAlgError:
-                lam *= 4.0
-                continue
-            xr = np.concatenate([x.real, x.imag]) + step
-            x_new = xr[: x.size] + 1j * xr[x.size :]
-            rep_new = _unpack(gq, x_new)
-            r_new = _residual_vector(gq, rep_new)
+            trials += 1
+            x_new = x + step(lam)
+            r_new = _residual_vector(gq, x_new)
             cost_new = float(np.vdot(r_new, r_new).real)
             if cost_new < cost:
                 rel_drop = (cost - cost_new) / max(cost, 1e-300)
-                x, rep, r, cost = x_new, rep_new, r_new, cost_new
+                x, r, cost = x_new, r_new, cost_new
                 lam = max(lam / 3.0, 1e-14)
                 stall = stall + 1 if rel_drop < 1e-12 else 0
                 accepted = True
@@ -602,9 +668,15 @@ def _lm_minimize(gq: GlobalQuiver, x0: np.ndarray, max_iter: int = 500):
             lam *= 4.0
             if lam > 1e12:
                 break
-        if not accepted or stall >= 5 or lam > 1e12:
+        if stall >= 5:
+            stop = "stalled"
             break
-    return x, cost
+        if not accepted:
+            stop = "damping-overflow"
+            break
+    else:
+        stop = "converged" if cost < 1e-28 else "iteration-limit"
+    return x, cost, iterations, trials, stop
 
 
 @dataclass
@@ -613,10 +685,20 @@ class RealizeResult:
     residual: float
     attempts: int
     seed: int
+    records: list = field(default_factory=list)  # one dict per restart
 
     @property
     def success(self) -> bool:
         return self.rep is not None
+
+    @property
+    def stats(self) -> dict:
+        return {
+            "restarts": len(self.records),
+            "lm_iterations": sum(r["iterations"] for r in self.records),
+            "damping_trials": sum(r["trials"] for r in self.records),
+            "attempts": self.records,
+        }
 
 
 def realize_numeric(
@@ -632,29 +714,42 @@ def realize_numeric(
     Success requires the residual below tol * ||Xi||^2 and stability;
     failure of all restarts is reported as such (it is evidence, not a
     proof of emptiness).  Deterministic for a fixed seed: restart r
-    draws from a generator seeded with (seed, r).
+    draws from a generator seeded with (seed, r).  Each restart leaves a
+    record: LM iterations, damping trials, residual, and the stop
+    reason, which is "converged-stable" or "converged-unstable" when the
+    residual meets the tolerance (or the LM's 1e-28 cost floor) and the
+    LM's own reason otherwise.
     """
+    if attempts < 1:
+        raise ValueError(f"attempts must be at least 1, got {attempts}")
     if gq.instance.exact:
         gq = build_global_quiver(gq.instance.as_float())
     best = float("inf")
-    size = sum(2 * gq.dims[a.src] * gq.dims[a.dst] for a in gq.quiver.arrows)
+    records = []
+    size = gq.moment_plan.cols
     for attempt in range(attempts):
         rng = np.random.default_rng((seed, attempt))
         x0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        x, cost = _lm_minimize(gq, x0, max_iter=max_iter)
+        x, cost, iterations, trials, stop = _lm_minimize(gq, x0, max_iter=max_iter)
         rep = _unpack(gq, x)
         resid = cost ** 0.5
         best = min(best, resid)
-        scale = rep.norm() ** 2
-        if resid <= tol * scale and is_stable(rep):
-            return RealizeResult(rep, resid, attempt + 1, seed)
-    return RealizeResult(None, best, attempts, seed)
+        stable = False
+        if resid <= tol * rep.norm() ** 2:
+            stable = is_stable(rep)
+            stop = "converged-stable" if stable else "converged-unstable"
+        elif stop == "converged":
+            stop = "converged-unstable"  # at the cost floor, but too close to 0
+        records.append({"iterations": iterations, "trials": trials, "residual": resid, "stop": stop})
+        if stable:
+            return RealizeResult(rep, resid, attempt + 1, seed, records)
+    return RealizeResult(None, best, attempts, seed, records)
 
 
 def kernel_dimension_check(gq: GlobalQuiver, rep: DoubledRep, rank_rtol: float = 1e-6):
     """dim ker(dmu) - (sum v_i^2 - 1) at the point, to compare with
     2 * delta(v); returns (lhs, rhs)."""
-    jac = moment_jacobian(gq, rep)
+    jac = moment_jacobian(gq, _pack(gq, rep))
     rk = linalg.rank(jac, rank_rtol)
     dof = jac.shape[1]
     group = sum(d * d for d in gq.dims.values())

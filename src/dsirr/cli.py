@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .assembly import (
@@ -120,9 +121,11 @@ def cmd_realize(args):
     report = {
         "schema_version": SCHEMA_VERSION,
         "success": result.success,
-        "residual": result.residual,
+        # JSON has no Infinity or NaN
+        "residual": result.residual if math.isfinite(result.residual) else None,
         "attempts": result.attempts,
         "seed": result.seed,
+        "stats": result.stats,
     }
     if result.success:
         report["rep"] = rep_to_json(gq, result.rep)
@@ -231,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="full adds the parameters to vertex labels")
     p = command("realize", "search for a stable numeric point (float mode)")
     p.add_argument("--seed", type=int, default=0, help="seed for the random restarts")
-    p.add_argument("--attempts", type=int, default=50, help="realizer restarts")
+    p.add_argument("--attempts", type=int, default=50, help="realizer restarts (at least 1)")
     for name, help_text in [
         ("verify", "run all invariant checks on a representation"),
         ("reduce", "formal reduction of a connection jet against a type"),

@@ -4,8 +4,9 @@ These are the straightforward algorithms the package used before it
 moved to faster ones: a scan of the whole box with exact Q(i)
 arithmetic for the zeta-orthogonal positive roots, a depth-first
 search over multisets for condition (3) of the criterion, the
-triple-sum conjugation term of a gauge transform, and the float density
-test of irreducibility.
+triple-sum conjugation term of a gauge transform, the float density
+test of irreducibility, and the realizer's damped Gauss-Newton step
+solved as a real system of twice the size.
 """
 
 from __future__ import annotations
@@ -135,3 +136,27 @@ def density_is_dense(gens, n: int, rtol: float = linalg.RANK_RTOL) -> bool:
         frontier = new_frontier
     stacked = np.array([w.reshape(-1) for w in words], dtype=complex)
     return linalg.rank(stacked, rtol) == target
+
+
+def lm_step_real_doubled(jac, r, lam: float, digits: int = 50):
+    """The step -(J^H J + lam I)^{-1} J^H r through real normal equations.
+
+    J is split into its real representation [[Re J, -Im J], [Im J, Re J]]
+    acting on (Re x, Im x), and (Jr^T Jr + lam I) s = -Jr^T rr is formed
+    and solved as the realizer once did, but in `digits`-digit arithmetic
+    from the exact values of the float inputs.  In double precision that
+    system is useless for small lam on a wide J: its condition number is
+    about ||J||^2 / lam, and at lam = 1e-14 the LU solve is off by more
+    than the step itself.
+    """
+    import mpmath
+
+    jr = np.block([[jac.real, -jac.imag], [jac.imag, jac.real]])
+    rr = np.concatenate([r.real, r.imag])
+    with mpmath.workdps(digits):
+        a = mpmath.matrix(jr.tolist())
+        h = a.T * a + mpmath.mpf(lam) * mpmath.eye(a.cols)
+        step = mpmath.lu_solve(h, -(a.T * mpmath.matrix(rr.tolist())))
+        step = np.array([float(v) for v in step])
+    c = jac.shape[1]
+    return step[:c] + 1j * step[c:]

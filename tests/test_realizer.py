@@ -1,0 +1,161 @@
+"""The realizer's compiled moment map, its complex step, and its reports.
+
+`_residual_vector` and `moment_jacobian` read the moment map from index
+arrays compiled once per quiver; they are checked against the dict form
+`quiver.moment_map` and against central differences on a quiver with
+loops and a double arrow, which synthesis never builds.  The complex Gram
+step is checked against the real-doubled normal equations on both sides
+of the Gram choice.  On instances with zeta . v != 0 the trace of mu - zeta
+is -zeta . v whatever the point, so the residual is at least
+|zeta . v| / sqrt(sum v_i), and the realizer reaches that floor.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import rand_complex
+from dsirr.assembly import (
+    GlobalQuiver,
+    _damped_steps,
+    _residual_vector,
+    _unpack,
+    build_global_quiver,
+    instance_from_json,
+    moment_jacobian,
+    realize_numeric,
+    zeta_dot_v,
+)
+from dsirr.cli import main
+from dsirr.quiver import make_quiver, moment_map
+from oracles import lm_step_real_doubled
+from test_assembly import rigid_star
+
+DATA = Path(__file__).parent / "data"
+STOPS = {"converged-stable", "converged-unstable", "stalled", "damping-overflow", "iteration-limit"}
+
+
+def loop_and_double_arrow(rng):
+    quiver = make_quiver(
+        ["1", "2"], [("a", "1", "2"), ("b", "1", "2"), ("l", "2", "2"), ("m", "1", "1")]
+    )
+    dims = {"1": 2, "2": 3}
+    zeta = {"1": complex(rng.standard_normal()), "2": complex(rng.standard_normal(), 1.0)}
+    return GlobalQuiver(quiver, dims, zeta, None, [], {})
+
+
+def test_plan_matches_moment_map_on_loops_and_double_arrows(rng):
+    gq = loop_and_double_arrow(rng)
+    cols = sum(2 * gq.dims[a.src] * gq.dims[a.dst] for a in gq.quiver.arrows)
+    assert gq.moment_plan.cols == cols
+    x = rand_complex(rng, cols)
+    mu = moment_map(_unpack(gq, x))
+    want = np.concatenate(
+        [(mu[v] - gq.zeta[v] * np.eye(gq.dims[v])).reshape(-1) for v in gq.quiver.vertices]
+    )
+    assert np.allclose(_residual_vector(gq, x), want, rtol=0, atol=1e-12)
+
+    jac = moment_jacobian(gq, x)
+    assert jac.shape == (want.size, cols)
+    h = 1e-6
+    for col in range(cols):
+        dx = np.zeros(cols, dtype=complex)
+        dx[col] = h
+        fd = (_residual_vector(gq, x + dx) - _residual_vector(gq, x - dx)) / (2 * h)
+        assert np.allclose(fd, jac[:, col], rtol=0, atol=1e-8), col
+        # holomorphic: an imaginary move is i times the real one
+        fd_i = (_residual_vector(gq, x + 1j * dx) - _residual_vector(gq, x - 1j * dx)) / (2 * h)
+        assert np.allclose(fd_i, 1j * jac[:, col], rtol=0, atol=1e-8), col
+
+
+def test_plan_is_built_once_per_quiver(rng):
+    gq = loop_and_double_arrow(rng)
+    assert "moment_plan" not in vars(gq)
+    plan = gq.moment_plan
+    assert gq.moment_plan is plan
+    assert loop_and_double_arrow(rng).moment_plan is not plan
+
+
+@pytest.mark.parametrize("shape", [(8, 20), (20, 8), (10, 10)], ids=["wide", "tall", "square"])
+@pytest.mark.parametrize("lam", [1e-14, 1e-3, 1e6])
+def test_gram_step_matches_real_doubled_normal_equations(shape, lam):
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(shape)
+    jac = rand_complex(rng, *shape)
+    r = rand_complex(rng, shape[0])
+    got = _damped_steps(jac, r)(lam)
+    want = lm_step_real_doubled(jac, r, lam)
+    assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+
+def _floor_and_result(name, attempts, seed):
+    with open(DATA / name, encoding="utf-8") as f:
+        inst = instance_from_json(json.load(f), exact=True)
+    gq = build_global_quiver(inst)
+    floor = abs(zeta_dot_v(gq).to_complex()) / math.sqrt(sum(gq.dims.values()))
+    return floor, realize_numeric(gq, attempts=attempts, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "name, floor",
+    [("star_empty_cond2.json", 0.57735), ("ladder_g3x2k2-shift_seed5.json", 0.15811)],
+)
+def test_infeasible_residual_meets_the_trace_floor(name, floor):
+    bound, res = _floor_and_result(name, attempts=5, seed=3)
+    assert bound == pytest.approx(floor, abs=1e-5)
+    assert not res.success
+    assert res.residual == pytest.approx(bound, rel=1e-9)
+    assert all(r["residual"] >= bound * (1 - 1e-12) for r in res.records)
+
+
+def test_attempt_records_are_deterministic_and_add_up():
+    gq = build_global_quiver(rigid_star().as_float())
+    first = realize_numeric(gq, attempts=4, seed=42)
+    again = realize_numeric(build_global_quiver(rigid_star().as_float()), attempts=4, seed=42)
+    assert first.success
+    assert first.records == again.records
+    assert first.records[-1]["stop"] == "converged-stable"
+    assert len(first.records) == first.attempts
+    for rec in first.records:
+        assert set(rec) == {"iterations", "trials", "residual", "stop"}
+        assert rec["stop"] in STOPS
+        assert rec["trials"] >= rec["iterations"]
+    stats = first.stats
+    assert stats["restarts"] == first.attempts
+    assert stats["lm_iterations"] == sum(r["iterations"] for r in first.records)
+    assert stats["damping_trials"] == sum(r["trials"] for r in first.records)
+
+
+def test_infeasible_restarts_end_without_converging():
+    _, res = _floor_and_result("star_empty_cond2.json", attempts=4, seed=0)
+    assert res.attempts == len(res.records) == 4
+    assert {r["stop"] for r in res.records} <= {"stalled", "damping-overflow", "iteration-limit"}
+
+
+def _no_constants(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+@pytest.mark.parametrize("attempts", ["0", "-3"])
+def test_realize_rejects_fewer_than_one_attempt(attempts, capsys):
+    code = main(["realize", str(DATA / "star_rigid.json"), "--attempts", attempts])
+    report = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
+    assert code == 2
+    assert "attempts" in report["error"]
+
+
+def test_realize_report_is_strict_json_with_stats(capsys):
+    argv = ["realize", str(DATA / "star_empty_cond2.json"), "--attempts", "3", "--seed", "1"]
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
+    assert code == 1
+    assert report["residual"] == pytest.approx(1 / math.sqrt(3), rel=1e-9)
+    stats = report["stats"]
+    assert stats["restarts"] == report["attempts"] == len(stats["attempts"]) == 3
+    assert stats["lm_iterations"] == sum(a["iterations"] for a in stats["attempts"])
+    assert stats["damping_trials"] == sum(a["trials"] for a in stats["attempts"])
+    main(argv)
+    assert json.loads(capsys.readouterr().out)["stats"] == stats
