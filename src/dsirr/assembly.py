@@ -606,40 +606,47 @@ def moment_jacobian(gq: GlobalQuiver, x: np.ndarray) -> np.ndarray:
 
 
 def _damped_steps(jac: np.ndarray, r: np.ndarray):
-    """lam -> the step -(J^H J + lam I)^{-1} J^H r, from one eigendecomposition.
+    """lam -> the step -(J^H J + lam I)^{-1} J^H r.
 
-    The Gram matrix is taken on the smaller side of J: with J J^H =
-    U L U^H (rows <= cols) the step is -J^H U (L + lam)^{-1} U^H r, and
-    with J^H J = V L V^H it is -V (L + lam)^{-1} V^H J^H r.  Eigenvalues
-    are clipped at 0, so every lam > 0 gives a finite step, and each
-    step costs one matrix-vector product.
+    The Gram matrix is formed once, on the smaller side of J: with
+    rows <= cols the step is -J^H y for (J J^H + lam I) y = r, otherwise
+    it is -y for (J^H J + lam I) y = J^H r.  Each call adds lam to the
+    diagonal and does one solve.  The damped matrix is
+    Hermitian positive definite for lam > 0; should rounding still make
+    it exactly singular, the call raises `np.linalg.LinAlgError`.
     """
     rows, cols = jac.shape
     jh = jac.conj().T
-    if rows <= cols:
-        evals, u = np.linalg.eigh(jac @ jh)
-        basis, coef = jh @ u, u.conj().T @ r
-    else:
-        evals, basis = np.linalg.eigh(jh @ jac)
-        coef = basis.conj().T @ (jh @ r)
-    evals = np.maximum(evals, 0.0)
-    return lambda lam: -(basis @ (coef / (evals + lam)))
+    wide = rows <= cols
+    gram = jac @ jh if wide else jh @ jac
+    rhs = r if wide else jh @ r
+    eye = np.eye(len(gram))
+
+    def step(lam):
+        y = np.linalg.solve(gram + lam * eye, rhs)
+        return -(jh @ y) if wide else -y
+
+    return step
 
 
 def _lm_minimize(gq: GlobalQuiver, x0: np.ndarray, max_iter: int = 500):
     """Levenberg-Marquardt (damped Gauss-Newton) on ||mu(x) - zeta||^2.
 
     x is the packed coordinate vector.  Each iteration builds the
-    Jacobian once and eigendecomposes its Gram matrix once
-    (`_damped_steps`); up to 25 damping trials then cost one residual
-    evaluation each.  The first trial with a lower cost is taken and
-    lam shrinks by 3 (floor 1e-14); a rejected trial multiplies lam by 4.
+    Jacobian once and first tests first-order stationarity: it stops
+    when ||J^H r|| <= 1e-8 * ||J||_F * ||r|| (More's test, compared
+    squared), before any factorization.  Otherwise it forms the Gram matrix once
+    (`_damped_steps`), and each of up to 25 damping trials costs one
+    Hermitian solve and one residual evaluation.  The first trial with a
+    lower cost is taken and lam shrinks by 3 (floor 1e-14); a rejected
+    trial multiplies lam by 4.
 
-    Returns (x, cost, iterations, trials, stop), where stop is
-    "converged" (cost below 1e-28), "stalled" (five accepted steps in a
-    row each cut the cost by a relative 1e-12 or less),
-    "damping-overflow" (no trial lowered the cost before lam passed
-    1e12 or the 25-trial cap) or "iteration-limit".
+    Returns (x, cost, iterations, trials, stop), where iterations counts
+    the iterations that tried a step and stop is "converged" (cost below
+    1e-28), "stationary" (the gradient test above), "stalled" (five
+    accepted steps in a row each cut the cost by a relative 1e-12 or
+    less), "damping-overflow" (no trial lowered the cost before lam
+    passed 1e12 or the 25-trial cap) or "iteration-limit".
     """
     x = x0.copy()
     r = _residual_vector(gq, x)
@@ -650,21 +657,30 @@ def _lm_minimize(gq: GlobalQuiver, x0: np.ndarray, max_iter: int = 500):
         if cost < 1e-28:
             stop = "converged"
             break
-        step = _damped_steps(moment_jacobian(gq, x), r)
+        jac = moment_jacobian(gq, x)
+        grad = r.conj() @ jac  # the conjugate of J^H r, with the same norm
+        if np.vdot(grad, grad).real <= 1e-16 * np.vdot(jac, jac).real * cost:
+            stop = "stationary"
+            break
+        step = _damped_steps(jac, r)
         iterations += 1
         accepted = False
         for _ in range(25):
             trials += 1
-            x_new = x + step(lam)
-            r_new = _residual_vector(gq, x_new)
-            cost_new = float(np.vdot(r_new, r_new).real)
-            if cost_new < cost:
-                rel_drop = (cost - cost_new) / max(cost, 1e-300)
-                x, r, cost = x_new, r_new, cost_new
-                lam = max(lam / 3.0, 1e-14)
-                stall = stall + 1 if rel_drop < 1e-12 else 0
-                accepted = True
-                break
+            try:
+                x_new = x + step(lam)
+            except np.linalg.LinAlgError:
+                pass  # exactly singular: a rejected trial
+            else:
+                r_new = _residual_vector(gq, x_new)
+                cost_new = float(np.vdot(r_new, r_new).real)
+                if cost_new < cost:
+                    rel_drop = (cost - cost_new) / max(cost, 1e-300)
+                    x, r, cost = x_new, r_new, cost_new
+                    lam = max(lam / 3.0, 1e-14)
+                    stall = stall + 1 if rel_drop < 1e-12 else 0
+                    accepted = True
+                    break
             lam *= 4.0
             if lam > 1e12:
                 break
@@ -686,6 +702,7 @@ class RealizeResult:
     attempts: int
     seed: int
     records: list = field(default_factory=list)  # one dict per restart
+    trace_floor: float = 0.0  # lower bound on every restart's residual
 
     @property
     def success(self) -> bool:
@@ -697,6 +714,7 @@ class RealizeResult:
             "restarts": len(self.records),
             "lm_iterations": sum(r["iterations"] for r in self.records),
             "damping_trials": sum(r["trials"] for r in self.records),
+            "trace_floor": self.trace_floor,
             "attempts": self.records,
         }
 
@@ -719,9 +737,17 @@ def realize_numeric(
     reason, which is "converged-stable" or "converged-unstable" when the
     residual meets the tolerance (or the LM's 1e-28 cost floor) and the
     LM's own reason otherwise.
+
+    mu - zeta has trace -zeta . v at every point, so no residual falls
+    below the trace floor |zeta . v| / sqrt(sum v_i), which the result
+    reports.  It is computed in the arithmetic of gq's zeta (exactly 0
+    on a feasible exact instance) and never cuts the restarts short.
     """
     if attempts < 1:
         raise ValueError(f"attempts must be at least 1, got {attempts}")
+    total = zeta_dot_v(gq)
+    total = total.to_complex() if isinstance(total, GaussianRational) else complex(total)
+    floor = abs(total) / sum(gq.dims.values()) ** 0.5
     if gq.instance.exact:
         gq = build_global_quiver(gq.instance.as_float())
     best = float("inf")
@@ -742,8 +768,8 @@ def realize_numeric(
             stop = "converged-unstable"  # at the cost floor, but too close to 0
         records.append({"iterations": iterations, "trials": trials, "residual": resid, "stop": stop})
         if stable:
-            return RealizeResult(rep, resid, attempt + 1, seed, records)
-    return RealizeResult(None, best, attempts, seed, records)
+            return RealizeResult(rep, resid, attempt + 1, seed, records, floor)
+    return RealizeResult(None, best, attempts, seed, records, floor)
 
 
 def kernel_dimension_check(gq: GlobalQuiver, rep: DoubledRep, rank_rtol: float = 1e-6):

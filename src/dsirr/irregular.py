@@ -406,12 +406,6 @@ def rep_to_qp(T: IrregularType, rep: DoubledRep) -> QPPair:
     return QPPair(T.n, T.k, tuple(q), tuple(p))
 
 
-def stabilizes_dt(T: IrregularType, b: JetMatrix, rtol: float = 1e-9) -> bool:
-    """A unipotent jet fixes dT iff every coefficient sits in its level
-    centralizer h_i."""
-    return all(T.in_subspace(b.coeffs[i], i, "diag", rtol) for i in range(1, T.k))
-
-
 def irregular_type_to_json(T: IrregularType) -> dict:
     from .serialize import scalar_to_json
 

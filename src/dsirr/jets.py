@@ -244,15 +244,6 @@ def coadjoint(g: JetMatrix, a: PrincipalPart) -> PrincipalPart:
     return pp_right_mul(pp_left_mul(g, a), jet_inv(g))
 
 
-def ad_star(x: JetMatrix, a: PrincipalPart) -> PrincipalPart:
-    """Infinitesimal coadjoint action, slot truncation of x a - a x."""
-    left = pp_left_mul(x, a)
-    right = pp_right_mul(a, x)
-    return PrincipalPart(
-        a.n, a.k, tuple(l - r for l, r in zip(left.coeffs, right.coeffs)), a.tag
-    )
-
-
 def gauge(g: JetMatrix, a: ConnectionJet) -> ConnectionJet:
     """Gauge transform g[A] = g A g^{-1} + dg g^{-1}.
 

@@ -33,18 +33,6 @@ def eye(n: int, exact: bool) -> np.ndarray:
     return np.eye(n, dtype=complex)
 
 
-def exact_matrix(rows) -> np.ndarray:
-    """Build an object-dtype matrix, coercing entries into Q(i)."""
-    from .scalars import as_exact
-
-    data = [[as_exact(x) for x in row] for row in rows]
-    a = np.empty((len(data), len(data[0]) if data else 0), dtype=object)
-    for i, row in enumerate(data):
-        for j, x in enumerate(row):
-            a[i, j] = x
-    return a
-
-
 def to_complex(a: np.ndarray) -> np.ndarray:
     if not is_exact(a):
         return np.asarray(a, dtype=complex)

@@ -307,19 +307,6 @@ def realize_leg(L: np.ndarray, marking: Marking, rtol: float = 1e-9) -> LegReali
     return LegRealization(tuple(marking), rep, bases)
 
 
-def leg_reconstruction(realization: LegRealization, exact: bool = None) -> np.ndarray:
-    """Product of the top arrow pair plus l_1; equals the original matrix."""
-    n = realization.rep.dims["0"]
-    exact = realization.rep.exact if exact is None else exact
-    lam1 = realization.marking[0]
-    ident = linalg.eye(n, exact)
-    if "1" not in realization.rep.dims:
-        return lam1 * ident
-    a = realization.rep.fwd["1>0"]
-    b = realization.rep.rev["1>0"]
-    return np.dot(a, b) + lam1 * ident
-
-
 def expected_rank(spec: OrbitSpec, value, j: int) -> int:
     """rank((R - value)^j) for R in the orbit."""
     r = spec.n

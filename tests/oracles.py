@@ -6,7 +6,10 @@ arithmetic for the zeta-orthogonal positive roots, a depth-first
 search over multisets for condition (3) of the criterion, the
 triple-sum conjugation term of a gauge transform, the float density
 test of irreducibility, and the realizer's damped Gauss-Newton step
-solved as a real system of twice the size.
+solved as a real system of twice the size.  The last few helpers are
+small constructions only the tests need: an exact matrix literal, the
+infinitesimal coadjoint action, the dT-stabilizer test and the matrix a
+leg realization reproduces.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import itertools
 import numpy as np
 
 from dsirr import linalg
-from dsirr.jets import ConnectionJet, jet_inv
+from dsirr.jets import ConnectionJet, PrincipalPart, jet_inv, pp_left_mul, pp_right_mul
 from dsirr.roots import SearchCapExceeded, Verdict, is_positive_root
 from dsirr.scalars import GaussianRational, as_exact
 
@@ -160,3 +163,41 @@ def lm_step_real_doubled(jac, r, lam: float, digits: int = 50):
         step = np.array([float(v) for v in step])
     c = jac.shape[1]
     return step[:c] + 1j * step[c:]
+
+
+def exact_matrix(rows) -> np.ndarray:
+    """Build an object-dtype matrix, coercing entries into Q(i)."""
+    data = [[as_exact(x) for x in row] for row in rows]
+    a = np.empty((len(data), len(data[0]) if data else 0), dtype=object)
+    for i, row in enumerate(data):
+        for j, x in enumerate(row):
+            a[i, j] = x
+    return a
+
+
+def ad_star(x, a: PrincipalPart) -> PrincipalPart:
+    """Infinitesimal coadjoint action, slot truncation of x a - a x."""
+    left = pp_left_mul(x, a)
+    right = pp_right_mul(a, x)
+    return PrincipalPart(
+        a.n, a.k, tuple(l - r for l, r in zip(left.coeffs, right.coeffs)), a.tag
+    )
+
+
+def stabilizes_dt(T, b, rtol: float = 1e-9) -> bool:
+    """A unipotent jet fixes dT iff every coefficient sits in its level
+    centralizer h_i."""
+    return all(T.in_subspace(b.coeffs[i], i, "diag", rtol) for i in range(1, T.k))
+
+
+def leg_reconstruction(realization, exact: bool = None) -> np.ndarray:
+    """Product of the top arrow pair plus l_1; equals the original matrix."""
+    n = realization.rep.dims["0"]
+    exact = realization.rep.exact if exact is None else exact
+    lam1 = realization.marking[0]
+    ident = linalg.eye(n, exact)
+    if "1" not in realization.rep.dims:
+        return lam1 * ident
+    a = realization.rep.fwd["1>0"]
+    b = realization.rep.rev["1>0"]
+    return np.dot(a, b) + lam1 * ident

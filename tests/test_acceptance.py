@@ -590,7 +590,7 @@ def _z_conditions(leg):
 
 
 def test_criterion_10_leg_realization():
-    from dsirr.orbits import leg_reconstruction
+    from oracles import leg_reconstruction
 
     r = rng()
     for trial in range(50):

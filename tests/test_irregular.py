@@ -18,13 +18,12 @@ from dsirr.irregular import (
     qp_to_orbit,
     qp_to_rep,
     rep_to_qp,
-    stabilizes_dt,
     validate_qp,
 )
 from dsirr.jets import JetMatrix, coadjoint, jet_exp, jet_mul, pairing
 from dsirr.quiver import symplectic_form
 from dsirr.scalars import GaussianRational as G
-from oracles import gauge_triple_sum
+from oracles import gauge_triple_sum, stabilizes_dt
 
 
 def two_block_k3():

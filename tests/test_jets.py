@@ -7,7 +7,6 @@ from dsirr.jets import (
     ConnectionJet,
     JetMatrix,
     PrincipalPart,
-    ad_star,
     coadjoint,
     gauge,
     jet_exp,
@@ -16,6 +15,7 @@ from dsirr.jets import (
     pairing,
 )
 from dsirr.scalars import GaussianRational as G
+from oracles import ad_star
 
 
 def jet(n, k, terms, exact=False):

@@ -3,10 +3,11 @@ import pytest
 
 from dsirr import linalg
 from dsirr.scalars import GaussianRational as G
+from oracles import exact_matrix
 
 
 def exact(rows):
-    return linalg.exact_matrix(rows)
+    return exact_matrix(rows)
 
 
 def test_rref_rank_exact():

@@ -16,6 +16,7 @@ from dsirr.quiver import (
     to_dot,
 )
 from dsirr.scalars import GaussianRational as G
+from oracles import exact_matrix
 
 
 def a2():
@@ -124,8 +125,8 @@ def test_stability_density_one_vertex_dim2():
 
 
 def test_stability_exact_mode():
-    x = linalg.exact_matrix([[1]])
-    y0 = linalg.exact_matrix([[0]])
+    x = exact_matrix([[1]])
+    y0 = exact_matrix([[0]])
     rep = DoubledRep(a2(), {"1": 1, "2": 1}, {"a": x}, {"a": y0})
     assert not is_stable(rep)
     rep2 = DoubledRep(a2(), {"1": 1, "2": 1}, {"a": x}, {"a": x})

@@ -7,7 +7,8 @@ loops and a double arrow, which synthesis never builds.  The complex Gram
 step is checked against the real-doubled normal equations on both sides
 of the Gram choice.  On instances with zeta . v != 0 the trace of mu - zeta
 is -zeta . v whatever the point, so the residual is at least
-|zeta . v| / sqrt(sum v_i), and the realizer reaches that floor.
+|zeta . v| / sqrt(sum v_i), and the realizer reaches that floor and stops
+there on its gradient test; feasible instances never stop on it.
 """
 
 import json
@@ -27,6 +28,7 @@ from dsirr.assembly import (
     instance_from_json,
     moment_jacobian,
     realize_numeric,
+    verify_instance,
     zeta_dot_v,
 )
 from dsirr.cli import main
@@ -35,7 +37,14 @@ from oracles import lm_step_real_doubled
 from test_assembly import rigid_star
 
 DATA = Path(__file__).parent / "data"
-STOPS = {"converged-stable", "converged-unstable", "stalled", "damping-overflow", "iteration-limit"}
+STOPS = {
+    "converged-stable",
+    "converged-unstable",
+    "stationary",
+    "stalled",
+    "damping-overflow",
+    "iteration-limit",
+}
 
 
 def loop_and_double_arrow(rng):
@@ -132,7 +141,34 @@ def test_attempt_records_are_deterministic_and_add_up():
 def test_infeasible_restarts_end_without_converging():
     _, res = _floor_and_result("star_empty_cond2.json", attempts=4, seed=0)
     assert res.attempts == len(res.records) == 4
-    assert {r["stop"] for r in res.records} <= {"stalled", "damping-overflow", "iteration-limit"}
+    assert {r["stop"] for r in res.records} == {"stationary"}
+
+
+def test_infeasible_restarts_stop_at_the_floor_within_a_trial_budget():
+    # the gradient stop needs 26 trials here; grinding on the floor until
+    # lam overflows takes 182
+    bound, res = _floor_and_result("ladder_g3x2k2-shift_seed5.json", attempts=5, seed=3)
+    assert res.stats["damping_trials"] <= 60
+    assert res.residual == pytest.approx(bound, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "star_rigid.json",
+        "ladder_g4x1k2_seed206.json",
+        "ladder_s4x2k2_seed16.json",
+        "ladder_s4x2k2_seed41.json",
+    ],
+)
+def test_feasible_instances_never_stop_stationary(name):
+    with open(DATA / name, encoding="utf-8") as f:
+        inst = instance_from_json(json.load(f), exact=True)
+    res = realize_numeric(build_global_quiver(inst), attempts=5, seed=3)
+    assert res.success and res.attempts == 1
+    assert all(r["stop"] != "stationary" for r in res.records)
+    assert res.trace_floor == 0
+    assert verify_instance(build_global_quiver(inst.as_float()), res.rep)["all_ok"]
 
 
 def _no_constants(name):
@@ -159,3 +195,11 @@ def test_realize_report_is_strict_json_with_stats(capsys):
     assert stats["damping_trials"] == sum(a["trials"] for a in stats["attempts"])
     main(argv)
     assert json.loads(capsys.readouterr().out)["stats"] == stats
+
+
+@pytest.mark.parametrize("name, floor", [("star_empty_cond2.json", 0.57735), ("star_rigid.json", 0.0)])
+def test_realize_report_carries_the_trace_floor(name, floor, capsys):
+    main(["realize", str(DATA / name), "--attempts", "2", "--seed", "0"])
+    report = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
+    assert report["stats"]["trace_floor"] == pytest.approx(floor, abs=1e-5)
+    assert report["residual"] >= report["stats"]["trace_floor"] * (1 - 1e-12)

@@ -6,6 +6,7 @@ from dsirr import linalg
 from dsirr.irregular import make_irregular_type
 from dsirr.jets import ConnectionJet, JetMatrix, gauge
 from dsirr.reduction import bv_chain, bv_split, normalize
+from oracles import exact_matrix
 
 
 def conn(n, k, terms, depth):
@@ -88,8 +89,8 @@ def test_split_conjugated_leading_term(rng):
 
 
 def test_split_exact_mode():
-    a0 = linalg.exact_matrix([[1, 0], [0, -1]])
-    x = linalg.exact_matrix([[0, 1], [2, 0]])
+    a0 = exact_matrix([[1, 0], [0, -1]])
+    x = exact_matrix([[0, 1], [2, 0]])
     coeffs = (a0, x, linalg.zeros(2, 2, True))
     out = bv_split(ConnectionJet(2, 2, coeffs))
     assert all(
