@@ -725,6 +725,7 @@ def realize_numeric(
     seed: int = 0,
     max_iter: int = 500,
     tol: float = 1e-8,
+    zeta_v=None,
 ) -> RealizeResult:
     """Search for a stable moment-map solution by restarted damped
     Gauss-Newton from random starts.
@@ -740,12 +741,15 @@ def realize_numeric(
 
     mu - zeta has trace -zeta . v at every point, so no residual falls
     below the trace floor |zeta . v| / sqrt(sum v_i), which the result
-    reports.  It is computed in the arithmetic of gq's zeta (exactly 0
-    on a feasible exact instance) and never cuts the restarts short.
+    reports.  It is computed from `zeta_v`, when given, else from gq's
+    zeta in its own arithmetic.  When gq is the float copy of an exact
+    instance, pass the exact zeta . v (minus the exponents' trace), so
+    that the floor of a feasible instance is exactly 0.  The floor never
+    cuts the restarts short.
     """
     if attempts < 1:
         raise ValueError(f"attempts must be at least 1, got {attempts}")
-    total = zeta_dot_v(gq)
+    total = zeta_dot_v(gq) if zeta_v is None else zeta_v
     total = total.to_complex() if isinstance(total, GaussianRational) else complex(total)
     floor = abs(total) / sum(gq.dims.values()) ** 0.5
     if gq.instance.exact:
@@ -757,11 +761,11 @@ def realize_numeric(
         rng = np.random.default_rng((seed, attempt))
         x0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         x, cost, iterations, trials, stop = _lm_minimize(gq, x0, max_iter=max_iter)
-        rep = _unpack(gq, x)
         resid = cost ** 0.5
         best = min(best, resid)
         stable = False
-        if resid <= tol * rep.norm() ** 2:
+        if resid <= tol * np.linalg.norm(x) ** 2:  # ||x|| is the norm of the rep
+            rep = _unpack(gq, x)
             stable = is_stable(rep)
             stop = "converged-stable" if stable else "converged-unstable"
         elif stop == "converged":

@@ -24,6 +24,7 @@ from .assembly import (
     realize_numeric,
     rep_from_json,
     rep_to_json,
+    total_exponent_trace,
     verdict_to_json,
     verify_instance,
 )
@@ -116,8 +117,11 @@ def cmd_build_quiver(args):
 
 
 def cmd_realize(args):
-    gq = build_global_quiver(_instance(_load_json(args.input)).as_float())
-    result = realize_numeric(gq, attempts=args.attempts, seed=args.seed)
+    instance = _instance(_load_json(args.input))
+    gq = build_global_quiver(instance.as_float())
+    # zeta . v = -trace of the exponents, exactly when the input is exact
+    zeta_v = -total_exponent_trace(instance) if instance.exact else None
+    result = realize_numeric(gq, attempts=args.attempts, seed=args.seed, zeta_v=zeta_v)
     report = {
         "schema_version": SCHEMA_VERSION,
         "success": result.success,

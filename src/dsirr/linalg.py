@@ -108,31 +108,35 @@ def power_rank_sequence(a: np.ndarray, jmax: int, rtol: float = RANK_RTOL, scale
     is rtol * scale per step; scale defaults to ||a||, but callers that
     obtained a by cancellation should pass the ambient scale, or a
     numerically-zero difference gets a spurious positive rank.
+
+    Once rank a^j = rank a^{j-1} (with a^0 = I), range(a^j) = range(a^{j-1})
+    and every later rank is the same (Fitting's lemma), so the rest of
+    the sequence is filled in without further steps.
     """
     n = a.shape[0]
     ranks = []
-    if is_exact(a):
+    exact = is_exact(a)
+    if exact:
         power = a
-        for _ in range(jmax):
-            ranks.append(rank(power))
-            power = np.dot(power, a)
-        return ranks
-    af = np.asarray(a, dtype=complex)
-    if scale is None:
-        scale = np.linalg.norm(af, 2)
     else:
-        scale = max(scale, 0.0)
-    basis = np.eye(n, dtype=complex)
-    for _ in range(jmax):
-        img = af @ basis
-        if img.shape[1] == 0 or scale == 0.0:
-            ranks.append(0)
-            basis = np.zeros((n, 0), dtype=complex)
-            continue
-        u, s, _ = np.linalg.svd(img, full_matrices=False)
-        k = int(np.sum(s > rtol * scale))
-        basis = u[:, :k]
+        af = np.asarray(a, dtype=complex)
+        scale = np.linalg.norm(af, 2) if scale is None else max(scale, 0.0)
+        basis = np.eye(n, dtype=complex)
+    last = n
+    while len(ranks) < jmax:
+        if exact:
+            k = rank(power)
+            power = np.dot(power, a)
+        elif basis.shape[1] == 0 or scale == 0.0:
+            k = 0
+        else:
+            u, s, _ = np.linalg.svd(af @ basis, full_matrices=False)
+            k = int(np.sum(s > rtol * scale))
+            basis = u[:, :k]
         ranks.append(k)
+        if k == last:
+            ranks += [k] * (jmax - len(ranks))
+        last = k
     return ranks
 
 

@@ -221,9 +221,10 @@ def _jordan_pass(L: np.ndarray, values, detect_rtol: float) -> OrbitSpec:
     exact = linalg.is_exact(L)
     spec_data = []
     total = 0
+    norm = None if exact else np.linalg.norm(linalg.to_complex(L), 2)
     for value in values:
         shifted = L - value * linalg.eye(n, exact)
-        ambient = None if exact else np.linalg.norm(linalg.to_complex(L), 2) + abs(complex(value))
+        ambient = None if exact else norm + abs(complex(value))
         ranks = [n] + linalg.power_rank_sequence(shifted, n, detect_rtol, scale=ambient)
         mult = n - ranks[-1]
         if mult == 0:
@@ -328,12 +329,13 @@ def orbit_membership(R: np.ndarray, spec: OrbitSpec, rtol: float = 1e-8) -> bool
         raise ValueError("size mismatch")
     exact = linalg.is_exact(R)
     ident = linalg.eye(n, exact)
+    norm = None if exact else np.linalg.norm(linalg.to_complex(R), 2)
     for value, blocks in spec.eigenvalues:
         v = value
         if not exact and isinstance(value, GaussianRational):
             v = value.to_complex()
         shifted = R - v * ident
-        ambient = None if exact else np.linalg.norm(linalg.to_complex(R), 2) + abs(complex(v))
+        ambient = None if exact else norm + abs(complex(v))
         ranks = linalg.power_rank_sequence(shifted, n, rtol, scale=ambient)
         for j in range(1, n + 1):
             if ranks[j - 1] != expected_rank(spec, value, j):

@@ -6,9 +6,16 @@ direction; the bilinear form is (u, v) = sum_i 2 u_i v_i
 delta(v) = 1 - q(v) on the same quiver.
 
 Positive roots are recognized by the reflection algorithm: reflect at
-any vertex with (v, e_i) > 0; landing on a simple root means a real
-root, going negative means not a root, and a fixed vector is an
-imaginary root exactly when its support is connected.
+a vertex with (v, e_i) > 0; landing on a simple root means a real root,
+going negative means not a root, and a fixed vector is an imaginary
+root exactly when its support is connected.  `positive_root_mask` runs
+it on a whole integer array of vectors at once.  The pairings P = W C
+with the int64 Cartan matrix C = 2I - A are computed once, and each step
+reflects every row at the vertices of one colour class (pairwise
+non-adjacent, so the reflections commute) and updates P by the matching
+rows of C.  A fixed row with full support reads the cached
+connectedness of the quiver; only other fixed rows need a reachability
+pass.  `is_positive_root` is the same test on one vector.
 
 The decision procedure: the moduli space for (v, zeta) is non-empty
 iff (1) v is a positive root, (2) zeta . v = 0, and (3) every
@@ -23,10 +30,12 @@ two integer dot products.
 The candidates for (3), the positive roots 0 < w <= v with
 zeta . w = 0, are found by meeting in the middle.  The vertices are
 split into two halves of near-equal box size; the integer zeta sums of
-one half's points are tabulated, and each point of the other half looks
-up the negated sum.  That takes about 2 sqrt(prod(v_i + 1)) steps plus
-one per zeta-orthogonal point, where scanning the box takes
-prod(v_i + 1); only the matches are tested for being roots.
+one half's points are tabulated, and the other half's points are
+grouped by the negated sum.  That takes about 2 sqrt(prod(v_i + 1))
+steps, where scanning the box takes prod(v_i + 1).  Each sum found in
+both halves gives a block of matches, every head plus every tail, built
+as one broadcast; one batched root test covers all blocks.  At
+zeta = 0 every box point is a match, in a single block.
 
 Condition (3) is a dynamic programme over the zeta-orthogonal u <= v:
 F(0) = 0 and F(u) = max delta(w) + F(u - w) over the candidates
@@ -37,9 +46,10 @@ decomposition.
 
 The search budget `max_nodes` of `cb_solvable` bounds the enumeration's
 work: both half boxes, checked before either is built, plus every
-zeta-orthogonal point.  The DP's states are among those points, so the
-budget bounds them too.  Running out gives an "undecided" verdict that
-names the budget and its value.
+zeta-orthogonal point, each block checked before it is built.  The
+DP's states are among those points, so the budget bounds them too.
+Running out gives an "undecided" verdict that names the budget and its
+value.
 """
 
 from __future__ import annotations
@@ -47,7 +57,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, mul
+from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -83,17 +94,43 @@ class CartanData:
     def size(self) -> int:
         return len(self.vertices)
 
-    def pairing(self, u, v) -> int:
-        total = 0
-        for i in range(self.size):
-            total += 2 * u[i] * v[i]
-            for j in range(self.size):
-                if i != j:
-                    total -= self.adjacency[i][j] * u[i] * v[j]
-        return total
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The Cartan matrix C = 2I - A in int64, so that (u, v) = u C v."""
+        flat = [2 * (i == j) - a for i, row in enumerate(self.adjacency) for j, a in enumerate(row)]
+        return np.array(flat, dtype=np.int64).reshape(self.size, self.size)
 
-    def pairing_with_simple(self, v, i: int) -> int:
-        return 2 * v[i] - sum(self.adjacency[i][j] * v[j] for j in range(self.size) if j != i)
+    @cached_property
+    def int64_bound(self) -> int:
+        """Largest coordinate for which a vector's sum and pairings, and
+        those of every reflection of it, fit int64."""
+        return 2**62 // (3 + max(map(sum, self.adjacency), default=0) + self.size)
+
+    @cached_property
+    def connected(self) -> bool:
+        """Whether the whole quiver is connected."""
+        seen, stack = {0}, [0]
+        while stack:
+            i = stack.pop()
+            for j, a in enumerate(self.adjacency[i]):
+                if a and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        return len(seen) == self.size
+
+    @cached_property
+    def same_colour(self) -> np.ndarray:
+        """(m, m) booleans; row i marks the vertices of i's class in a
+        greedy proper colouring, a set of pairwise non-adjacent vertices."""
+        colour = []
+        for i, row in enumerate(self.adjacency):
+            used = {colour[j] for j in range(i) if row[j]}
+            colour.append(next(k for k in itertools.count() if k not in used))
+        colour = np.array(colour)
+        return colour[:, None] == colour[None, :]
+
+    def pairing(self, u, v) -> int:
+        return sum(x * (2 * v[i] - _dot(self.adjacency[i], v)) for i, x in enumerate(u) if x)
 
     def tits_form(self, v) -> int:
         p = self.pairing(v, v)
@@ -106,43 +143,84 @@ class CartanData:
     def vec(self, dims: dict):
         return tuple(int(dims[v]) for v in self.vertices)
 
-    def support_connected(self, v) -> bool:
-        supp = [i for i in range(self.size) if v[i] != 0]
-        if not supp:
-            return False
-        seen = {supp[0]}
-        stack = [supp[0]]
-        while stack:
-            i = stack.pop()
-            for j in supp:
-                if j not in seen and self.adjacency[i][j] > 0:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == len(supp)
+
+def _support_connected(cartan: CartanData, supp: np.ndarray) -> np.ndarray:
+    """For each non-empty boolean row of `supp`, whether that vertex set is
+    connected: rows with full support read `cartan.connected`, and one
+    reachability pass serves the others."""
+    out = np.full(len(supp), cartan.connected)
+    part = ~supp.all(1)
+    if not np.count_nonzero(part):
+        return out
+    supp = supp[part]
+    adj = cartan.matrix < 0
+    reach = np.zeros_like(supp)
+    reach[np.arange(len(supp)), supp.argmax(1)] = True
+    while True:
+        grown = supp & (reach | reach @ adj)
+        if (grown == reach).all():
+            out[part] = (reach == supp).all(1)
+            return out
+        reach = grown
+
+
+def positive_root_mask(cartan: CartanData, w: np.ndarray) -> np.ndarray:
+    """Reflection test of every row of the (n, m) integer array `w` at once.
+
+    The pairings P = W C are computed once.  A row with full support and
+    no positive pairing is fixed by every reflection, so it is an
+    imaginary root exactly when the quiver is connected; when all rows
+    are such, that one product and the cached flag decide them.
+
+    Otherwise each step reflects a row at every vertex with positive
+    pairing in the colour class of its largest pairing, lowering w_j by
+    (w, e_j) and P by that multiple of row j of C.  Vertices of a class
+    are non-adjacent, so these reflections commute and leave each
+    other's pairings alone: together they act as one after the other.
+    A positive root that is not simple stays one under each of them, so
+    a row goes negative only if it is no root, and becomes a simple root
+    (a root) only between steps.  A row that no reflection moves is an
+    imaginary root exactly when its support is connected.
+
+    Reflections only lower coordinates, so int64 holds every step
+    whenever it holds the first pairings of the non-negative rows; other
+    input runs on Python integers.
+    """
+    c = cartan.matrix
+    if w.dtype == object or w.size and w.max() > cartan.int64_bound:
+        w, c = w.astype(object), c.astype(object)
+    p = w @ c
+    if w.size and w.min() > 0 and p.max() <= 0:
+        return np.full(len(w), cartan.connected)
+    out = np.zeros(len(w), dtype=bool)
+    idx = np.flatnonzero((w >= 0).all(1) & w.any(1))
+    w, p = w[idx], p[idx]  # copies, so the reflections leave the input alone
+    while len(idx):
+        pos = p > 0
+        simple = w.sum(1) == 1
+        fixed = ~pos.any(1)
+        done = simple | fixed
+        if np.count_nonzero(done):
+            out[idx[simple]] = True
+            if np.count_nonzero(fixed):
+                out[idx[fixed]] = _support_connected(cartan, w[fixed] > 0)
+            go = ~done
+            idx, w, p, pos = idx[go], w[go], p[go], pos[go]
+        # d_j = (w, e_j) at the positive vertices j of one colour class
+        d = p * (cartan.same_colour[p.argmax(1)] & pos)
+        w -= d
+        p -= d @ c
+        neg = (w < 0).any(1)
+        if np.count_nonzero(neg):
+            go = ~neg
+            idx, w, p = idx[go], w[go], p[go]
+    return out
 
 
 def is_positive_root(cartan: CartanData, v) -> bool:
-    """Reflection test for membership among positive roots."""
-    v = tuple(int(x) for x in v)
-    if any(x < 0 for x in v) or all(x == 0 for x in v):
-        return False
-    while True:
-        if sum(v) == 1:
-            return True  # simple root
-        moved = False
-        for i in range(cartan.size):
-            p = cartan.pairing_with_simple(v, i)
-            if p > 0:
-                w = list(v)
-                w[i] -= p
-                if w[i] < 0:
-                    return False
-                v = tuple(w)
-                moved = True
-                break
-        if not moved:
-            # fixed configuration: imaginary root iff support connected
-            return cartan.support_connected(v)
+    """Whether v is a positive root: `positive_root_mask` on one row."""
+    small = max(map(abs, v), default=0) <= cartan.int64_bound
+    return bool(positive_root_mask(cartan, np.array([v], dtype=np.int64 if small else object))[0])
 
 
 def _integer_zeta(cartan: CartanData, zeta):
@@ -175,24 +253,29 @@ def _halves(v):
 
 
 def _half_box(v, half, zr, zi):
-    """Points of the box of v that vanish off `half`, with their zeta sums."""
-    ranges = [range(x + 1) if i in half else (0,) for i, x in enumerate(v)]
-    for w in itertools.product(*ranges):
-        yield w, _dot(zr, w), _dot(zi, w)
+    """Points of the box of v restricted to the vertices `half`, as tuples
+    in the order of `half`, with their integer zeta sums."""
+    zr = [zr[i] for i in half]
+    zi = [zi[i] for i in half] if any(zi) else None
+    for w in itertools.product(*(range(v[i] + 1) for i in half)):
+        yield w, sum(map(mul, zr, w)), sum(map(mul, zi, w)) if zi else 0
 
 
 def summand_candidates(cartan: CartanData, v, zeta, cap: int = 2_000_000):
     """All positive roots w with 0 < w <= v componentwise and zeta.w = 0.
 
-    Meets in the middle: one half box's integer zeta sums are tabulated
-    and each point of the other half looks up the negated sum.  The
-    work (both half boxes plus every zeta-orthogonal match) may not
-    exceed `cap`; the half boxes are checked before either is built.
-    The parameter test is exact; float parameters are rejected.  The
-    result is sorted lexicographically.
+    Meets in the middle: one half box is tabulated by its integer zeta
+    sums, and the other half's points are grouped by the negated sum.
+    Each sum found in both gives a block of matches, every head plus
+    every tail, and one `positive_root_mask` call tests all blocks.  The
+    work (both half boxes plus every match) may not exceed `cap`; the
+    half boxes are checked before either is built, and each block
+    before it is built.  `zeta` maps vertices to exact scalars (float
+    parameters are rejected) or is the integer pair `_integer_zeta`
+    returns.  The result is sorted lexicographically.
     """
     v = tuple(int(x) for x in v)
-    zr, zi = _integer_zeta(cartan, zeta)
+    zr, zi = zeta if isinstance(zeta, tuple) else _integer_zeta(cartan, zeta)
     (head, tail), sizes = _halves(v)
     work = sum(sizes)
     if work > cap:
@@ -201,18 +284,25 @@ def summand_candidates(cartan: CartanData, v, zeta, cap: int = 2_000_000):
     table = {}
     for w, re, im in _half_box(v, head, zr, zi):
         table.setdefault((re, im), []).append(w)
-    out = []
-    for wt, re, im in _half_box(v, tail, zr, zi):
-        heads = table.get((-re, -im), ())
-        work += len(heads)
+    tails = {}
+    for w, re, im in _half_box(v, tail, zr, zi):
+        key = (-re, -im)
+        if key in table:
+            tails.setdefault(key, []).append(w)
+    blocks = []
+    for key, wt in tails.items():
+        wh = table[key]
+        work += len(wh) * len(wt)
         if work > cap:
             raise SearchCapExceeded(f"enumeration budget of {cap} exhausted")
-        for wh in heads:
-            w = tuple(map(add, wh, wt))
-            if any(w) and is_positive_root(cartan, w):
-                out.append(w)
-    out.sort()
-    return out
+        block = np.zeros((len(wh), len(wt), len(v)), dtype=np.int64)
+        block[:, :, head] = np.array(wh, dtype=np.int64).reshape(len(wh), 1, len(head))
+        block[:, :, tail] = np.array(wt, dtype=np.int64).reshape(1, len(wt), len(tail))
+        blocks.append(block.reshape(-1, len(v)))
+    # both half boxes start at 0, so the first row is 0 + 0: drop it
+    w = np.concatenate(blocks)[1:]
+    w = w[positive_root_mask(cartan, w)]
+    return list(map(tuple, w[np.lexsort(w.T[::-1])].tolist()))
 
 
 @dataclass
@@ -233,8 +323,8 @@ class Verdict:
         return self.nonempty is None
 
 
-def _violating_decomposition(cartan: CartanData, v, cands):
-    """Parts of a decomposition of v with >= 2 parts and sum delta >= delta(v).
+def _violating_decomposition(cartan: CartanData, v, dv: int, cands):
+    """Parts of a decomposition of v with >= 2 parts and sum delta >= dv = delta(v).
 
     Returns (parts or None, states evaluated).  F(u), the largest total
     delta of a decomposition of u into candidates (None if u has none),
@@ -247,10 +337,12 @@ def _violating_decomposition(cartan: CartanData, v, cands):
     strides = [1] * m
     for i in range(m - 2, -1, -1):
         strides[i] = strides[i + 1] * (v[i + 1] + 1)
+    wc = np.array(cands, dtype=np.int64).reshape(len(cands), m)
     # one array per coordinate: the w <= u test is m vector comparisons
-    cols = np.array(cands, dtype=np.min_scalar_type(max(v))).reshape(len(cands), m).T.copy()
+    cols = np.ascontiguousarray(wc.T, dtype=np.min_scalar_type(max(v)))
     rank = [_dot(w, strides) for w in cands]
-    deltas = [cartan.delta(w) for w in cands]
+    # delta(w) = 1 - (w, w) / 2 for all candidates from one product W C
+    deltas = [1 - q // 2 for q in ((wc @ cartan.matrix) * wc).sum(1).tolist()]
     best = {0: 0}  # rank(u) -> F(u); F(0) = 0 counts as v's own state
     choice = {}  # rank(u) -> the candidate the maximum picks first
 
@@ -289,7 +381,7 @@ def _violating_decomposition(cartan: CartanData, v, cands):
         if rest == 0:
             continue  # w = v, the trivial decomposition
         solve(rest)
-        if best[rest] is not None and deltas[c] + best[rest] >= cartan.delta(v):
+        if best[rest] is not None and deltas[c] + best[rest] >= dv:
             witness = [cands[c]]
             while rest:
                 witness.append(cands[choice[rest]])
@@ -315,10 +407,10 @@ def cb_solvable(cartan: CartanData, v, zeta, max_nodes: int = 200_000) -> Verdic
         return Verdict(False, failed_condition=2, delta=dv, detail="zeta . v != 0")
 
     try:
-        cands = summand_candidates(cartan, v, zeta, cap=max_nodes)
+        cands = summand_candidates(cartan, v, (zr, zi), cap=max_nodes)
     except SearchCapExceeded as e:
         return Verdict(None, delta=dv, detail=str(e))
-    witness, states = _violating_decomposition(cartan, v, cands)
+    witness, states = _violating_decomposition(cartan, v, dv, cands)
     if witness is not None:
         return Verdict(
             False,

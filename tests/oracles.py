@@ -1,10 +1,12 @@
 """Reference implementations that the tests compare the package against.
 
 These are the straightforward algorithms the package used before it
-moved to faster ones: a scan of the whole box with exact Q(i)
-arithmetic for the zeta-orthogonal positive roots, a depth-first
+moved to faster ones: the reflection test for positive roots one
+vector and one vertex at a time, a scan of the whole box with exact
+Q(i) arithmetic for the zeta-orthogonal positive roots, a depth-first
 search over multisets for condition (3) of the criterion, the
-triple-sum conjugation term of a gauge transform, the float density
+ranks of every power of a matrix without stopping once they settle,
+the triple-sum conjugation term of a gauge transform, the float density
 test of irreducibility, and the realizer's damped Gauss-Newton step
 solved as a real system of twice the size.  The last few helpers are
 small constructions only the tests need: an exact matrix literal, the
@@ -20,8 +22,55 @@ import numpy as np
 
 from dsirr import linalg
 from dsirr.jets import ConnectionJet, PrincipalPart, jet_inv, pp_left_mul, pp_right_mul
-from dsirr.roots import SearchCapExceeded, Verdict, is_positive_root
+from dsirr.roots import SearchCapExceeded, Verdict
 from dsirr.scalars import GaussianRational, as_exact
+
+
+def reflection_end(cartan, v):
+    """Where the scalar reflection loop leaves v, and the vector it stops at.
+
+    It reflects at the first vertex i with (v, e_i) > 0 until v is a
+    simple root ("simple"), a coordinate goes negative ("negative"), or
+    no pairing is positive ("fixed").  Zero and vectors with a negative
+    coordinate end at once as "not positive".
+    """
+    v = tuple(int(x) for x in v)
+    if any(x < 0 for x in v) or not any(v):
+        return "not positive", v
+    m = cartan.size
+    while sum(v) != 1:
+        for i in range(m):
+            p = 2 * v[i] - sum(cartan.adjacency[i][j] * v[j] for j in range(m))
+            if p > 0:
+                w = list(v)
+                w[i] -= p
+                v = tuple(w)
+                if v[i] < 0:
+                    return "negative", v
+                break
+        else:
+            return "fixed", v
+    return "simple", v
+
+
+def support_connected(cartan, v) -> bool:
+    """Whether the vertices where v is non-zero form a connected set."""
+    supp = [i for i, x in enumerate(v) if x]
+    seen, stack = {supp[0]}, [supp[0]]
+    while stack:
+        i = stack.pop()
+        for j in supp:
+            if j not in seen and cartan.adjacency[i][j]:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(supp)
+
+
+def reflection_is_positive_root(cartan, v) -> bool:
+    """Positive roots by the reflection loop: a simple root is reached, or a
+    fixed vector has connected support (an imaginary root)."""
+    end, u = reflection_end(cartan, v)
+    return end == "simple" or end == "fixed" and support_connected(cartan, u)
 
 
 def _zeta_dot(zeta_vec, w) -> GaussianRational:
@@ -38,7 +87,7 @@ def brute_candidates(cartan, v, zeta):
     zeta_vec = tuple(as_exact(zeta[u]) for u in cartan.vertices)
     out = []
     for w in itertools.product(*(range(x + 1) for x in v)):
-        if any(w) and not _zeta_dot(zeta_vec, w) and is_positive_root(cartan, w):
+        if any(w) and not _zeta_dot(zeta_vec, w) and reflection_is_positive_root(cartan, w):
             out.append(w)
     return sorted(out)
 
@@ -47,7 +96,7 @@ def dfs_solvable(cartan, v, zeta, max_nodes: int = 200_000) -> Verdict:
     """The criterion with condition (3) decided by a DFS over multisets."""
     v = tuple(int(x) for x in v)
     dv = cartan.delta(v)
-    if not is_positive_root(cartan, v):
+    if not reflection_is_positive_root(cartan, v):
         return Verdict(False, failed_condition=1, delta=dv)
     zeta_vec = tuple(as_exact(zeta[u]) for u in cartan.vertices)
     if _zeta_dot(zeta_vec, v):
@@ -85,6 +134,31 @@ def dfs_solvable(cartan, v, zeta, max_nodes: int = 200_000) -> Verdict:
         return Verdict(False, failed_condition=3, witness=[list(w) for w in witness],
                        delta=dv, nodes=nodes)
     return Verdict(True, delta=dv, dim=2 * dv, nodes=nodes)
+
+
+def power_ranks_every_step(a, jmax, rtol=linalg.RANK_RTOL, scale=None) -> list:
+    """Ranks of a^j for j = 1..jmax, one rank computation per power.
+
+    Exact mode ranks every explicit power; float mode ranks a applied to
+    an orthonormal basis of range(a^{j-1}), with cutoff rtol * scale.
+    """
+    if linalg.is_exact(a):
+        power, ranks = a, []
+        for _ in range(jmax):
+            ranks.append(linalg.rank(power))
+            power = np.dot(power, a)
+        return ranks
+    af = np.asarray(a, dtype=complex)
+    scale = np.linalg.norm(af, 2) if scale is None else max(scale, 0.0)
+    basis, ranks = np.eye(a.shape[0], dtype=complex), []
+    for _ in range(jmax):
+        if basis.shape[1] == 0 or scale == 0.0:
+            ranks.append(0)
+            continue
+        u, s, _ = np.linalg.svd(af @ basis, full_matrices=False)
+        basis = u[:, : int(np.sum(s > rtol * scale))]
+        ranks.append(basis.shape[1])
+    return ranks
 
 
 def gauge_triple_sum(g, a) -> ConnectionJet:

@@ -1,9 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 
 from dsirr import linalg
 from dsirr.scalars import GaussianRational as G
-from oracles import exact_matrix
+from oracles import exact_matrix, power_ranks_every_step
 
 
 def exact(rows):
@@ -72,3 +74,47 @@ def test_coords_in_basis():
     outside = np.array([[1.0], [0], [0]], dtype=complex)
     with pytest.raises(ValueError):
         linalg.coords_in_basis(basis, outside)
+
+
+def random_jordan_matrix(rng, n):
+    """An integer matrix P J P^-1 with J in Jordan form over a few small
+    integer eigenvalues, and P unit upper times unit lower triangular."""
+    diag, pos = [], 0
+    while pos < n:
+        size = rng.randint(1, n - pos)
+        diag += [(rng.randint(-2, 2), size)]
+        pos += size
+    j = np.zeros((n, n), dtype=np.int64)
+    pos = 0
+    for lam, size in diag:
+        for k in range(size):
+            j[pos + k, pos + k] = lam
+            if k:
+                j[pos + k - 1, pos + k] = 1
+        pos += size
+    upper = np.triu(np.array([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]), 1)
+    lower = np.tril(np.array([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]), -1)
+    up, lo = upper + np.eye(n, dtype=np.int64), lower + np.eye(n, dtype=np.int64)
+    p = up @ lo
+    p_inv = np.rint(np.linalg.inv(lo)).astype(np.int64) @ np.rint(np.linalg.inv(up)).astype(np.int64)
+    assert (p @ p_inv == np.eye(n, dtype=np.int64)).all()
+    return p @ j @ p_inv, sorted({lam for lam, _ in diag})
+
+
+def test_power_ranks_stop_early_without_changing_the_sequence():
+    rng = random.Random(20261018)
+    settled = 0
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        a, values = random_jordan_matrix(rng, n)
+        for lam in values + [3]:  # 3 is never an eigenvalue: full rank at once
+            shifted = a - lam * np.eye(n, dtype=np.int64)
+            ex = exact(shifted.tolist())
+            want = power_ranks_every_step(ex, n)
+            assert linalg.power_rank_sequence(ex, n) == want
+            fl = shifted.astype(complex)
+            scale = np.linalg.norm(a.astype(complex), 2) + abs(lam)
+            assert linalg.power_rank_sequence(fl, n, scale=scale) == want
+            assert power_ranks_every_step(fl, n, scale=scale) == want
+            settled += want.index(want[-1]) + 1 < n
+    assert settled >= 30  # sequences that settle before the last power

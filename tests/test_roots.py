@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dsirr.assembly import decide_ds, instance_from_json
@@ -15,10 +16,17 @@ from dsirr.roots import (
     SearchCapExceeded,
     cb_solvable,
     is_positive_root,
+    positive_root_mask,
     summand_candidates,
 )
 from dsirr.scalars import GaussianRational as G
-from oracles import brute_candidates, dfs_solvable
+from oracles import (
+    brute_candidates,
+    dfs_solvable,
+    reflection_end,
+    reflection_is_positive_root,
+    support_connected,
+)
 
 
 def a2():
@@ -36,6 +44,13 @@ def star3():
     return CartanData.from_quiver(
         make_quiver(["p1", "p2", "t"], [("x", "t", "p1"), ("y", "t", "p2")])
     )
+
+
+def star4():
+    # the affine D4 star: centre "c" and four legs
+    return CartanData.from_quiver(make_quiver(
+        ["c", "a", "b", "d", "e"],
+        [("x", "a", "c"), ("y", "b", "c"), ("z", "d", "c"), ("u", "e", "c")]))
 
 
 def test_tits_form_values():
@@ -77,6 +92,13 @@ def test_imaginary_needs_connected_support():
     q = make_quiver(["1", "2", "3"], [("a", "1", "2")])
     c = CartanData.from_quiver(q)
     assert not is_positive_root(c, (1, 0, 1))  # disconnected support
+    # two Kronecker quivers side by side: (1, 1, 1, 1) is fixed by every
+    # reflection and has full support, but the quiver is not connected
+    c = CartanData.from_quiver(make_quiver(
+        ["1", "2", "3", "4"], [("a", "1", "2"), ("b", "1", "2"), ("c", "3", "4"), ("d", "3", "4")]))
+    assert not c.connected and not is_positive_root(c, (1, 1, 1, 1))
+    batch = np.array([(1, 1, 1, 1), (1, 0, 0, 0), (1, 1, 0, 0), (2, 2, 1, 1)])
+    assert positive_root_mask(c, batch).tolist() == [False, True, True, False]
 
 
 def test_positive_root_invariant_under_relabeling():
@@ -179,9 +201,78 @@ def test_budget_is_checked_before_allocation():
     assert v.undecided and v.nodes == 0
     assert v.detail.startswith("enumeration budget of 200000 exhausted")
     assert peak < 100_000
+    # (1000, 1000): both half boxes (1001 points each) fit the cap, but at
+    # zeta = 0 their one zeta sum pairs every head with every tail, a block
+    # of 1001^2 rows (16 MB) that must be refused before it is built
+    tracemalloc.start()
+    try:
+        v = cb_solvable(double(), (1000, 1000), {"1": G(0), "2": G(0)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.undecided and v.nodes == 0
+    assert v.detail == "enumeration budget of 200000 exhausted"
+    assert peak < 1_000_000
     single = CartanData.from_quiver(make_quiver(["1"], []))
     with pytest.raises(SearchCapExceeded, match="enumeration budget of 2000000"):
         summand_candidates(single, (10**7,), {"1": G(0)})
+
+
+# --- the batched reflection test against the scalar loop ----------------------
+
+
+def random_quiver(rng):
+    """A loop-free quiver on 1-5 vertices with 0-2 arrows between each pair.
+
+    Half of them join no vertex below m // 2 to one above, so that
+    vectors fixed by every reflection can have disconnected support.
+    """
+    m = rng.randint(1, 5)
+    cut = rng.choice((0, m // 2))
+    names = [str(i) for i in range(m)]
+    arrows = [
+        (f"a{i}{j}{r}", names[i], names[j])
+        for i, j in itertools.combinations(range(m), 2) if (i < cut) == (j < cut)
+        for r in range(rng.choice((0, 1, 1, 2, 2)))
+    ]
+    return CartanData.from_quiver(make_quiver(names, arrows))
+
+
+def test_positive_root_mask_matches_the_reflection_loop():
+    # every non-zero box point of 250 quivers: the scalar loop ends at a
+    # simple root, a negative coordinate, or a fixed vector whose support
+    # is connected or not, and each ending occurs at least 50 times
+    rng = random.Random(2)
+    ends = collections.Counter()
+    double_edges = 0
+    for _ in range(250):
+        cartan = random_quiver(rng)
+        double_edges += any(2 in row for row in cartan.adjacency)
+        v = [rng.randint(0, 3) for _ in range(cartan.size)]
+        box = [w for w in itertools.product(*(range(x + 1) for x in v)) if any(w)]
+        if not box:
+            continue
+        mask = positive_root_mask(cartan, np.array(box, dtype=np.int64))
+        assert mask.tolist() == [reflection_is_positive_root(cartan, w) for w in box]
+        assert [is_positive_root(cartan, w) for w in box[:5]] == mask[:5].tolist()
+        for w in box:
+            end, u = reflection_end(cartan, w)
+            if end == "fixed":
+                end += " connected" if support_connected(cartan, u) else " disconnected"
+            ends[end] += 1
+    assert double_edges >= 50
+    assert min(ends[e] for e in ("simple", "negative", "fixed connected",
+                                 "fixed disconnected")) >= 50, ends
+
+
+def test_positive_root_test_runs_on_python_integers_past_int64():
+    d4 = star4()
+    k = 10**19
+    for cartan, w in [(d4, (2 * k, k, k, k, k)), (a2(), (1, k)), (a2(), (-k, 1)), (d4, (0, k, 0, k, 0))]:
+        assert is_positive_root(cartan, w) == reflection_is_positive_root(cartan, w)
+    assert is_positive_root(d4, (2 * k, k, k, k, k))
+    batch = np.array([(2 * k, k, k, k, k), (0, 0, 0, 0, 0)], dtype=object)
+    assert positive_root_mask(d4, batch).tolist() == [True, False]
 
 
 # --- the integer engine against the box scan and the multiset DFS -------------
@@ -240,7 +331,7 @@ def check_witness(cartan, v, zeta, verdict):
     parts = [tuple(w) for w in verdict.witness]
     assert len(parts) >= 2
     for w in parts:
-        assert is_positive_root(cartan, w)
+        assert reflection_is_positive_root(cartan, w)
         assert sum((zeta[x] * c for x, c in zip(cartan.vertices, w)), G(0)) == G(0)
     assert tuple(map(sum, zip(*parts))) == v
     assert sum(cartan.delta(w) for w in parts) >= cartan.delta(v)
