@@ -50,7 +50,7 @@ from .orbits import (
 )
 from .quiver import DoubledRep, delta, is_stable, make_quiver, moment_map, rep_stability, stability
 from .roots import CartanData, Verdict, cb_solvable
-from .scalars import GaussianRational, scalar_key
+from .scalars import as_complex, scalar_key
 
 
 @dataclass(frozen=True)
@@ -91,30 +91,8 @@ class ProblemInstance:
     def as_float(self) -> "ProblemInstance":
         if not self.exact:
             return self
-        def conv(x):
-            return x.to_complex() if isinstance(x, GaussianRational) else complex(x)
-
-        blocks = tuple(
-            OrbitSpec(
-                s.n,
-                tuple((conv(v), bl) for v, bl in s.eigenvalues),
-                tuple(conv(m) for m in s.marking_override) if s.marking_override else None,
-            )
-            for s in self.residue_blocks
-        )
-        poles = tuple(
-            FinitePole(
-                conv(p.position),
-                OrbitSpec(
-                    p.orbit.n,
-                    tuple((conv(v), bl) for v, bl in p.orbit.eigenvalues),
-                    tuple(conv(m) for m in p.orbit.marking_override)
-                    if p.orbit.marking_override
-                    else None,
-                ),
-            )
-            for p in self.poles
-        )
+        blocks = tuple(s.to_float() for s in self.residue_blocks)
+        poles = tuple(FinitePole(as_complex(p.position), p.orbit.to_float()) for p in self.poles)
         return ProblemInstance(self.n, self.irregular.to_float(), blocks, poles)
 
 
@@ -127,13 +105,7 @@ class GlobalQuiver:
     dims: dict
     zeta: dict
     instance: ProblemInstance
-    core_names: list
     markings: dict  # ("p", b) or ("t", j) -> marking tuple
-
-    def zeta_vertex_matrix(self, vertex):
-        exact = self.instance.exact
-        d = self.dims[vertex]
-        return self.zeta[vertex] * linalg.eye(d, exact)
 
     @cached_property
     def moment_plan(self) -> "_MomentPlan":
@@ -187,8 +159,7 @@ def build_global_quiver(instance: ProblemInstance) -> GlobalQuiver:
             z = z - lam
         zeta[f"p{b}"] = z
 
-    gq = GlobalQuiver(make_quiver(vertices, arrows), dims, zeta, instance,
-                      list(core.vertices), markings)
+    gq = GlobalQuiver(make_quiver(vertices, arrows), dims, zeta, instance, markings)
     if instance.exact:
         total = zeta_dot_v(gq)
         want = -total_exponent_trace(instance)
@@ -317,10 +288,10 @@ def _core_rep_of(gq: GlobalQuiver, rep: DoubledRep) -> DoubledRep:
 
 
 def moment_residual(gq: GlobalQuiver, rep: DoubledRep) -> float:
-    mu = moment_map(rep)
+    mu, exact = moment_map(rep), gq.instance.exact
     total = 0.0
     for v in gq.quiver.vertices:
-        total += linalg.mat_norm(mu[v] - gq.zeta_vertex_matrix(v)) ** 2
+        total += linalg.mat_norm(mu[v] - gq.zeta[v] * linalg.eye(gq.dims[v], exact)) ** 2
     return total ** 0.5
 
 
@@ -378,14 +349,12 @@ def assemble_residue(gq: GlobalQuiver, rep: DoubledRep, j: int) -> np.ndarray:
     return out
 
 
-def exponent_blocks(gq: GlobalQuiver, rep: DoubledRep) -> dict:
+def exponent_blocks(gq: GlobalQuiver, rep: DoubledRep, residues) -> dict:
     """The block exponents forced by the moment equations:
-    L_b = -(core bracket)_bb - sum_t (R_t)_bb."""
-    inst = gq.instance
-    T = inst.irregular
+    L_b = -(core bracket)_bb - sum_t (R_t)_bb, given the residues R_t."""
+    T = gq.instance.irregular
     # block-diagonal of the summed core commutators [Q_i, P_i]
     mu = moment_map(_core_rep_of(gq, rep))
-    residues = [assemble_residue(gq, rep, j) for j in range(len(inst.poles))]
     slices = _block_slices(T)
     out = {}
     for b in range(T.block_count):
@@ -396,36 +365,63 @@ def exponent_blocks(gq: GlobalQuiver, rep: DoubledRep) -> dict:
     return out
 
 
-def rep_to_connection(gq: GlobalQuiver, rep: DoubledRep, rtol: float = 1e-8) -> ConnectionData:
-    """Convert a moment-map solution with valid leg data to a connection.
+def _conversion(gq: GlobalQuiver, rep: DoubledRep, rtol: float):
+    """Run the checks a conversion to a connection rests on, each once and
+    in report order: the moment residual, the leg conditions, the residue
+    orbits and the exponent orbits.  Build the connection when all hold.
 
-    The core coordinates give the polynomial part through the orbit
-    reconstruction and the affine dictionary; residues come from the
-    finite-pole foot arrows.  All orbit memberships are verified.
+    Returns (checks, scale, residues, exponents, connection, error):
+    the report entries {name, ok, detail}, the tolerance scale
+    max(1, ||rep||^2), the R_t, the L_b, and either the connection or
+    the first failure.  That is a `ValueError` naming the failed check,
+    or what the orbit reconstruction raised.  The polynomial part comes
+    from the core coordinates through that reconstruction and the
+    affine dictionary, the residues from the finite-pole foot arrows.
     """
-    inst = gq.instance
-    T = inst.irregular
+    inst, T = gq.instance, gq.instance.irregular
+    checks, failures = [], []
+
+    def check(name, ok, detail, failure):
+        checks.append({"name": name, "ok": bool(ok), "detail": detail})
+        if not ok:
+            failures.append(failure)
+
     resid = moment_residual(gq, rep)
     scale = max(1.0, rep.norm() ** 2)
-    if resid > rtol * scale:
-        raise ValueError(f"moment residual {resid:.3e} above tolerance")
-    fails = _leg_condition_failures(gq, rep, rtol)
-    if fails:
-        raise ValueError("leg conditions failed: " + "; ".join(fails))
-    qp = rep_to_qp(T, _core_rep_of(gq, rep))
-    B = qp_to_orbit(T, qp)
-    poly = tuple(-B.coeffs[i + 1] for i in range(T.k - 1))
-    residues = []
-    for j, pole in enumerate(inst.poles):
-        r = assemble_residue(gq, rep, j)
-        if not orbit_membership(r, pole.orbit, rtol):
-            raise ValueError(f"residue at pole {j} leaves its declared orbit")
-        residues.append(r)
-    for b, lb in exponent_blocks(gq, rep).items():
-        if not orbit_membership(lb, inst.residue_blocks[b], rtol):
-            raise ValueError(f"exponent at block {b} leaves its declared orbit")
-    positions = tuple(p.position for p in inst.poles)
-    return ConnectionData(inst.n, poly, tuple(residues), positions)
+    check("moment_residual", resid <= rtol * scale, f"{resid:.3e}",
+          f"moment residual {resid:.3e} above tolerance")
+    fails = "; ".join(_leg_condition_failures(gq, rep, rtol))
+    check("leg_conditions", not fails, fails, "leg conditions failed: " + fails)
+    residues = [assemble_residue(gq, rep, j) for j in range(len(inst.poles))]
+    for j, (r, pole) in enumerate(zip(residues, inst.poles)):
+        check(f"residue_orbit_t{j}", orbit_membership(r, pole.orbit, rtol), "",
+              f"residue at pole {j} leaves its declared orbit")
+    exponents = exponent_blocks(gq, rep, residues)
+    for b, lb in exponents.items():
+        check(f"exponent_orbit_p{b}", orbit_membership(lb, inst.residue_blocks[b], rtol), "",
+              f"exponent at block {b} leaves its declared orbit")
+    conn = error = None
+    if failures:
+        error = ValueError(failures[0])
+    else:
+        try:
+            B = qp_to_orbit(T, rep_to_qp(T, _core_rep_of(gq, rep)))
+        except ValueError as e:  # an OrbitMembershipError too
+            error = e
+        else:
+            poly = tuple(-B.coeffs[i + 1] for i in range(T.k - 1))
+            positions = tuple(p.position for p in inst.poles)
+            conn = ConnectionData(inst.n, poly, tuple(residues), positions)
+    return checks, scale, residues, exponents, conn, error
+
+
+def rep_to_connection(gq: GlobalQuiver, rep: DoubledRep, rtol: float = 1e-8) -> ConnectionData:
+    """Convert a moment-map solution with valid leg data to a connection,
+    or raise the first failure of `_conversion`."""
+    *_, conn, error = _conversion(gq, rep, rtol)
+    if error is not None:
+        raise error
+    return conn
 
 
 def connection_to_rep(gq: GlobalQuiver, conn: ConnectionData, rtol: float = 1e-8) -> DoubledRep:
@@ -461,7 +457,8 @@ def connection_to_rep(gq: GlobalQuiver, conn: ConnectionData, rtol: float = 1e-8
             raise ValueError(f"residue at pole {j} is not in its declared orbit")
         leg = realize_leg(r, gq.markings[("t", j)])
         _install_leg(rep, leg, f"t{j}.", foot_blocks=slices)
-    for b, lb in exponent_blocks(gq, rep).items():
+    residues = [assemble_residue(gq, rep, j) for j in range(len(inst.poles))]
+    for b, lb in exponent_blocks(gq, rep, residues).items():
         if not orbit_membership(lb, inst.residue_blocks[b], rtol):
             raise ValueError(f"exponent at block {b} is not in its declared orbit")
         leg = realize_leg(lb, gq.markings[("p", b)])
@@ -551,9 +548,7 @@ class _MomentPlan:
         for v in gq.quiver.vertices:
             row_off[v] = rows
             rows += gq.dims[v] ** 2
-            z = gq.zeta[v]
-            z = z.to_complex() if isinstance(z, GaussianRational) else complex(z)
-            zeta_flat.append((z * np.eye(gq.dims[v])).reshape(-1))
+            zeta_flat.append((as_complex(gq.zeta[v]) * np.eye(gq.dims[v])).reshape(-1))
         empty = np.zeros(0, dtype=np.intp)
         terms, cols = [(empty, empty, empty, 1.0)], 0
         for a in gq.quiver.arrows:
@@ -749,8 +744,7 @@ def realize_numeric(
     """
     if attempts < 1:
         raise ValueError(f"attempts must be at least 1, got {attempts}")
-    total = zeta_dot_v(gq) if zeta_v is None else zeta_v
-    total = total.to_complex() if isinstance(total, GaussianRational) else complex(total)
+    total = as_complex(zeta_dot_v(gq) if zeta_v is None else zeta_v)
     floor = abs(total) / sum(gq.dims.values()) ** 0.5
     if gq.instance.exact:
         gq = build_global_quiver(gq.instance.as_float())
@@ -790,33 +784,15 @@ def kernel_dimension_check(gq: GlobalQuiver, rep: DoubledRep, rank_rtol: float =
 
 def verify_instance(gq: GlobalQuiver, rep: DoubledRep, rtol: float = 1e-8) -> dict:
     """Pure report aggregating every invariant check on a representation."""
-    inst = gq.instance
-    T = inst.irregular
-    checks = []
+    checks, scale, residues, exponents, conn, error = _conversion(gq, rep, rtol)
 
     def record(name, ok, detail=""):
         checks.append({"name": name, "ok": bool(ok), "detail": str(detail)})
 
-    resid = moment_residual(gq, rep)
-    scale = max(1.0, rep.norm() ** 2)
-    record("moment_residual", resid <= rtol * scale, f"{resid:.3e}")
-
-    fails = _leg_condition_failures(gq, rep, rtol)
-    record("leg_conditions", not fails, "; ".join(fails))
-
-    residues = []
-    for j, pole in enumerate(inst.poles):
-        r = assemble_residue(gq, rep, j)
-        residues.append(r)
-        record(f"residue_orbit_t{j}", orbit_membership(r, pole.orbit, rtol))
-    lbs = exponent_blocks(gq, rep)
-    for b, lb in lbs.items():
-        record(f"exponent_orbit_p{b}", orbit_membership(lb, inst.residue_blocks[b], rtol))
-
     # residue theorem: minus the sum of finite residues is the residue
     # at infinity, whose trace must cancel the exponent traces
     tr = sum(np.trace(linalg.to_complex(r)) for r in residues)
-    tr += sum(np.trace(linalg.to_complex(lb)) for lb in lbs.values())
+    tr += sum(np.trace(linalg.to_complex(lb)) for lb in exponents.values())
     record("trace_identity", abs(tr) <= 1e-6 * scale, f"{abs(tr):.3e}")
 
     stable_rep = None
@@ -827,12 +803,7 @@ def verify_instance(gq: GlobalQuiver, rep: DoubledRep, rtol: float = 1e-8) -> di
     except ValueError as e:
         record("stability_rep", False, e)
 
-    conn = None
-    try:
-        conn = rep_to_connection(gq, rep, rtol)
-        record("connection_conversion", True)
-    except (ValueError, OrbitMembershipError) as e:
-        record("connection_conversion", False, e)
+    record("connection_conversion", conn is not None, error or "")
     if conn is not None and stable_rep is not None:
         stable_conn = is_stable_connection(conn)
         record(
@@ -923,25 +894,3 @@ def rep_from_json(gq: GlobalQuiver, data: dict, exact: bool = False) -> DoubledR
         rep.fwd[a.id] = matrix_from_json(entry["fwd"], dt, ds, exact)
         rep.rev[a.id] = matrix_from_json(entry["rev"], ds, dt, exact)
     return rep
-
-
-def connection_to_json(conn: ConnectionData) -> dict:
-    from .serialize import matrix_to_json, scalar_to_json
-
-    return {
-        "schema_version": 1,
-        "rank": conn.n,
-        "poly": [matrix_to_json(a) for a in conn.poly],
-        "residues": [matrix_to_json(r) for r in conn.residues],
-        "positions": [scalar_to_json(z) for z in conn.positions],
-    }
-
-
-def connection_from_json(data: dict, exact: bool = False) -> ConnectionData:
-    from .serialize import matrix_from_json, scalar_from_json
-
-    n = int(data["rank"])
-    poly = tuple(matrix_from_json(a, n, n, exact) for a in data["poly"])
-    residues = tuple(matrix_from_json(r, n, n, exact) for r in data["residues"])
-    positions = tuple(scalar_from_json(z, exact) for z in data["positions"])
-    return ConnectionData(n, poly, residues, positions)

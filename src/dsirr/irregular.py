@@ -278,12 +278,6 @@ class QPPair:
         z = [linalg.zeros(T.n, T.n, exact) for _ in range(T.k)]
         return QPPair(T.n, T.k, tuple(z), tuple(list(z)))
 
-    def q_jet(self) -> JetMatrix:
-        """The unipotent jet 1 + Q."""
-        coeffs = list(self.q)
-        coeffs[0] = coeffs[0] + linalg.eye(self.n, self.exact)
-        return JetMatrix(self.n, self.k, tuple(coeffs))
-
     def norm(self) -> float:
         return max(
             max((linalg.mat_norm(m) for m in self.q[1:]), default=0.0),

@@ -53,16 +53,13 @@ class JetMatrix:
         coeffs = [linalg.eye(n, exact)] + [linalg.zeros(n, n, exact) for _ in range(k - 1)]
         return JetMatrix(n, k, tuple(coeffs))
 
-    def is_invertible(self, rtol: float = DEFAULT_RTOL) -> bool:
+    def is_invertible(self) -> bool:
         return linalg.rank(self.coeffs[0]) == self.n
 
     def is_unipotent(self, rtol: float = DEFAULT_RTOL) -> bool:
         return linalg.matrices_equal(
             self.coeffs[0], linalg.eye(self.n, self.exact), rtol=rtol
         )
-
-    def to_float(self) -> "JetMatrix":
-        return JetMatrix(self.n, self.k, tuple(linalg.to_complex(c) for c in self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -89,13 +86,6 @@ class PrincipalPart:
     def slot_range(self) -> range:
         return range(1, self.k) if self.tag == "polar" else range(0, self.k)
 
-    @staticmethod
-    def zero(n: int, k: int, exact: bool = False, tag: str = "polar") -> "PrincipalPart":
-        return PrincipalPart(n, k, tuple(linalg.zeros(n, n, exact) for _ in range(k)), tag)
-
-    def slot(self, i: int) -> np.ndarray:
-        return self.coeffs[i]
-
     def with_slot(self, i: int, value: np.ndarray) -> "PrincipalPart":
         coeffs = list(self.coeffs)
         coeffs[i] = value
@@ -103,11 +93,6 @@ class PrincipalPart:
 
     def norm(self) -> float:
         return max((linalg.mat_norm(self.coeffs[i]) for i in self.slot_range), default=0.0)
-
-    def to_float(self) -> "PrincipalPart":
-        return PrincipalPart(
-            self.n, self.k, tuple(linalg.to_complex(c) for c in self.coeffs), self.tag
-        )
 
 
 @dataclass(frozen=True)
@@ -130,16 +115,6 @@ class ConnectionJet:
     @property
     def exact(self) -> bool:
         return linalg.is_exact(self.coeffs[0])
-
-    @staticmethod
-    def zero(n: int, k: int, depth: int, exact: bool = False) -> "ConnectionJet":
-        return ConnectionJet(n, k, tuple(linalg.zeros(n, n, exact) for _ in range(depth + 1)))
-
-    def residue(self) -> np.ndarray:
-        return self.coeffs[self.k - 1]
-
-    def to_float(self) -> "ConnectionJet":
-        return ConnectionJet(self.n, self.k, tuple(linalg.to_complex(c) for c in self.coeffs))
 
 
 def _one_over(m: int, exact: bool):

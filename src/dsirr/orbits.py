@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .quiver import DoubledRep, make_quiver
-from .scalars import GaussianRational, as_exact, scalar_key
+from .scalars import GaussianRational, as_complex, as_exact, scalar_key
 
 Marking = tuple
 
@@ -55,11 +55,16 @@ class OrbitSpec:
             acc = t if acc is None else acc + t
         return acc
 
-    def max_block(self, value) -> int:
-        for v, blocks in self.eigenvalues:
-            if scalar_key(v) == scalar_key(value):
-                return blocks[0]
-        return 0
+    def to_float(self) -> "OrbitSpec":
+        """Same orbit with complex eigenvalues and marking."""
+        if not self.exact:
+            return self
+        marking = self.marking_override
+        return OrbitSpec(
+            self.n,
+            tuple((as_complex(v), blocks) for v, blocks in self.eigenvalues),
+            tuple(map(as_complex, marking)) if marking else None,
+        )
 
 
 def make_orbit_spec(n: int, eigenvalues, marking=None) -> OrbitSpec:
@@ -151,7 +156,7 @@ def normal_form_matrix(spec: OrbitSpec, exact: bool = None) -> np.ndarray:
     one = GaussianRational(1) if exact else 1.0 + 0j
     pos = 0
     for value, blocks in spec.eigenvalues:
-        v = value if exact else complex(value) if not isinstance(value, GaussianRational) else value.to_complex()
+        v = value if exact else as_complex(value)
         for b in blocks:
             for i in range(b):
                 a[pos + i, pos + i] = v
@@ -249,18 +254,11 @@ class LegRealization:
 
     Vertices are "0", "1", ..., with V_0 the ambient space; the arrow
     l -> l-1 carries the inclusion forward and the shifted matrix
-    backward.  bases[l] holds an ambient-coordinates basis of V_l in
-    its columns.
+    backward.
     """
 
     marking: Marking
     rep: DoubledRep
-    bases: dict
-
-    @property
-    def leg_dims(self) -> list:
-        d = len(self.marking)
-        return [self.rep.dims[str(l)] for l in range(1, d) if str(l) in self.rep.dims]
 
 
 def _check_annihilation(L: np.ndarray, marking: Marking, rtol: float):
@@ -281,7 +279,6 @@ def realize_leg(L: np.ndarray, marking: Marking, rtol: float = 1e-9) -> LegReali
     exact = linalg.is_exact(L)
     _check_annihilation(L, marking, rtol)
     ident = linalg.eye(n, exact)
-    bases = {0: ident}
     d = len(marking)
     dims = {"0": n}
     fwd, rev, arrows = {}, {}, []
@@ -301,11 +298,10 @@ def realize_leg(L: np.ndarray, marking: Marking, rtol: float = 1e-9) -> LegReali
         rev[arrow_id] = linalg.coords_in_basis(basis, image, rtol)
         # forward map: inclusion of V_l into V_{l-1}
         fwd[arrow_id] = linalg.coords_in_basis(prev_basis, basis, rtol)
-        bases[l] = basis
         prev_basis = basis
     quiver = make_quiver(list(dims.keys()), arrows)
     rep = DoubledRep(quiver, dims, fwd, rev)
-    return LegRealization(tuple(marking), rep, bases)
+    return LegRealization(tuple(marking), rep)
 
 
 def expected_rank(spec: OrbitSpec, value, j: int) -> int:
@@ -331,11 +327,9 @@ def orbit_membership(R: np.ndarray, spec: OrbitSpec, rtol: float = 1e-8) -> bool
     ident = linalg.eye(n, exact)
     norm = None if exact else np.linalg.norm(linalg.to_complex(R), 2)
     for value, blocks in spec.eigenvalues:
-        v = value
-        if not exact and isinstance(value, GaussianRational):
-            v = value.to_complex()
+        v = value if exact else as_complex(value)
         shifted = R - v * ident
-        ambient = None if exact else norm + abs(complex(v))
+        ambient = None if exact else norm + abs(v)
         ranks = linalg.power_rank_sequence(shifted, n, rtol, scale=ambient)
         for j in range(1, n + 1):
             if ranks[j - 1] != expected_rank(spec, value, j):

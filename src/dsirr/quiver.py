@@ -121,14 +121,6 @@ class DoubledRep:
             {k: v.copy() for k, v in self.rev.items()},
         )
 
-    def to_float(self) -> "DoubledRep":
-        return DoubledRep(
-            self.quiver,
-            dict(self.dims),
-            {k: linalg.to_complex(v) for k, v in self.fwd.items()},
-            {k: linalg.to_complex(v) for k, v in self.rev.items()},
-        )
-
     def norm(self) -> float:
         total = 0.0
         for a in self.quiver.arrows:

@@ -44,12 +44,12 @@ iff some candidate w != v has delta(w) + F(v - w) >= delta(v), and
 following the maximizing parts from v - w gives the violating
 decomposition.
 
-The search budget `max_nodes` of `cb_solvable` bounds the enumeration's
-work: both half boxes, checked before either is built, plus every
-zeta-orthogonal point, each block checked before it is built.  The
-DP's states are among those points, so the budget bounds them too.
-Running out gives an "undecided" verdict that names the budget and its
-value.
+The search budget `max_nodes` of `cb_solvable` bounds the reflection
+steps of condition (1), and the enumeration's work: both half boxes,
+checked before either is built, plus every zeta-orthogonal point, each
+block checked before it is built.  The DP's states are among those
+points, so the budget bounds them too.  Running out gives an
+"undecided" verdict that names the budget and its value.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def _support_connected(cartan: CartanData, supp: np.ndarray) -> np.ndarray:
         reach = grown
 
 
-def positive_root_mask(cartan: CartanData, w: np.ndarray) -> np.ndarray:
+def positive_root_mask(cartan: CartanData, w: np.ndarray, max_steps: int | None = None) -> np.ndarray:
     """Reflection test of every row of the (n, m) integer array `w` at once.
 
     The pairings P = W C are computed once.  A row with full support and
@@ -185,6 +185,10 @@ def positive_root_mask(cartan: CartanData, w: np.ndarray) -> np.ndarray:
     Reflections only lower coordinates, so int64 holds every step
     whenever it holds the first pairings of the non-negative rows; other
     input runs on Python integers.
+
+    A real root takes about as many steps as its height.  With
+    `max_steps` set, a row still undecided after that many steps raises
+    `SearchCapExceeded`.
     """
     c = cartan.matrix
     if w.dtype == object or w.size and w.max() > cartan.int64_bound:
@@ -195,6 +199,7 @@ def positive_root_mask(cartan: CartanData, w: np.ndarray) -> np.ndarray:
     out = np.zeros(len(w), dtype=bool)
     idx = np.flatnonzero((w >= 0).all(1) & w.any(1))
     w, p = w[idx], p[idx]  # copies, so the reflections leave the input alone
+    steps = 0
     while len(idx):
         pos = p > 0
         simple = w.sum(1) == 1
@@ -206,6 +211,11 @@ def positive_root_mask(cartan: CartanData, w: np.ndarray) -> np.ndarray:
                 out[idx[fixed]] = _support_connected(cartan, w[fixed] > 0)
             go = ~done
             idx, w, p, pos = idx[go], w[go], p[go], pos[go]
+        if max_steps is not None and steps >= max_steps and len(idx):
+            raise SearchCapExceeded(
+                f"enumeration budget of {max_steps} exhausted: the root test needs more "
+                "reflection steps")
+        steps += 1
         # d_j = (w, e_j) at the positive vertices j of one colour class
         d = p * (cartan.same_colour[p.argmax(1)] & pos)
         w -= d
@@ -217,10 +227,11 @@ def positive_root_mask(cartan: CartanData, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_positive_root(cartan: CartanData, v) -> bool:
+def is_positive_root(cartan: CartanData, v, max_steps: int | None = None) -> bool:
     """Whether v is a positive root: `positive_root_mask` on one row."""
     small = max(map(abs, v), default=0) <= cartan.int64_bound
-    return bool(positive_root_mask(cartan, np.array([v], dtype=np.int64 if small else object))[0])
+    w = np.array([v], dtype=np.int64 if small else object)
+    return bool(positive_root_mask(cartan, w, max_steps)[0])
 
 
 def _integer_zeta(cartan: CartanData, zeta):
@@ -395,18 +406,18 @@ def cb_solvable(cartan: CartanData, v, zeta, max_nodes: int = 200_000) -> Verdic
 
     On failure the verdict names the violated condition; a condition-3
     failure carries a violating decomposition.  `max_nodes` bounds the
-    candidate enumeration's work, and with it the DP's states; running
-    out yields an honest "undecided" that names the budget.
+    reflection steps of condition 1's root test, and the candidate
+    enumeration's work and with it the DP's states; running out of
+    either yields an honest "undecided" that names the budget.
     """
     v = tuple(int(x) for x in v)
     dv = cartan.delta(v)
-    if not is_positive_root(cartan, v):
-        return Verdict(False, failed_condition=1, delta=dv, detail="v is not a positive root")
-    zr, zi = _integer_zeta(cartan, zeta)
-    if _dot(zr, v) or _dot(zi, v):
-        return Verdict(False, failed_condition=2, delta=dv, detail="zeta . v != 0")
-
     try:
+        if not is_positive_root(cartan, v, max_steps=max_nodes):
+            return Verdict(False, failed_condition=1, delta=dv, detail="v is not a positive root")
+        zr, zi = _integer_zeta(cartan, zeta)
+        if _dot(zr, v) or _dot(zi, v):
+            return Verdict(False, failed_condition=2, delta=dv, detail="zeta . v != 0")
         cands = summand_candidates(cartan, v, (zr, zi), cap=max_nodes)
     except SearchCapExceeded as e:
         return Verdict(None, delta=dv, detail=str(e))

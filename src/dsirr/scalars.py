@@ -204,6 +204,11 @@ def as_exact(x) -> GaussianRational:
     raise TypeError(f"not an exact scalar: {x!r} (floats must be rationalized explicitly)")
 
 
+def as_complex(x) -> complex:
+    """The float twin of `as_exact`: any scalar, exact or not, as a complex."""
+    return x.to_complex() if isinstance(x, GaussianRational) else complex(x)
+
+
 def scalar_key(x):
     """Sort key ordering by (Re, Im); works in both modes."""
     if isinstance(x, GaussianRational):

@@ -10,8 +10,6 @@ from dsirr.assembly import (
     FinitePole,
     ProblemInstance,
     build_global_quiver,
-    connection_from_json,
-    connection_to_json,
     connection_to_rep,
     decide_ds,
     exponent_blocks,
@@ -230,7 +228,7 @@ def test_exponent_blocks_match_normalize():
     T = gq.instance.irregular
     jet = conn.infinity_jet(T.k, 2 * T.k)
     out = normalize(jet, T)
-    lbs = exponent_blocks(gq, res.rep)
+    lbs = exponent_blocks(gq, res.rep, conn.residues)
     for b in range(T.block_count):
         sl = T.block_slice(b)
         assert linalg.mat_norm(out.exponent[sl, sl] - lbs[b]) < 1e-8
@@ -303,6 +301,8 @@ def test_verify_flags_perturbed_point():
     assert not report["all_ok"]
     failed = {c["name"] for c in report["checks"] if not c["ok"]}
     assert "moment_residual" in failed
+    assert_conversion_fails_with(
+        gq, bad, report, f"moment residual {moment_residual(gq, bad):.3e} above tolerance")
 
 
 def test_verify_flags_wrong_residue_orbit():
@@ -319,6 +319,43 @@ def test_verify_flags_wrong_residue_orbit():
     assert not report["all_ok"]
     failed = {c["name"] for c in report["checks"] if not c["ok"]}
     assert "residue_orbit_t0" in failed
+    # the declared orbits move zeta too, so the moment residual fails first
+    assert_conversion_fails_with(
+        gq_wrong, res.rep, report,
+        f"moment residual {moment_residual(gq_wrong, res.rep):.3e} above tolerance")
+
+
+def assert_conversion_fails_with(gq, rep, report, message):
+    """rep_to_connection raises `message`, and verify reports it."""
+    with pytest.raises(ValueError) as err:
+        rep_to_connection(gq, rep)
+    assert str(err.value) == message
+    (entry,) = [c for c in report["checks"] if c["name"] == "connection_conversion"]
+    assert entry == {"name": "connection_conversion", "ok": False, "detail": message}
+
+
+def test_verify_checks_each_orbit_once(monkeypatch):
+    # one orbit_membership call per pole and per block: the conversion
+    # reuses the checks verify records instead of running them again
+    import dsirr.assembly as assembly
+
+    calls = []
+    real = assembly.orbit_membership
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "orbit_membership", counted)
+    for inst, seed in ((rigid_star(), 11), (double_arrow_instance(g((3, 7))), 5)):
+        inst = inst.as_float()
+        gq = build_global_quiver(inst)
+        res = realize_numeric(gq, attempts=10, seed=seed)
+        assert res.success
+        calls.clear()
+        report = verify_instance(gq, res.rep)
+        assert report["all_ok"], report
+        assert calls == [p.orbit for p in inst.poles] + list(inst.residue_blocks)
 
 
 def test_moment_jacobian_matches_finite_differences(rng):
@@ -362,10 +399,6 @@ def test_rep_and_connection_json_round_trip():
     rep2 = rep_from_json(gq, data)
     for a in gq.quiver.arrows:
         assert np.allclose(rep2.fwd[a.id], res.rep.fwd[a.id])
-    conn = rep_to_connection(gq, res.rep)
-    conn2 = connection_from_json(connection_to_json(conn))
-    for a, b in zip(conn.poly, conn2.poly):
-        assert np.allclose(a, b)
 
 
 def test_residue_blocks_follow_input_block_order():

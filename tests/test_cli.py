@@ -1,5 +1,6 @@
 import json
 import os
+import time
 import warnings
 
 import pytest
@@ -212,3 +213,23 @@ def test_unread_option_is_rejected(argv, tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not dot.exists()
+
+
+def test_condition_one_honours_the_budget(tmp_path, capsys):
+    # real roots of huge height: the reflection walk of condition 1 would take
+    # about k steps, so the budget must stop it before the enumeration starts
+    k = 10**19
+    kronecker = (["1", "2"], [["a", "1", "2"], ["b", "1", "2"]], [k, k + 1])
+    d4 = (["c", "a", "b", "d", "e"],
+          [["x", "a", "c"], ["y", "b", "c"], ["z", "d", "c"], ["u", "e", "c"]],
+          [2 * k, k, k, k, k + 1])
+    for vertices, arrows, dims in (kronecker, d4):
+        src = tmp_path / "quiver.json"
+        src.write_text(json.dumps({
+            "vertices": vertices, "arrows": arrows,
+            "dims": dict(zip(vertices, dims)), "zeta": {v: "0" for v in vertices}}))
+        start = time.perf_counter()
+        code, report = run(capsys, "check", str(src), "--max-decompositions", "1000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and report["verdict"] == "undecided"
+        assert report["detail"].startswith("enumeration budget of 1000 exhausted")

@@ -53,7 +53,7 @@ def loop_and_double_arrow(rng):
     )
     dims = {"1": 2, "2": 3}
     zeta = {"1": complex(rng.standard_normal()), "2": complex(rng.standard_normal(), 1.0)}
-    return GlobalQuiver(quiver, dims, zeta, None, [], {})
+    return GlobalQuiver(quiver, dims, zeta, None, {})
 
 
 def test_plan_matches_moment_map_on_loops_and_double_arrows(rng):
