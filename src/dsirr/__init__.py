@@ -12,7 +12,7 @@ and explicit connections, and formal reduction to normal form.
 
 from .scalars import GaussianRational, parse_exact, rationalize
 from .jets import ConnectionJet, JetMatrix, PrincipalPart, coadjoint, gauge, jet_exp, jet_inv, jet_mul, pairing
-from .quiver import DoubledRep, Quiver, delta, invariant_closure, is_stable, make_quiver, moment_map, symplectic_form, to_dot
+from .quiver import DoubledRep, Quiver, delta, is_stable, make_quiver, moment_map, symplectic_form, to_dot
 from .roots import CartanData, Verdict, cb_solvable, is_positive_root, summand_candidates
 from .orbits import OrbitSpec, greedy_marking, jordan_from_matrix, leg_dimensions, make_orbit_spec, minimal_marking, orbit_membership, realize_leg
 from .irregular import IrregularType, QPPair, core_quiver, factorize, level_filtration, make_irregular_type, orbit_to_qp, qp_to_orbit, qp_to_rep, rep_to_qp

@@ -415,21 +415,22 @@ def _conversion(gq: GlobalQuiver, rep: DoubledRep, rtol: float):
     return checks, scale, residues, exponents, conn, error
 
 
-def rep_to_connection(gq: GlobalQuiver, rep: DoubledRep, rtol: float = 1e-8) -> ConnectionData:
+def rep_to_connection(gq: GlobalQuiver, rep: DoubledRep) -> ConnectionData:
     """Convert a moment-map solution with valid leg data to a connection,
-    or raise the first failure of `_conversion`."""
-    *_, conn, error = _conversion(gq, rep, rtol)
+    or raise the first failure of `_conversion` (relative tolerance 1e-8)."""
+    *_, conn, error = _conversion(gq, rep, 1e-8)
     if error is not None:
         raise error
     return conn
 
 
-def connection_to_rep(gq: GlobalQuiver, conn: ConnectionData, rtol: float = 1e-8) -> DoubledRep:
+def connection_to_rep(gq: GlobalQuiver, conn: ConnectionData) -> DoubledRep:
     """Inverse of rep_to_connection up to the symmetry group.
 
-    Membership failures carry the name of the offending pole.  The leg
-    realizations are canonical for the greedy markings, so the round
-    trip reproduces the connection exactly, not only up to conjugation.
+    Membership failures (relative tolerance 1e-8) carry the name of the
+    offending pole.  The leg realizations are canonical for the greedy
+    markings, so the round trip reproduces the connection exactly, not
+    only up to conjugation.
     """
     inst = gq.instance
     T = inst.irregular
@@ -440,7 +441,7 @@ def connection_to_rep(gq: GlobalQuiver, conn: ConnectionData, rtol: float = 1e-8
         slots.append(-conn.poly[i - 1] if i - 1 < len(conn.poly) else linalg.zeros(n, n, exact))
     B = PrincipalPart(n, k, tuple(slots), "polar")
     try:
-        qp = orbit_to_qp(T, B, rtol)
+        qp = orbit_to_qp(T, B)
     except OrbitMembershipError as e:
         raise OrbitMembershipError(
             f"polynomial part not in the orbit at infinity: {e}", e.residual
@@ -453,13 +454,13 @@ def connection_to_rep(gq: GlobalQuiver, conn: ConnectionData, rtol: float = 1e-8
     slices = _block_slices(T)
     for j, pole in enumerate(inst.poles):
         r = conn.residues[j]
-        if not orbit_membership(r, pole.orbit, rtol):
+        if not orbit_membership(r, pole.orbit):
             raise ValueError(f"residue at pole {j} is not in its declared orbit")
         leg = realize_leg(r, gq.markings[("t", j)])
         _install_leg(rep, leg, f"t{j}.", foot_blocks=slices)
     residues = [assemble_residue(gq, rep, j) for j in range(len(inst.poles))]
     for b, lb in exponent_blocks(gq, rep, residues).items():
-        if not orbit_membership(lb, inst.residue_blocks[b], rtol):
+        if not orbit_membership(lb, inst.residue_blocks[b]):
             raise ValueError(f"exponent at block {b} is not in its declared orbit")
         leg = realize_leg(lb, gq.markings[("p", b)])
         _install_leg(rep, leg, f"p{b}.", foot_vertex=f"p{b}")
@@ -489,10 +490,10 @@ def _install_leg(rep: DoubledRep, leg, prefix: str, foot_blocks=None, foot_verte
                 rep.rev[f"{prefix}1>p{b}"] = lr.rev[a.id][:, sl]
 
 
-def is_stable_connection(conn: ConnectionData, rtol: float = linalg.RANK_RTOL) -> bool:
+def is_stable_connection(conn: ConnectionData) -> bool:
     """No proper non-zero subspace preserved by every coefficient."""
     gens = list(conn.poly) + list(conn.residues) + [conn.residue_at_infinity()]
-    return stability(gens, conn.n, rtol).stable
+    return stability(gens, conn.n).stable
 
 
 # ---------------------------------------------------------------------------
@@ -719,13 +720,12 @@ def realize_numeric(
     attempts: int = 50,
     seed: int = 0,
     max_iter: int = 500,
-    tol: float = 1e-8,
     zeta_v=None,
 ) -> RealizeResult:
     """Search for a stable moment-map solution by restarted damped
     Gauss-Newton from random starts.
 
-    Success requires the residual below tol * ||Xi||^2 and stability;
+    Success requires the residual below 1e-8 * ||Xi||^2 and stability;
     failure of all restarts is reported as such (it is evidence, not a
     proof of emptiness).  Deterministic for a fixed seed: restart r
     draws from a generator seeded with (seed, r).  Each restart leaves a
@@ -758,7 +758,7 @@ def realize_numeric(
         resid = cost ** 0.5
         best = min(best, resid)
         stable = False
-        if resid <= tol * np.linalg.norm(x) ** 2:  # ||x|| is the norm of the rep
+        if resid <= 1e-8 * np.linalg.norm(x) ** 2:  # ||x|| is the norm of the rep
             rep = _unpack(gq, x)
             stable = is_stable(rep)
             stop = "converged-stable" if stable else "converged-unstable"
@@ -770,11 +770,12 @@ def realize_numeric(
     return RealizeResult(None, best, attempts, seed, records, floor)
 
 
-def kernel_dimension_check(gq: GlobalQuiver, rep: DoubledRep, rank_rtol: float = 1e-6):
+def kernel_dimension_check(gq: GlobalQuiver, rep: DoubledRep):
     """dim ker(dmu) - (sum v_i^2 - 1) at the point, to compare with
-    2 * delta(v); returns (lhs, rhs)."""
+    2 * delta(v); returns (lhs, rhs).  The rank of dmu counts singular
+    values above 1e-6 of the largest."""
     jac = moment_jacobian(gq, _pack(gq, rep))
-    rk = linalg.rank(jac, rank_rtol)
+    rk = linalg.rank(jac, 1e-6)
     dof = jac.shape[1]
     group = sum(d * d for d in gq.dims.values())
     lhs = (dof - rk) - (group - 1)
@@ -881,16 +882,17 @@ def rep_to_json(gq: GlobalQuiver, rep: DoubledRep) -> dict:
     }
 
 
-def rep_from_json(gq: GlobalQuiver, data: dict, exact: bool = False) -> DoubledRep:
+def rep_from_json(gq: GlobalQuiver, data: dict) -> DoubledRep:
+    """A float representation from its JSON form (see rep_to_json)."""
     from .serialize import matrix_from_json
 
     for v, d in data.get("dims", {}).items():
         if gq.dims.get(v) != int(d):
             raise ValueError(f"dimension mismatch at vertex {v}")
-    rep = DoubledRep.zero(gq.quiver, gq.dims, exact)
+    rep = DoubledRep.zero(gq.quiver, gq.dims)
     for a in gq.quiver.arrows:
         entry = data["maps"][a.id]
         ds, dt = gq.dims[a.src], gq.dims[a.dst]
-        rep.fwd[a.id] = matrix_from_json(entry["fwd"], dt, ds, exact)
-        rep.rev[a.id] = matrix_from_json(entry["rev"], ds, dt, exact)
+        rep.fwd[a.id] = matrix_from_json(entry["fwd"], dt, ds, False)
+        rep.rev[a.id] = matrix_from_json(entry["rev"], ds, dt, False)
     return rep

@@ -255,7 +255,9 @@ def main(argv=None) -> int:
         report, code = COMMANDS[args.command](args)
     except SchemaError as e:
         report, code = {"schema_version": SCHEMA_VERSION, "error": str(e)}, 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    # a payload of the wrong shape raises TypeError or AttributeError on
+    # access; JSONDecodeError is a ValueError
+    except (ValueError, KeyError, TypeError, AttributeError, OSError) as e:
         report, code = {"schema_version": SCHEMA_VERSION, "error": f"{type(e).__name__}: {e}"}, 2
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.output:

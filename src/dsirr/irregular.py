@@ -152,7 +152,7 @@ class IrregularType:
         )
 
 
-def make_irregular_type(k: int, blocks, n: int = None) -> IrregularType:
+def make_irregular_type(k: int, blocks) -> IrregularType:
     """Canonicalize and validate block data.
 
     blocks: iterable of (coeffs, mult); coefficient tuples have length
@@ -194,8 +194,6 @@ def make_irregular_type(k: int, blocks, n: int = None) -> IrregularType:
     for b in blk:
         starts.append(pos)
         pos += b.mult
-    if n is not None and pos != n:
-        raise ValueError(f"block multiplicities sum to {pos}, expected n={n}")
     levels = []
     for i in range(k):
         cls = [0] * len(blk)
@@ -239,11 +237,11 @@ def core_quiver(T: IrregularType):
     return make_quiver(names, arrows), dims
 
 
-def factorize(T: IrregularType, b: JetMatrix, rtol: float = 1e-9):
+def factorize(T: IrregularType, b: JetMatrix):
     """Unique b = b_minus * b_plus along g = u_i^- + p_i^+ per degree."""
     if b.n != T.n or b.k != T.k:
         raise ValueError("jet size/precision does not match the irregular type")
-    if not b.is_unipotent(rtol):
+    if not b.is_unipotent():
         raise ValueError("factorize needs a unipotent jet")
     exact = b.exact
     k, n = T.k, T.n
@@ -285,11 +283,11 @@ class QPPair:
         )
 
 
-def validate_qp(T: IrregularType, qp: QPPair, rtol: float = 1e-9):
+def validate_qp(T: IrregularType, qp: QPPair):
     for s in range(1, T.k):
-        if not T.in_subspace(qp.q[s], s, "lower", rtol):
+        if not T.in_subspace(qp.q[s], s, "lower"):
             raise ValueError(f"Q slot {s} leaves the strictly-lower level subspace")
-        if not T.in_subspace(qp.p[s], s, "upper", rtol):
+        if not T.in_subspace(qp.p[s], s, "upper"):
             raise ValueError(f"P slot {s} leaves the strictly-upper level subspace")
 
 
@@ -309,8 +307,9 @@ def _require_same_mode(T: IrregularType, exact: bool):
         )
 
 
-def qp_to_orbit(T: IrregularType, qp: QPPair, check: bool = True, rtol: float = 1e-9) -> PrincipalPart:
-    """Reconstruct the orbit element with coordinates (Q, P).
+def qp_to_orbit(T: IrregularType, qp: QPPair) -> PrincipalPart:
+    """Reconstruct the orbit element with coordinates (Q, P); validate_qp
+    first checks that they lie in their level subspaces.
 
     Descending over slots s = k-1..1, the auxiliary element B' is fixed
     by: its u_s^+ part is P_s, and its p_s^- part matches
@@ -318,8 +317,7 @@ def qp_to_orbit(T: IrregularType, qp: QPPair, check: bool = True, rtol: float = 
     polar part of (1 + Q) B'.
     """
     _require_same_mode(T, qp.exact)
-    if check:
-        validate_qp(T, qp, rtol)
+    validate_qp(T, qp)
     n, k = T.n, T.k
     exact = qp.exact
     bprime = [None] * k
@@ -337,14 +335,14 @@ def qp_to_orbit(T: IrregularType, qp: QPPair, check: bool = True, rtol: float = 
     return PrincipalPart(n, k, tuple(coeffs), "polar")
 
 
-def orbit_to_qp(T: IrregularType, B: PrincipalPart, rtol: float = 1e-8) -> QPPair:
+def orbit_to_qp(T: IrregularType, B: PrincipalPart) -> QPPair:
     """Invert qp_to_orbit; doubles as the orbit membership test.
 
     B is embedded as a connection jet (jet slot s is B slot k-1-s) and
     reduction.stage_loop conjugates its polar slots back to dT along the
     level filtration of T.  The chain of gauge factors is factorized and
     (Q, P) are read off.  A slot that does not reach dT (relative
-    tolerance rtol) raises OrbitMembershipError.
+    tolerance 1e-8) raises OrbitMembershipError.
     """
     from .reduction import stage_loop
 
@@ -356,7 +354,7 @@ def orbit_to_qp(T: IrregularType, B: PrincipalPart, rtol: float = 1e-8) -> QPPai
     slots = [B.coeffs[k - 1 - s] for s in range(k - 1)] + [linalg.zeros(n, n, exact)]
     classes = [T.coord_classes(k - 1 - i) for i in range(k)]
     expected = [T.dt_slot(k - 1 - i) for i in range(k - 1)]
-    chain = stage_loop(ConnectionJet(n, k, tuple(slots)), classes, expected, k - 2, rtol)
+    chain = stage_loop(ConnectionJet(n, k, tuple(slots)), classes, expected, k - 2, 1e-8)
     b_minus, _ = factorize(T, jet_inv(chain.gauge_jet(k)))
     q = [linalg.zeros(n, n, exact)] + [b_minus.coeffs[i] for i in range(1, k)]
     bprime = pp_left_mul(jet_inv(b_minus), B)

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .scalars import GaussianRational, DEFAULT_RTOL
+from .scalars import GaussianRational
 
 
 def _check_square(coeffs, n):
@@ -56,10 +56,8 @@ class JetMatrix:
     def is_invertible(self) -> bool:
         return linalg.rank(self.coeffs[0]) == self.n
 
-    def is_unipotent(self, rtol: float = DEFAULT_RTOL) -> bool:
-        return linalg.matrices_equal(
-            self.coeffs[0], linalg.eye(self.n, self.exact), rtol=rtol
-        )
+    def is_unipotent(self) -> bool:
+        return linalg.matrices_equal(self.coeffs[0], linalg.eye(self.n, self.exact))
 
 
 @dataclass(frozen=True)

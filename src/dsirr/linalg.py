@@ -53,11 +53,10 @@ def is_zero_matrix(a: np.ndarray, rtol: float = 1e-9, scale: float = 1.0) -> boo
     return mat_norm(a) <= rtol * max(1.0, scale)
 
 
-def matrices_equal(a: np.ndarray, b: np.ndarray, rtol: float = 1e-9) -> bool:
+def matrices_equal(a: np.ndarray, b: np.ndarray) -> bool:
     if is_exact(a) != is_exact(b):
         raise TypeError("cannot compare matrices across backends")
-    scale = max(mat_norm(a), mat_norm(b))
-    return is_zero_matrix(a - b, rtol=rtol, scale=scale)
+    return is_zero_matrix(a - b, scale=max(mat_norm(a), mat_norm(b)))
 
 
 def rref(a: np.ndarray):
@@ -140,7 +139,7 @@ def power_rank_sequence(a: np.ndarray, jmax: int, rtol: float = RANK_RTOL, scale
     return ranks
 
 
-def solve_linear(a: np.ndarray, b: np.ndarray, rtol: float = RANK_RTOL):
+def solve_linear(a: np.ndarray, b: np.ndarray):
     """Solve a x = b (b may be a matrix).
 
     Returns (x, residual) where residual is the float norm of a x - b;
@@ -174,7 +173,7 @@ def inv(a: np.ndarray) -> np.ndarray:
     return np.linalg.inv(np.asarray(a, dtype=complex))
 
 
-def column_space(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def column_space(a: np.ndarray) -> np.ndarray:
     """Basis of the column space, as columns of the returned matrix.
 
     Exact mode returns pivot columns of a itself; float mode returns an
@@ -189,31 +188,25 @@ def column_space(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     u, s, _ = np.linalg.svd(af, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((af.shape[0], 0), dtype=complex)
-    k = int(np.sum(s > rtol * s[0]))
+    k = int(np.sum(s > RANK_RTOL * s[0]))
     return u[:, :k]
 
 
-def coords_in_basis(basis: np.ndarray, vectors: np.ndarray, rtol: float = 1e-9):
-    """Express vectors (columns) in a column basis; raise if not in span."""
-    x, residual = solve_linear(basis, vectors, rtol)
-    scale = max(1.0, mat_norm(vectors))
-    if residual > rtol * scale:
+def coords_in_basis(basis: np.ndarray, vectors: np.ndarray):
+    """Express vectors (columns) in a column basis; raise if not in span
+    (residual above 1e-9 relative to max(1, ||vectors||))."""
+    x, residual = solve_linear(basis, vectors)
+    if residual > 1e-9 * max(1.0, mat_norm(vectors)):
         raise ValueError("vectors do not lie in the span of the basis")
     return x
 
 
 class SpanBasis:
-    """Incremental basis of a subspace of C^d (vectors are rows).
+    """Incremental basis of a subspace of Q(i)^d (vectors are rows), kept
+    as reduced echelon rows."""
 
-    Exact mode keeps reduced echelon rows; float mode keeps an
-    orthonormal set built by modified Gram-Schmidt with a relative
-    acceptance threshold.
-    """
-
-    def __init__(self, dim: int, exact: bool, rtol: float = RANK_RTOL):
+    def __init__(self, dim: int):
         self.dim = dim
-        self.exact = exact
-        self.rtol = rtol
         self.rows: list[np.ndarray] = []
         self._pivots: list[int] = []
 
@@ -224,51 +217,13 @@ class SpanBasis:
     def add(self, vec: np.ndarray) -> bool:
         """Add a vector; returns True when it enlarged the span."""
         v = vec.reshape(-1).copy()
-        if self.exact:
-            for row, p in zip(self.rows, self._pivots):
-                if v[p]:
-                    v = v - v[p] * row
-            pivot = next((j for j in range(self.dim) if v[j]), None)
-            if pivot is None:
-                return False
-            v = v * (ONE / v[pivot])
-            self.rows.append(v)
-            self._pivots.append(pivot)
-            return True
-        v = np.asarray(v, dtype=complex)
-        orig = np.linalg.norm(v)
-        if orig == 0.0:
+        for row, p in zip(self.rows, self._pivots):
+            if v[p]:
+                v = v - v[p] * row
+        pivot = next((j for j in range(self.dim) if v[j]), None)
+        if pivot is None:
             return False
-        for row in self.rows:
-            v = v - np.vdot(row, v) * row
-        # second pass stabilizes near-dependent vectors
-        for row in self.rows:
-            v = v - np.vdot(row, v) * row
-        nrm = np.linalg.norm(v)
-        if nrm <= self.rtol * orig:
-            return False
-        self.rows.append(v / nrm)
+        v = v * (ONE / v[pivot])
+        self.rows.append(v)
+        self._pivots.append(pivot)
         return True
-
-    def contains(self, vec: np.ndarray) -> bool:
-        v = vec.reshape(-1).copy()
-        if self.exact:
-            for row, p in zip(self.rows, self._pivots):
-                if v[p]:
-                    v = v - v[p] * row
-            return all(not x for x in v)
-        v = np.asarray(v, dtype=complex)
-        orig = np.linalg.norm(v)
-        if orig == 0.0:
-            return True
-        for row in self.rows:
-            v = v - np.vdot(row, v) * row
-        return np.linalg.norm(v) <= self.rtol * orig
-
-    def matrix(self) -> np.ndarray:
-        if not self.rows:
-            return zeros(0, self.dim, self.exact)
-        out = zeros(len(self.rows), self.dim, self.exact)
-        for i, row in enumerate(self.rows):
-            out[i, :] = row
-        return out

@@ -115,9 +115,9 @@ def greedy_marking(spec: OrbitSpec) -> Marking:
     return tuple(marking)
 
 
-def minimal_marking(L: np.ndarray, eigenvalues=None, rtol: float = 1e-8) -> Marking:
-    """Greedy minimal marking of a concrete matrix."""
-    return greedy_marking(jordan_from_matrix(L, eigenvalues=eigenvalues, rtol=rtol))
+def minimal_marking(L: np.ndarray) -> Marking:
+    """Greedy minimal marking of a concrete float matrix."""
+    return greedy_marking(jordan_from_matrix(L))
 
 
 def rank_sequence(spec: OrbitSpec, marking: Marking = None) -> list:
@@ -149,14 +149,13 @@ def leg_dimensions(spec: OrbitSpec, marking: Marking = None) -> list:
     return dims
 
 
-def normal_form_matrix(spec: OrbitSpec, exact: bool = None) -> np.ndarray:
-    """Block-diagonal Jordan normal form realizing the spec."""
-    exact = spec.exact if exact is None else exact
+def normal_form_matrix(spec: OrbitSpec) -> np.ndarray:
+    """Block-diagonal Jordan normal form realizing the spec, in its mode."""
+    exact = spec.exact
     a = linalg.zeros(spec.n, spec.n, exact)
     one = GaussianRational(1) if exact else 1.0 + 0j
     pos = 0
-    for value, blocks in spec.eigenvalues:
-        v = value if exact else as_complex(value)
+    for v, blocks in spec.eigenvalues:
         for b in blocks:
             for i in range(b):
                 a[pos + i, pos + i] = v
@@ -181,33 +180,31 @@ def _cluster_eigenvalues(vals: np.ndarray, tol: float):
     return [(c[0], len(c[1])) for c in clusters]
 
 
-def jordan_from_matrix(
-    L: np.ndarray, eigenvalues=None, rtol: float = 1e-8, cluster_rtol: float = None
-) -> OrbitSpec:
+def jordan_from_matrix(L: np.ndarray, eigenvalues=None) -> OrbitSpec:
     """Recover Jordan data from a matrix.
 
-    Float mode clusters eigenvalues and reads block sizes from rank
-    profiles of powers of (L - value).  A size-b Jordan block scatters
-    its computed eigenvalues by roughly eps^(1/b), so the detection
-    tolerance defaults to max(rtol, eps^(1/n)) relative to ||L||;
-    distinct eigenvalues closer than that are ambiguous and get merged.
-    Exact mode needs the eigenvalues supplied (rational spectrum).
+    Block sizes come from rank profiles of powers of (L - value), with
+    the cutoff 1e-8 when the eigenvalues are supplied.  Otherwise float
+    mode clusters the computed eigenvalues first.  A size-b Jordan block
+    scatters them by roughly eps^(1/b), so the clustering tolerance,
+    which is also the rank cutoff, starts at max(1e-8, eps^(1/n))
+    relative to ||L||; distinct eigenvalues closer than that are
+    ambiguous and get merged.  Exact mode needs the eigenvalues supplied
+    (rational spectrum).
     """
     n = L.shape[0]
     exact = linalg.is_exact(L)
     if exact:
         if eigenvalues is None:
             raise ValueError("exact Jordan data needs the eigenvalue list supplied")
-        return _jordan_pass(L, [as_exact(v) for v in eigenvalues], rtol)
+        return _jordan_pass(L, [as_exact(v) for v in eigenvalues], 1e-8)
     if eigenvalues is not None:
-        return _jordan_pass(L, [complex(v) for v in eigenvalues], rtol)
+        return _jordan_pass(L, [complex(v) for v in eigenvalues], 1e-8)
     # eigenvalues of a size-b block scatter by ~eps^(1/b) under rounding,
-    # so start at max(rtol, eps^(1/n)) and coarsen until consistent
-    if cluster_rtol is None:
-        cluster_rtol = max(rtol, float(np.finfo(float).eps) ** (1.0 / max(2, n)))
+    # so start at max(1e-8, eps^(1/n)) and coarsen until consistent
     scale = max(1.0, linalg.mat_norm(L))
     eigvals = np.linalg.eigvals(np.asarray(L, dtype=complex))
-    tol = cluster_rtol
+    tol = max(1e-8, float(np.finfo(float).eps) ** (1.0 / max(2, n)))
     last_error = None
     for _ in range(7):
         values = [v for v, _ in _cluster_eigenvalues(eigvals, tol * scale)]
@@ -261,7 +258,7 @@ class LegRealization:
     rep: DoubledRep
 
 
-def _check_annihilation(L: np.ndarray, marking: Marking, rtol: float):
+def _check_annihilation(L: np.ndarray, marking: Marking):
     n = L.shape[0]
     exact = linalg.is_exact(L)
     ident = linalg.eye(n, exact)
@@ -269,15 +266,15 @@ def _check_annihilation(L: np.ndarray, marking: Marking, rtol: float):
     scale = max(1.0, linalg.mat_norm(L)) ** max(1, len(marking))
     for lam in marking:
         prod = np.dot(prod, L - lam * ident)
-    if not linalg.is_zero_matrix(prod, rtol=max(rtol, 1e-8), scale=scale):
+    if not linalg.is_zero_matrix(prod, rtol=1e-8, scale=scale):
         raise ValueError("invalid marking: the shifted product does not annihilate")
 
 
-def realize_leg(L: np.ndarray, marking: Marking, rtol: float = 1e-9) -> LegRealization:
+def realize_leg(L: np.ndarray, marking: Marking) -> LegRealization:
     """Build the chain of subspaces and maps for a marking of L."""
     n = L.shape[0]
     exact = linalg.is_exact(L)
-    _check_annihilation(L, marking, rtol)
+    _check_annihilation(L, marking)
     ident = linalg.eye(n, exact)
     d = len(marking)
     dims = {"0": n}
@@ -295,9 +292,9 @@ def realize_leg(L: np.ndarray, marking: Marking, rtol: float = 1e-9) -> LegReali
         arrow_id = f"{vertex}>{parent}"
         arrows.append((arrow_id, vertex, parent))
         # reverse map: (L - lam) corestricted to V_l, in chain coordinates
-        rev[arrow_id] = linalg.coords_in_basis(basis, image, rtol)
+        rev[arrow_id] = linalg.coords_in_basis(basis, image)
         # forward map: inclusion of V_l into V_{l-1}
-        fwd[arrow_id] = linalg.coords_in_basis(prev_basis, basis, rtol)
+        fwd[arrow_id] = linalg.coords_in_basis(prev_basis, basis)
         prev_basis = basis
     quiver = make_quiver(list(dims.keys()), arrows)
     rep = DoubledRep(quiver, dims, fwd, rev)

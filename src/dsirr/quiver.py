@@ -24,7 +24,7 @@ Rees, Testing modules for irreducibility, 1994):
    is taken, with right and left null vectors v, w of theta - lambda;
 4. v is spun under the generators and w under their adjoints (the
    smallest invariant subspace containing the vector, built breadth
-   first with the absolute cutoff rtol).
+   first with the absolute cutoff linalg.RANK_RTOL).
 
 If theta - lambda has a one-dimensional kernel, the module is simple
 exactly when both spins reach the whole space: a proper submodule U
@@ -206,7 +206,7 @@ def algebra_span_dimension(gens: list, total: int) -> int:
     multiplying the previous level's new words by every generator on
     both sides, until no word enlarges the span.
     """
-    span = linalg.SpanBasis(total * total, exact=True)
+    span = linalg.SpanBasis(total * total)
     span.add(linalg.eye(total, True).reshape(-1))
     frontier = [g for g in gens if span.add(g.reshape(-1))]
     while frontier and span.rank < total * total:
@@ -252,14 +252,15 @@ class Stability:
         return f"stable={self.stable} {self.measure}={self.dim}/{self.total}"
 
 
-def _spin(gens: np.ndarray, vec: np.ndarray, rtol: float) -> int:
+def _spin(gens: np.ndarray, vec: np.ndarray) -> int:
     """Dimension of the smallest gens-invariant subspace containing vec.
 
     Breadth-first orthonormal spin: each level applies every generator
     to the previous level's new directions at once, removes the span so
     far (twice, for orthogonality) and keeps the directions of what
-    remains whose singular value exceeds rtol.  No generator is longer
-    than 1 and every direction has unit length, so the cutoff is absolute.
+    remains whose singular value exceeds linalg.RANK_RTOL.  No generator
+    is longer than 1 and every direction has unit length, so the cutoff
+    is absolute.
     """
     n = gens.shape[1]
     basis = (vec / np.linalg.norm(vec))[:, None]
@@ -269,12 +270,12 @@ def _spin(gens: np.ndarray, vec: np.ndarray, rtol: float) -> int:
         for _ in range(2):
             img = img - basis @ (basis.conj().T @ img)
         u, s, _ = np.linalg.svd(img, full_matrices=False)
-        frontier = u[:, s > rtol]
+        frontier = u[:, s > linalg.RANK_RTOL]
         basis = np.concatenate([basis, frontier], axis=1)
     return basis.shape[1]
 
 
-def _norton(gens: list, n: int, rtol: float) -> Stability:
+def _norton(gens: list, n: int) -> Stability:
     """Norton's irreducibility test of C^n under float matrices."""
     stack = np.array([np.eye(n, dtype=complex)] + [np.asarray(g, dtype=complex) for g in gens])
     # one common scale: a map that is zero up to rounding next to the
@@ -304,82 +305,53 @@ def _norton(gens: list, n: int, rtol: float) -> Stability:
         if nearest[best] <= NORTON_GAP * np.linalg.norm(theta):
             continue
         u, _, vh = np.linalg.svd(theta - eig[best] * np.eye(n))
-        right = _spin(stack, vh[-1].conj(), rtol)
+        right = _spin(stack, vh[-1].conj())
         if right < n:
             return Stability(False, right, n, "invariant_dim")
-        left = _spin(stack.conj().transpose(0, 2, 1), u[:, -1], rtol)
+        left = _spin(stack.conj().transpose(0, 2, 1), u[:, -1])
         return Stability(left == n, n - left if left < n else n, n, "invariant_dim")
     return Stability(False, None, n, "invariant_dim")
 
 
-def stability(gens: list, n: int, rtol: float = linalg.RANK_RTOL) -> Stability:
+def stability(gens: list, n: int) -> Stability:
     """Whether no proper non-zero subspace of C^n (or Q(i)^n) is
     invariant under every matrix in gens, with the certificate.
 
     Float input runs Norton's test (see the module docstring) with the
-    absolute cutoff rtol; exact input compares the dimension of the
-    generated algebra with n^2.
+    absolute cutoff linalg.RANK_RTOL; exact input compares the dimension
+    of the generated algebra with n^2.
     """
     if n == 0:
         raise ValueError("the module is zero-dimensional")
     if gens and linalg.is_exact(gens[0]):
         dim = algebra_span_dimension(gens, n)
         return Stability(dim == n * n, dim, n * n, "algebra_dim")
-    return _norton(gens, n, rtol)
+    return _norton(gens, n)
 
 
-def rep_stability(rep: DoubledRep, rtol: float = linalg.RANK_RTOL) -> Stability:
+def rep_stability(rep: DoubledRep) -> Stability:
     """Stability of rep as a module of the doubled path algebra, with
     its certificate; see is_stable."""
     if all(d == 0 for d in rep.dims.values()):
         raise ValueError("dimension vector is identically zero")
     gens, total = total_endomorphism_generators(rep)
-    return stability(gens, total, rtol)
+    return stability(gens, total)
 
 
-def is_stable(rep: DoubledRep, rtol: float = linalg.RANK_RTOL) -> bool:
+def is_stable(rep: DoubledRep) -> bool:
     """Whether rep is a simple module of the doubled path algebra.
 
     The generators are the vertex projections and all arrow maps, as
     endomorphisms of the sum of the vertex spaces.  In float mode a True
     verdict is certified by two Norton spins that both reach the whole
     space.  False means that a spin stopped in a proper invariant
-    subspace (directions shorter than rtol, next to unit-norm
-    generators, count as zero), or that no simple eigenvalue of theta
-    turned up in NORTON_TRIES tries, as happens for isotypic modules
-    such as S + S.  Exact input is decided by the dimension of the
+    subspace (directions shorter than linalg.RANK_RTOL, next to
+    unit-norm generators, count as zero), or that no simple eigenvalue
+    of theta turned up in NORTON_TRIES tries, as happens for isotypic
+    modules such as S + S.  Exact input is decided by the dimension of the
     generated algebra.
     """
-    return rep_stability(rep, rtol).stable
-
-
-def invariant_closure(rep: DoubledRep, seeds: dict, rtol: float = linalg.RANK_RTOL) -> dict:
-    """Smallest graded invariant subspace containing the seed vectors.
-
-    seeds maps vertex ids to matrices whose columns are seed vectors
-    (missing vertices mean no seeds there).  Returns vertex -> basis
-    matrix (columns).
-    """
-    exact = rep.exact
-    spans = {v: linalg.SpanBasis(rep.dims[v], exact, rtol) for v in rep.quiver.vertices}
-    queue = []
-    for v, mat in seeds.items():
-        for j in range(mat.shape[1]):
-            if spans[v].add(mat[:, j]):
-                queue.append((v, mat[:, j]))
-    while queue:
-        v, vec = queue.pop()
-        col = vec.reshape(-1, 1)
-        for a in rep.quiver.arrows:
-            if a.src == v:
-                img = np.dot(rep.fwd[a.id], col)
-                if spans[a.dst].add(img[:, 0]):
-                    queue.append((a.dst, img[:, 0]))
-            if a.dst == v:
-                img = np.dot(rep.rev[a.id], col)
-                if spans[a.src].add(img[:, 0]):
-                    queue.append((a.src, img[:, 0]))
-    return {v: spans[v].matrix().T for v in rep.quiver.vertices}
+    return rep_stability(rep).stable
 
 
 def quiver_to_json(quiver: Quiver, dims: DimVector = None, zeta: ParamVector = None) -> dict:
@@ -397,14 +369,20 @@ def quiver_to_json(quiver: Quiver, dims: DimVector = None, zeta: ParamVector = N
 
 
 def quiver_from_json(data: dict):
+    """Inverse of quiver_to_json.  The criterion runs on this payload, so
+    dims must be JSON integers and zeta exact scalars (strings or
+    integers); floats are rejected, never rounded."""
     from .serialize import scalar_from_json
 
     q = make_quiver(data["vertices"], [tuple(a) for a in data["arrows"]])
-    dims = {k: int(v) for k, v in data.get("dims", {}).items()} or None
+    dims = data.get("dims", {})
+    for v, d in dims.items():
+        if type(d) is not int:  # rejects bool too, an int subclass
+            raise ValueError(f"dimension at vertex {v} must be a JSON integer, got {d!r}")
     zeta = None
     if "zeta" in data:
-        zeta = {k: scalar_from_json(v) for k, v in data["zeta"].items()}
-    return q, dims, zeta
+        zeta = {k: scalar_from_json(v, True) for k, v in data["zeta"].items()}
+    return q, dict(dims) or None, zeta
 
 
 def to_dot(quiver: Quiver, dims: DimVector = None, zeta: ParamVector = None, full: bool = False) -> str:

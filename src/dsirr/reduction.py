@@ -64,7 +64,7 @@ class NormalizeResult(ReductionResult):
     exponent: np.ndarray = None
 
 
-def _eigen_data(a0: np.ndarray, rtol: float):
+def _eigen_data(a0: np.ndarray):
     """Eigenbasis of a semisimple matrix; exact mode requires diagonal input."""
     n = a0.shape[0]
     if linalg.is_exact(a0):
@@ -114,21 +114,22 @@ def _truncate(a: ConnectionJet, depth) -> ConnectionJet:
     return ConnectionJet(a.n, a.k, a.coeffs[: depth + 1])
 
 
-def bv_split(a: ConnectionJet, depth: int = None, rtol: float = CLUSTER_RTOL) -> ReductionResult:
+def bv_split(a: ConnectionJet) -> ReductionResult:
     """Commute everything past the semisimple leading coefficient.
 
     The reduced jet satisfies [A_0, A'_i] = 0 for all i up to the
     trusted depth, with A'_0 = A_0; slots already commuting with A_0
-    are returned unchanged.
+    are returned unchanged.  Float eigenvalues closer than CLUSTER_RTOL
+    (relative to the largest, floor 1) count as equal.
     """
-    work = _truncate(a, depth)
+    work = a
     n = a.n
-    vals, vecs, vecs_inv = _eigen_data(a.coeffs[0], rtol)
+    vals, vecs, vecs_inv = _eigen_data(a.coeffs[0])
     if vecs is not None:
         # work in the eigenbasis; transform back at the end
         work = ConnectionJet(n, a.k, tuple(vecs_inv @ c @ vecs for c in work.coeffs))
         scale = max(abs(v) for v in vals) if vals else 0.0
-        tol = rtol * max(scale, 1.0)
+        tol = CLUSTER_RTOL * max(scale, 1.0)
         allowed = [[abs(vals[r] - vals[c]) > tol for c in range(n)] for r in range(n)]
     else:
         allowed = [[bool(vals[r] - vals[c]) for c in range(n)] for r in range(n)]
@@ -219,14 +220,16 @@ def _close(a, b, rtol: float) -> bool:
     return a == b
 
 
-def bv_chain(a: ConnectionJet, depth: int = None, rtol: float = CLUSTER_RTOL) -> ReductionResult:
-    """Iterated split through the stabilizer chain of the top slots.
+def bv_chain(a: ConnectionJet, depth: int = None) -> ReductionResult:
+    """Iterated split through the stabilizer chain of the top slots,
+    on the jet truncated to depth (default: its trusted depth).
 
     The chain is read off the diagonals of the coefficients below the
     residue slot (indices <= k-2), which must equal their diagonals
-    when their stage comes.  The reduced jet is valued in their joint
-    centralizer, and for diagonal input those coefficients are returned
-    unchanged.  Equal diagonal entries need not be adjacent.
+    when their stage comes (relative tolerance CLUSTER_RTOL, which also
+    groups float diagonal entries).  The reduced jet is valued in their
+    joint centralizer, and for diagonal input those coefficients are
+    returned unchanged.  Equal diagonal entries need not be adjacent.
     """
     a = _truncate(a, depth)
     n, k = a.n, a.k
@@ -237,15 +240,14 @@ def bv_chain(a: ConnectionJet, depth: int = None, rtol: float = CLUSTER_RTOL) ->
             d[r, r] = a.coeffs[i][r, r]
         expected.append(d)
     diags = [[m[r, r] for r in range(n)] for m in expected]
-    tol = 0.0 if a.exact else rtol
+    tol = 0.0 if a.exact else CLUSTER_RTOL
     classes = [[0] * n] + [_diag_tuple_classes(diags[:i], tol) for i in range(1, k)]
-    return stage_loop(a, classes, expected, rtol=rtol)
+    return stage_loop(a, classes, expected)
 
 
-def normalize(
-    a: ConnectionJet, T: IrregularType, depth: int = None, rtol: float = 1e-8
-) -> NormalizeResult:
-    """Reduce a connection jet against a prescribed irregular type.
+def normalize(a: ConnectionJet, T: IrregularType, rtol: float = 1e-8) -> NormalizeResult:
+    """Reduce a connection jet against a prescribed irregular type, on
+    its first min(2k, trusted depth) + 1 slots.
 
     The jet need not have diagonal coefficients: each stage first
     checks that its leading slot equals the matching dT coefficient
@@ -260,7 +262,7 @@ def normalize(
     if a.n != T.n or a.k != T.k:
         raise ValueError("jet size or pole order does not match the irregular type")
     k = T.k
-    depth = min(2 * k, a.depth) if depth is None else depth
+    depth = min(2 * k, a.depth)
     if depth < k - 1:
         raise ValueError("depth underflow: cannot even trust the residue slot")
     classes = [T.coord_classes(k - 1 - i) for i in range(k)]

@@ -7,11 +7,12 @@ Q(i) arithmetic for the zeta-orthogonal positive roots, a depth-first
 search over multisets for condition (3) of the criterion, the
 ranks of every power of a matrix without stopping once they settle,
 the triple-sum conjugation term of a gauge transform, the float density
-test of irreducibility, and the realizer's damped Gauss-Newton step
-solved as a real system of twice the size.  The last few helpers are
-small constructions only the tests need: an exact matrix literal, the
-infinitesimal coadjoint action, the dT-stabilizer test and the matrix a
-leg realization reproduces.
+test of irreducibility and the graded invariant closure of a quiver
+representation (both on a float Gram-Schmidt span), and the realizer's
+damped Gauss-Newton step solved as a real system of twice the size.
+The last few helpers are small constructions only the tests need: an
+exact matrix literal, the infinitesimal coadjoint action, the
+dT-stabilizer test and the matrix a leg realization reproduces.
 """
 
 from __future__ import annotations
@@ -183,6 +184,72 @@ def gauge_triple_sum(g, a) -> ConnectionJet:
     return ConnectionJet(n, a.k, tuple(out))
 
 
+class FloatSpan:
+    """Incremental orthonormal basis of a subspace of C^d (vectors are
+    rows), built by modified Gram-Schmidt: a vector enlarges the span when
+    what is left of it after two projection passes is longer than rtol
+    times its own length."""
+
+    def __init__(self, dim: int, rtol: float = linalg.RANK_RTOL):
+        self.dim = dim
+        self.rtol = rtol
+        self.rows: list[np.ndarray] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add(self, vec: np.ndarray) -> bool:
+        """Add a vector; returns True when it enlarged the span."""
+        v = np.asarray(vec.reshape(-1), dtype=complex)
+        orig = np.linalg.norm(v)
+        if orig == 0.0:
+            return False
+        for _ in range(2):  # the second pass stabilizes near-dependent vectors
+            for row in self.rows:
+                v = v - np.vdot(row, v) * row
+        nrm = np.linalg.norm(v)
+        if nrm <= self.rtol * orig:
+            return False
+        self.rows.append(v / nrm)
+        return True
+
+    def matrix(self) -> np.ndarray:
+        out = np.zeros((len(self.rows), self.dim), dtype=complex)
+        for i, row in enumerate(self.rows):
+            out[i, :] = row
+        return out
+
+
+def invariant_closure(rep, seeds: dict) -> dict:
+    """Smallest graded invariant subspace of a float representation
+    containing the seed vectors.
+
+    seeds maps vertex ids to matrices whose columns are seed vectors
+    (missing vertices mean no seeds there).  Returns vertex -> basis
+    matrix (columns).
+    """
+    spans = {v: FloatSpan(rep.dims[v]) for v in rep.quiver.vertices}
+    queue = []
+    for v, mat in seeds.items():
+        for j in range(mat.shape[1]):
+            if spans[v].add(mat[:, j]):
+                queue.append((v, mat[:, j]))
+    while queue:
+        v, vec = queue.pop()
+        col = vec.reshape(-1, 1)
+        for a in rep.quiver.arrows:
+            if a.src == v:
+                img = np.dot(rep.fwd[a.id], col)
+                if spans[a.dst].add(img[:, 0]):
+                    queue.append((a.dst, img[:, 0]))
+            if a.dst == v:
+                img = np.dot(rep.rev[a.id], col)
+                if spans[a.src].add(img[:, 0]):
+                    queue.append((a.src, img[:, 0]))
+    return {v: spans[v].matrix().T for v in rep.quiver.vertices}
+
+
 def density_is_dense(gens, n: int, rtol: float = linalg.RANK_RTOL) -> bool:
     """Irreducibility of C^n under float matrices by the density test.
 
@@ -192,7 +259,7 @@ def density_is_dense(gens, n: int, rtol: float = linalg.RANK_RTOL) -> bool:
     times their largest singular value) is n^2.
     """
     target = n * n
-    span = linalg.SpanBasis(target, False, min(rtol, 1e-13))
+    span = FloatSpan(target, min(rtol, 1e-13))
     words = [np.eye(n, dtype=complex)]
     span.add(words[0].reshape(-1))
     frontier = []

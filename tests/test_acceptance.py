@@ -431,7 +431,7 @@ def test_criterion_07_dimension_formula():
         gq = build_global_quiver(inst.as_float())
         res = realize_numeric(gq, attempts=25, seed=100 + count)
         assert res.success, "realizer must back every nonempty verdict"
-        lhs, rhs = kernel_dimension_check(gq, res.rep, rank_rtol=1e-6)
+        lhs, rhs = kernel_dimension_check(gq, res.rep)
         assert lhs == rhs == 2 * verdict.verdict.delta
         seen_deltas.add(verdict.verdict.delta)
         count += 1

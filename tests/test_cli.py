@@ -233,3 +233,37 @@ def test_condition_one_honours_the_budget(tmp_path, capsys):
         assert time.perf_counter() - start < 1.0
         assert code == 2 and report["verdict"] == "undecided"
         assert report["detail"].startswith("enumeration budget of 1000 exhausted")
+
+
+def _double_arrow(dims, zeta):
+    return {"vertices": ["a", "b"], "arrows": [["x", "a", "b"], ["y", "a", "b"]],
+            "dims": dims, "zeta": zeta}
+
+
+def _int_residue_blocks():
+    data = _star_rigid()
+    data["infinity"]["residue_blocks"] = [5] * len(data["infinity"]["residue_blocks"])
+    return data
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        # build-quiver writes float zeta as [re, im] pairs; check needs exact zeta
+        _double_arrow({"a": 1, "b": 1}, {"a": [0.5, 0.0], "b": [-0.5, 0.0]}),
+        # a float or boolean dimension is rejected, not rounded
+        _double_arrow({"a": 1.9, "b": 1}, {"a": "0", "b": "0"}),
+        _double_arrow({"a": True, "b": 1}, {"a": "0", "b": "0"}),
+        _double_arrow([1, 1], {"a": "0", "b": "0"}),
+        ["vertices"],
+        _int_residue_blocks(),
+    ],
+    ids=["raw-float-zeta", "raw-float-dims", "raw-bool-dims", "raw-dims-list",
+         "top-level-array", "int-residue-block"],
+)
+def test_malformed_check_payload_is_an_error(payload, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, report = run(capsys, "check", str(bad))
+    assert code == 2
+    assert "error" in report

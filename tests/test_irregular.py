@@ -23,7 +23,7 @@ from dsirr.irregular import (
 from dsirr.jets import JetMatrix, coadjoint, jet_exp, jet_mul, pairing
 from dsirr.quiver import symplectic_form
 from dsirr.scalars import GaussianRational as G
-from oracles import gauge_triple_sum, stabilizes_dt
+from oracles import FloatSpan, gauge_triple_sum, invariant_closure, stabilizes_dt
 
 
 def two_block_k3():
@@ -497,8 +497,6 @@ def test_graded_invariant_subspace_gives_matrix_invariant_sum(rng):
     p[1] = np.zeros((2, 2), dtype=complex)  # kills the arrow back into p0
     qp = QPPair(2, 3, qp.q, tuple(p))
     rep = qp_to_rep(T, qp)
-    from dsirr.quiver import invariant_closure
-
     seed = {"p1": np.array([[1.0 + 0j]])}
     w = invariant_closure(rep, seed)
     assert w["p0"].shape[1] == 0 and w["p1"].shape[1] == 1  # proper and graded
@@ -520,9 +518,7 @@ def test_matrix_invariant_subspace_is_graded(rng):
         b = qp_to_orbit(T, qp)
         mats = [np.asarray(b.coeffs[s], dtype=complex) for s in range(1, T.k)]
         # invariant subspace generated by a random vector under all slots
-        from dsirr.linalg import SpanBasis
-
-        span = SpanBasis(T.n, exact=False)
+        span = FloatSpan(T.n)
         v0 = rand_complex(rng, T.n)
         queue = [v0]
         span.add(v0)

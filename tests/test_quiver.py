@@ -6,7 +6,6 @@ from dsirr import linalg
 from dsirr.quiver import (
     DoubledRep,
     delta,
-    invariant_closure,
     is_stable,
     make_quiver,
     moment_map,
@@ -16,7 +15,7 @@ from dsirr.quiver import (
     to_dot,
 )
 from dsirr.scalars import GaussianRational as G
-from oracles import exact_matrix
+from oracles import exact_matrix, invariant_closure
 
 
 def a2():
