@@ -50,7 +50,7 @@ from .orbits import (
 )
 from .quiver import DoubledRep, delta, is_stable, make_quiver, moment_map, rep_stability, stability
 from .roots import CartanData, Verdict, cb_solvable
-from .scalars import as_complex, scalar_key
+from .scalars import GaussianRational, as_complex, scalar_key
 
 
 @dataclass(frozen=True)
@@ -699,6 +699,7 @@ class RealizeResult:
     seed: int
     records: list = field(default_factory=list)  # one dict per restart
     trace_floor: float = 0.0  # lower bound on every restart's residual
+    stop: str = "attempts-exhausted"  # or "converged-stable", "trace-floor"
 
     @property
     def success(self) -> bool:
@@ -711,6 +712,7 @@ class RealizeResult:
             "lm_iterations": sum(r["iterations"] for r in self.records),
             "damping_trials": sum(r["trials"] for r in self.records),
             "trace_floor": self.trace_floor,
+            "stop": self.stop,
             "attempts": self.records,
         }
 
@@ -739,13 +741,20 @@ def realize_numeric(
     reports.  It is computed from `zeta_v`, when given, else from gq's
     zeta in its own arithmetic.  When gq is the float copy of an exact
     instance, pass the exact zeta . v (minus the exponents' trace), so
-    that the floor of a feasible instance is exactly 0.  The floor never
-    cuts the restarts short.
+    that the floor of a feasible instance is exactly 0.  An exact
+    non-zero zeta . v proves mu^-1(zeta) empty (condition 2 of the
+    criterion): the result comes at once, with no restart, residual
+    equal to the floor and stop "trace-floor".  A float zeta . v is
+    never taken as proof, so float input runs every restart.  The
+    result's stop is otherwise "converged-stable" with a witness and
+    "attempts-exhausted" without.
     """
     if attempts < 1:
         raise ValueError(f"attempts must be at least 1, got {attempts}")
-    total = as_complex(zeta_dot_v(gq) if zeta_v is None else zeta_v)
-    floor = abs(total) / sum(gq.dims.values()) ** 0.5
+    total = zeta_dot_v(gq) if zeta_v is None else zeta_v
+    floor = abs(as_complex(total)) / sum(gq.dims.values()) ** 0.5
+    if isinstance(total, GaussianRational) and total:
+        return RealizeResult(None, floor, 0, seed, [], floor, "trace-floor")
     if gq.instance.exact:
         gq = build_global_quiver(gq.instance.as_float())
     best = float("inf")
@@ -766,7 +775,7 @@ def realize_numeric(
             stop = "converged-unstable"  # at the cost floor, but too close to 0
         records.append({"iterations": iterations, "trials": trials, "residual": resid, "stop": stop})
         if stable:
-            return RealizeResult(rep, resid, attempt + 1, seed, records, floor)
+            return RealizeResult(rep, resid, attempt + 1, seed, records, floor, "converged-stable")
     return RealizeResult(None, best, attempts, seed, records, floor)
 
 
@@ -783,18 +792,25 @@ def kernel_dimension_check(gq: GlobalQuiver, rep: DoubledRep):
     return lhs, rhs
 
 
-def verify_instance(gq: GlobalQuiver, rep: DoubledRep, rtol: float = 1e-8) -> dict:
-    """Pure report aggregating every invariant check on a representation."""
+def verify_instance(gq: GlobalQuiver, rep: DoubledRep, rtol: float = 1e-8, zeta_v=None) -> dict:
+    """Pure report aggregating every invariant check on a representation.
+
+    `zeta_v` is the instance's exact zeta . v, when known: if it is not
+    0, no point has the prescribed traces, so trace_identity fails and
+    names it.  Otherwise the traces at the point are tested in floats."""
     checks, scale, residues, exponents, conn, error = _conversion(gq, rep, rtol)
 
     def record(name, ok, detail=""):
         checks.append({"name": name, "ok": bool(ok), "detail": str(detail)})
 
-    # residue theorem: minus the sum of finite residues is the residue
-    # at infinity, whose trace must cancel the exponent traces
-    tr = sum(np.trace(linalg.to_complex(r)) for r in residues)
-    tr += sum(np.trace(linalg.to_complex(lb)) for lb in exponents.values())
-    record("trace_identity", abs(tr) <= 1e-6 * scale, f"{abs(tr):.3e}")
+    if isinstance(zeta_v, GaussianRational) and zeta_v:
+        record("trace_identity", False, f"exact zeta . v = {zeta_v}, not 0")
+    else:
+        # residue theorem: minus the sum of finite residues is the residue
+        # at infinity, whose trace must cancel the exponent traces
+        tr = sum(np.trace(linalg.to_complex(r)) for r in residues)
+        tr += sum(np.trace(linalg.to_complex(lb)) for lb in exponents.values())
+        record("trace_identity", abs(tr) <= 1e-6 * scale, f"{abs(tr):.3e}")
 
     stable_rep = None
     try:

@@ -116,11 +116,16 @@ def cmd_build_quiver(args):
     return payload, 0
 
 
+def _exact_zeta_v(instance):
+    """zeta . v as minus the trace of the exponents, exact for an exact
+    instance; None for a float one, whose zeta . v carries rounding."""
+    return -total_exponent_trace(instance) if instance.exact else None
+
+
 def cmd_realize(args):
     instance = _instance(_load_json(args.input))
     gq = build_global_quiver(instance.as_float())
-    # zeta . v = -trace of the exponents, exactly when the input is exact
-    zeta_v = -total_exponent_trace(instance) if instance.exact else None
+    zeta_v = _exact_zeta_v(instance)
     result = realize_numeric(gq, attempts=args.attempts, seed=args.seed, zeta_v=zeta_v)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -139,9 +144,10 @@ def cmd_realize(args):
 
 def cmd_verify(args):
     data = _load_json(args.input)
-    gq = build_global_quiver(_instance(_require(data, "instance", "", dict)).as_float())
+    instance = _instance(_require(data, "instance", "", dict))
+    gq = build_global_quiver(instance.as_float())
     rep = rep_from_json(gq, _require(data, "rep", "", dict))
-    report = verify_instance(gq, rep, rtol=args.tolerance)
+    report = verify_instance(gq, rep, rtol=args.tolerance, zeta_v=_exact_zeta_v(instance))
     report["schema_version"] = SCHEMA_VERSION
     return report, 0 if report["all_ok"] else 1
 

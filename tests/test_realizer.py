@@ -7,12 +7,15 @@ loops and a double arrow, which synthesis never builds.  The complex Gram
 step is checked against the real-doubled normal equations on both sides
 of the Gram choice.  On instances with zeta . v != 0 the trace of mu - zeta
 is -zeta . v whatever the point, so the residual is at least
-|zeta . v| / sqrt(sum v_i), and the realizer reaches that floor and stops
-there on its gradient test; feasible instances never stop on it.
+|zeta . v| / sqrt(sum v_i).  On float input the realizer reaches that
+floor and stops there on its gradient test, and feasible instances never
+stop on it; on exact input a non-zero zeta . v is a proof of emptiness,
+which `realize` answers at once, in agreement with `check`.
 """
 
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +29,7 @@ from dsirr.assembly import (
     _unpack,
     build_global_quiver,
     instance_from_json,
+    instance_to_json,
     moment_jacobian,
     realize_numeric,
     verify_instance,
@@ -33,6 +37,8 @@ from dsirr.assembly import (
 )
 from dsirr.cli import main
 from dsirr.quiver import make_quiver, moment_map
+from dsirr.scalars import GaussianRational, format_exact, parse_exact
+from dsirr.serialize import payload_is_float
 from oracles import lm_step_real_doubled
 from test_assembly import rigid_star
 
@@ -100,12 +106,28 @@ def test_gram_step_matches_real_doubled_normal_equations(shape, lam):
     assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
 
+def _problem(name):
+    return json.loads((DATA / name).read_text(encoding="utf-8"))
+
+
+def _load(name):
+    return instance_from_json(_problem(name), exact=True)
+
+
 def _floor_and_result(name, attempts, seed):
-    with open(DATA / name, encoding="utf-8") as f:
-        inst = instance_from_json(json.load(f), exact=True)
+    """The exact floor, and the restarts on the float form of the file,
+    whose inexact zeta . v proves nothing, so every restart runs."""
+    inst = _load(name)
     gq = build_global_quiver(inst)
     floor = abs(zeta_dot_v(gq).to_complex()) / math.sqrt(sum(gq.dims.values()))
-    return floor, realize_numeric(gq, attempts=attempts, seed=seed)
+    res = realize_numeric(build_global_quiver(inst.as_float()), attempts=attempts, seed=seed)
+    return floor, res
+
+
+def _float_copy(name, tmp_path):
+    path = tmp_path / f"float-{name}"
+    path.write_text(json.dumps(instance_to_json(_load(name).as_float())))
+    return path
 
 
 @pytest.mark.parametrize(
@@ -175,16 +197,25 @@ def _no_constants(name):
     raise ValueError(f"not JSON: {name}")
 
 
-@pytest.mark.parametrize("attempts", ["0", "-3"])
-def test_realize_rejects_fewer_than_one_attempt(attempts, capsys):
-    code = main(["realize", str(DATA / "star_rigid.json"), "--attempts", attempts])
+@pytest.mark.parametrize(
+    "name, attempts",
+    [
+        pytest.param("star_rigid.json", "0", id="0"),
+        pytest.param("star_rigid.json", "-3", id="-3"),
+        # zeta . v != 0 answers before any restart, but not before the check
+        pytest.param("star_empty_cond2.json", "0", id="empty-0"),
+    ],
+)
+def test_realize_rejects_fewer_than_one_attempt(name, attempts, capsys):
+    code = main(["realize", str(DATA / name), "--attempts", attempts])
     report = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
     assert code == 2
     assert "attempts" in report["error"]
 
 
-def test_realize_report_is_strict_json_with_stats(capsys):
-    argv = ["realize", str(DATA / "star_empty_cond2.json"), "--attempts", "3", "--seed", "1"]
+def test_realize_report_is_strict_json_with_stats(tmp_path, capsys):
+    floats = _float_copy("star_empty_cond2.json", tmp_path)
+    argv = ["realize", str(floats), "--attempts", "3", "--seed", "1"]
     code = main(argv)
     report = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
     assert code == 1
@@ -209,3 +240,83 @@ def test_realize_report_carries_the_trace_floor(name, floor, capsys):
     # the files are exact: a feasible one has zeta . v = 0 with no rounding
     assert report["stats"]["trace_floor"] == (pytest.approx(floor, abs=1e-5) if floor else 0.0)
     assert report["residual"] >= report["stats"]["trace_floor"] * (1 - 1e-12)
+
+
+def _run(argv, capsys):
+    code = main([str(a) for a in argv])
+    return code, json.loads(capsys.readouterr().out, parse_constant=_no_constants)
+
+
+@pytest.mark.parametrize("name", ["star_empty_cond2.json", "ladder_g3x2k2-shift_seed5.json"])
+def test_exact_nonzero_zeta_v_answers_at_the_trace_floor(name, capsys):
+    code, report = _run(["realize", DATA / name], capsys)
+    stats = report["stats"]
+    assert code == 1 and not report["success"] and "rep" not in report
+    assert report["attempts"] == stats["restarts"] == 0 and stats["attempts"] == []
+    assert stats["stop"] == "trace-floor"
+    assert report["residual"] == stats["trace_floor"] > 0
+
+
+def _shifted(data, delta, tmp_path, name):
+    """A copy of a problem payload with the first eigenvalue of its last
+    pole moved by the exact `delta`, as the benchmark ladder shifts its
+    infeasible rungs; zeta . v moves by -delta times its multiplicity."""
+    data = json.loads(json.dumps(data))
+    eig = data["finite_poles"][-1]["orbit"]["eigenvalues"][0]
+    eig["value"] = format_exact(parse_exact(eig["value"]) + GaussianRational(delta))
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _is_exact_problem(name):
+    data = _problem(name)
+    return "rank" in data and not payload_is_float(data)
+
+
+EXACT_PROBLEMS = sorted(p.name for p in DATA.glob("*.json") if _is_exact_problem(p.name))
+SHIFTED = [
+    (name, delta)
+    for name in [
+        "ladder_g3x2k2-shift_seed5.json",
+        "ladder_s4x2k2_seed16.json",
+        "ladder_g4x1k2_seed206.json",
+    ]
+    for delta in [Fraction(1, 10**3), Fraction(1, 10**6), Fraction(1, 10**10)]
+]
+
+
+@pytest.mark.parametrize(
+    "name, delta",
+    [(name, 0) for name in EXACT_PROBLEMS] + SHIFTED,
+    ids=lambda x: str(x) if isinstance(x, Fraction) else None,
+)
+def test_check_and_realize_agree_on_condition_two(name, delta, tmp_path, capsys):
+    path = _shifted(_problem(name), delta, tmp_path, name) if delta else DATA / name
+    _, verdict = _run(["check", path], capsys)
+    code, report = _run(["realize", path], capsys)
+    floor_answer = report["stats"]["stop"] == "trace-floor" and "rep" not in report and code == 1
+    assert (verdict.get("failed_condition") == 2) == floor_answer
+    if delta:  # every shifted copy has zeta . v != 0
+        assert floor_answer
+
+
+def test_verify_rejects_a_witness_when_the_exact_zeta_v_is_not_zero(tmp_path, capsys):
+    # undo the ladder's shift of 1/2: a feasible instance and its witness
+    shifted = _problem("ladder_g3x2k2-shift_seed5.json")
+    unshifted = _shifted(shifted, Fraction(-1, 2), tmp_path, "g3x2k2.json")
+    code, report = _run(["realize", unshifted, "--seed", "1"], capsys)
+    assert code == 0 and report["verification"]["all_ok"]
+    rep = report["rep"]
+    near = _shifted(json.loads(unshifted.read_text()), Fraction(1, 10**10), tmp_path, "near.json")
+    for instance, ok in [(unshifted, True), (near, False)]:
+        payload = tmp_path / "verify.json"
+        payload.write_text(json.dumps({"instance": json.loads(instance.read_text()), "rep": rep}))
+        code, checks = _run(["verify", payload], capsys)
+        assert (code, checks["all_ok"]) == ((0, True) if ok else (1, False))
+        trace = next(c for c in checks["checks"] if c["name"] == "trace_identity")
+        # the witness is within 1e-10 of the near instance: only the
+        # exact trace tells them apart
+        failed = [c["name"] for c in checks["checks"] if not c["ok"]]
+        assert failed == ([] if ok else ["trace_identity"])
+        assert ("-1/10000000000" in trace["detail"]) is not ok
