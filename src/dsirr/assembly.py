@@ -26,7 +26,8 @@ slot j equal to -A_{j-1} (because z^i dz = -w^{-i-2} dw) and residue
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .orbits import (
 )
 from .quiver import DoubledRep, delta, is_stable, make_quiver, moment_map, rep_stability, stability
 from .roots import CartanData, Verdict, cb_solvable
-from .scalars import GaussianRational, as_complex, scalar_key
+from .scalars import GaussianRational, as_complex, exact_dot, scalar_key
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ def build_global_quiver(instance: ProblemInstance) -> GlobalQuiver:
     """Assemble (Q, v, zeta) from the instance.
 
     The identity zeta . v = -(trace of all residue exponents) holds by
-    construction and is re-checked here in exact mode.
+    construction and is re-checked here in exact mode, on integers.
     """
     T = instance.irregular
     core, core_dims = core_quiver(T)
@@ -160,28 +161,23 @@ def build_global_quiver(instance: ProblemInstance) -> GlobalQuiver:
         zeta[f"p{b}"] = z
 
     gq = GlobalQuiver(make_quiver(vertices, arrows), dims, zeta, instance, markings)
-    if instance.exact:
-        total = zeta_dot_v(gq)
-        want = -total_exponent_trace(instance)
-        if total != want:
-            raise AssertionError("internal: zeta . v failed the trace identity")
+    if instance.exact and zeta_dot_v(gq) != -total_exponent_trace(instance):
+        raise AssertionError("internal: zeta . v failed the trace identity")
     return gq
 
 
 def zeta_dot_v(gq: GlobalQuiver):
-    acc = None
-    for v in gq.quiver.vertices:
-        t = gq.zeta[v] * gq.dims[v]
-        acc = t if acc is None else acc + t
-    return acc
+    """zeta . v: `exact_dot` on exact zeta, a left fold in floats."""
+    zeta, dims = zip(*((gq.zeta[v], gq.dims[v]) for v in gq.quiver.vertices))
+    if isinstance(zeta[0], GaussianRational):
+        return exact_dot(zeta, dims)
+    return reduce(add, map(mul, zeta, dims))
 
 
 def total_exponent_trace(instance: ProblemInstance):
-    acc = None
-    for spec in list(instance.residue_blocks) + [p.orbit for p in instance.poles]:
-        t = spec.trace()
-        acc = t if acc is None else acc + t
-    return acc
+    """The trace of every residue exponent of an exact instance."""
+    specs = list(instance.residue_blocks) + [p.orbit for p in instance.poles]
+    return exact_dot(*zip(*((x, sum(b)) for spec in specs for x, b in spec.eigenvalues)))
 
 
 @dataclass
@@ -700,6 +696,7 @@ class RealizeResult:
     records: list = field(default_factory=list)  # one dict per restart
     trace_floor: float = 0.0  # lower bound on every restart's residual
     stop: str = "attempts-exhausted"  # or "converged-stable", "trace-floor"
+    stability: object = None  # the quiver.Stability of rep, when rep is set
 
     @property
     def success(self) -> bool:
@@ -732,9 +729,10 @@ def realize_numeric(
     proof of emptiness).  Deterministic for a fixed seed: restart r
     draws from a generator seeded with (seed, r).  Each restart leaves a
     record: LM iterations, damping trials, residual, and the stop
-    reason, which is "converged-stable" or "converged-unstable" when the
-    residual meets the tolerance (or the LM's 1e-28 cost floor) and the
-    LM's own reason otherwise.
+    reason, which is "converged-stable", "converged-unstable" or
+    "converged-unresolved" (no simple eigenvalue to decide stability by)
+    when the residual meets the tolerance (or the LM's 1e-28 cost floor)
+    and the LM's own reason otherwise; the witness keeps its `stability`.
 
     mu - zeta has trace -zeta . v at every point, so no residual falls
     below the trace floor |zeta . v| / sqrt(sum v_i), which the result
@@ -766,16 +764,16 @@ def realize_numeric(
         x, cost, iterations, trials, stop = _lm_minimize(gq, x0, max_iter=max_iter)
         resid = cost ** 0.5
         best = min(best, resid)
-        stable = False
         if resid <= 1e-8 * np.linalg.norm(x) ** 2:  # ||x|| is the norm of the rep
             rep = _unpack(gq, x)
-            stable = is_stable(rep)
-            stop = "converged-stable" if stable else "converged-unstable"
+            cert = rep_stability(rep)
+            stop = "converged-stable" if cert.stable else (
+                "converged-unresolved" if cert.dim is None else "converged-unstable")
         elif stop == "converged":
             stop = "converged-unstable"  # at the cost floor, but too close to 0
         records.append({"iterations": iterations, "trials": trials, "residual": resid, "stop": stop})
-        if stable:
-            return RealizeResult(rep, resid, attempt + 1, seed, records, floor, "converged-stable")
+        if stop == "converged-stable":
+            return RealizeResult(rep, resid, attempt + 1, seed, records, floor, stop, cert)
     return RealizeResult(None, best, attempts, seed, records, floor)
 
 
@@ -792,12 +790,15 @@ def kernel_dimension_check(gq: GlobalQuiver, rep: DoubledRep):
     return lhs, rhs
 
 
-def verify_instance(gq: GlobalQuiver, rep: DoubledRep, rtol: float = 1e-8, zeta_v=None) -> dict:
+def verify_instance(
+    gq: GlobalQuiver, rep: DoubledRep, rtol: float = 1e-8, zeta_v=None, certificate=None
+) -> dict:
     """Pure report aggregating every invariant check on a representation.
 
     `zeta_v` is the instance's exact zeta . v, when known: if it is not
     0, no point has the prescribed traces, so trace_identity fails and
-    names it.  Otherwise the traces at the point are tested in floats."""
+    names it.  Otherwise the traces at the point are tested in floats.
+    A given `certificate` stands in for `rep_stability(rep)`."""
     checks, scale, residues, exponents, conn, error = _conversion(gq, rep, rtol)
 
     def record(name, ok, detail=""):
@@ -814,7 +815,8 @@ def verify_instance(gq: GlobalQuiver, rep: DoubledRep, rtol: float = 1e-8, zeta_
 
     stable_rep = None
     try:
-        certificate = rep_stability(rep)
+        if certificate is None:
+            certificate = rep_stability(rep)
         stable_rep = certificate.stable
         record("stability_rep", True, certificate.detail)
     except ValueError as e:

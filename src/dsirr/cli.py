@@ -137,9 +137,13 @@ def cmd_realize(args):
         "stats": result.stats,
     }
     if result.success:
-        report["rep"] = rep_to_json(gq, result.rep)
-        report["verification"] = verify_instance(gq, result.rep)
-    return report, 0 if result.success else 1
+        report["verification"] = verify_instance(
+            gq, result.rep, zeta_v=zeta_v, certificate=result.stability)
+        if report["verification"]["all_ok"]:
+            report["rep"] = rep_to_json(gq, result.rep)
+        else:  # a witness that fails its own checks is no witness
+            report["success"], report["stats"]["stop"] = False, "verification-failed"
+    return report, 0 if report["success"] else 1
 
 
 def cmd_verify(args):

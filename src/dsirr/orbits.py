@@ -48,13 +48,6 @@ class OrbitSpec:
     def exact(self) -> bool:
         return isinstance(self.eigenvalues[0][0], GaussianRational)
 
-    def trace(self):
-        acc = None
-        for value, blocks in self.eigenvalues:
-            t = value * sum(blocks)
-            acc = t if acc is None else acc + t
-        return acc
-
     def to_float(self) -> "OrbitSpec":
         """Same orbit with complex eigenvalues and marking."""
         if not self.exact:

@@ -55,7 +55,6 @@ points, so the budget bounds them too.  Running out gives an
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -63,7 +62,7 @@ from operator import mul
 import numpy as np
 
 from .quiver import Quiver
-from .scalars import as_exact
+from .scalars import integerize
 
 
 class SearchCapExceeded(Exception):
@@ -235,18 +234,9 @@ def is_positive_root(cartan: CartanData, v, max_steps: int | None = None) -> boo
 
 
 def _integer_zeta(cartan: CartanData, zeta):
-    """zeta times the least common denominator of all its coordinates.
-
-    Returns the real and the imaginary parts as two integer tuples in
-    vertex order; zeta . w = 0 iff both integer dot products vanish.
-    Float parameters are rejected.
-    """
-    values = [as_exact(zeta[u]) for u in cartan.vertices]
-    lcd = math.lcm(*(x.denominator for z in values for x in (z.re, z.im)))
-    return (
-        tuple(int(z.re * lcd) for z in values),
-        tuple(int(z.im * lcd) for z in values),
-    )
+    """The integer real and imaginary parts of zeta in vertex order, from
+    `integerize`; zeta . w = 0 iff both integer dot products vanish."""
+    return integerize(zeta[u] for u in cartan.vertices)[1:]
 
 
 def _dot(a, b) -> int:

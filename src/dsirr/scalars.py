@@ -17,8 +17,10 @@ mode.  The two modes never mix silently: combining a
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+from operator import mul
 
 DEFAULT_RTOL = 1e-9
 
@@ -207,6 +209,24 @@ def as_exact(x) -> GaussianRational:
 def as_complex(x) -> complex:
     """The float twin of `as_exact`: any scalar, exact or not, as a complex."""
     return x.to_complex() if isinstance(x, GaussianRational) else complex(x)
+
+
+def integerize(values):
+    """(lcd, re, im): the least common denominator of the real and
+    imaginary parts of exact `values` (floats are rejected), and the
+    integer lists lcd * Re and lcd * Im in the order of `values`."""
+    values = [as_exact(z) for z in values]
+    lcd = math.lcm(*(x.denominator for z in values for x in (z.re, z.im)))
+    real = [z.re.numerator * (lcd // z.re.denominator) for z in values]
+    return lcd, real, [z.im.numerator * (lcd // z.im.denominator) for z in values]
+
+
+def exact_dot(values, weights) -> GaussianRational:
+    """sum_i values[i] * weights[i] for exact values and integer weights,
+    as two integer dot products over the common denominator."""
+    lcd, real, imag = integerize(values)
+    return GaussianRational(
+        Fraction(sum(map(mul, real, weights)), lcd), Fraction(sum(map(mul, imag, weights)), lcd))
 
 
 def scalar_key(x):

@@ -8,8 +8,9 @@ search over multisets for condition (3) of the criterion, the
 ranks of every power of a matrix without stopping once they settle,
 the triple-sum conjugation term of a gauge transform, the float density
 test of irreducibility and the graded invariant closure of a quiver
-representation (both on a float Gram-Schmidt span), and the realizer's
-damped Gauss-Newton step solved as a real system of twice the size.
+representation (both on a float Gram-Schmidt span), the realizer's
+damped Gauss-Newton step solved as a real system of twice the size, and
+the trace identity's two sides folded term by term in Q(i) arithmetic.
 The last few helpers are small constructions only the tests need: an
 exact matrix literal, the infinitesimal coadjoint action, the
 dT-stabilizer test and the matrix a leg realization reproduces.
@@ -342,3 +343,27 @@ def leg_reconstruction(realization, exact: bool = None) -> np.ndarray:
     a = realization.rep.fwd["1>0"]
     b = realization.rep.rev["1>0"]
     return np.dot(a, b) + lam1 * ident
+
+
+def fraction_fold(values, weights):
+    """sum_i values[i] * weights[i], one Q(i) product and sum per term."""
+    acc = None
+    for x, w in zip(values, weights):
+        t = x * w
+        acc = t if acc is None else acc + t
+    return acc
+
+
+def zeta_dot_v_fold(gq):
+    """zeta . v folded over the vertices in quiver order."""
+    vertices = gq.quiver.vertices
+    return fraction_fold([gq.zeta[v] for v in vertices], [gq.dims[v] for v in vertices])
+
+
+def exponent_trace_fold(instance):
+    """The trace of every residue exponent, folded orbit by orbit."""
+    acc = None
+    for spec in list(instance.residue_blocks) + [p.orbit for p in instance.poles]:
+        t = fraction_fold([x for x, _ in spec.eigenvalues], [sum(b) for _, b in spec.eigenvalues])
+        acc = t if acc is None else acc + t
+    return acc

@@ -1,4 +1,8 @@
+import importlib.util
+import json
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,9 @@ from dsirr.orbits import make_orbit_spec
 from dsirr.quiver import DoubledRep, is_stable
 from dsirr.reduction import normalize
 from dsirr.scalars import GaussianRational as G
+from oracles import exponent_trace_fold, zeta_dot_v_fold
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def g(a, b=0):
@@ -83,6 +90,42 @@ def test_zeta_v_equals_minus_total_trace():
     inst = rigid_star()
     gq = build_global_quiver(inst)
     assert zeta_dot_v(gq) == -total_exponent_trace(inst)
+
+
+def _ladder():
+    spec = importlib.util.spec_from_file_location("bench_ladder", ROOT / "bench" / "ladder.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _trace_problems():
+    """Every problem file in tests/data, and every rung of the benchmark
+    ladder at seeds 1 and 2, the shifted (zeta . v != 0) rungs included."""
+    out = []
+    for path in sorted((ROOT / "tests" / "data").glob("*.json")):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if "rank" in data:
+            out.append(pytest.param(data, id=path.stem))
+    ladder = _ladder()
+    for workload, (_, rungs) in sorted(ladder.WORKLOADS.items()):
+        for rung in rungs:
+            for seed in (1, 2):
+                out.append(pytest.param(
+                    ladder.problem(rung, seed), id=f"{workload}-{rung.name}-{seed}"))
+    return out
+
+
+@pytest.mark.parametrize("data", _trace_problems())
+def test_integer_trace_identity_matches_the_fraction_folds(data):
+    inst = instance_from_json(data, exact=True)
+    gq = build_global_quiver(inst)
+    total, trace = zeta_dot_v(gq), total_exponent_trace(inst)
+    assert isinstance(total, G) and isinstance(trace, G)
+    assert total == zeta_dot_v_fold(gq)
+    assert trace == exponent_trace_fold(inst)
+    assert total == -trace
 
 
 def test_scalar_residue_pole_has_no_leg():

@@ -267,3 +267,14 @@ def test_malformed_check_payload_is_an_error(payload, tmp_path, capsys):
     code, report = run(capsys, "check", str(bad))
     assert code == 2
     assert "error" in report
+
+
+def test_main_keeps_no_state_between_in_process_calls(capsys):
+    # an option value of one call does not carry into the next: a capped
+    # check followed by a default one reports what a lone default run does
+    f = path("example_iii.json")
+    fresh = run(capsys, "check", f)
+    code, capped = run(capsys, "check", f, "--max-decompositions", "1")
+    assert code == 2 and capped["verdict"] == "undecided"
+    after = run(capsys, "check", f)
+    assert after == fresh and after[1]["verdict"] != "undecided"

@@ -32,20 +32,20 @@ from dsirr.assembly import (
     instance_to_json,
     moment_jacobian,
     realize_numeric,
+    total_exponent_trace,
     verify_instance,
     zeta_dot_v,
 )
 from dsirr.cli import main
-from dsirr.quiver import make_quiver, moment_map
+from dsirr.quiver import Stability, make_quiver, moment_map
 from dsirr.scalars import GaussianRational, format_exact, parse_exact
 from dsirr.serialize import payload_is_float
 from oracles import lm_step_real_doubled
-from test_assembly import rigid_star
+from test_assembly import rigid_star, star_instance
 
 DATA = Path(__file__).parent / "data"
-STOPS = {
-    "converged-stable",
-    "converged-unstable",
+CONVERGED = {"converged-stable", "converged-unstable", "converged-unresolved"}
+STOPS = CONVERGED | {
     "stationary",
     "stalled",
     "damping-overflow",
@@ -320,3 +320,99 @@ def test_verify_rejects_a_witness_when_the_exact_zeta_v_is_not_zero(tmp_path, ca
         failed = [c["name"] for c in checks["checks"] if not c["ok"]]
         assert failed == ([] if ok else ["trace_identity"])
         assert ("-1/10000000000" in trace["detail"]) is not ok
+
+
+def _exact_zeta_v(name):
+    return -total_exponent_trace(_load(name))
+
+
+@pytest.mark.parametrize("name", ["star_rigid.json", "ladder_s4x2k2_seed16.json"])
+def test_embedded_verification_equals_a_fresh_one(name, capsys):
+    code, report = _run(["realize", DATA / name, "--seed", "1"], capsys)
+    assert code == 0 and report["verification"]["all_ok"]
+    gq = build_global_quiver(_load(name).as_float())
+    zeta_v = _exact_zeta_v(name)
+    res = realize_numeric(gq, seed=1, zeta_v=zeta_v)
+    fresh = verify_instance(gq, res.rep, zeta_v=zeta_v)
+    embedded = report["verification"]["checks"]
+    assert [c["name"] for c in embedded] == [c["name"] for c in fresh["checks"]]
+    for got, want in zip(embedded, fresh["checks"]):
+        assert got == want
+
+
+@pytest.fixture
+def stability_calls(monkeypatch):
+    """Count the rep_stability calls made through dsirr.assembly, and how
+    many of them come from the CLI's embedded verification."""
+    import dsirr.assembly as assembly
+    import dsirr.cli as cli
+
+    calls = {"all": 0, "verify": 0}
+    rep_stability, verify = assembly.rep_stability, cli.verify_instance
+
+    def counted(rep):
+        calls["all"] += 1
+        return rep_stability(rep)
+
+    def counted_verify(*args, **kwargs):
+        before = calls["all"]
+        report = verify(*args, **kwargs)
+        calls["verify"] += calls["all"] - before
+        return report
+
+    monkeypatch.setattr(assembly, "rep_stability", counted)
+    monkeypatch.setattr(cli, "verify_instance", counted_verify)
+    return calls
+
+
+def test_realize_tests_stability_once_per_converged_restart(stability_calls, tmp_path, capsys):
+    # a condition-3 instance: zeta . v = 0, but every point is reducible
+    reducible = tmp_path / "reducible.json"
+    reducible.write_text(json.dumps(instance_to_json(star_instance(
+        GaussianRational(1), GaussianRational(2), GaussianRational(-1), GaussianRational(-2)))))
+    for path, success in [(DATA / "star_rigid.json", True),
+                          (DATA / "ladder_s4x2k2_seed41.json", True),
+                          (reducible, False)]:
+        stability_calls.update(all=0, verify=0)
+        code, report = _run(["realize", path, "--seed", "1", "--attempts", "4"], capsys)
+        assert (code, report["success"]) == ((0, True) if success else (1, False))
+        converged = [a for a in report["stats"]["attempts"] if a["stop"] in CONVERGED]
+        assert converged
+        assert stability_calls == {"all": len(converged), "verify": 0}
+    # the counter is on verify's path: without a certificate, verify tests once
+    gq = build_global_quiver(rigid_star().as_float())
+    res = realize_numeric(gq, seed=1)
+    stability_calls.update(all=0, verify=0)
+    verify_instance(gq, res.rep)
+    assert stability_calls["all"] == 1
+
+
+def test_unresolved_stability_is_not_reported_unstable(monkeypatch):
+    import dsirr.assembly as assembly
+
+    monkeypatch.setattr(
+        assembly, "rep_stability", lambda rep: Stability(False, None, 4, "invariant_dim"))
+    res = realize_numeric(build_global_quiver(rigid_star().as_float()), attempts=3, seed=1)
+    assert not res.success and res.stop == "attempts-exhausted"
+    assert [r["stop"] for r in res.records] == ["converged-unresolved"] * 3
+
+
+def test_realize_fails_when_its_witness_fails_verification(tmp_path, capsys):
+    # the float form of a feasible instance, one eigenvalue moved by 1e-6:
+    # its float zeta . v proves nothing, the realizer finds a stable point
+    # of the rounded parameters, and that point leaves the declared orbits
+    unshifted = _shifted(_problem("ladder_g3x2k2-shift_seed5.json"), Fraction(-1, 2),
+                         tmp_path, "g3x2k2.json")
+    data = instance_to_json(instance_from_json(json.loads(unshifted.read_text()), exact=True)
+                            .as_float())
+    data["finite_poles"][-1]["orbit"]["eigenvalues"][0]["value"][0] += 1e-6
+    near = tmp_path / "near-float.json"
+    near.write_text(json.dumps(data))
+    code, report = _run(["realize", near, "--seed", "1"], capsys)
+    assert code == 1 and report["success"] is False and "rep" not in report
+    assert report["stats"]["stop"] == "verification-failed"
+    assert report["stats"]["attempts"][-1]["stop"] == "converged-stable"
+    verification = report["verification"]
+    assert not verification["all_ok"]
+    assert [c["name"] for c in verification["checks"] if not c["ok"]] == [
+        "residue_orbit_t0", "residue_orbit_t1", "exponent_orbit_p1", "connection_conversion"]

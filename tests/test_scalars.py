@@ -1,16 +1,22 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dsirr.scalars import (
     GaussianRational,
     as_exact,
+    exact_dot,
     format_exact,
+    integerize,
     parse_exact,
     rationalize,
     scalar_key,
 )
 from dsirr.serialize import payload_is_float
+from oracles import fraction_fold
 
 
 def test_field_arithmetic():
@@ -99,3 +105,42 @@ def test_sort_key_re_im():
         GaussianRational(1, -1),
         GaussianRational(1, 0),
     ]
+
+
+# mixed denominators up to 10^4, real values and values with a non-zero
+# imaginary part, and weights that may be zero or negative
+_PARTS = st.fractions(min_value=-100, max_value=100, max_denominator=10**4)
+_VALUES = st.builds(
+    GaussianRational, _PARTS, st.one_of(st.just(Fraction(0)), _PARTS.filter(bool)))
+_TERMS = st.lists(st.tuples(_VALUES, st.integers(-20, 20)), min_size=1, max_size=12)
+
+
+@given(_TERMS)
+def test_exact_dot_matches_the_fraction_fold(terms):
+    values, weights = zip(*terms)
+    assert exact_dot(values, weights) == fraction_fold(values, weights)
+
+
+@given(_TERMS, st.integers(1, 20) | st.integers(-20, -1))
+def test_exact_dot_is_zero_on_planted_cancellations(terms, m):
+    # a last term of weight m that cancels the others exactly
+    values, weights = zip(*terms)
+    values += (-fraction_fold(values, weights) / m,)
+    weights += (m,)
+    assert fraction_fold(values, weights) == 0
+    total = exact_dot(values, weights)
+    assert total == 0 and not total
+
+
+@given(st.lists(_VALUES, min_size=1, max_size=12))
+def test_integerize_uses_the_least_common_denominator(values):
+    lcd, re, im = integerize(values)
+    for z, a, b in zip(values, re, im):
+        assert GaussianRational(Fraction(a, lcd), Fraction(b, lcd)) == z
+    # no smaller denominator would do
+    assert math.gcd(lcd, *re, *im) == 1
+
+
+def test_integerize_rejects_floats():
+    with pytest.raises(TypeError):
+        integerize([GaussianRational(1), 0.5])
