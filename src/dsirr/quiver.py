@@ -33,8 +33,8 @@ annihilator contains w.  So a stable verdict is always certified by two
 full spins, and an unstable one by the proper invariant subspace a spin
 stopped in.  A simple module has simple eigenvalues for almost every
 theta; when none turns up, a retry adds one longer random word to theta,
-and after NORTON_TRIES tries the module is reported unstable, as an
-isotypic module such as S + S must be.  Exact Q(i) input is decided by
+and after NORTON_TRIES tries the verdict is unresolved (dim None, read
+as unstable by is_stable), as for an isotypic module such as S + S.  Exact Q(i) input is decided by
 the dimension of the generated algebra, which must be (total dim)^2.
 """
 
@@ -236,19 +236,23 @@ class Stability:
 
     Float input: dim is the dimension of the invariant subspace that
     Norton's spins found, total when both reached the whole space, and
-    None when no try found a simple eigenvalue.  Exact input: dim is
-    the dimension of the generated algebra and total is n^2.
+    None when no try found a simple eigenvalue (the verdict is then
+    unresolved, and gap is the largest relative eigenvalue gap of theta
+    seen in the tries).  Exact input: dim is the dimension of the
+    generated algebra and total is n^2.
     """
 
     stable: bool
     dim: int | None
     total: int
     measure: str  # "invariant_dim" or "algebra_dim"
+    gap: float | None = None
 
     @property
     def detail(self) -> str:
         if self.dim is None:
-            return f"stable={self.stable} no simple eigenvalue in {NORTON_TRIES} tries"
+            return (f"unresolved: no simple eigenvalue in {NORTON_TRIES} tries; largest "
+                    f"relative gap {self.gap:.3e} <= NORTON_GAP {NORTON_GAP:g}")
         return f"stable={self.stable} {self.measure}={self.dim}/{self.total}"
 
 
@@ -293,6 +297,7 @@ def _norton(gens: list, n: int) -> Stability:
     # generators and their pairwise products, in one matrix product
     inner = np.einsum("jk,kab->jab", coeffs(m, m), stack)
     theta = stack.transpose(1, 0, 2).reshape(n, m * n) @ inner.reshape(m * n, n)
+    gap = 0.0
     for attempt in range(NORTON_TRIES):
         if attempt:
             word = stack[rng.integers(m)]
@@ -302,7 +307,9 @@ def _norton(gens: list, n: int) -> Stability:
         eig = np.linalg.eigvals(theta)
         nearest = (np.abs(eig[:, None] - eig[None, :]) + np.diag(np.full(n, np.inf))).min(axis=1)
         best = int(np.argmax(nearest))
-        if nearest[best] <= NORTON_GAP * np.linalg.norm(theta):
+        norm = np.linalg.norm(theta)
+        gap = max(gap, float(nearest[best] / norm))
+        if nearest[best] <= NORTON_GAP * norm:
             continue
         u, _, vh = np.linalg.svd(theta - eig[best] * np.eye(n))
         right = _spin(stack, vh[-1].conj())
@@ -310,7 +317,7 @@ def _norton(gens: list, n: int) -> Stability:
             return Stability(False, right, n, "invariant_dim")
         left = _spin(stack.conj().transpose(0, 2, 1), u[:, -1])
         return Stability(left == n, n - left if left < n else n, n, "invariant_dim")
-    return Stability(False, None, n, "invariant_dim")
+    return Stability(False, None, n, "invariant_dim", gap)
 
 
 def stability(gens: list, n: int) -> Stability:

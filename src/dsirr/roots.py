@@ -324,36 +324,55 @@ class Verdict:
         return self.nonempty is None
 
 
+def _bits(mask: np.ndarray) -> int:
+    """The boolean array `mask` as a Python int with bit c set iff mask[c]."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
 def _violating_decomposition(cartan: CartanData, v, dv: int, cands):
     """Parts of a decomposition of v with >= 2 parts and sum delta >= dv = delta(v).
 
     Returns (parts or None, states evaluated).  F(u), the largest total
-    delta of a decomposition of u into candidates (None if u has none),
-    is memoized by u's lexicographic rank in the box of v, so that
-    rank(u - w) = rank(u) - rank(w).  Every decomposition of u has a part
-    w with w_i > 0 at u's first non-zero coordinate i, so only those
-    parts are tried.
+    delta of a decomposition of u into candidates (-1 if u has none;
+    every candidate has delta >= 0), is memoized by u's lexicographic
+    rank in the box of v, so that rank(u - w) = rank(u) - rank(w).
+    Every decomposition of u has a part w with w_i > 0 at u's first
+    non-zero coordinate i, so only those parts are tried.
+
+    The parts of u are found on Python-int bitsets over the candidate
+    indices, each built on first use: lead[i] holds the candidates with
+    w_i > 0 and below[i][x] those with w_i <= x, for x < v_i.  A state
+    ANDs lead[i] with below[j][u_j] for every u_j < v_j and reads the
+    set bits back in ascending order.
     """
     m = len(v)
     strides = [1] * m
     for i in range(m - 2, -1, -1):
         strides[i] = strides[i + 1] * (v[i + 1] + 1)
     wc = np.array(cands, dtype=np.int64).reshape(len(cands), m)
-    # one array per coordinate: the w <= u test is m vector comparisons
-    cols = np.ascontiguousarray(wc.T, dtype=np.min_scalar_type(max(v)))
     rank = [_dot(w, strides) for w in cands]
     # delta(w) = 1 - (w, w) / 2 for all candidates from one product W C
     deltas = [1 - q // 2 for q in ((wc @ cartan.matrix) * wc).sum(1).tolist()]
+    nbytes = (len(cands) + 7) // 8
+    lead = [None] * m
+    below = [[None] * x for x in v]
     best = {0: 0}  # rank(u) -> F(u); F(0) = 0 counts as v's own state
     choice = {}  # rank(u) -> the candidate the maximum picks first
 
     def parts(r):
         u = [r // s % (x + 1) for s, x in zip(strides, v)]
-        mask = cols[next(i for i, x in enumerate(u) if x)] > 0
-        for col, x, top in zip(cols, u, v):
-            if x < top:  # every candidate has w_i <= v_i
-                mask &= col <= x
-        return np.flatnonzero(mask).tolist()
+        i = next(i for i, x in enumerate(u) if x)
+        mask = lead[i]
+        if mask is None:
+            mask = lead[i] = _bits(wc[:, i] > 0)
+        for j, x in enumerate(u):
+            if x < v[j]:  # every candidate has w_j <= v_j
+                b = below[j][x]
+                if b is None:
+                    b = below[j][x] = _bits(wc[:, j] <= x)
+                mask &= b
+        bits = np.frombuffer(mask.to_bytes(nbytes, "little"), np.uint8)
+        return np.unpackbits(bits, bitorder="little").view(bool).nonzero()[0].tolist()
 
     def solve(root):
         stack, tried = [root], {}
@@ -368,10 +387,10 @@ def _violating_decomposition(cartan: CartanData, v, dv: int, cands):
                 if todo:
                     stack.extend(todo)
                     continue
-            f, pick = None, None
+            f, pick = -1, None
             for c in tried.pop(r):
                 g = best[r - rank[c]]
-                if g is not None and (f is None or deltas[c] + g > f):
+                if g >= 0 and deltas[c] + g > f:
                     f, pick = deltas[c] + g, c
             best[r], choice[r] = f, pick
             stack.pop()
@@ -382,7 +401,7 @@ def _violating_decomposition(cartan: CartanData, v, dv: int, cands):
         if rest == 0:
             continue  # w = v, the trivial decomposition
         solve(rest)
-        if best[rest] is not None and deltas[c] + best[rest] >= dv:
+        if best[rest] >= 0 and deltas[c] + best[rest] >= dv:
             witness = [cands[c]]
             while rest:
                 witness.append(cands[choice[rest]])

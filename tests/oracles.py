@@ -5,7 +5,9 @@ moved to faster ones: the reflection test for positive roots one
 vector and one vertex at a time, a scan of the whole box with exact
 Q(i) arithmetic for the zeta-orthogonal positive roots, a depth-first
 search over multisets for condition (3) of the criterion, the
-ranks of every power of a matrix without stopping once they settle,
+condition-3 DP with each state's parts found by a numpy mask over every
+candidate, the ranks of every power of a matrix without stopping once
+they settle,
 the triple-sum conjugation term of a gauge transform, the float density
 test of irreducibility and the graded invariant closure of a quiver
 representation (both on a float Gram-Schmidt span), the realizer's
@@ -13,12 +15,16 @@ damped Gauss-Newton step solved as a real system of twice the size, and
 the trace identity's two sides folded term by term in Q(i) arithmetic.
 The last few helpers are small constructions only the tests need: an
 exact matrix literal, the infinitesimal coadjoint action, the
-dT-stabilizer test and the matrix a leg realization reproduces.
+dT-stabilizer test, the matrix a leg realization reproduces and the
+benchmark's instance ladder.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -136,6 +142,70 @@ def dfs_solvable(cartan, v, zeta, max_nodes: int = 200_000) -> Verdict:
         return Verdict(False, failed_condition=3, witness=[list(w) for w in witness],
                        delta=dv, nodes=nodes)
     return Verdict(True, delta=dv, dim=2 * dv, nodes=nodes)
+
+
+def mask_violating_decomposition(cartan, v, dv: int, cands):
+    """The condition-3 DP of `roots._violating_decomposition`, with the
+    parts of each state found by a numpy mask over every candidate.
+
+    Returns (parts or None, states evaluated).  F(u) is memoized by u's
+    lexicographic rank in the box of v; only candidates w with w_i > 0
+    at u's first non-zero coordinate i are tried, and w <= u is tested
+    as one vector comparison per coordinate.
+    """
+    m = len(v)
+    strides = [1] * m
+    for i in range(m - 2, -1, -1):
+        strides[i] = strides[i + 1] * (v[i + 1] + 1)
+    wc = np.array(cands, dtype=np.int64).reshape(len(cands), m)
+    cols = np.ascontiguousarray(wc.T, dtype=np.min_scalar_type(max(v)))
+    rank = [sum(a * b for a, b in zip(w, strides)) for w in cands]
+    deltas = [1 - q // 2 for q in ((wc @ cartan.matrix) * wc).sum(1).tolist()]
+    best = {0: 0}
+    choice = {}
+
+    def parts(r):
+        u = [r // s % (x + 1) for s, x in zip(strides, v)]
+        mask = cols[next(i for i, x in enumerate(u) if x)] > 0
+        for col, x, top in zip(cols, u, v):
+            if x < top:
+                mask &= col <= x
+        return np.flatnonzero(mask).tolist()
+
+    def solve(root):
+        stack, tried = [root], {}
+        while stack:
+            r = stack[-1]
+            if r in best:
+                stack.pop()
+                continue
+            if r not in tried:
+                tried[r] = parts(r)
+                todo = [r - rank[c] for c in tried[r] if r - rank[c] not in best]
+                if todo:
+                    stack.extend(todo)
+                    continue
+            f, pick = None, None
+            for c in tried.pop(r):
+                g = best[r - rank[c]]
+                if g is not None and (f is None or deltas[c] + g > f):
+                    f, pick = deltas[c] + g, c
+            best[r], choice[r] = f, pick
+            stack.pop()
+
+    top = sum(a * b for a, b in zip(v, strides))
+    for c in reversed(parts(top)):
+        rest = top - rank[c]
+        if rest == 0:
+            continue
+        solve(rest)
+        if best[rest] is not None and deltas[c] + best[rest] >= dv:
+            witness = [cands[c]]
+            while rest:
+                witness.append(cands[choice[rest]])
+                rest -= rank[choice[rest]]
+            return witness, len(best)
+    return None, len(best)
 
 
 def power_ranks_every_step(a, jmax, rtol=linalg.RANK_RTOL, scale=None) -> list:
@@ -367,3 +437,13 @@ def exponent_trace_fold(instance):
         t = fraction_fold([x for x, _ in spec.eigenvalues], [sum(b) for _, b in spec.eigenvalues])
         acc = t if acc is None else acc + t
     return acc
+
+
+def bench_ladder():
+    """The benchmark's instance ladder, `bench/ladder.py`, as a module."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "ladder.py"
+    spec = importlib.util.spec_from_file_location("bench_ladder", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module

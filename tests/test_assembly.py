@@ -1,6 +1,4 @@
-import importlib.util
 import json
-import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -36,7 +34,7 @@ from dsirr.orbits import make_orbit_spec
 from dsirr.quiver import DoubledRep, is_stable
 from dsirr.reduction import normalize
 from dsirr.scalars import GaussianRational as G
-from oracles import exponent_trace_fold, zeta_dot_v_fold
+from oracles import bench_ladder, exponent_trace_fold, zeta_dot_v_fold
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -92,14 +90,6 @@ def test_zeta_v_equals_minus_total_trace():
     assert zeta_dot_v(gq) == -total_exponent_trace(inst)
 
 
-def _ladder():
-    spec = importlib.util.spec_from_file_location("bench_ladder", ROOT / "bench" / "ladder.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def _trace_problems():
     """Every problem file in tests/data, and every rung of the benchmark
     ladder at seeds 1 and 2, the shifted (zeta . v != 0) rungs included."""
@@ -108,7 +98,7 @@ def _trace_problems():
         data = json.loads(path.read_text(encoding="utf-8"))
         if "rank" in data:
             out.append(pytest.param(data, id=path.stem))
-    ladder = _ladder()
+    ladder = bench_ladder()
     for workload, (_, rungs) in sorted(ladder.WORKLOADS.items()):
         for rung in rungs:
             for seed in (1, 2):

@@ -28,6 +28,7 @@ from dsirr.assembly import (
     _residual_vector,
     _unpack,
     build_global_quiver,
+    decide_ds,
     instance_from_json,
     instance_to_json,
     moment_jacobian,
@@ -415,4 +416,64 @@ def test_realize_fails_when_its_witness_fails_verification(tmp_path, capsys):
     verification = report["verification"]
     assert not verification["all_ok"]
     assert [c["name"] for c in verification["checks"] if not c["ok"]] == [
-        "residue_orbit_t0", "residue_orbit_t1", "exponent_orbit_p1", "connection_conversion"]
+        "residue_orbit_t0", "residue_orbit_t1", "exponent_orbit_p1", "trace_identity",
+        "connection_conversion"]
+
+
+def test_float_trace_identity_reads_the_declared_orbits(tmp_path, capsys):
+    # the float form of a feasible instance and its witness, and a copy
+    # with one eigenvalue moved by 1e-10: the traces at the point cancel
+    # either way, the declared zeta . v does not
+    unshifted = _shifted(_problem("ladder_g3x2k2-shift_seed5.json"), Fraction(-1, 2),
+                         tmp_path, "g3x2k2.json")
+    code, report = _run(["realize", unshifted, "--seed", "1"], capsys)
+    assert code == 0
+    data = instance_to_json(instance_from_json(json.loads(unshifted.read_text()), exact=True)
+                            .as_float())
+    near = json.loads(json.dumps(data))
+    near["finite_poles"][-1]["orbit"]["eigenvalues"][0]["value"][0] += 1e-10
+    for instance, ok in [(data, True), (near, False)]:
+        payload = tmp_path / "verify.json"
+        payload.write_text(json.dumps({"instance": instance, "rep": report["rep"]}))
+        code, checks = _run(["verify", payload], capsys)
+        assert (code, checks["all_ok"]) == ((0, True) if ok else (1, False))
+        assert [c["name"] for c in checks["checks"] if not c["ok"]] == (
+            [] if ok else ["trace_identity"])
+    path = tmp_path / "near-float.json"
+    path.write_text(json.dumps(near))
+    code, realized = _run(["realize", path, "--seed", "1"], capsys)
+    assert code == 1 and "rep" not in realized
+    assert realized["stats"]["stop"] == "verification-failed"
+    assert [c["name"] for c in realized["verification"]["checks"] if not c["ok"]] == [
+        "trace_identity"]
+
+
+def _residues_shifted(data, c):
+    """A float payload with its first pole's eigenvalues moved by c and
+    every exponent by -c: zeta is the same, so is every solution, but
+    each core zeta_p is formed from scalars of size |c|."""
+    data = json.loads(json.dumps(data))
+    for eig in data["finite_poles"][0]["orbit"]["eigenvalues"]:
+        eig["value"][0] += c
+    for block in data["infinity"]["residue_blocks"]:
+        for eig in block["eigenvalues"]:
+            eig["value"][0] -= c
+    return data
+
+
+@pytest.mark.parametrize("name", [n for n in EXACT_PROBLEMS if decide_ds(_load(n)).nonempty])
+def test_float_copy_of_a_feasible_file_passes_verification(name, tmp_path, capsys):
+    path = _float_copy(name, tmp_path)
+    code, report = _run(["realize", path, "--seed", "1"], capsys)
+    assert code == 0 and report["verification"]["all_ok"]
+    (trace,) = [c for c in report["verification"]["checks"] if c["name"] == "trace_identity"]
+    assert trace["detail"].startswith("|zeta . v| = ")
+    data = json.loads(path.read_text())
+    if not data["finite_poles"]:
+        return
+    # the trace bound and the connection's stability test follow the shift
+    for c in (1000.1, 1e6):
+        payload = tmp_path / "verify.json"
+        payload.write_text(json.dumps({"instance": _residues_shifted(data, c), "rep": report["rep"]}))
+        code, checks = _run(["verify", payload], capsys)
+        assert code == 0 and checks["all_ok"], checks

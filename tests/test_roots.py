@@ -9,11 +9,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dsirr.assembly import decide_ds, instance_from_json
+from dsirr.assembly import build_global_quiver, decide_ds, instance_from_json
 from dsirr.quiver import delta, make_quiver
 from dsirr.roots import (
     CartanData,
     SearchCapExceeded,
+    _violating_decomposition,
     cb_solvable,
     is_positive_root,
     positive_root_mask,
@@ -21,8 +22,10 @@ from dsirr.roots import (
 )
 from dsirr.scalars import GaussianRational as G
 from oracles import (
+    bench_ladder,
     brute_candidates,
     dfs_solvable,
+    mask_violating_decomposition,
     reflection_end,
     reflection_is_positive_root,
     support_connected,
@@ -344,7 +347,11 @@ def test_integer_engine_matches_oracles_on_random_corpus():
     for _ in range(240):
         cartan, v, zeta, kind = random_case(rng)
         seen[kind] += 1
-        assert summand_candidates(cartan, v, zeta) == brute_candidates(cartan, v, zeta)
+        cands = summand_candidates(cartan, v, zeta)
+        assert cands == brute_candidates(cartan, v, zeta)
+        dv = cartan.delta(v)
+        assert _violating_decomposition(cartan, v, dv, cands) == mask_violating_decomposition(
+            cartan, v, dv, cands)
         new, old = cb_solvable(cartan, v, zeta), dfs_solvable(cartan, v, zeta)
         assert not new.undecided and new.nodes >= 1 and new.candidates >= 1
         if not old.undecided:
@@ -355,6 +362,33 @@ def test_integer_engine_matches_oracles_on_random_corpus():
             check_witness(cartan, v, zeta, new)
     assert min(seen.values()) >= 50
     assert outcomes[True, None] >= 50 and outcomes[False, 3] >= 50
+
+
+LADDER = bench_ladder()
+DP_RUNGS = [
+    pytest.param(rung, seed, id=f"{rung.name}-{seed}")
+    for workload in ("check-generic", "check-degenerate")
+    for rung in LADDER.WORKLOADS[workload][1]
+    for seed in (1, 2, 3)
+] + [
+    pytest.param(LADDER.Rung(name, "nilpotent", n, poles, 2, "nonempty"), 1,
+                 id=f"{name}-off-ladder")
+    for name, n, poles in (("n6x4k2", 6, 4), ("n8x3k2", 8, 3))
+]
+
+
+@pytest.mark.parametrize("rung, seed", DP_RUNGS)
+def test_bitset_dp_matches_the_mask_dp_on_the_ladder(rung, seed):
+    """Same witness and state count as the numpy-mask DP, on the check
+    rungs and two larger nilpotent ones."""
+    gq = build_global_quiver(instance_from_json(LADDER.problem(rung, seed), exact=True))
+    cartan = CartanData.from_quiver(gq.quiver)
+    v = cartan.vec(gq.dims)
+    cands = summand_candidates(cartan, v, gq.zeta)
+    dv = cartan.delta(v)
+    new = _violating_decomposition(cartan, v, dv, cands)
+    assert new == mask_violating_decomposition(cartan, v, dv, cands)
+    assert (new[0] is None) == (rung.verdict == "nonempty")
 
 
 def test_dp_decides_where_the_dfs_runs_out():

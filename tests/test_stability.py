@@ -24,8 +24,25 @@ import numpy as np
 import pytest
 
 from conftest import rand_complex
-from dsirr.assembly import build_global_quiver, instance_from_json, realize_numeric, verify_instance
-from dsirr.quiver import DoubledRep, is_stable, make_quiver, rep_stability, total_endomorphism_generators
+from dsirr import assembly
+from dsirr.assembly import (
+    FinitePole,
+    ProblemInstance,
+    build_global_quiver,
+    instance_from_json,
+    realize_numeric,
+    verify_instance,
+)
+from dsirr.irregular import make_irregular_type
+from dsirr.orbits import make_orbit_spec
+from dsirr.quiver import (
+    DoubledRep,
+    Stability,
+    is_stable,
+    make_quiver,
+    rep_stability,
+    total_endomorphism_generators,
+)
 from dsirr.scalars import GaussianRational as G
 from oracles import density_is_dense
 from test_assembly import star_instance
@@ -191,3 +208,48 @@ def test_verify_reports_the_certifying_dimension():
     assert checks["stability_rep"]["detail"] in ("stable=False invariant_dim=1/3",
                                                  "stable=False invariant_dim=2/3")
     assert checks["stability_transport"]["ok"]
+
+
+def test_verify_reports_an_isotypic_point_as_unresolved():
+    # S + S for a stable point S of a rank-2 star, on the same star with
+    # every multiplicity doubled: a moment-map solution on which every
+    # eigenvalue of theta is double, so Norton's test decides nothing
+    lam1, lam2, mu1 = G(-1, 2), G(-1, 3), G(1, 5)
+    mu2 = -(lam1 + lam2 + mu1)
+    gq = build_global_quiver(star_instance(lam1, lam2, mu1, mu2).as_float())
+    res = realize_numeric(gq, attempts=10, seed=11)
+    assert res.success
+    T = make_irregular_type(2, [((G(3),), 2), ((G(1),), 2)])
+    doubled = ProblemInstance(
+        4, T, (make_orbit_spec(2, [(lam1, [1, 1])]), make_orbit_spec(2, [(lam2, [1, 1])])),
+        (FinitePole(G(1), make_orbit_spec(4, [(mu1, [1, 1]), (mu2, [1, 1])])),))
+    gq2 = build_global_quiver(doubled.as_float())
+    assert gq2.quiver == gq.quiver and gq2.dims == {v: 2 * d for v, d in gq.dims.items()}
+    rep = DoubledRep(gq.quiver, gq2.dims,
+                     {k: np.kron(np.eye(2), m) for k, m in res.rep.fwd.items()},
+                     {k: np.kron(np.eye(2), m) for k, m in res.rep.rev.items()})
+    report = verify_instance(gq2, rep)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert not report["all_ok"]
+    assert [c["name"] for c in report["checks"] if not c["ok"]] == ["stability_rep"]
+    assert checks["stability_rep"]["detail"].startswith(
+        "unresolved: no simple eigenvalue in 4 tries; largest relative gap ")
+    assert checks["stability_rep"]["detail"].endswith(" <= NORTON_GAP 0.001")
+    assert "stability_transport" not in checks and "dimension_formula" not in checks
+
+
+def test_verify_reports_an_unresolved_connection_verdict(monkeypatch):
+    # the rep's own test decides (quiver.stability); the connection's is
+    # made to find no simple eigenvalue
+    gq, res = _realize("ladder_g4x1k2_seed206.json", 206, attempts=2)
+    assert res.success
+    monkeypatch.setattr(assembly, "stability",
+                        lambda gens, n: Stability(False, None, n, "invariant_dim", 2e-4))
+    report = verify_instance(gq, res.rep)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert [c["name"] for c in report["checks"] if not c["ok"]] == ["stability_transport"]
+    assert checks["stability_rep"]["detail"].startswith("stable=True ")
+    assert checks["stability_transport"]["detail"] == (
+        "rep=True connection unresolved: no simple eigenvalue in 4 tries; "
+        "largest relative gap 2.000e-04 <= NORTON_GAP 0.001")
+    assert checks["dimension_formula"]["ok"]
