@@ -343,17 +343,18 @@ def test_embedded_verification_equals_a_fresh_one(name, capsys):
 
 @pytest.fixture
 def stability_calls(monkeypatch):
-    """Count the rep_stability calls made through dsirr.assembly, and how
-    many of them come from the CLI's embedded verification."""
+    """Count the rep_stability(rep, zeta) calls made through
+    dsirr.assembly, and how many of them come from the CLI's embedded
+    verification."""
     import dsirr.assembly as assembly
     import dsirr.cli as cli
 
     calls = {"all": 0, "verify": 0}
     rep_stability, verify = assembly.rep_stability, cli.verify_instance
 
-    def counted(rep):
+    def counted(rep, zeta):
         calls["all"] += 1
-        return rep_stability(rep)
+        return rep_stability(rep, zeta)
 
     def counted_verify(*args, **kwargs):
         before = calls["all"]
@@ -392,7 +393,7 @@ def test_unresolved_stability_is_not_reported_unstable(monkeypatch):
     import dsirr.assembly as assembly
 
     monkeypatch.setattr(
-        assembly, "rep_stability", lambda rep: Stability(False, None, 4, "invariant_dim"))
+        assembly, "rep_stability", lambda rep, zeta: Stability(False, None, 4, "invariant_dim"))
     res = realize_numeric(build_global_quiver(rigid_star().as_float()), attempts=3, seed=1)
     assert not res.success and res.stop == "attempts-exhausted"
     assert [r["stop"] for r in res.records] == ["converged-unresolved"] * 3

@@ -185,7 +185,11 @@ def test_split_ladder_point_passes_verification(seed):
     report = verify_instance(gq, res.rep)
     assert report["all_ok"], report
     details = {c["name"]: c["detail"] for c in report["checks"]}
-    assert details["stability_rep"] == "stable=True invariant_dim=10/10"
+    bound = res.stability.bound
+    assert res.stability.measure == "trace_gap" and 0 < bound < 1e-10
+    assert details["stability_rep"] == (
+        f"stable=True trace_gap: |zeta . w| > B = {bound:.3e} for all 0 < w < v")
+    assert rep_stability(res.rep).detail == "stable=True invariant_dim=10/10"
 
 
 def test_near_resonant_point_is_realized_early():
