@@ -837,8 +837,9 @@ def verify_instance(
     `rep_stability(rep, gq.zeta)`.  An unresolved one (no simple
     eigenvalue) fails stability_rep, and the checks that use the rep's
     verdict do not run; an unresolved connection verdict fails
-    stability_transport."""
-    checks, conn, error = _conversion(gq, rep, rtol)
+    stability_transport.  Raises ValueError unless `rtol` is finite and
+    > 0."""
+    checks, conn, error = _conversion(gq, rep, linalg.require_rtol(rtol))
 
     def record(name, ok, detail=""):
         checks.append({"name": name, "ok": bool(ok), "detail": str(detail)})

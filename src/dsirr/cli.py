@@ -1,12 +1,17 @@
 """Command-line front end.
 
 Subcommands: check, build-quiver, realize, verify, reduce, leg; each
-accepts only the options it reads.  Every run writes a machine-readable
-JSON report (stdout by default); exit status 0 means
-nonempty/verified/success, 1 means empty/falsified, 2 means undecided or
-error.  Input files are parsed once, in the mode their scalars are
-written in (float if any is a JSON float or an [re, im] pair, exact
-otherwise); check always needs exact scalars.  Randomized paths are
+accepts only the options it reads.  One table, COMMANDS, gives each its
+handler, help and options.  A call builds the parser of the command it
+names alone, and the whole tree only for no arguments, -h or an unknown
+command; nothing carries over from one call to the next.  Every run
+writes a machine-readable JSON report (stdout by default); exit status 0
+means nonempty/verified/success, 1 means empty/falsified, 2 means
+undecided or error.  Input files are parsed once, in the mode their
+scalars are written in (float if any is a JSON float or an [re, im]
+pair, exact otherwise); check always needs exact scalars.  A --tolerance
+that is not finite and > 0, or a --max-decompositions or --attempts
+below 1, is an error (exit 2), never a verdict.  Randomized paths are
 reproducible through --seed.
 """
 
@@ -16,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 from .assembly import (
     build_global_quiver,
@@ -30,6 +36,7 @@ from .assembly import (
 )
 from .irregular import irregular_type_from_json
 from .jets import ConnectionJet
+from .linalg import require_rtol
 from .orbits import (
     greedy_marking,
     leg_dimensions,
@@ -170,6 +177,7 @@ def cmd_reduce(args):
         raise SchemaError("wrong number of matrices at /jet/coeffs")
     n = T.n
     jet = ConnectionJet(n, k, tuple(matrix_from_json(c, n, n, exact) for c in coeffs))
+    require_rtol(args.tolerance)  # a usage error, not an incompatible jet
     try:
         out = normalize(jet, T, rtol=args.tolerance)
     except ValueError as e:
@@ -215,54 +223,65 @@ def cmd_leg(args):
     return report, 0
 
 
+# option specs: (flags, add_argument keywords)
+_INPUT = (("input",), {"help": "input JSON path ('-' for stdin)"})
+_OUTPUT = (("-o", "--output"), {"default": None, "help": "report path (default stdout)"})
+_TOLERANCE = (("--tolerance",), {"type": float, "default": 1e-8, "help": "relative tolerance"})
+
+
+class Command(NamedTuple):
+    handler: Callable
+    help: str
+    options: tuple = ()
+
+
 COMMANDS = {
-    "check": cmd_check,
-    "build-quiver": cmd_build_quiver,
-    "realize": cmd_realize,
-    "verify": cmd_verify,
-    "reduce": cmd_reduce,
-    "leg": cmd_leg,
+    "check": Command(cmd_check, "decide non-emptiness from a problem file (exact scalars)", (
+        (("--max-decompositions",), {
+            "type": int, "default": 200_000,
+            "help": "search budget (candidate enumeration steps, which also bound "
+                    "the decomposition DP's states) before reporting undecided"}),
+    )),
+    "build-quiver": Command(cmd_build_quiver, "synthesize (Q, v, zeta) from a problem file", (
+        (("--dot",), {"default": None, "help": "write Graphviz DOT here"}),
+        (("--dot-mode",), {"choices": ["basic", "full"], "default": "basic",
+                           "help": "full adds the parameters to vertex labels"}),
+    )),
+    "realize": Command(cmd_realize, "search for a stable numeric point (float mode)", (
+        (("--seed",), {"type": int, "default": 0, "help": "seed for the random restarts"}),
+        (("--attempts",), {"type": int, "default": 50, "help": "realizer restarts (at least 1)"}),
+    )),
+    "verify": Command(cmd_verify, "run all invariant checks on a representation", (_TOLERANCE,)),
+    "reduce": Command(cmd_reduce, "formal reduction of a connection jet against a type", (_TOLERANCE,)),
+    "leg": Command(cmd_leg, "marking, leg dimensions and chain maps of an orbit"),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(name=None) -> argparse.ArgumentParser:
+    """The parser with command `name`'s subparser alone, or with every
+    command's when `name` names none (no arguments, -h, an unknown one)."""
     parser = argparse.ArgumentParser(
         prog="dsirr",
         description="decide, realize and verify additive irregular Deligne-Simpson instances",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", help="input JSON path ('-' for stdin)")
-        p.add_argument("-o", "--output", default=None, help="report path (default stdout)")
-        return p
-
-    p = command("check", "decide non-emptiness from a problem file (exact scalars)")
-    p.add_argument("--max-decompositions", type=int, default=200_000,
-                   help="search budget (candidate enumeration steps, which also bound "
-                        "the decomposition DP's states) before reporting undecided")
-    p = command("build-quiver", "synthesize (Q, v, zeta) from a problem file")
-    p.add_argument("--dot", default=None, help="write Graphviz DOT here")
-    p.add_argument("--dot-mode", choices=["basic", "full"], default="basic",
-                   help="full adds the parameters to vertex labels")
-    p = command("realize", "search for a stable numeric point (float mode)")
-    p.add_argument("--seed", type=int, default=0, help="seed for the random restarts")
-    p.add_argument("--attempts", type=int, default=50, help="realizer restarts (at least 1)")
-    for name, help_text in [
-        ("verify", "run all invariant checks on a representation"),
-        ("reduce", "formal reduction of a connection jet against a type"),
-    ]:
-        p = command(name, help_text)
-        p.add_argument("--tolerance", type=float, default=1e-8, help="relative tolerance")
-    p = command("leg", "marking, leg dimensions and chain maps of an orbit")
+    one = name in COMMANDS
+    # one command's tree still lists every command in its usage line; the
+    # full tree leaves the metavar unset, since it would also rename the
+    # action in the "required: command" and "argument command" errors
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="{%s}" % ",".join(COMMANDS) if one else None)
+    for n in [name] if one else COMMANDS:
+        p = sub.add_parser(n, help=COMMANDS[n].help)
+        for flags, kwargs in (_INPUT, _OUTPUT, *COMMANDS[n].options):
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        report, code = COMMANDS[args.command](args)
+        report, code = COMMANDS[args.command].handler(args)
     except SchemaError as e:
         report, code = {"schema_version": SCHEMA_VERSION, "error": str(e)}, 2
     # a payload of the wrong shape raises TypeError or AttributeError on

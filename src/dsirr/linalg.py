@@ -7,11 +7,22 @@ threshold is relative to the largest singular value.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .scalars import ONE, ZERO
 
 RANK_RTOL = 1e-8
+
+
+def require_rtol(rtol: float) -> float:
+    """`rtol` itself if it is finite and > 0.  A NaN, infinite, zero or
+    negative tolerance passes or fails every check it gates, whatever the
+    data, so it is refused rather than reported as a verdict."""
+    if not (math.isfinite(rtol) and rtol > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {rtol}")
+    return rtol
 
 
 def is_exact(a: np.ndarray) -> bool:

@@ -255,8 +255,10 @@ def normalize(a: ConnectionJet, T: IrregularType, rtol: float = 1e-8) -> Normali
     removes the separating component at that level.  Returns the gauge
     factors, the reduced jet, and the exponent: the residue coefficient
     of the reduced jet, block-diagonal for the type.  The exponent is
-    independent of the unipotent gauge used.
+    independent of the unipotent gauge used.  Raises ValueError unless
+    `rtol` is finite and > 0.
     """
+    linalg.require_rtol(rtol)
     if T.exact != a.exact:
         raise TypeError("backend mismatch between the jet and the irregular type")
     if a.n != T.n or a.k != T.k:

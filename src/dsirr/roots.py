@@ -417,8 +417,11 @@ def cb_solvable(cartan: CartanData, v, zeta, max_nodes: int = 200_000) -> Verdic
     failure carries a violating decomposition.  `max_nodes` bounds the
     reflection steps of condition 1's root test, and the candidate
     enumeration's work and with it the DP's states; running out of
-    either yields an honest "undecided" that names the budget.
+    either yields an honest "undecided" that names the budget, which
+    must be at least 1.
     """
+    if max_nodes < 1:
+        raise ValueError(f"search budget max_nodes must be at least 1, got {max_nodes}")
     v = tuple(int(x) for x in v)
     dv = cartan.delta(v)
     try:

@@ -1,5 +1,8 @@
+import argparse
 import json
 import os
+import subprocess
+import sys
 import time
 import warnings
 
@@ -7,7 +10,10 @@ import pytest
 
 from dsirr.cli import main
 
-DATA = os.path.join(os.path.dirname(__file__), "data")
+TESTS = os.path.dirname(__file__)
+DATA = os.path.join(TESTS, "data")
+with open(os.path.join(TESTS, "golden", "cli_text.json"), encoding="utf-8") as _f:
+    GOLDEN = json.load(_f)
 
 
 def run(capsys, *argv):
@@ -278,3 +284,83 @@ def test_main_keeps_no_state_between_in_process_calls(capsys):
     assert code == 2 and capped["verdict"] == "undecided"
     after = run(capsys, "check", f)
     assert after == fresh and after[1]["verdict"] != "undecided"
+
+
+@pytest.fixture(scope="module")
+def witness(tmp_path_factory):
+    """A verify input holding a realized star_rigid witness that verifies."""
+    tmp = tmp_path_factory.mktemp("witness")
+    real, ok, verify_input = tmp / "real.json", tmp / "ok.json", tmp / "verify.json"
+    assert main(["realize", path("star_rigid.json"), "--seed", "9", "-o", str(real)]) == 0
+    instance = json.loads(open(path("star_rigid.json")).read())
+    rep = json.loads(real.read_text())["rep"]
+    verify_input.write_text(json.dumps({"instance": instance, "rep": rep}))
+    assert main(["verify", str(verify_input), "-o", str(ok)]) == 0
+    return str(verify_input)
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+def test_verify_rejects_a_meaningless_tolerance(tolerance, witness, capsys):
+    # a usage error, not a falsified witness
+    code, report = run(capsys, "verify", witness, "--tolerance", tolerance)
+    assert code == 2
+    assert "tolerance" in report["error"]
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+def test_reduce_rejects_a_meaningless_tolerance(tolerance, capsys):
+    code, report = run(capsys, "reduce", path("reduce_example.json"), "--tolerance", tolerance)
+    assert code == 2
+    assert "tolerance" in report["error"]
+
+
+@pytest.mark.parametrize("name", ["star_rigid.json", "example_iii.json"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_check_rejects_a_budget_below_one(name, budget, capsys):
+    code, report = run(capsys, "check", path(name), "--max-decompositions", budget)
+    assert code == 2
+    assert "at least 1" in report["error"]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != tuple(GOLDEN["python"]),
+                    reason="argparse words its help and errors differently across Python versions")
+@pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: " ".join(c["argv"]) or "no-args")
+def test_cli_text_is_unchanged(case, monkeypatch, capsys):
+    # help, usage and error text byte for byte as recorded, at a pinned width
+    monkeypatch.setenv("COLUMNS", str(GOLDEN["columns"]))
+    try:
+        code = main([a.format(star=path("star_rigid.json")) for a in case["argv"]])
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    assert (out, err, code) == (case["stdout"], case["stderr"], case["code"])
+
+
+def test_main_builds_only_the_invoked_subparser(monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert main(["check", path("star_rigid.json")]) == 0
+    assert built == ["check"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["-h"])
+    assert len(built) == 6
+
+
+def test_console_script_path_matches_in_process_main(monkeypatch, capsys):
+    # argv=None reads sys.argv, in a fresh interpreter and in this one
+    argv = ["check", path("star_rigid.json")]
+    env = dict(os.environ, PYTHONPATH=os.path.join(TESTS, os.pardir, "src"))
+    done = subprocess.run([sys.executable, "-m", "dsirr.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    expected = run(capsys, *argv)
+    assert (done.returncode, json.loads(done.stdout)) == expected
+    monkeypatch.setattr(sys, "argv", ["dsirr", *argv])
+    code = main()
+    assert (code, json.loads(capsys.readouterr().out)) == expected

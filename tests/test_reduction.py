@@ -251,3 +251,10 @@ def test_normalize_reduced_matches_dt_slots(rng):
     for c in out.reduced.coeffs:
         off = c - linalg.to_complex(T.project(c, 0, "diag"))
         assert linalg.mat_norm(off) < 1e-8 * max(1.0, linalg.mat_norm(c))
+
+
+@pytest.mark.parametrize("rtol", [float("nan"), float("inf"), 0.0, -1e-8])
+def test_normalize_rejects_a_meaningless_tolerance(rtol):
+    T = example_type()
+    with pytest.raises(ValueError, match="tolerance"):
+        normalize(dt_jet(T, 2 * T.k), T, rtol=rtol)

@@ -192,6 +192,12 @@ def test_cb_search_cap_reports_undecided():
     assert v.undecided
 
 
+@pytest.mark.parametrize("max_nodes", [0, -5])
+def test_cb_rejects_a_budget_below_one(max_nodes):
+    with pytest.raises(ValueError, match="at least 1"):
+        cb_solvable(a2(), (1, 1), {"1": G(0), "2": G(0)}, max_nodes=max_nodes)
+
+
 def test_budget_is_checked_before_allocation():
     # (10^6, 10^6) is an imaginary root of the doubled arrow and zeta = 0, so
     # the criterion reaches the enumeration, whose half boxes exceed the cap
