@@ -26,7 +26,9 @@ slot j equal to -A_{j-1} (because z^i dz = -w^{-i-2} dw) and residue
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import accumulate
 from operator import add, mul
 
 import numpy as np
@@ -51,7 +53,7 @@ from .orbits import (
 )
 from .quiver import DoubledRep, delta, is_stable, make_quiver, moment_map, rep_stability, stability
 from .roots import CartanData, Verdict, cb_solvable
-from .scalars import GaussianRational, as_complex, exact_dot, scalar_key
+from .scalars import GaussianRational, as_complex, exact_dot, integerize, require_int, scalar_key
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,7 @@ class ProblemInstance:
     poles: tuple  # FinitePole, positions pairwise distinct
 
     def __post_init__(self):
+        require_int(self.n, "the rank", 1)
         if self.irregular.n != self.n:
             raise ValueError("irregular type size differs from the declared rank")
         if len(self.residue_blocks) != self.irregular.block_count:
@@ -107,6 +110,7 @@ class GlobalQuiver:
     zeta: dict
     instance: ProblemInstance
     markings: dict  # ("p", b) or ("t", j) -> marking tuple
+    zeta_int: tuple | None = None  # exact mode: c Re(zeta), c Im(zeta) on integers
 
     @cached_property
     def moment_plan(self) -> "_MomentPlan":
@@ -117,53 +121,60 @@ class GlobalQuiver:
 def build_global_quiver(instance: ProblemInstance) -> GlobalQuiver:
     """Assemble (Q, v, zeta) from the instance.
 
-    The identity zeta . v = -(trace of all residue exponents) holds by
-    construction and is re-checked here in exact mode, on integers.
+    Each zeta_x is a signed sum of marking scalars, formed on real and
+    imaginary parts: in exact mode, integers over one denominator c that
+    also clears the eigenvalues.  On these the identity zeta . v =
+    -(trace of all residue exponents) is re-checked, and c * zeta is kept,
+    in vertex order, as `zeta_int` for the criterion.
     """
     T = instance.irregular
     core, core_dims = core_quiver(T)
     vertices = list(core.vertices)
     arrows = [(a.id, a.src, a.dst) for a in core.arrows]
     dims = dict(core_dims)
-    markings = {}
-    zeta = {}
+    legs = [(("p", b), spec) for b, spec in enumerate(instance.residue_blocks)]
+    legs += [(("t", j), pole.orbit) for j, pole in enumerate(instance.poles)]
+    markings = {key: greedy_marking(spec) for key, spec in legs}
+    entries = [x for m in markings.values() for x in m]
+    first = dict(zip(markings, accumulate(map(len, markings.values()), initial=0)))
+    if instance.exact:  # the eigenvalues follow the marking entries
+        traces = [(x, sum(b)) for _, spec in legs for x, b in spec.eigenvalues]
+        lcd, re, im = integerize(entries + [x for x, _ in traces])
+    else:
+        re, im = [as_complex(x).real for x in entries], [as_complex(x).imag for x in entries]
 
-    leg_specs = []
-    for b, spec in enumerate(instance.residue_blocks):
-        marking = greedy_marking(spec)
-        markings[("p", b)] = marking
-        leg_specs.append((f"p{b}.", f"p{b}", marking, leg_dimensions(spec, marking), False))
-    for j, pole in enumerate(instance.poles):
-        marking = greedy_marking(pole.orbit)
-        markings[("t", j)] = marking
-        leg_specs.append((f"t{j}.", None, marking, leg_dimensions(pole.orbit, marking), True))
-
-    for prefix, foot, marking, ldims, to_all in leg_specs:
+    terms = {}  # vertex -> (Re, Im) of zeta, in the arithmetic of the mode
+    for key, spec in legs:
+        prefix, ldims = f"{key[0]}{key[1]}.", leg_dimensions(spec)
         for l, d in enumerate(ldims, start=1):
-            v = f"{prefix}{l}"
+            v, a = f"{prefix}{l}", first[key] + l - 1
             vertices.append(v)
             dims[v] = d
-            zeta[v] = marking[l - 1] - marking[l]
+            terms[v] = (re[a] - re[a + 1], im[a] - im[a + 1])
             if l >= 2:
                 arrows.append((f"{prefix}{l}>{prefix}{l-1}", v, f"{prefix}{l-1}"))
         if ldims:
-            if to_all:
-                for b in range(T.block_count):
-                    arrows.append((f"{prefix}1>p{b}", f"{prefix}1", f"p{b}"))
-            else:
-                arrows.append((f"{prefix}1>{foot}", f"{prefix}1", foot))
-
-    finite_first = [markings[("t", j)][0] for j in range(len(instance.poles))]
+            feet = [f"p{b}" for b in range(T.block_count)] if key[0] == "t" else [f"p{key[1]}"]
+            arrows += [(f"{prefix}1>{foot}", f"{prefix}1", foot) for foot in feet]
     for b in range(T.block_count):
-        z = -markings[("p", b)][0]
-        for lam in finite_first:
-            z = z - lam
-        zeta[f"p{b}"] = z
+        a = first[("p", b)]
+        zr, zi = -re[a], -im[a]
+        for j in range(len(instance.poles)):
+            a = first[("t", j)]
+            zr, zi = zr - re[a], zi - im[a]
+        terms[f"p{b}"] = (zr, zi)
 
-    gq = GlobalQuiver(make_quiver(vertices, arrows), dims, zeta, instance, markings)
-    if instance.exact and zeta_dot_v(gq) != -total_exponent_trace(instance):
+    quiver = make_quiver(vertices, arrows)
+    if not instance.exact:
+        zeta = {v: complex(r, i) for v, (r, i) in terms.items()}
+        return GlobalQuiver(quiver, dims, zeta, instance, markings)
+    zeta = {v: GaussianRational(Fraction(r, lcd), Fraction(i, lcd)) for v, (r, i) in terms.items()}
+    zr, zi = [terms[v][0] for v in vertices], [terms[v][1] for v in vertices]
+    weights, mults, e = [dims[v] for v in vertices], [m for _, m in traces], len(entries)
+    if (sum(map(mul, zr, weights)) != -sum(map(mul, re[e:], mults))
+            or sum(map(mul, zi, weights)) != -sum(map(mul, im[e:], mults))):
         raise AssertionError("internal: zeta . v failed the trace identity")
-    return gq
+    return GlobalQuiver(quiver, dims, zeta, instance, markings, (zr, zi))
 
 
 def zeta_dot_v(gq: GlobalQuiver):
@@ -228,7 +239,7 @@ def decide_ds(instance: ProblemInstance, max_nodes: int = 200_000) -> DSVerdict:
     gq = build_global_quiver(instance)
     cartan = CartanData.from_quiver(gq.quiver)
     v = cartan.vec(gq.dims)
-    verdict = cb_solvable(cartan, v, gq.zeta, max_nodes=max_nodes)
+    verdict = cb_solvable(cartan, v, gq.zeta_int, max_nodes=max_nodes)
     return DSVerdict(verdict, gq)
 
 
@@ -913,7 +924,7 @@ def instance_from_json(data: dict, exact: bool) -> ProblemInstance:
     from .orbits import orbit_spec_from_json
     from .serialize import scalar_from_json
 
-    n = int(data["rank"])
+    n = data["rank"]
     T = irregular_type_from_json(data["infinity"]["irregular_type"], exact)
     blocks_json = data["infinity"]["residue_blocks"]
     if len(blocks_json) != T.block_count:

@@ -62,7 +62,9 @@ def _require(data, key, path, kind=None):
     if key not in data:
         raise SchemaError(f"missing required key at {path}/{key}")
     value = data[key]
-    if kind is not None and not isinstance(value, kind):
+    # a JSON true or false is no integer, though Python's bool is an int
+    if kind is not None and (not isinstance(value, kind)
+                             or kind is int and isinstance(value, bool)):
         raise SchemaError(f"wrong type at {path}/{key}")
     return value
 
@@ -175,9 +177,11 @@ def cmd_reduce(args):
     coeffs = _require(jet_data, "coeffs", "/jet", list)
     if len(coeffs) != depth + 1:
         raise SchemaError("wrong number of matrices at /jet/coeffs")
+    if k != T.k:  # a usage error, not an incompatible jet
+        raise SchemaError(f"/jet/k is {k}, the irregular type's pole order is {T.k}")
     n = T.n
     jet = ConnectionJet(n, k, tuple(matrix_from_json(c, n, n, exact) for c in coeffs))
-    require_rtol(args.tolerance)  # a usage error, not an incompatible jet
+    require_rtol(args.tolerance)  # likewise
     try:
         out = normalize(jet, T, rtol=args.tolerance)
     except ValueError as e:

@@ -32,6 +32,7 @@ The kernel implemented here:
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -40,7 +41,7 @@ import numpy as np
 from . import linalg
 from .jets import ConnectionJet, JetMatrix, PrincipalPart, jet_inv, pp_left_mul
 from .quiver import DoubledRep, make_quiver
-from .scalars import GaussianRational, scalar_key, scalars_equal
+from .scalars import GaussianRational, require_int, scalar_key, scalars_equal
 
 FLOAT_COEFF_RTOL = 1e-9
 
@@ -127,14 +128,9 @@ class IrregularType:
         return PrincipalPart(self.n, self.k, tuple(coeffs), "polar")
 
     def separation(self, p: int, q: int) -> int:
-        """Largest s with c_s differing between blocks p and q (0 if equal)."""
-        exact = self.exact
-        for s in range(self.k - 1, 0, -1):
-            a = self.blocks[p].coeffs[s - 1]
-            b = self.blocks[q].coeffs[s - 1]
-            if not scalars_equal(a, b, exact, FLOAT_COEFF_RTOL):
-                return s
-        return 0
+        """Largest s with c_s differing between blocks p and q (0 if equal):
+        the lowest level at which the two share a class."""
+        return next(i for i, cls in enumerate(self.level_classes) if cls[p] == cls[q])
 
     def arrow_multiplicity(self, p: int, q: int) -> int:
         """deg of t_p - t_q in 1/z, minus one."""
@@ -160,16 +156,13 @@ def make_irregular_type(k: int, blocks) -> IrregularType:
     largest reversed coefficient tuple first; duplicate polynomials are
     rejected (merge their multiplicities instead).
     """
-    if k < 2:
-        raise ValueError("pole order k must be at least 2")
+    require_int(k, "the pole order k", 2)
     blk = []
     for coeffs, mult in blocks:
         coeffs = tuple(coeffs)
         if len(coeffs) != k - 1:
             raise ValueError(f"block needs {k - 1} coefficients, got {len(coeffs)}")
-        if mult <= 0:
-            raise ValueError("block multiplicity must be positive")
-        blk.append(Block(coeffs, int(mult)))
+        blk.append(Block(coeffs, require_int(mult, "a block multiplicity", 1)))
     if not blk:
         raise ValueError("irregular type needs at least one block")
     exact = isinstance(blk[0].coeffs[0], GaussianRational)
@@ -186,27 +179,17 @@ def make_irregular_type(k: int, blocks) -> IrregularType:
     order = sorted(enumerate(blk), key=key, reverse=True)
     source = tuple(i for i, _ in order)
     blk = [b for _, b in order]
+    # neighbours share a class at level i iff their largest differing c_s
+    # has s <= i; each pair's s is found once, from the top
+    seps = []
     for a, b in zip(blk, blk[1:]):
-        if all(scalars_equal(x, y, exact, FLOAT_COEFF_RTOL) for x, y in zip(a.coeffs, b.coeffs)):
+        sep = next((s for s in range(k - 1, 0, -1) if not scalars_equal(
+            a.coeffs[s - 1], b.coeffs[s - 1], exact, FLOAT_COEFF_RTOL)), 0)
+        if sep == 0:
             raise ValueError("blocks must be pairwise distinct as polynomials")
-    starts = []
-    pos = 0
-    for b in blk:
-        starts.append(pos)
-        pos += b.mult
-    levels = []
-    for i in range(k):
-        cls = [0] * len(blk)
-        cid = 0
-        for j in range(1, len(blk)):
-            same = all(
-                scalars_equal(x, y, exact, FLOAT_COEFF_RTOL)
-                for x, y in zip(blk[j - 1].coeffs[i:], blk[j].coeffs[i:])
-            )
-            if not same:
-                cid += 1
-            cls[j] = cid
-        levels.append(tuple(cls))
+        seps.append(sep)
+    *starts, pos = itertools.accumulate((b.mult for b in blk), initial=0)
+    levels = [tuple(itertools.accumulate((s > i for s in seps), initial=0)) for i in range(k)]
     return IrregularType(pos, k, tuple(blk), tuple(starts), tuple(levels), source)
 
 
@@ -413,9 +396,8 @@ def irregular_type_to_json(T: IrregularType) -> dict:
 def irregular_type_from_json(data: dict, exact: bool) -> IrregularType:
     from .serialize import scalar_from_json
 
-    k = int(data["k"])
     blocks = [
-        (tuple(scalar_from_json(c, exact) for c in b["coeffs"]), int(b["mult"]))
+        (tuple(scalar_from_json(c, exact) for c in b["coeffs"]), b["mult"])
         for b in data["blocks"]
     ]
-    return make_irregular_type(k, blocks)
+    return make_irregular_type(data["k"], blocks)

@@ -8,6 +8,14 @@ type-A leg.  The greedy marking (largest rank drop first, ties by
 (Re, Im) order) minimizes the leg dimensions; callers may override the
 order.
 
+Invariant: an OrbitSpec holds its eigenvalues sorted by (Re, Im) and
+distinct; its constructor alone sorts them and rejects a repeat.  So
+index order is the greedy tie-break, and the greedy marking is one sort
+of the (-drop, index, level) triples, eigenvalue `index` losing `drop`
+active blocks at its `level`-th use.  The rank sequence and the ranks
+orbit_membership expects are computed by index too; only a marking given
+by value is matched to indices, entry by entry with ==.
+
 realize_leg builds the chain maps explicitly: the reverse map along
 arrow l -> l-1 is (A - l_l) corestricted to V_l, the forward map is
 the inclusion; the product of the pair at the top plus l_1 recovers A.
@@ -15,13 +23,15 @@ the inclusion; the product of the pair at the top plus l_1 recovers A.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import lt
 
 import numpy as np
 
 from . import linalg
 from .quiver import DoubledRep, make_quiver
-from .scalars import GaussianRational, as_complex, as_exact, scalar_key
+from .scalars import GaussianRational, as_complex, as_exact, require_int, scalar_key
 
 Marking = tuple
 
@@ -38,9 +48,13 @@ class OrbitSpec:
         total = sum(sum(blocks) for _, blocks in self.eigenvalues)
         if total != self.n:
             raise ValueError(f"block sizes sum to {total}, expected n={self.n}")
-        vals = [scalar_key(v) for v, _ in self.eigenvalues]
-        if len(set(vals)) != len(vals):
-            raise ValueError("repeated eigenvalue in orbit data")
+        evs = self.eigenvalues
+        keys = [scalar_key(v) for v, _ in evs]
+        if not all(map(lt, keys, keys[1:])):  # else already sorted and distinct
+            order = sorted(range(len(evs)), key=keys.__getitem__)
+            if any(keys[a] == keys[b] for a, b in zip(order, order[1:])):
+                raise ValueError("repeated eigenvalue in orbit data")
+            object.__setattr__(self, "eigenvalues", tuple(evs[i] for i in order))
         if self.marking_override is not None:
             _validate_marking(self, self.marking_override)
 
@@ -63,22 +77,38 @@ class OrbitSpec:
 def make_orbit_spec(n: int, eigenvalues, marking=None) -> OrbitSpec:
     evs = []
     for value, blocks in eigenvalues:
-        blocks = tuple(sorted((int(b) for b in blocks), reverse=True))
-        if any(b <= 0 for b in blocks):
-            raise ValueError("Jordan block sizes must be positive")
-        evs.append((value, blocks))
-    evs.sort(key=lambda p: scalar_key(p[0]))
+        blocks = sorted((require_int(b, "a Jordan block size", 1) for b in blocks), reverse=True)
+        if not blocks:
+            raise ValueError(f"eigenvalue {value} has no Jordan block")
+        evs.append((value, tuple(blocks)))
     return OrbitSpec(n, tuple(evs), tuple(marking) if marking is not None else None)
 
 
+def _indices(spec: OrbitSpec, marking: Marking) -> list:
+    """Each marking entry's eigenvalue index, None outside the spectrum."""
+    values = [v for v, _ in spec.eigenvalues]
+    return [next((i for i, v in enumerate(values) if v is m or v == m), None) for m in marking]
+
+
+def _greedy_indices(spec: OrbitSpec) -> list:
+    """The greedy marking as eigenvalue indices, by one sort: each
+    eigenvalue's drops shrink with its level, so the sort is the greedy merge."""
+    steps = []
+    for i, (_, blocks) in enumerate(spec.eigenvalues):
+        active = len(blocks)  # blocks larger than `level`; sizes descend
+        for level in range(blocks[0]):
+            while blocks[active - 1] <= level:
+                active -= 1
+            steps.append((-active, i, level))
+    return [i for _, i, _ in sorted(steps)]
+
+
 def _validate_marking(spec: OrbitSpec, marking: Marking):
-    for value, blocks in spec.eigenvalues:
-        need = blocks[0]
-        have = sum(1 for m in marking if scalar_key(m) == scalar_key(value))
-        if have < need:
-            raise ValueError(
-                f"marking lists eigenvalue {value} only {have} times, largest block is {need}"
-            )
+    uses = Counter(_indices(spec, marking))
+    for i, (value, blocks) in enumerate(spec.eigenvalues):
+        if uses[i] < blocks[0]:
+            raise ValueError(f"marking lists eigenvalue {value} only {uses[i]} times, "
+                             f"largest block is {blocks[0]}")
 
 
 def greedy_marking(spec: OrbitSpec) -> Marking:
@@ -89,23 +119,7 @@ def greedy_marking(spec: OrbitSpec) -> Marking:
     """
     if spec.marking_override is not None:
         return spec.marking_override
-    used = {i: 0 for i in range(len(spec.eigenvalues))}
-    marking = []
-    while True:
-        best, best_drop = None, 0
-        for i, (value, blocks) in enumerate(spec.eigenvalues):
-            drop = sum(1 for b in blocks if b > used[i])
-            if drop > best_drop or (
-                drop == best_drop
-                and drop > 0
-                and scalar_key(value) < scalar_key(spec.eigenvalues[best][0])
-            ):
-                best, best_drop = i, drop
-        if best is None:
-            break
-        marking.append(spec.eigenvalues[best][0])
-        used[best] += 1
-    return tuple(marking)
+    return tuple(spec.eigenvalues[i][0] for i in _greedy_indices(spec))
 
 
 def minimal_marking(L: np.ndarray) -> Marking:
@@ -118,18 +132,19 @@ def rank_sequence(spec: OrbitSpec, marking: Marking = None) -> list:
 
     dim V_l = sum over Jordan blocks of max(size - uses so far, 0),
     where a use is an occurrence of the block's eigenvalue among the
-    first l marking entries.
+    first l marking entries; a use at level c removes one from every
+    block larger than c.
     """
-    marking = greedy_marking(spec) if marking is None else tuple(marking)
-    dims = []
-    counts = {}
-    for m in marking[:-1]:
-        key = scalar_key(m)
-        counts[key] = counts.get(key, 0) + 1
-        d = 0
-        for value, blocks in spec.eigenvalues:
-            c = counts.get(scalar_key(value), 0)
-            d += sum(max(b - c, 0) for b in blocks)
+    if marking is None and spec.marking_override is None:
+        order = _greedy_indices(spec)
+    else:
+        order = _indices(spec, spec.marking_override if marking is None else marking)
+    dims, uses, d = [], [0] * len(spec.eigenvalues), spec.n
+    for i in order[:-1]:
+        if i is not None:
+            c = uses[i]
+            uses[i] = c + 1
+            d -= sum(b > c for b in spec.eigenvalues[i][1])
         dims.append(d)
     return dims
 
@@ -294,15 +309,6 @@ def realize_leg(L: np.ndarray, marking: Marking) -> LegRealization:
     return LegRealization(tuple(marking), rep)
 
 
-def expected_rank(spec: OrbitSpec, value, j: int) -> int:
-    """rank((R - value)^j) for R in the orbit."""
-    r = spec.n
-    for v, blocks in spec.eigenvalues:
-        if scalar_key(v) == scalar_key(value):
-            r -= sum(min(b, j) for b in blocks)
-    return r
-
-
 def orbit_membership(R: np.ndarray, spec: OrbitSpec, rtol: float = 1e-8) -> bool:
     """Exact conjugacy-class membership via rank profiles.
 
@@ -321,9 +327,9 @@ def orbit_membership(R: np.ndarray, spec: OrbitSpec, rtol: float = 1e-8) -> bool
         shifted = R - v * ident
         ambient = None if exact else norm + abs(v)
         ranks = linalg.power_rank_sequence(shifted, n, rtol, scale=ambient)
-        for j in range(1, n + 1):
-            if ranks[j - 1] != expected_rank(spec, value, j):
-                return False
+        # rank((R - value)^j) = n - sum over value's own blocks of min(b, j)
+        if ranks != [n - sum(min(b, j) for b in blocks) for j in range(1, n + 1)]:
+            return False
     return True
 
 
@@ -369,25 +375,17 @@ def _spec_from_marking_ranks(data: dict, n: int, exact: bool) -> OrbitSpec:
     from .serialize import scalar_from_json
 
     marking = [scalar_from_json(x, exact) for x in data["marking"]]
-    ranks = [int(r) for r in data["ranks"]]
+    ranks = [require_int(r, "a marking rank", 0) for r in data["ranks"]]
     if len(ranks) != len(marking) - 1:
         raise ValueError("rank sequence must have length d-1")
     dims = [n] + ranks + [0]
-    counts = {}
-    per_eigenvalue = {}
+    drops = {}  # (Re, Im) -> (scalar, the rank drop at each of its uses)
     for l, lam in enumerate(marking):
-        key = scalar_key(lam)
-        counts[key] = counts.get(key, 0) + 1
-        drop = dims[l] - dims[l + 1]
-        per_eigenvalue.setdefault(key, (lam, []))[1].append((counts[key], drop))
+        drops.setdefault(scalar_key(lam), (lam, []))[1].append(dims[l] - dims[l + 1])
     evs = []
-    for lam, occ in per_eigenvalue.values():
-        # occ: (occurrence index, #blocks of size >= occurrence index)
-        occ.sort()
-        blocks = []
-        for idx, (j, at_least) in enumerate(occ):
-            nxt = occ[idx + 1][1] if idx + 1 < len(occ) else 0
-            blocks.extend([j] * (at_least - nxt))
+    for lam, d in drops.values():
+        # its j-th use drops the rank by its number of blocks of size >= j
+        blocks = [j for j, (a, b) in enumerate(zip(d, d[1:] + [0]), 1) for _ in range(a - b)]
         if blocks:
             evs.append((lam, blocks))
     return make_orbit_spec(n, evs, marking)

@@ -418,7 +418,7 @@ def cb_solvable(cartan: CartanData, v, zeta, max_nodes: int = 200_000) -> Verdic
     reflection steps of condition 1's root test, and the candidate
     enumeration's work and with it the DP's states; running out of
     either yields an honest "undecided" that names the budget, which
-    must be at least 1.
+    must be at least 1.  `zeta` is as in `summand_candidates`.
     """
     if max_nodes < 1:
         raise ValueError(f"search budget max_nodes must be at least 1, got {max_nodes}")
@@ -427,7 +427,7 @@ def cb_solvable(cartan: CartanData, v, zeta, max_nodes: int = 200_000) -> Verdic
     try:
         if not is_positive_root(cartan, v, max_steps=max_nodes):
             return Verdict(False, failed_condition=1, delta=dv, detail="v is not a positive root")
-        zr, zi = _integer_zeta(cartan, zeta)
+        zr, zi = zeta if isinstance(zeta, tuple) else _integer_zeta(cartan, zeta)
         if _dot(zr, v) or _dot(zi, v):
             return Verdict(False, failed_condition=2, delta=dv, detail="zeta . v != 0")
         cands = summand_candidates(cartan, v, (zr, zi), cap=max_nodes)

@@ -13,6 +13,11 @@ Matrices are numpy arrays: ``dtype=object`` filled with
 :class:`GaussianRational` in exact mode, ``dtype=complex128`` in float
 mode.  The two modes never mix silently: combining a
 :class:`GaussianRational` with a float raises ``TypeError``.
+
+An exact scalar, all whitespace removed, is RE, IMi or RE±IMi: RE and
+IM are [+-]digits or [+-]digits/digits with a non-zero denominator, and
+IM is signed after RE ("1/2-3/4 i", "+5", "-2i").  `parse_exact` builds
+each part from the pattern's integer groups, as Fraction(int, int).
 """
 
 from __future__ import annotations
@@ -24,10 +29,9 @@ from operator import mul
 
 DEFAULT_RTOL = 1e-9
 
-_EXACT_TOKEN = r"[+-]?\d+(?:/\d+)?"
-_RE_BOTH = re.compile(rf"^(?P<re>{_EXACT_TOKEN})(?P<im>[+-]\d+(?:/\d+)?)i$")
-_RE_IMAG = re.compile(rf"^(?P<im>{_EXACT_TOKEN})i$")
-_RE_REAL = re.compile(rf"^(?P<re>{_EXACT_TOKEN})$")
+# RE[±IM i] or IM i; the groups are RE's numerator and denominator, IM's, IM-alone's
+_RE_EXACT = re.compile(
+    r"([+-]?\d+)(?:/(\d+))?(?:([+-]\d+)(?:/(\d+))?i)?|([+-]?\d+)(?:/(\d+))?i")
 
 
 class GaussianRational:
@@ -35,9 +39,10 @@ class GaussianRational:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+    def __init__(self, re=Fraction(0), im=Fraction(0)):
+        # Fractions are immutable, so they are kept, never copied
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -139,9 +144,6 @@ class GaussianRational:
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 
-    def sort_key(self):
-        return (self.re, self.im)
-
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
@@ -163,23 +165,27 @@ def format_exact(x: GaussianRational) -> str:
 
 
 def parse_exact(text: str) -> GaussianRational:
-    """Parse "a/b+c/d i" (either part optional) into Q(i)."""
-    s = re.sub(r"\s+", "", text)
+    """Parse "a/b+c/d i" (either part optional) into Q(i); the grammar is
+    in the module docstring."""
+    s = "".join(text.split())
     if not s:
         raise ValueError("empty exact scalar")
+    m = _RE_EXACT.fullmatch(s)
+    if m is None:
+        raise ValueError(f"cannot parse exact scalar {text!r}")
+    rn, rd, imn, imd, jn, jd = m.groups()
     try:
-        m = _RE_BOTH.match(s)
-        if m:
-            return GaussianRational(Fraction(m["re"]), Fraction(m["im"]))
-        m = _RE_IMAG.match(s)
-        if m:
-            return GaussianRational(0, Fraction(m["im"]))
-        m = _RE_REAL.match(s)
-        if m:
-            return GaussianRational(Fraction(m["re"]))
+        if rn is None:
+            return GaussianRational(im=_fraction(jn, jd))
+        if imn is None:
+            return GaussianRational(_fraction(rn, rd))
+        return GaussianRational(_fraction(rn, rd), _fraction(imn, imd))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in exact scalar {text!r}") from None
-    raise ValueError(f"cannot parse exact scalar {text!r}")
+
+
+def _fraction(num: str, den: str | None) -> Fraction:
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def rationalize(x, max_denominator: int = 10**6) -> GaussianRational:
@@ -227,6 +233,14 @@ def exact_dot(values, weights) -> GaussianRational:
     lcd, real, imag = integerize(values)
     return GaussianRational(
         Fraction(sum(map(mul, real, weights)), lcd), Fraction(sum(map(mul, imag, weights)), lcd))
+
+
+def require_int(value, what: str, least: int) -> int:
+    """`value` if it is an int of at least `least`; a bool, a float or a
+    string is a ValueError naming `what`, never coerced."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{what} must be an integer of at least {least}, got {value!r}")
+    return value
 
 
 def scalar_key(x):

@@ -12,7 +12,11 @@ the triple-sum conjugation term of a gauge transform, the float density
 test of irreducibility and the graded invariant closure of a quiver
 representation (both on a float Gram-Schmidt span), the realizer's
 damped Gauss-Newton step solved as a real system of twice the size, and
-the trace identity's two sides folded term by term in Q(i) arithmetic.
+the trace identity's two sides folded term by term in Q(i) arithmetic,
+the scalar parser that built each part with ``Fraction(str)``, and the
+orbit bookkeeping that found each eigenvalue by its hashed or compared
+(Re, Im) key: the step-by-step greedy marking, the rank sequence and
+the expected rank of a power.
 The last few helpers are small constructions only the tests need: an
 exact matrix literal, the infinitesimal coadjoint action, the
 dT-stabilizer test, the matrix a leg realization reproduces and the
@@ -23,7 +27,9 @@ from __future__ import annotations
 
 import importlib.util
 import itertools
+import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +37,7 @@ import numpy as np
 from dsirr import linalg
 from dsirr.jets import ConnectionJet, PrincipalPart, jet_inv, pp_left_mul, pp_right_mul
 from dsirr.roots import SearchCapExceeded, Verdict
-from dsirr.scalars import GaussianRational, as_exact
+from dsirr.scalars import GaussianRational, as_exact, scalar_key
 
 
 def reflection_end(cartan, v):
@@ -437,6 +443,98 @@ def exponent_trace_fold(instance):
         t = fraction_fold([x for x, _ in spec.eigenvalues], [sum(b) for _, b in spec.eigenvalues])
         acc = t if acc is None else acc + t
     return acc
+
+
+_EXACT_TOKEN = r"[+-]?\d+(?:/\d+)?"
+_RE_BOTH = re.compile(rf"^(?P<re>{_EXACT_TOKEN})(?P<im>[+-]\d+(?:/\d+)?)i$")
+_RE_IMAG = re.compile(rf"^(?P<im>{_EXACT_TOKEN})i$")
+_RE_REAL = re.compile(rf"^(?P<re>{_EXACT_TOKEN})$")
+
+
+def parse_exact_by_fraction_str(text: str) -> GaussianRational:
+    """Parse "a/b+c/d i" with three patterns and ``Fraction(str)``."""
+    s = re.sub(r"\s+", "", text)
+    if not s:
+        raise ValueError("empty exact scalar")
+    try:
+        m = _RE_BOTH.match(s)
+        if m:
+            return GaussianRational(Fraction(m["re"]), Fraction(m["im"]))
+        m = _RE_IMAG.match(s)
+        if m:
+            return GaussianRational(0, Fraction(m["im"]))
+        m = _RE_REAL.match(s)
+        if m:
+            return GaussianRational(Fraction(m["re"]))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in exact scalar {text!r}") from None
+    raise ValueError(f"cannot parse exact scalar {text!r}")
+
+
+def keyed_greedy_marking(spec):
+    """The greedy marking one step at a time: the eigenvalue with the most
+    still-active blocks, ties to the smaller (Re, Im) key."""
+    if spec.marking_override is not None:
+        return spec.marking_override
+    used = {i: 0 for i in range(len(spec.eigenvalues))}
+    marking = []
+    while True:
+        best, best_drop = None, 0
+        for i, (value, blocks) in enumerate(spec.eigenvalues):
+            drop = sum(1 for b in blocks if b > used[i])
+            if drop > best_drop or (
+                drop == best_drop
+                and drop > 0
+                and scalar_key(value) < scalar_key(spec.eigenvalues[best][0])
+            ):
+                best, best_drop = i, drop
+        if best is None:
+            break
+        marking.append(spec.eigenvalues[best][0])
+        used[best] += 1
+    return tuple(marking)
+
+
+def keyed_rank_sequence(spec, marking=None) -> list:
+    """dim V_l for l = 1..d-1, counting uses per hashed (Re, Im) key and
+    summing max(size - uses, 0) over every block at every step."""
+    marking = keyed_greedy_marking(spec) if marking is None else tuple(marking)
+    dims = []
+    counts = {}
+    for m in marking[:-1]:
+        key = scalar_key(m)
+        counts[key] = counts.get(key, 0) + 1
+        d = 0
+        for value, blocks in spec.eigenvalues:
+            c = counts.get(scalar_key(value), 0)
+            d += sum(max(b - c, 0) for b in blocks)
+        dims.append(d)
+    return dims
+
+
+def keyed_expected_rank(spec, value, j: int) -> int:
+    """rank((R - value)^j) for R in the orbit, finding `value` by key."""
+    r = spec.n
+    for v, blocks in spec.eigenvalues:
+        if scalar_key(v) == scalar_key(value):
+            r -= sum(min(b, j) for b in blocks)
+    return r
+
+
+def keyed_orbit_membership(R, spec, rtol: float = 1e-8) -> bool:
+    """Rank profiles of every declared eigenvalue against
+    `keyed_expected_rank`, asked once per eigenvalue and power."""
+    n = R.shape[0]
+    exact = linalg.is_exact(R)
+    ident = linalg.eye(n, exact)
+    norm = None if exact else np.linalg.norm(linalg.to_complex(R), 2)
+    for value, _ in spec.eigenvalues:
+        v = value if exact else complex(value)
+        ambient = None if exact else norm + abs(v)
+        ranks = linalg.power_rank_sequence(R - v * ident, n, rtol, scale=ambient)
+        if any(ranks[j - 1] != keyed_expected_rank(spec, value, j) for j in range(1, n + 1)):
+            return False
+    return True
 
 
 def bench_ladder():

@@ -35,6 +35,7 @@ from dsirr.orbits import greedy_marking, make_orbit_spec, minimal_marking, reali
 from dsirr.quiver import DoubledRep, is_stable, moment_map
 from dsirr.reduction import bv_chain, normalize
 from dsirr.scalars import GaussianRational as G
+from dsirr.scalars import scalar_key
 
 
 def rng():
@@ -234,7 +235,7 @@ def _random_exact_orbit(r, n):
             sizes.append(s)
             left -= s
         values = [_random_exact_scalar(r) for _ in sizes]
-        if len({v.sort_key() for v in values}) == len(values):
+        if len({scalar_key(v) for v in values}) == len(values):
             break
     return make_orbit_spec(n, list(zip(values, [[s] for s in sizes])))
 
@@ -260,9 +261,9 @@ def _random_exact_instance(r):
     positions = set()
     for _ in range(int(r.integers(0, 3))):
         z = G(int(r.integers(-5, 6)), int(r.integers(-5, 6)))
-        if z.sort_key() in positions:
+        if scalar_key(z) in positions:
             continue
-        positions.add(z.sort_key())
+        positions.add(scalar_key(z))
         poles.append(FinitePole(z, _random_exact_orbit(r, T.n)))
     return ProblemInstance(T.n, T, blocks, tuple(poles))
 

@@ -33,6 +33,7 @@ from dsirr.irregular import make_irregular_type
 from dsirr.orbits import make_orbit_spec
 from dsirr.quiver import DoubledRep, is_stable
 from dsirr.reduction import normalize
+from dsirr.roots import CartanData, cb_solvable
 from dsirr.scalars import GaussianRational as G
 from oracles import bench_ladder, exponent_trace_fold, zeta_dot_v_fold
 
@@ -116,6 +117,24 @@ def test_integer_trace_identity_matches_the_fraction_folds(data):
     assert total == zeta_dot_v_fold(gq)
     assert trace == exponent_trace_fold(inst)
     assert total == -trace
+
+
+@pytest.mark.parametrize("data", _trace_problems())
+def test_integer_zeta_is_one_positive_multiple_of_zeta(data):
+    gq = build_global_quiver(instance_from_json(data, exact=True))
+    zeta = [gq.zeta[v] for v in gq.quiver.vertices]
+    parts = [*zip(gq.zeta_int[0], (z.re for z in zeta)), *zip(gq.zeta_int[1], (z.im for z in zeta))]
+    assert all(isinstance(a, int) and (a == 0) == (x == 0) for a, x in parts)
+    scales = {F(a) / x for a, x in parts if x}
+    assert len(scales) <= 1 and all(c > 0 for c in scales)
+
+
+@pytest.mark.parametrize("data", [p for p in _trace_problems() if "degenerate" not in p.id])
+def test_the_criterion_reads_the_integer_zeta_as_the_exact_one(data):
+    gq = build_global_quiver(instance_from_json(data, exact=True))
+    cartan = CartanData.from_quiver(gq.quiver)
+    v = cartan.vec(gq.dims)
+    assert cb_solvable(cartan, v, gq.zeta_int) == cb_solvable(cartan, v, gq.zeta)
 
 
 def test_scalar_residue_pole_has_no_leg():

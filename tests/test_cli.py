@@ -14,6 +14,8 @@ TESTS = os.path.dirname(__file__)
 DATA = os.path.join(TESTS, "data")
 with open(os.path.join(TESTS, "golden", "cli_text.json"), encoding="utf-8") as _f:
     GOLDEN = json.load(_f)
+with open(os.path.join(TESTS, "golden", "reports.json"), encoding="utf-8") as _f:
+    REPORTS = json.load(_f)
 
 
 def run(capsys, *argv):
@@ -126,6 +128,16 @@ def test_reduce_incompatible(tmp_path, capsys):
     bad.write_text(json.dumps(data))
     code, report = run(capsys, "reduce", str(bad))
     assert code == 1 and not report["compatible"]
+
+
+def test_reduce_rejects_a_jet_of_another_pole_order(tmp_path, capsys):
+    # a usage error, not an incompatible jet
+    data = json.loads(open(path("reduce_example.json")).read())
+    data["jet"]["k"] += 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, report = run(capsys, "reduce", str(bad))
+    assert code == 2 and "/jet/k" in report["error"]
 
 
 def test_leg_command(capsys):
@@ -273,6 +285,49 @@ def test_malformed_check_payload_is_an_error(payload, tmp_path, capsys):
     code, report = run(capsys, "check", str(bad))
     assert code == 2
     assert "error" in report
+
+
+@pytest.mark.parametrize("command", ["check", "build-quiver", "realize"])
+@pytest.mark.parametrize("where, value", [
+    (("finite_poles", 0, "orbit", "eigenvalues", 0, "blocks", 0), 1.9),
+    (("finite_poles", 0, "orbit", "eigenvalues", 0, "blocks", 0), "1"),
+    (("finite_poles", 0, "orbit", "eigenvalues", 0, "blocks", 0), True),
+    (("infinity", "residue_blocks", 1, "eigenvalues", 0, "blocks", 0), True),
+    (("infinity", "irregular_type", "blocks", 0, "mult"), True),
+    (("finite_poles", 0, "orbit", "eigenvalues"), [{"value": "1/5", "blocks": [1]},
+                                                   {"value": "19/30", "blocks": [1]},
+                                                   {"value": "7", "blocks": []}]),
+], ids=["float-block", "string-block", "bool-block", "bool-residue-block", "bool-mult",
+        "eigenvalue-without-blocks"])
+def test_a_malformed_integer_field_is_an_error(command, where, value, tmp_path, capsys):
+    # a block size or multiplicity that is not a JSON integer is rejected,
+    # not coerced (a float one would also switch realize to float mode), and
+    # so is an eigenvalue with no block at all
+    data = _star_rigid()
+    *keys, last = where
+    target = data
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, report = run(capsys, command, str(bad))
+    assert code == 2
+    assert "error" in report
+
+
+def test_every_problem_file_has_golden_reports():
+    problems = sorted(name for name in os.listdir(DATA)
+                      if "rank" in json.loads(open(path(name)).read()))
+    assert sorted({case.split()[0] for case in REPORTS}) == problems
+
+
+@pytest.mark.parametrize("case", sorted(REPORTS))
+def test_exact_report_is_unchanged(case, capsys):
+    # check and build-quiver reports byte for byte as recorded
+    name, command = case.split()
+    code = main([command, path(name)])
+    assert (capsys.readouterr().out, code) == (REPORTS[case]["stdout"], REPORTS[case]["exit"])
 
 
 def test_main_keeps_no_state_between_in_process_calls(capsys):

@@ -1,3 +1,7 @@
+import math
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from dsirr.orbits import (
     leg_dimensions,
     make_orbit_spec,
     minimal_marking,
+    normal_form_matrix,
     orbit_membership,
     orbit_spec_from_json,
     orbit_spec_to_json,
@@ -17,7 +22,13 @@ from dsirr.orbits import (
 )
 from dsirr.quiver import moment_map
 from dsirr.scalars import GaussianRational as G
-from oracles import exact_matrix, leg_reconstruction
+from oracles import (
+    exact_matrix,
+    keyed_greedy_marking,
+    keyed_orbit_membership,
+    keyed_rank_sequence,
+    leg_reconstruction,
+)
 
 
 def jordan_block(lam, size):
@@ -225,3 +236,78 @@ def test_eigenvalue_clustering(rng):
     L = np.diag([1.0, 1.0 + 1e-12, 5.0]).astype(complex)
     spec = jordan_from_matrix(L)
     assert len(spec.eigenvalues) == 2
+
+
+def _random_spec(r, exact):
+    """1-6 distinct eigenvalues of 1-3 blocks of size 1-3, drawn from few
+    real parts so that many differ only in Im; in float mode some sit one
+    ulp from a neighbour in Re or Im."""
+    values, size = [], r.randint(1, 6)
+    while len(values) < size:
+        re, im = Fraction(r.randint(-2, 2), r.choice([1, 3])), r.randint(-1, 1)
+        if exact:
+            v = G(re, im)
+        elif values and r.random() < 0.4:
+            w = r.choice(values)
+            up = r.choice([math.inf, -math.inf])
+            v = complex(math.nextafter(w.real, up), w.imag) if r.random() < 0.5 else \
+                complex(w.real, math.nextafter(w.imag, up))
+        else:
+            v = complex(float(re), im)
+        if v not in values:
+            values.append(v)
+    pairs = [(v, [r.randint(1, 3) for _ in range(r.randint(1, 3))]) for v in values]
+    r.shuffle(pairs)
+    return make_orbit_spec(sum(sum(b) for _, b in pairs), pairs)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_bookkeeping_by_index_matches_the_keyed_oracles(exact):
+    r = random.Random(15)
+    for _ in range(300):
+        spec = _random_spec(r, exact)
+        keys = [(v.real, v.imag) if not exact else (v.re, v.im) for v, _ in spec.eigenvalues]
+        assert keys == sorted(set(keys))  # the stated invariant
+        assert greedy_marking(spec) == keyed_greedy_marking(spec)
+        assert rank_sequence(spec) == keyed_rank_sequence(spec)
+        # any marking, with repeats, gaps and a scalar outside the spectrum
+        values = [v for v, _ in spec.eigenvalues] + [G(7, 7) if exact else 7 + 7j]
+        marking = [r.choice(values) for _ in range(r.randint(0, 8))]
+        assert rank_sequence(spec, marking) == keyed_rank_sequence(spec, marking)
+        # an override is validated and followed alike
+        try:
+            override = make_orbit_spec(spec.n, spec.eigenvalues, marking)
+        except ValueError:
+            assert any(marking.count(v) < b[0] for v, b in spec.eigenvalues)
+            continue
+        assert greedy_marking(override) == keyed_greedy_marking(override) == tuple(marking)
+        assert rank_sequence(override) == keyed_rank_sequence(override)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_orbit_membership_matches_the_keyed_oracle(exact):
+    # the normal form of a spec and of each spec one block move away
+    # (eigenvalues one ulp apart make either answer possible; both must agree)
+    r = random.Random(16)
+    answers = []
+    while len(answers) < 150:
+        spec = _random_spec(r, exact)
+        if spec.n > 5:  # exact powers are slow, float powers of size 18 lose ranks
+            continue
+        pairs = [(normal_form_matrix(spec), spec)]
+        for i, (value, blocks) in enumerate(spec.eigenvalues):
+            moved = list(spec.eigenvalues)
+            moved[i] = (value, blocks[1:] + (1,) * blocks[0])  # split the largest block
+            other = make_orbit_spec(spec.n, moved)
+            pairs += [(pairs[0][0], other), (normal_form_matrix(other), spec)]
+        for R, s in pairs:
+            answers.append(orbit_membership(R, s))
+            assert answers[-1] == keyed_orbit_membership(R, s)
+    assert 30 < sum(answers) < len(answers) - 30
+
+
+@pytest.mark.parametrize("values", [
+    [G(1), G(2), G(1)], [G(0, 1), G(0, -1), G(0, 1)], [1 + 0j, 2 + 0j, 1 + 0j]])
+def test_a_repeated_eigenvalue_is_rejected_wherever_it_stands(values):
+    with pytest.raises(ValueError, match="repeated eigenvalue"):
+        make_orbit_spec(len(values), [(v, [1]) for v in values])

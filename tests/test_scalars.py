@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from dsirr.scalars import (
     scalar_key,
 )
 from dsirr.serialize import payload_is_float
-from oracles import fraction_fold
+from oracles import fraction_fold, parse_exact_by_fraction_str
 
 
 def test_field_arithmetic():
@@ -71,6 +72,52 @@ def test_parse_and_format_round_trip():
     for text in ("1/0", "1/2+3/0 i", "5/0 i"):
         with pytest.raises(ValueError, match="zero denominator"):
             parse_exact(text)
+
+
+# hand-picked edge cases: inner whitespace, signs, zero parts, zero and
+# negative denominators, integers past the interpreter's digit limit for
+# str -> int conversion, and characters outside the grammar
+SCALAR_EDGE_CASES = [
+    "1", "1/2", "-3/4+5/6 i", " 1 / 2 - 3 i ", "\t7\n", "1+ 2 i", "+5", "+1/2+3i", "-0",
+    "+0/5", "0i", "-0i", "0+0i", "007/010", "i", "12i", "+2i", "1/0", "0/0i", "1+1/0i",
+    "5/0 i", "3/-4", "-3/-4", "", "  ", "1+2", "1+2i+3i", "1/2/3", "1++2i", "1+-2i",
+    "--1", "1e3", "1_0", "1.5", "1 i i", "x", "\u0663/\u0664", "1" * 5000,
+    "-" + "9" * 4301 + "/2", "2/" + "3" * 4400, "9" * 400 + "/" + "7" * 400 + "-" + "3" * 300 + "i",
+]
+
+
+def _random_scalar_strings(r, count):
+    """Strings over the grammar's alphabet, half of them built to parse
+    (but for a zero denominator) with whitespace strewn through them."""
+
+    def part():
+        return str(r.randint(0, 10 ** r.randint(0, 30))) + r.choice(["", f"/{r.randint(0, 99)}"])
+
+    out = []
+    for _ in range(count // 2):
+        out.append("".join(r.choice(["0", "1", "7", "12", "/", "+", "-", "i", " ", "\t"])
+                           for _ in range(r.randint(0, 8))))
+        form = r.choice(["{}", "{}i", "{}+{}i", "{}-{}i"])
+        text = r.choice(["", "+", "-"]) + form.format(part(), part())
+        out.append("".join(c + r.choice(["", "", " ", "\n"]) for c in text))
+    return out
+
+
+def _parsed(parse, text):
+    try:
+        z = parse(text)
+    except ValueError as e:
+        return "ValueError", str(e)
+    return type(z.re), z.re, type(z.im), z.im
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_parse_exact_matches_the_fraction_str_parser(seed):
+    corpus = SCALAR_EDGE_CASES + _random_scalar_strings(random.Random(seed), 600)
+    outcomes = [_parsed(parse_exact, text) for text in corpus]
+    assert outcomes == [_parsed(parse_exact_by_fraction_str, text) for text in corpus]
+    parsed = sum(o[0] is Fraction for o in outcomes)
+    assert 200 < parsed < len(corpus) - 200  # both branches are well covered
 
 
 def test_payload_mode_detection():
