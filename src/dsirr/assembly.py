@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate
+from math import sqrt
 from operator import add, mul
 
 import numpy as np
@@ -95,8 +96,9 @@ class ProblemInstance:
     def as_float(self) -> "ProblemInstance":
         if not self.exact:
             return self
-        blocks = tuple(s.to_float() for s in self.residue_blocks)
-        poles = tuple(FinitePole(as_complex(p.position), p.orbit.to_float()) for p in self.poles)
+        blocks = tuple(s.to_float(f"block {b}") for b, s in enumerate(self.residue_blocks))
+        poles = tuple(FinitePole(as_complex(p.position), p.orbit.to_float(f"pole {j}"))
+                      for j, p in enumerate(self.poles))
         return ProblemInstance(self.n, self.irregular.to_float(), blocks, poles)
 
 
@@ -286,6 +288,12 @@ def _block_slices(T: IrregularType):
     return [T.block_slice(b) for b in range(T.block_count)]
 
 
+def _fro(a: np.ndarray) -> float:
+    """Frobenius norm of a float block: `linalg.mat_norm` without its
+    exact-entry conversion, cheap enough to take for every block."""
+    return sqrt(np.vdot(a, a).real)
+
+
 def _core_rep_of(gq: GlobalQuiver, rep: DoubledRep) -> DoubledRep:
     T = gq.instance.irregular
     core, core_dims = core_quiver(T)
@@ -334,41 +342,53 @@ def _leg_condition_failures(gq: GlobalQuiver, rep: DoubledRep, rtol: float) -> l
     return fails
 
 
-def assemble_residue(gq: GlobalQuiver, rep: DoubledRep, j: int) -> np.ndarray:
+def assemble_residue(gq: GlobalQuiver, rep: DoubledRep, j: int):
     """R_t from the foot arrows of pole j: block (p,q) is the product of
     the forward map into p with the reverse map out of q, plus the
-    first marking scalar."""
+    first marking scalar.  Returns (R_t, scale), where scale =
+    |lambda_1| + ||products||_F sizes the summed terms for
+    `orbit_membership` (0 on an exact rep, whose test ignores it)."""
     inst = gq.instance
     T = inst.irregular
     exact = rep.exact
     n = inst.n
     lam1 = gq.markings[("t", j)][0]
-    out = lam1 * linalg.eye(n, exact)
+    out = linalg.zeros(n, n, exact)
     src = f"t{j}.1"
-    if src not in rep.dims:  # length-one marking: scalar residue
-        return out
-    slices = _block_slices(T)
-    for p in range(T.block_count):
-        fwd = rep.fwd[f"{src}>p{p}"]
-        for q in range(T.block_count):
-            rev = rep.rev[f"{src}>p{q}"]
-            out[slices[p], slices[q]] = out[slices[p], slices[q]] + np.dot(fwd, rev)
-    return out
+    if src in rep.dims:  # else a length-one marking: scalar residue
+        slices = _block_slices(T)
+        for p in range(T.block_count):
+            fwd = rep.fwd[f"{src}>p{p}"]
+            for q in range(T.block_count):
+                rev = rep.rev[f"{src}>p{q}"]
+                out[slices[p], slices[q]] = out[slices[p], slices[q]] + np.dot(fwd, rev)
+    scale = 0.0 if exact else abs(as_complex(lam1)) + _fro(out)
+    out.flat[:: n + 1] += lam1
+    return out, scale
 
 
 def exponent_blocks(gq: GlobalQuiver, rep: DoubledRep, residues) -> dict:
     """The block exponents forced by the moment equations:
-    L_b = -(core bracket)_bb - sum_t (R_t)_bb, given the residues R_t."""
+    L_b = -(core bracket)_bb - sum_t (R_t)_bb, given the residues R_t.
+
+    Maps b to (L_b, scale), where scale = ||(core bracket)_bb||_F +
+    sum_t ||(R_t)_bb||_F sizes the terms that cancel: a zero exponent
+    orbit leaves L_b at round-off of that size, which `orbit_membership`
+    must read as 0, not as full rank against ||L_b||.  An exact rep gets
+    scale 0, since exact `orbit_membership` ignores it."""
     T = gq.instance.irregular
+    exact = rep.exact
     # block-diagonal of the summed core commutators [Q_i, P_i]
     mu = moment_map(_core_rep_of(gq, rep))
-    slices = _block_slices(T)
     out = {}
-    for b in range(T.block_count):
+    for b, sl in enumerate(_block_slices(T)):
         acc = -mu[f"p{b}"]
+        scale = 0.0 if exact else _fro(acc)
         for r in residues:
-            acc = acc - r[slices[b], slices[b]]
-        out[b] = acc
+            acc = acc - r[sl, sl]
+            if not exact:
+                scale += _fro(r[sl, sl])
+        out[b] = acc, scale
     return out
 
 
@@ -398,14 +418,15 @@ def _conversion(gq: GlobalQuiver, rep: DoubledRep, rtol: float):
           f"moment residual {resid:.3e} above tolerance")
     fails = "; ".join(_leg_condition_failures(gq, rep, rtol))
     check("leg_conditions", not fails, fails, "leg conditions failed: " + fails)
-    residues = [assemble_residue(gq, rep, j) for j in range(len(inst.poles))]
-    for j, (r, pole) in enumerate(zip(residues, inst.poles)):
-        check(f"residue_orbit_t{j}", orbit_membership(r, pole.orbit, rtol), "",
+    residues = []
+    for j, pole in enumerate(inst.poles):
+        r, scale = assemble_residue(gq, rep, j)
+        residues.append(r)
+        check(f"residue_orbit_t{j}", orbit_membership(r, pole.orbit, rtol, scale), "",
               f"residue at pole {j} leaves its declared orbit")
-    exponents = exponent_blocks(gq, rep, residues)
-    for b, lb in exponents.items():
-        check(f"exponent_orbit_p{b}", orbit_membership(lb, inst.residue_blocks[b], rtol), "",
-              f"exponent at block {b} leaves its declared orbit")
+    for b, (lb, scale) in exponent_blocks(gq, rep, residues).items():
+        check(f"exponent_orbit_p{b}", orbit_membership(lb, inst.residue_blocks[b], rtol, scale),
+              "", f"exponent at block {b} leaves its declared orbit")
     conn = error = None
     if failures:
         error = ValueError(failures[0])
@@ -464,9 +485,9 @@ def connection_to_rep(gq: GlobalQuiver, conn: ConnectionData) -> DoubledRep:
             raise ValueError(f"residue at pole {j} is not in its declared orbit")
         leg = realize_leg(r, gq.markings[("t", j)])
         _install_leg(rep, leg, f"t{j}.", foot_blocks=slices)
-    residues = [assemble_residue(gq, rep, j) for j in range(len(inst.poles))]
-    for b, lb in exponent_blocks(gq, rep, residues).items():
-        if not orbit_membership(lb, inst.residue_blocks[b]):
+    residues = [assemble_residue(gq, rep, j)[0] for j in range(len(inst.poles))]
+    for b, (lb, scale) in exponent_blocks(gq, rep, residues).items():
+        if not orbit_membership(lb, inst.residue_blocks[b], scale=scale):
             raise ValueError(f"exponent at block {b} is not in its declared orbit")
         leg = realize_leg(lb, gq.markings[("p", b)])
         _install_leg(rep, leg, f"p{b}.", foot_vertex=f"p{b}")

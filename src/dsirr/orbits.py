@@ -19,6 +19,10 @@ by value is matched to indices, entry by entry with ==.
 realize_leg builds the chain maps explicitly: the reverse map along
 arrow l -> l-1 is (A - l_l) corestricted to V_l, the forward map is
 the inclusion; the product of the pair at the top plus l_1 recovers A.
+
+orbit_membership reads each eigenvalue's rank profile up to its largest
+block only, the first ranks of all from one stacked SVD in float mode,
+at a cutoff scaled by the terms that cancelled in forming the matrix.
 """
 
 from __future__ import annotations
@@ -62,16 +66,22 @@ class OrbitSpec:
     def exact(self) -> bool:
         return isinstance(self.eigenvalues[0][0], GaussianRational)
 
-    def to_float(self) -> "OrbitSpec":
-        """Same orbit with complex eigenvalues and marking."""
+    def to_float(self, name: str) -> "OrbitSpec":
+        """Same orbit with complex eigenvalues and marking.  Two distinct
+        exact eigenvalues that round to the same double have no float
+        orbit: the error names the orbit (`name`) and both values."""
         if not self.exact:
             return self
+        evs, first = [], {}
+        for v, blocks in self.eigenvalues:
+            z = as_complex(v)
+            if z in first:
+                raise ValueError(f"{name}: eigenvalues {first[z]} and {v} round to the "
+                                 "same double, so the orbit has no float form")
+            first[z] = v
+            evs.append((z, blocks))
         marking = self.marking_override
-        return OrbitSpec(
-            self.n,
-            tuple((as_complex(v), blocks) for v, blocks in self.eigenvalues),
-            tuple(map(as_complex, marking)) if marking else None,
-        )
+        return OrbitSpec(self.n, tuple(evs), tuple(map(as_complex, marking)) if marking else None)
 
 
 def make_orbit_spec(n: int, eigenvalues, marking=None) -> OrbitSpec:
@@ -309,28 +319,55 @@ def realize_leg(L: np.ndarray, marking: Marking) -> LegRealization:
     return LegRealization(tuple(marking), rep)
 
 
-def orbit_membership(R: np.ndarray, spec: OrbitSpec, rtol: float = 1e-8) -> bool:
-    """Exact conjugacy-class membership via rank profiles.
+def orbit_membership(R: np.ndarray, spec: OrbitSpec, rtol: float = 1e-8, scale: float = 0.0) -> bool:
+    """Conjugacy-class membership via rank profiles.
 
-    Checks rank((R - value)^j) against the Jordan data for every
-    declared eigenvalue and j up to n; since multiplicities fill n this
-    also rules out undeclared eigenvalues.
+    R lies in the orbit when, for every declared eigenvalue value with
+    largest block b_max, rank((R - value)^j) = n - sum_b min(b, j) for
+    j = 1..b_max.  Later powers need no test.  Lemma: the rank at
+    j = b_max says dim ker (R - value)^b_max = m, value's multiplicity;
+    the generalized eigenspaces of distinct eigenvalues form a direct sum
+    and the multiplicities fill n (an OrbitSpec invariant), so each such
+    kernel is the whole generalized eigenspace.  Every later rank is then
+    n - m, and no undeclared eigenvalue is left.
+
+    Float mode reads ||R||_2 and every rank at j = 1 from one stacked
+    SVD of [R, R - value_1, ..., R - value_m], without singular vectors,
+    at the cutoff rtol * (max(||R||_2, scale) + |value|); an eigenvalue
+    with a block of size 2 or more then takes its profile up to b_max
+    from `linalg.power_rank_sequence` at the same cutoff.  A semisimple
+    spec costs the one SVD.  A caller that formed R by cancellation
+    passes the size of the terms that cancelled as `scale`; otherwise
+    round-off in a numerically zero R reads as full rank.  Exact mode
+    ignores `scale`.
     """
     n = R.shape[0]
     if n != spec.n:
         raise ValueError("size mismatch")
-    exact = linalg.is_exact(R)
-    ident = linalg.eye(n, exact)
-    norm = None if exact else np.linalg.norm(linalg.to_complex(R), 2)
-    for value, blocks in spec.eigenvalues:
-        v = value if exact else as_complex(value)
-        shifted = R - v * ident
-        ambient = None if exact else norm + abs(v)
-        ranks = linalg.power_rank_sequence(shifted, n, rtol, scale=ambient)
-        # rank((R - value)^j) = n - sum over value's own blocks of min(b, j)
-        if ranks != [n - sum(min(b, j) for b in blocks) for j in range(1, n + 1)]:
-            return False
-    return True
+
+    def expected(blocks):
+        return [n - sum(min(b, j) for b in blocks) for j in range(1, blocks[0] + 1)]
+
+    if linalg.is_exact(R):
+        ident = linalg.eye(n, True)
+        return all(linalg.power_rank_sequence(R - v * ident, blocks[0]) == expected(blocks)
+                   for v, blocks in spec.eigenvalues)
+    values = [as_complex(v) for v, _ in spec.eigenvalues]
+    m = len(values)
+    stack = np.empty((m + 1, n, n), dtype=complex)
+    stack[:] = R
+    # slice i's diagonal, through a strided view, minus value i
+    stack.reshape(m + 1, n * n)[1:, :: n + 1] -= np.array(values)[:, None]
+    rows = np.linalg.svd(stack, compute_uv=False).tolist()
+    norm = max(rows[0][0], scale)
+    # the ranks at j = 1, read off the stacked singular values
+    if any(sum(x > rtol * (norm + abs(v)) for x in row) != n - len(blocks)
+           for row, v, (_, blocks) in zip(rows[1:], values, spec.eigenvalues)):
+        return False
+    return all(
+        linalg.power_rank_sequence(stack[i], blocks[0], rtol, scale=norm + abs(values[i - 1]))
+        == expected(blocks)
+        for i, (_, blocks) in enumerate(spec.eigenvalues, 1) if blocks[0] > 1)
 
 
 def orbit_spec_to_json(spec: OrbitSpec) -> dict:

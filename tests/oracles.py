@@ -521,18 +521,23 @@ def keyed_expected_rank(spec, value, j: int) -> int:
     return r
 
 
-def keyed_orbit_membership(R, spec, rtol: float = 1e-8) -> bool:
+def keyed_orbit_membership(R, spec, rtol: float = 1e-8, scale: float = 0.0,
+                           largest_block: bool = False) -> bool:
     """Rank profiles of every declared eigenvalue against
-    `keyed_expected_rank`, asked once per eigenvalue and power."""
+    `keyed_expected_rank`, asked once per eigenvalue and power up to n
+    (up to the eigenvalue's largest block with `largest_block`), each
+    power by its own SVD at the cutoff rtol * (max(||R||_2, scale)
+    + |value|)."""
     n = R.shape[0]
     exact = linalg.is_exact(R)
     ident = linalg.eye(n, exact)
-    norm = None if exact else np.linalg.norm(linalg.to_complex(R), 2)
-    for value, _ in spec.eigenvalues:
+    norm = None if exact else max(np.linalg.norm(linalg.to_complex(R), 2), scale)
+    for value, blocks in spec.eigenvalues:
         v = value if exact else complex(value)
         ambient = None if exact else norm + abs(v)
-        ranks = linalg.power_rank_sequence(R - v * ident, n, rtol, scale=ambient)
-        if any(ranks[j - 1] != keyed_expected_rank(spec, value, j) for j in range(1, n + 1)):
+        jmax = max(blocks) if largest_block else n
+        ranks = linalg.power_rank_sequence(R - v * ident, jmax, rtol, scale=ambient)
+        if any(ranks[j - 1] != keyed_expected_rank(spec, value, j) for j in range(1, jmax + 1)):
             return False
     return True
 

@@ -283,7 +283,7 @@ def test_exponent_blocks_match_normalize():
     lbs = exponent_blocks(gq, res.rep, conn.residues)
     for b in range(T.block_count):
         sl = T.block_slice(b)
-        assert linalg.mat_norm(out.exponent[sl, sl] - lbs[b]) < 1e-8
+        assert linalg.mat_norm(out.exponent[sl, sl] - lbs[b][0]) < 1e-8
 
 
 def test_connection_round_trip():

@@ -187,6 +187,26 @@ def test_check_zero_denominator_is_an_error(tmp_path, capsys):
     assert "zero denominator" in report["error"]
 
 
+def test_eigenvalues_that_round_together_are_a_named_error(tmp_path, capsys):
+    # 1/5 and 1/5 + 1/(5*10^30) are distinct, so check decides the exact
+    # instance; their doubles are equal, so the float commands refuse it
+    data = _star_rigid()
+    close = f"{10**30 + 1}/{5 * 10**30}"
+    data["finite_poles"][0]["orbit"]["eigenvalues"][1]["value"] = close
+    bad = tmp_path / "close.json"
+    bad.write_text(json.dumps(data))
+    code, report = run(capsys, "check", str(bad))
+    assert code == 1 and report["verdict"] == "empty"
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps({"instance": data, "rep": {}}))
+    for argv in (["realize", str(bad)], ["verify", str(witness)]):
+        code, report = run(capsys, *argv)
+        assert code == 2
+        assert report["error"] == (
+            f"ValueError: pole 0: eigenvalues 1/5 and {close} round to the same double, "
+            "so the orbit has no float form")
+
+
 def test_realize_reports_the_exact_mode_error(tmp_path, capsys):
     # an all-exact file is parsed once, in exact mode: its own error
     # stands and no float-mode parse (with its warning) follows

@@ -284,26 +284,119 @@ def test_bookkeeping_by_index_matches_the_keyed_oracles(exact):
         assert rank_sequence(override) == keyed_rank_sequence(override)
 
 
+def _conjugates(r, N, exact):
+    """Matrices near N's orbit: N plus 1e-9 noise (exact mode: 1/10^9 in
+    the corner, which splits a Jordan block), and conjugates g N g^-1
+    with cond(g) = 1e3 and 1e5 (exact mode: a product of integer
+    elementary matrices, with its exact inverse).  Each as (matrix,
+    whether it lies in N's orbit by construction, whether cond(g) =
+    1e5)."""
+    n = N.shape[0]
+    if exact:
+        corner = N.copy()
+        corner[n - 1, 0] = corner[n - 1, 0] + G(Fraction(1, 10**9))
+        g, g_inv = linalg.eye(n, True), linalg.eye(n, True)
+        for _ in range(2 * n if n > 1 else 0):
+            i, j = r.sample(range(n), 2)
+            e, c = linalg.eye(n, True), r.randint(-9, 9)
+            e[i, j] = G(c)
+            g = np.dot(g, e)
+            e[i, j] = G(-c)
+            g_inv = np.dot(e, g_inv)
+        return [(corner, False, False), (np.dot(np.dot(g, N), g_inv), True, False)]
+    rng = np.random.default_rng(r.randrange(2**32))
+
+    def unitary():
+        return np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+
+    out = [(N + 1e-9 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))), False, False)]
+    for cond in (1e3, 1e5):
+        g = unitary() @ np.diag(np.logspace(0, -math.log10(cond), n)) @ unitary()
+        out.append((g @ N @ np.linalg.inv(g), True, cond == 1e5))
+    return out
+
+
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 def test_orbit_membership_matches_the_keyed_oracle(exact):
-    # the normal form of a spec and of each spec one block move away
-    # (eigenvalues one ulp apart make either answer possible; both must agree)
+    # the normal form of a spec, matrices near it, and each against the
+    # spec and every spec one block move away, at scales 0, 10 ||R|| and
+    # 1e3 (eigenvalues one ulp apart make either answer possible; both
+    # must agree).  Up to each largest block the oracle must agree on
+    # every pair.  Past it, where the lemma in orbit_membership proves
+    # the powers redundant, the oracle's own SVD of a power of a
+    # cond-1e5 conjugate can drop a rank the matrix has; so there alone,
+    # on such a conjugate that is a member by construction, the
+    # full-profile oracle may reject what orbit_membership accepts
     r = random.Random(16)
-    answers = []
-    while len(answers) < 150:
+    answers, rejected_members = [], 0
+    while len(answers) < (300 if exact else 1500):
         spec = _random_spec(r, exact)
         if spec.n > 5:  # exact powers are slow, float powers of size 18 lose ranks
             continue
-        pairs = [(normal_form_matrix(spec), spec)]
+        N = normal_form_matrix(spec)
+        others = []
         for i, (value, blocks) in enumerate(spec.eigenvalues):
             moved = list(spec.eigenvalues)
             moved[i] = (value, blocks[1:] + (1,) * blocks[0])  # split the largest block
-            other = make_orbit_spec(spec.n, moved)
-            pairs += [(pairs[0][0], other), (normal_form_matrix(other), spec)]
-        for R, s in pairs:
-            answers.append(orbit_membership(R, s))
-            assert answers[-1] == keyed_orbit_membership(R, s)
-    assert 30 < sum(answers) < len(answers) - 30
+            others.append(make_orbit_spec(spec.n, moved))
+        # (R, spec, whether the full-profile oracle may reject R)
+        pairs = [(N, s, False) for s in [spec] + others]
+        pairs += [(normal_form_matrix(other), spec, False) for other in others]
+        pairs += [(R, s, ill and member and s == spec)
+                  for R, member, ill in _conjugates(r, N, exact) for s in [spec] + others]
+        for R, s, loose in pairs:
+            norm = np.linalg.norm(linalg.to_complex(R), 2)
+            for scale in (0.0, 10 * norm, 1e3):
+                answers.append(orbit_membership(R, s, scale=scale))
+                assert answers[-1] == keyed_orbit_membership(R, s, scale=scale, largest_block=True)
+                if answers[-1] != keyed_orbit_membership(R, s, scale=scale):
+                    assert loose
+                    rejected_members += 1
+    assert rejected_members <= len(answers) // 100
+    assert len(answers) // 5 < sum(answers) < len(answers) - len(answers) // 5
+
+
+def test_the_scale_sets_the_cutoff_of_every_power():
+    # R has the kernel chain of blocks (2, 1) at 0 up to an entry 1e-7,
+    # which the cutoff at scale 1e3 reads as 0, at j = 1 and at j = 2,
+    # and the unscaled cutoff does not
+    R = jordan_block(0, 3)
+    R[1, 2] = 1e-7
+    spec = make_orbit_spec(3, [(0j, [2, 1])])
+    assert orbit_membership(R, spec, scale=1e3) and keyed_orbit_membership(R, spec, scale=1e3)
+    assert not orbit_membership(R, spec) and not keyed_orbit_membership(R, spec)
+
+
+def test_a_semisimple_orbit_costs_one_svd(monkeypatch, rng):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    spec = make_orbit_spec(4, [(1 + 0j, [1, 1]), (2j, [1]), (-3 + 0j, [1])])
+    g = rand_complex(rng, 4, 4) + 3 * np.eye(4)
+    R = g @ normal_form_matrix(spec) @ np.linalg.inv(g)
+    for M, member in ((R, True), (R + 0.1 * np.eye(4), False)):
+        calls.clear()
+        assert orbit_membership(M, spec) is member
+        assert calls == [False]  # one stacked SVD, no singular vectors
+    # a block of size 2 adds its profile from power_rank_sequence, one
+    # SVD per power
+    spec = jordan_from_matrix(jordan_block(0, 2))
+    calls.clear()
+    assert orbit_membership(jordan_block(0, 2), spec)
+    assert calls == [False, True, True]
+
+
+def test_eigenvalues_that_round_together_have_no_float_orbit():
+    close = G(Fraction(10**30 + 1, 5 * 10**30))
+    spec = make_orbit_spec(2, [(G(Fraction(1, 5)), [1]), (close, [1])])
+    with pytest.raises(ValueError, match=f"^block 1: eigenvalues 1/5 and {close} round to the same"):
+        spec.to_float("block 1")
+    assert make_orbit_spec(2, [(G(Fraction(1, 5)), [1]), (G(1), [1])]).to_float("block 1").n == 2
 
 
 @pytest.mark.parametrize("values", [

@@ -41,7 +41,7 @@ from dsirr.cli import main
 from dsirr.quiver import Stability, make_quiver, moment_map
 from dsirr.scalars import GaussianRational, format_exact, parse_exact
 from dsirr.serialize import payload_is_float
-from oracles import lm_step_real_doubled
+from oracles import bench_ladder, lm_step_real_doubled
 from test_assembly import rigid_star, star_instance
 
 DATA = Path(__file__).parent / "data"
@@ -478,3 +478,24 @@ def test_float_copy_of_a_feasible_file_passes_verification(name, tmp_path, capsy
         payload.write_text(json.dumps({"instance": _residues_shifted(data, c), "rep": report["rep"]}))
         code, checks = _run(["verify", payload], capsys)
         assert code == 0 and checks["all_ok"], checks
+
+
+def _nilpotent_rungs():
+    ladder = bench_ladder()
+    rungs = {r.name: r for _, rs in ladder.WORKLOADS.values() for r in rs}
+    return [pytest.param(ladder.problem(rungs[name], seed), seed, id=f"{name}-{seed}")
+            for name in ("n4x3k2", "n4x4k2", "n4x2k3") for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("data, seed", _nilpotent_rungs())
+def test_nilpotent_witnesses_pass_their_zero_exponent_orbits(data, seed, tmp_path, capsys):
+    # each exponent orbit is 0, so L_b is round-off of the terms that
+    # cancel in it; the orbit test reads it at their scale and passes
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(data))
+    code, report = _run(["realize", problem, "--seed", seed], capsys)
+    assert code == 0 and report["verification"]["all_ok"], report["stats"]["stop"]
+    payload = tmp_path / "witness.json"
+    payload.write_text(json.dumps({"instance": data, "rep": report["rep"]}))
+    code, checks = _run(["verify", payload], capsys)
+    assert code == 0 and checks["all_ok"]
