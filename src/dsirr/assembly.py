@@ -69,6 +69,8 @@ class ProblemInstance:
     irregular: IrregularType
     residue_blocks: tuple  # OrbitSpec per canonical block
     poles: tuple  # FinitePole, positions pairwise distinct
+    # on the float copy of an exact instance: the source's exact zeta . v
+    exact_zeta_v: GaussianRational | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         require_int(self.n, "the rank", 1)
@@ -94,12 +96,19 @@ class ProblemInstance:
         return self.irregular.exact
 
     def as_float(self) -> "ProblemInstance":
+        """The instance with complex scalars.  The copy of an exact one
+        keeps its exact zeta . v, minus the trace of every residue
+        exponent, as `exact_zeta_v`."""
         if not self.exact:
             return self
         blocks = tuple(s.to_float(f"block {b}") for b, s in enumerate(self.residue_blocks))
         poles = tuple(FinitePole(as_complex(p.position), p.orbit.to_float(f"pole {j}"))
                       for j, p in enumerate(self.poles))
-        return ProblemInstance(self.n, self.irregular.to_float(), blocks, poles)
+        copy = ProblemInstance(self.n, self.irregular.to_float(), blocks, poles)
+        specs = self.residue_blocks + tuple(p.orbit for p in self.poles)
+        trace = exact_dot(*zip(*((x, sum(b)) for s in specs for x, b in s.eigenvalues)))
+        object.__setattr__(copy, "exact_zeta_v", -trace)
+        return copy
 
 
 @dataclass
@@ -112,6 +121,7 @@ class GlobalQuiver:
     zeta: dict
     instance: ProblemInstance
     markings: dict  # ("p", b) or ("t", j) -> marking tuple
+    zeta_v: object = None  # zeta . v, exact when the instance or its source is
     zeta_int: tuple | None = None  # exact mode: c Re(zeta), c Im(zeta) on integers
 
     @cached_property
@@ -128,6 +138,10 @@ def build_global_quiver(instance: ProblemInstance) -> GlobalQuiver:
     also clears the eigenvalues.  On these the identity zeta . v =
     -(trace of all residue exponents) is re-checked, and c * zeta is kept,
     in vertex order, as `zeta_int` for the criterion.
+
+    `zeta_v` is zeta . v: exact on an exact instance, and on the float
+    copy of one (`ProblemInstance.as_float`) its source's exact value;
+    on other float input, a left fold in vertex order, with rounding.
     """
     T = instance.irregular
     core, core_dims = core_quiver(T)
@@ -167,30 +181,21 @@ def build_global_quiver(instance: ProblemInstance) -> GlobalQuiver:
         terms[f"p{b}"] = (zr, zi)
 
     quiver = make_quiver(vertices, arrows)
+    weights = [dims[v] for v in vertices]
     if not instance.exact:
         zeta = {v: complex(r, i) for v, (r, i) in terms.items()}
-        return GlobalQuiver(quiver, dims, zeta, instance, markings)
+        zeta_v = instance.exact_zeta_v
+        if zeta_v is None:
+            zeta_v = reduce(add, map(mul, (zeta[v] for v in vertices), weights))
+        return GlobalQuiver(quiver, dims, zeta, instance, markings, zeta_v)
     zeta = {v: GaussianRational(Fraction(r, lcd), Fraction(i, lcd)) for v, (r, i) in terms.items()}
     zr, zi = [terms[v][0] for v in vertices], [terms[v][1] for v in vertices]
-    weights, mults, e = [dims[v] for v in vertices], [m for _, m in traces], len(entries)
-    if (sum(map(mul, zr, weights)) != -sum(map(mul, re[e:], mults))
-            or sum(map(mul, zi, weights)) != -sum(map(mul, im[e:], mults))):
+    mults, e = [m for _, m in traces], len(entries)
+    total_re, total_im = sum(map(mul, zr, weights)), sum(map(mul, zi, weights))
+    if total_re != -sum(map(mul, re[e:], mults)) or total_im != -sum(map(mul, im[e:], mults)):
         raise AssertionError("internal: zeta . v failed the trace identity")
-    return GlobalQuiver(quiver, dims, zeta, instance, markings, (zr, zi))
-
-
-def zeta_dot_v(gq: GlobalQuiver):
-    """zeta . v: `exact_dot` on exact zeta, a left fold in floats."""
-    zeta, dims = zip(*((gq.zeta[v], gq.dims[v]) for v in gq.quiver.vertices))
-    if isinstance(zeta[0], GaussianRational):
-        return exact_dot(zeta, dims)
-    return reduce(add, map(mul, zeta, dims))
-
-
-def total_exponent_trace(instance: ProblemInstance):
-    """The trace of every residue exponent of an exact instance."""
-    specs = list(instance.residue_blocks) + [p.orbit for p in instance.poles]
-    return exact_dot(*zip(*((x, sum(b)) for spec in specs for x, b in spec.eigenvalues)))
+    zeta_v = GaussianRational(Fraction(total_re, lcd), Fraction(total_im, lcd))
+    return GlobalQuiver(quiver, dims, zeta, instance, markings, zeta_v, (zr, zi))
 
 
 @dataclass
@@ -201,9 +206,6 @@ class DSVerdict:
     @property
     def nonempty(self):
         return self.verdict.nonempty
-
-    def to_json(self) -> dict:
-        return verdict_to_json(self.verdict, self.gq.quiver, self.gq.dims, self.gq.zeta)
 
 
 def verdict_to_json(verdict: Verdict, quiver, dims, zeta) -> dict:
@@ -757,12 +759,16 @@ class RealizeResult:
         }
 
 
+def _require_float(gq: GlobalQuiver, name: str):
+    if gq.instance.exact:
+        raise TypeError(f"{name} needs a float quiver; build it from instance.as_float()")
+
+
 def realize_numeric(
     gq: GlobalQuiver,
     attempts: int = 50,
     seed: int = 0,
     max_iter: int = 500,
-    zeta_v=None,
 ) -> RealizeResult:
     """Search for a stable moment-map solution by restarted damped
     Gauss-Newton from random starts.
@@ -777,27 +783,24 @@ def realize_numeric(
     when the residual meets the tolerance (or the LM's 1e-28 cost floor)
     and the LM's own reason otherwise; the witness keeps its `stability`.
 
-    mu - zeta has trace -zeta . v at every point, so no residual falls
-    below the trace floor |zeta . v| / sqrt(sum v_i), which the result
-    reports.  It is computed from `zeta_v`, when given, else from gq's
-    zeta in its own arithmetic.  When gq is the float copy of an exact
-    instance, pass the exact zeta . v (minus the exponents' trace), so
-    that the floor of a feasible instance is exactly 0.  An exact
-    non-zero zeta . v proves mu^-1(zeta) empty (condition 2 of the
-    criterion): the result comes at once, with no restart, residual
-    equal to the floor and stop "trace-floor".  A float zeta . v is
-    never taken as proof, so float input runs every restart.  The
-    result's stop is otherwise "converged-stable" with a witness and
-    "attempts-exhausted" without.
+    gq must be a float quiver: `build_global_quiver(instance.as_float())`;
+    an exact one is a TypeError.  mu - zeta has trace -zeta . v at every
+    point, so no residual falls below the trace floor
+    |gq.zeta_v| / sqrt(sum v_i), which the result reports.  The float copy
+    of an exact instance carries the exact zeta . v, so the floor of a
+    feasible one is exactly 0, and a non-zero one proves mu^-1(zeta)
+    empty (condition 2 of the criterion): the result comes at once, with
+    no restart, residual equal to the floor and stop "trace-floor".  The
+    float zeta . v of float input is never taken as proof, so it runs
+    every restart.  The result's stop is otherwise "converged-stable"
+    with a witness and "attempts-exhausted" without.
     """
+    _require_float(gq, "realize_numeric")
     if attempts < 1:
         raise ValueError(f"attempts must be at least 1, got {attempts}")
-    total = zeta_dot_v(gq) if zeta_v is None else zeta_v
-    floor = abs(as_complex(total)) / sum(gq.dims.values()) ** 0.5
-    if isinstance(total, GaussianRational) and total:
+    floor = abs(as_complex(gq.zeta_v)) / sum(gq.dims.values()) ** 0.5
+    if isinstance(gq.zeta_v, GaussianRational) and gq.zeta_v:
         return RealizeResult(None, floor, 0, seed, [], floor, "trace-floor")
-    if gq.instance.exact:
-        gq = build_global_quiver(gq.instance.as_float())
     best = float("inf")
     records = []
     size = gq.moment_plan.cols
@@ -856,27 +859,28 @@ def _trace_rounding_bound(gq: GlobalQuiver) -> float:
 
 
 def verify_instance(
-    gq: GlobalQuiver, rep: DoubledRep, rtol: float = 1e-8, zeta_v=None, certificate=None
+    gq: GlobalQuiver, rep: DoubledRep, rtol: float = 1e-8, certificate=None
 ) -> dict:
     """Pure report aggregating every invariant check on a representation.
 
-    `zeta_v` is the instance's exact zeta . v, when known, else gq's own
-    zeta . v.  An exact one that is not 0 means no point has the
-    prescribed traces, so trace_identity fails and names it; an exact 0
-    passes it.  A float one (float input) is the declared orbits' own
-    trace defect, and trace_identity tests it against
-    `_trace_rounding_bound(gq)`.  A given `certificate` stands in for
-    `rep_stability(rep, gq.zeta)`.  An unresolved one (no simple
-    eigenvalue) fails stability_rep, and the checks that use the rep's
-    verdict do not run; an unresolved connection verdict fails
-    stability_transport.  Raises ValueError unless `rtol` is finite and
-    > 0."""
+    gq must be a float quiver, as for `realize_numeric`; an exact one is
+    a TypeError.  trace_identity reads `gq.zeta_v`.  On the float copy of
+    an exact instance it is exact: one that is not 0 means no point has
+    the prescribed traces, so the check fails and names it, and an exact
+    0 passes it.  On float input it is the declared orbits' own float
+    trace defect, tested against `_trace_rounding_bound(gq)`.  A given
+    `certificate` stands in for `rep_stability(rep, gq.zeta)`.  An
+    unresolved one (no simple eigenvalue) fails stability_rep, and the
+    checks that use the rep's verdict do not run; an unresolved
+    connection verdict fails stability_transport.  Raises ValueError
+    unless `rtol` is finite and > 0."""
+    _require_float(gq, "verify_instance")
     checks, conn, error = _conversion(gq, rep, linalg.require_rtol(rtol))
 
     def record(name, ok, detail=""):
         checks.append({"name": name, "ok": bool(ok), "detail": str(detail)})
 
-    total = zeta_dot_v(gq) if zeta_v is None else zeta_v
+    total = gq.zeta_v
     if not isinstance(total, GaussianRational):
         bound = _trace_rounding_bound(gq)
         record("trace_identity", abs(total) <= bound,
@@ -985,7 +989,9 @@ def rep_from_json(gq: GlobalQuiver, data: dict) -> DoubledRep:
     from .serialize import matrix_from_json
 
     for v, d in data.get("dims", {}).items():
-        if gq.dims.get(v) != int(d):
+        if type(d) is not int:  # rejects bool too, an int subclass
+            raise ValueError(f"dimension at vertex {v} must be a JSON integer, got {d!r}")
+        if gq.dims.get(v) != d:
             raise ValueError(f"dimension mismatch at vertex {v}")
     rep = DoubledRep.zero(gq.quiver, gq.dims)
     for a in gq.quiver.arrows:

@@ -30,7 +30,6 @@ from .assembly import (
     realize_numeric,
     rep_from_json,
     rep_to_json,
-    total_exponent_trace,
     verdict_to_json,
     verify_instance,
 )
@@ -125,17 +124,9 @@ def cmd_build_quiver(args):
     return payload, 0
 
 
-def _exact_zeta_v(instance):
-    """zeta . v as minus the trace of the exponents, exact for an exact
-    instance; None for a float one, whose zeta . v carries rounding."""
-    return -total_exponent_trace(instance) if instance.exact else None
-
-
 def cmd_realize(args):
-    instance = _instance(_load_json(args.input))
-    gq = build_global_quiver(instance.as_float())
-    zeta_v = _exact_zeta_v(instance)
-    result = realize_numeric(gq, attempts=args.attempts, seed=args.seed, zeta_v=zeta_v)
+    gq = build_global_quiver(_instance(_load_json(args.input)).as_float())
+    result = realize_numeric(gq, attempts=args.attempts, seed=args.seed)
     report = {
         "schema_version": SCHEMA_VERSION,
         "success": result.success,
@@ -146,8 +137,7 @@ def cmd_realize(args):
         "stats": result.stats,
     }
     if result.success:
-        report["verification"] = verify_instance(
-            gq, result.rep, zeta_v=zeta_v, certificate=result.stability)
+        report["verification"] = verify_instance(gq, result.rep, certificate=result.stability)
         if report["verification"]["all_ok"]:
             report["rep"] = rep_to_json(gq, result.rep)
         else:  # a witness that fails its own checks is no witness
@@ -157,10 +147,9 @@ def cmd_realize(args):
 
 def cmd_verify(args):
     data = _load_json(args.input)
-    instance = _instance(_require(data, "instance", "", dict))
-    gq = build_global_quiver(instance.as_float())
+    gq = build_global_quiver(_instance(_require(data, "instance", "", dict)).as_float())
     rep = rep_from_json(gq, _require(data, "rep", "", dict))
-    report = verify_instance(gq, rep, rtol=args.tolerance, zeta_v=_exact_zeta_v(instance))
+    report = verify_instance(gq, rep, rtol=args.tolerance)
     report["schema_version"] = SCHEMA_VERSION
     return report, 0 if report["all_ok"] else 1
 

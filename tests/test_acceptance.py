@@ -269,13 +269,15 @@ def _random_exact_instance(r):
 
 
 def test_criterion_06_exact_trace_identity():
-    from dsirr.assembly import total_exponent_trace, zeta_dot_v
+    from oracles import exponent_trace_fold, zeta_dot_v_fold
 
     r = rng()
     for _ in range(100):
         inst = _random_exact_instance(r)
         gq = build_global_quiver(inst)
-        assert zeta_dot_v(gq) == -total_exponent_trace(inst)  # exact equality
+        # exact equality, on the exact quiver and on the float copy
+        assert gq.zeta_v == zeta_dot_v_fold(gq) == -exponent_trace_fold(inst)
+        assert build_global_quiver(inst.as_float()).zeta_v == gq.zeta_v
 
 
 # --------------------------------------------------------------------------

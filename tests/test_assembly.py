@@ -25,9 +25,8 @@ from dsirr.assembly import (
     rep_from_json,
     rep_to_connection,
     rep_to_json,
+    verdict_to_json,
     verify_instance,
-    zeta_dot_v,
-    total_exponent_trace,
 )
 from dsirr.irregular import make_irregular_type
 from dsirr.orbits import make_orbit_spec
@@ -87,8 +86,9 @@ def test_star_quiver_shape_and_zeta():
 
 def test_zeta_v_equals_minus_total_trace():
     inst = rigid_star()
-    gq = build_global_quiver(inst)
-    assert zeta_dot_v(gq) == -total_exponent_trace(inst)
+    exact, copy = build_global_quiver(inst), build_global_quiver(inst.as_float())
+    assert isinstance(exact.zeta_v, G) and isinstance(copy.zeta_v, G)
+    assert exact.zeta_v == copy.zeta_v == -exponent_trace_fold(inst) == 0
 
 
 def _trace_problems():
@@ -111,12 +111,18 @@ def _trace_problems():
 @pytest.mark.parametrize("data", _trace_problems())
 def test_integer_trace_identity_matches_the_fraction_folds(data):
     inst = instance_from_json(data, exact=True)
-    gq = build_global_quiver(inst)
-    total, trace = zeta_dot_v(gq), total_exponent_trace(inst)
-    assert isinstance(total, G) and isinstance(trace, G)
-    assert total == zeta_dot_v_fold(gq)
-    assert trace == exponent_trace_fold(inst)
-    assert total == -trace
+    gq, copy = build_global_quiver(inst), build_global_quiver(inst.as_float())
+    trace = exponent_trace_fold(inst)
+    # the exact quiver and the float copy of its instance carry it exactly
+    for total in (gq.zeta_v, copy.zeta_v):
+        assert isinstance(total, G)
+        assert total == zeta_dot_v_fold(gq)
+        assert total == -trace
+    # a float file of the same numbers carries the float fold, in vertex order
+    floats = json.loads(json.dumps(instance_to_json(inst.as_float())))
+    float_gq = build_global_quiver(instance_from_json(floats, exact=False))
+    assert isinstance(float_gq.zeta_v, complex)
+    assert float_gq.zeta_v == zeta_dot_v_fold(float_gq)
 
 
 @pytest.mark.parametrize("data", _trace_problems())
@@ -440,7 +446,8 @@ def test_instance_json_round_trip():
     assert inst2.residue_blocks == inst.residue_blocks
     assert inst2.poles == inst.poles
     v1, v2 = decide_ds(inst), decide_ds(inst2)
-    assert v1.to_json() == v2.to_json()
+    assert (verdict_to_json(v1.verdict, v1.gq.quiver, v1.gq.dims, v1.gq.zeta)
+            == verdict_to_json(v2.verdict, v2.gq.quiver, v2.gq.dims, v2.gq.zeta))
 
 
 def test_rep_and_connection_json_round_trip():

@@ -382,6 +382,21 @@ def test_verify_rejects_a_meaningless_tolerance(tolerance, witness, capsys):
     assert "tolerance" in report["error"]
 
 
+@pytest.mark.parametrize("dim", [1.5, True, "1"], ids=["float", "bool", "string"])
+def test_verify_rejects_a_witness_dimension_that_is_no_json_integer(dim, witness, tmp_path,
+                                                                     capsys):
+    # star_rigid has v_p0 = 1: each of these once coerced to 1 and verified
+    data = json.loads(open(witness).read())
+    assert data["rep"]["dims"]["p0"] == 1
+    data["rep"]["dims"]["p0"] = dim
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, report = run(capsys, "verify", str(bad))
+    assert code == 2
+    assert report["error"] == (
+        f"ValueError: dimension at vertex p0 must be a JSON integer, got {dim!r}")
+
+
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
 def test_reduce_rejects_a_meaningless_tolerance(tolerance, capsys):
     code, report = run(capsys, "reduce", path("reduce_example.json"), "--tolerance", tolerance)

@@ -33,9 +33,7 @@ from dsirr.assembly import (
     instance_to_json,
     moment_jacobian,
     realize_numeric,
-    total_exponent_trace,
     verify_instance,
-    zeta_dot_v,
 )
 from dsirr.cli import main
 from dsirr.quiver import Stability, make_quiver, moment_map
@@ -115,19 +113,27 @@ def _load(name):
     return instance_from_json(_problem(name), exact=True)
 
 
+def _float_payload(name):
+    """The float file form of a problem file: its JSON written from the
+    float copy.  Read back, it keeps no exact zeta . v."""
+    return json.loads(json.dumps(instance_to_json(_load(name).as_float())))
+
+
 def _floor_and_result(name, attempts, seed):
-    """The exact floor, and the restarts on the float form of the file,
-    whose inexact zeta . v proves nothing, so every restart runs."""
-    inst = _load(name)
-    gq = build_global_quiver(inst)
-    floor = abs(zeta_dot_v(gq).to_complex()) / math.sqrt(sum(gq.dims.values()))
-    res = realize_numeric(build_global_quiver(inst.as_float()), attempts=attempts, seed=seed)
+    """The exact floor, and the restarts on the float file form of the
+    problem, whose inexact zeta . v proves nothing, so every restart runs."""
+    gq = build_global_quiver(_load(name))
+    floor = abs(gq.zeta_v.to_complex()) / math.sqrt(sum(gq.dims.values()))
+    floats = build_global_quiver(instance_from_json(_float_payload(name), exact=False))
+    assert isinstance(floats.zeta_v, complex)
+    res = realize_numeric(floats, attempts=attempts, seed=seed)
+    assert res.attempts == len(res.records) == attempts and res.stop == "attempts-exhausted"
     return floor, res
 
 
 def _float_copy(name, tmp_path):
     path = tmp_path / f"float-{name}"
-    path.write_text(json.dumps(instance_to_json(_load(name).as_float())))
+    path.write_text(json.dumps(_float_payload(name)))
     return path
 
 
@@ -187,11 +193,21 @@ def test_infeasible_restarts_stop_at_the_floor_within_a_trial_budget():
 def test_feasible_instances_never_stop_stationary(name):
     with open(DATA / name, encoding="utf-8") as f:
         inst = instance_from_json(json.load(f), exact=True)
-    res = realize_numeric(build_global_quiver(inst), attempts=5, seed=3)
+    gq = build_global_quiver(inst.as_float())
+    res = realize_numeric(gq, attempts=5, seed=3)
     assert res.success and res.attempts == 1
     assert all(r["stop"] != "stationary" for r in res.records)
     assert res.trace_floor == 0
-    assert verify_instance(build_global_quiver(inst.as_float()), res.rep)["all_ok"]
+    assert verify_instance(gq, res.rep)["all_ok"]
+
+
+def test_the_numeric_paths_refuse_an_exact_quiver():
+    res = realize_numeric(build_global_quiver(rigid_star().as_float()), attempts=3, seed=1)
+    exact = build_global_quiver(rigid_star())
+    with pytest.raises(TypeError, match="realize_numeric needs a float quiver"):
+        realize_numeric(exact)
+    with pytest.raises(TypeError, match="verify_instance needs a float quiver"):
+        verify_instance(exact, res.rep)
 
 
 def _no_constants(name):
@@ -323,18 +339,23 @@ def test_verify_rejects_a_witness_when_the_exact_zeta_v_is_not_zero(tmp_path, ca
         assert ("-1/10000000000" in trace["detail"]) is not ok
 
 
-def _exact_zeta_v(name):
-    return -total_exponent_trace(_load(name))
-
-
-@pytest.mark.parametrize("name", ["star_rigid.json", "ladder_s4x2k2_seed16.json"])
+@pytest.mark.parametrize("name", EXACT_PROBLEMS)
 def test_embedded_verification_equals_a_fresh_one(name, capsys):
+    # the library path, the float copy of the exact instance, answers as
+    # the CLI does: the same restarts, and the same verification
     code, report = _run(["realize", DATA / name, "--seed", "1"], capsys)
-    assert code == 0 and report["verification"]["all_ok"]
     gq = build_global_quiver(_load(name).as_float())
-    zeta_v = _exact_zeta_v(name)
-    res = realize_numeric(gq, seed=1, zeta_v=zeta_v)
-    fresh = verify_instance(gq, res.rep, zeta_v=zeta_v)
+    res = realize_numeric(gq, seed=1)
+    assert report["stats"] == json.loads(json.dumps(res.stats))
+    if decide_ds(_load(name)).verdict.failed_condition == 2:  # star_empty_cond2 among them
+        assert res.stop == "trace-floor" and res.attempts == 0 and res.residual > 0
+        assert code == 1 and "verification" not in report
+        return
+    assert name != "star_empty_cond2.json"  # so it cannot skip the branch above
+    assert code == 0 and report["verification"]["all_ok"]
+    fresh = verify_instance(gq, res.rep)
+    (trace,) = [c for c in fresh["checks"] if c["name"] == "trace_identity"]
+    assert trace == {"name": "trace_identity", "ok": True, "detail": "exact zeta . v = 0"}
     embedded = report["verification"]["checks"]
     assert [c["name"] for c in embedded] == [c["name"] for c in fresh["checks"]]
     for got, want in zip(embedded, fresh["checks"]):

@@ -28,10 +28,10 @@ from dsirr.assembly import (
     build_global_quiver,
     instance_from_json,
     realize_numeric,
-    total_exponent_trace,
 )
 from dsirr.quiver import DoubledRep, make_quiver, moment_map, rep_stability, trace_gap
 from dsirr.scalars import GaussianRational as G
+from oracles import exponent_trace_fold
 from test_assembly import star_instance
 from test_stability import corpus
 
@@ -107,7 +107,8 @@ def test_a_planted_subrepresentation_is_never_certified(case):
 def _realize(name, seed):
     inst = instance_from_json(json.loads((DATA / name).read_text()), exact=True)
     gq = build_global_quiver(inst.as_float())
-    return gq, realize_numeric(gq, seed=seed, zeta_v=-total_exponent_trace(inst))
+    assert gq.zeta_v == build_global_quiver(inst).zeta_v == -exponent_trace_fold(inst) == 0
+    return gq, realize_numeric(gq, seed=seed)
 
 
 @pytest.mark.parametrize("name", FEASIBLE)
