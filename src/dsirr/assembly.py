@@ -249,32 +249,25 @@ def decide_ds(instance: ProblemInstance, max_nodes: int = 200_000) -> DSVerdict:
 
 @dataclass
 class ConnectionData:
-    """A = (sum_i poly[i] z^i + sum_t residues[t]/(z - positions[t])) dz."""
+    """A = (sum_i poly[i] z^i + sum_t residues[t]/(z - positions[t])) dz,
+    with complex matrices."""
 
     n: int
     poly: tuple
     residues: tuple
     positions: tuple
 
-    @property
-    def exact(self) -> bool:
-        return linalg.is_exact(self.residues[0]) if self.residues else (
-            linalg.is_exact(self.poly[0]) if self.poly else False
-        )
-
     def residue_at_infinity(self) -> np.ndarray:
-        exact = self.exact
-        out = linalg.zeros(self.n, self.n, exact)
+        out = np.zeros((self.n, self.n), dtype=complex)
         for r in self.residues:
             out = out - r
         return out
 
     def infinity_jet(self, k: int, depth: int) -> ConnectionJet:
         """Expansion at infinity in w = 1/z, trusted to the given depth."""
-        exact = self.exact
         coeffs = []
         for s in range(depth + 1):
-            c = linalg.zeros(self.n, self.n, exact)
+            c = np.zeros((self.n, self.n), dtype=complex)
             i = k - 2 - s
             if 0 <= i < len(self.poly):
                 c = c - self.poly[i]
@@ -305,10 +298,10 @@ def _core_rep_of(gq: GlobalQuiver, rep: DoubledRep) -> DoubledRep:
 
 
 def moment_residual(gq: GlobalQuiver, rep: DoubledRep) -> float:
-    mu, exact = moment_map(rep), gq.instance.exact
+    mu = moment_map(rep)
     total = 0.0
     for v in gq.quiver.vertices:
-        total += linalg.mat_norm(mu[v] - gq.zeta[v] * linalg.eye(gq.dims[v], exact)) ** 2
+        total += linalg.mat_norm(mu[v] - gq.zeta[v] * np.eye(gq.dims[v], dtype=complex)) ** 2
     return total ** 0.5
 
 
@@ -349,13 +342,12 @@ def assemble_residue(gq: GlobalQuiver, rep: DoubledRep, j: int):
     the forward map into p with the reverse map out of q, plus the
     first marking scalar.  Returns (R_t, scale), where scale =
     |lambda_1| + ||products||_F sizes the summed terms for
-    `orbit_membership` (0 on an exact rep, whose test ignores it)."""
+    `orbit_membership`."""
     inst = gq.instance
     T = inst.irregular
-    exact = rep.exact
     n = inst.n
     lam1 = gq.markings[("t", j)][0]
-    out = linalg.zeros(n, n, exact)
+    out = np.zeros((n, n), dtype=complex)
     src = f"t{j}.1"
     if src in rep.dims:  # else a length-one marking: scalar residue
         slices = _block_slices(T)
@@ -364,7 +356,7 @@ def assemble_residue(gq: GlobalQuiver, rep: DoubledRep, j: int):
             for q in range(T.block_count):
                 rev = rep.rev[f"{src}>p{q}"]
                 out[slices[p], slices[q]] = out[slices[p], slices[q]] + np.dot(fwd, rev)
-    scale = 0.0 if exact else abs(as_complex(lam1)) + _fro(out)
+    scale = abs(lam1) + _fro(out)
     out.flat[:: n + 1] += lam1
     return out, scale
 
@@ -376,20 +368,17 @@ def exponent_blocks(gq: GlobalQuiver, rep: DoubledRep, residues) -> dict:
     Maps b to (L_b, scale), where scale = ||(core bracket)_bb||_F +
     sum_t ||(R_t)_bb||_F sizes the terms that cancel: a zero exponent
     orbit leaves L_b at round-off of that size, which `orbit_membership`
-    must read as 0, not as full rank against ||L_b||.  An exact rep gets
-    scale 0, since exact `orbit_membership` ignores it."""
+    must read as 0, not as full rank against ||L_b||."""
     T = gq.instance.irregular
-    exact = rep.exact
     # block-diagonal of the summed core commutators [Q_i, P_i]
     mu = moment_map(_core_rep_of(gq, rep))
     out = {}
     for b, sl in enumerate(_block_slices(T)):
         acc = -mu[f"p{b}"]
-        scale = 0.0 if exact else _fro(acc)
+        scale = _fro(acc)
         for r in residues:
             acc = acc - r[sl, sl]
-            if not exact:
-                scale += _fro(r[sl, sl])
+            scale += _fro(r[sl, sl])
         out[b] = acc, scale
     return out
 
@@ -446,7 +435,10 @@ def _conversion(gq: GlobalQuiver, rep: DoubledRep, rtol: float):
 
 def rep_to_connection(gq: GlobalQuiver, rep: DoubledRep) -> ConnectionData:
     """Convert a moment-map solution with valid leg data to a connection,
-    or raise the first failure of `_conversion` (relative tolerance 1e-8)."""
+    or raise the first failure of `_conversion` (relative tolerance 1e-8).
+    gq must be a float quiver, as for `realize_numeric`; an exact one is
+    a TypeError."""
+    _require_float(gq, "rep_to_connection")
     *_, conn, error = _conversion(gq, rep, 1e-8)
     if error is not None:
         raise error
@@ -459,15 +451,16 @@ def connection_to_rep(gq: GlobalQuiver, conn: ConnectionData) -> DoubledRep:
     Membership failures (relative tolerance 1e-8) carry the name of the
     offending pole.  The leg realizations are canonical for the greedy
     markings, so the round trip reproduces the connection exactly, not
-    only up to conjugation.
+    only up to conjugation.  gq must be a float quiver, as for
+    `rep_to_connection`.
     """
+    _require_float(gq, "connection_to_rep")
     inst = gq.instance
     T = inst.irregular
-    exact = conn.exact
     n, k = inst.n, T.k
-    slots = [linalg.zeros(n, n, exact)]
-    for i in range(1, k):
-        slots.append(-conn.poly[i - 1] if i - 1 < len(conn.poly) else linalg.zeros(n, n, exact))
+    slots = [np.zeros((n, n), dtype=complex) for _ in range(k)]
+    for i, c in enumerate(conn.poly[: k - 1]):
+        slots[i + 1] = -c
     B = PrincipalPart(n, k, tuple(slots), "polar")
     try:
         qp = orbit_to_qp(T, B)
@@ -476,7 +469,7 @@ def connection_to_rep(gq: GlobalQuiver, conn: ConnectionData) -> DoubledRep:
             f"polynomial part not in the orbit at infinity: {e}", e.residual
         ) from None
     core_rep = qp_to_rep(T, qp)
-    rep = DoubledRep.zero(gq.quiver, gq.dims, exact)
+    rep = DoubledRep.zero(gq.quiver, gq.dims)
     for a in core_rep.quiver.arrows:
         rep.fwd[a.id] = core_rep.fwd[a.id]
         rep.rev[a.id] = core_rep.rev[a.id]
@@ -528,7 +521,7 @@ def connection_stability(conn: ConnectionData):
     large scalar part would swamp every eigenvalue gap of Norton's theta.
     """
     gens = list(conn.poly) + list(conn.residues) + [conn.residue_at_infinity()]
-    eye = linalg.eye(conn.n, conn.exact)
+    eye = np.eye(conn.n, dtype=complex)
     return stability([g - np.trace(g) / conn.n * eye for g in gens], conn.n)
 
 
@@ -914,7 +907,7 @@ def verify_instance(
                 conn_cert.stable == stable_rep,
                 f"rep={stable_rep} connection={conn_cert.stable}",
             )
-        if not rep.exact and stable_rep:
+        if stable_rep:
             lhs, rhs = kernel_dimension_check(gq, rep)
             record("dimension_formula", lhs == rhs, f"lhs={lhs} rhs={rhs}")
     ok = all(c["ok"] for c in checks)

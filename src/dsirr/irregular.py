@@ -22,12 +22,13 @@ The kernel implemented here:
                       orbit element from coordinates (Q, P);
 * orbit_to_qp      -- membership test and inverse map: the orbit
                       element, embedded as a connection jet, is
-                      conjugated back to dT by the stabilizer-chain
-                      stage loop of reduction (the one normalize and
-                      bv_chain use), and the chain of gauge factors is
-                      factorized;
+                      conjugated back to dT by reduction.stage_loop, the
+                      one stabilizer-chain loop (bv_split, bv_chain and
+                      normalize run on it too), and the chain of gauge
+                      factors is factorized;
 * qp_to_rep/rep_to_qp -- the grading that matches z^i blocks with the
-                      parallel arrows of the core quiver.
+                      parallel arrows of the core quiver, walked in one
+                      order (_core_arrows) by them and core_quiver.
 """
 
 from __future__ import annotations
@@ -204,6 +205,15 @@ def level_filtration(T: IrregularType) -> list:
     return out
 
 
+def _core_arrows(T: IrregularType):
+    """(id, p, q, i) for every core arrow: block p -> block q (p < q) at
+    grading level 1 <= i <= their arrow multiplicity."""
+    for p in range(T.block_count):
+        for q in range(p + 1, T.block_count):
+            for i in range(1, T.arrow_multiplicity(p, q) + 1):
+                yield f"p{p}>p{q}:{i}", p, q, i
+
+
 def core_quiver(T: IrregularType):
     """Vertices are the blocks, with deg(t_p - t_q) - 1 parallel arrows.
 
@@ -211,11 +221,7 @@ def core_quiver(T: IrregularType):
     ids are "p{p}>p{q}:{i}".  Returns (quiver, dims).
     """
     names = [f"p{b}" for b in range(T.block_count)]
-    arrows = []
-    for p in range(T.block_count):
-        for q in range(p + 1, T.block_count):
-            for i in range(1, T.arrow_multiplicity(p, q) + 1):
-                arrows.append((f"p{p}>p{q}:{i}", names[p], names[q]))
+    arrows = [(arrow, names[p], names[q]) for arrow, p, q, _ in _core_arrows(T)]
     dims = {names[b]: T.blocks[b].mult for b in range(T.block_count)}
     return make_quiver(names, arrows), dims
 
@@ -355,14 +361,10 @@ def qp_to_rep(T: IrregularType, qp: QPPair) -> DoubledRep:
     """
     quiver, dims = core_quiver(T)
     rep = DoubledRep.zero(quiver, dims, qp.exact)
-    for p in range(T.block_count):
-        sp = T.block_slice(p)
-        for q in range(p + 1, T.block_count):
-            sq = T.block_slice(q)
-            for i in range(1, T.arrow_multiplicity(p, q) + 1):
-                arrow = f"p{p}>p{q}:{i}"
-                rep.fwd[arrow] = qp.q[i][sq, sp].copy()
-                rep.rev[arrow] = qp.p[i][sp, sq].copy()
+    for arrow, p, q, i in _core_arrows(T):
+        sp, sq = T.block_slice(p), T.block_slice(q)
+        rep.fwd[arrow] = qp.q[i][sq, sp].copy()
+        rep.rev[arrow] = qp.p[i][sp, sq].copy()
     return rep
 
 
@@ -370,14 +372,10 @@ def rep_to_qp(T: IrregularType, rep: DoubledRep) -> QPPair:
     exact = rep.exact
     q = [linalg.zeros(T.n, T.n, exact) for _ in range(T.k)]
     p = [linalg.zeros(T.n, T.n, exact) for _ in range(T.k)]
-    for pb in range(T.block_count):
-        sp = T.block_slice(pb)
-        for qb in range(pb + 1, T.block_count):
-            sq = T.block_slice(qb)
-            for i in range(1, T.arrow_multiplicity(pb, qb) + 1):
-                arrow = f"p{pb}>p{qb}:{i}"
-                q[i][sq, sp] = rep.fwd[arrow]
-                p[i][sp, sq] = rep.rev[arrow]
+    for arrow, pb, qb, i in _core_arrows(T):
+        sp, sq = T.block_slice(pb), T.block_slice(qb)
+        q[i][sq, sp] = rep.fwd[arrow]
+        p[i][sp, sq] = rep.rev[arrow]
     return QPPair(T.n, T.k, tuple(q), tuple(p))
 
 

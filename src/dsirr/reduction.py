@@ -1,17 +1,17 @@
 """Formal reduction of connection jets at an irregular point.
 
-bv_split removes, degree by degree, the part of a connection jet that
-does not commute with its semisimple leading coefficient: the degree-j
-gauge factor exp(z^j X_j) has X_j in the range of ad of the leading
-coefficient, found by entrywise division of the offending component by
-eigenvalue differences.
+stage_loop is the one reduction: the stabilizer chain of Babbitt-
+Varadarajan.  Stage i checks that slot i-1 has reached its expected
+value, then removes, degree by degree, the component of every later
+slot that the classes of level i-1 join but those of level i separate:
+the degree-j gauge factor exp(z^j X_j) has X_j in the range of ad of
+the expected diagonal, found by entrywise division of the offending
+component by differences of that diagonal.  Its four callers differ
+only in where the chain comes from:
 
-stage_loop iterates that split through a stabilizer chain (Babbitt-
-Varadarajan): stage i checks that slot i-1 has reached its expected
-diagonal value, then clears, from every later slot, the component that
-the classes of level i-1 join but those of level i separate.  Its three
-callers differ only in where the chain comes from:
-
+* bv_split runs one stage in an eigenbasis of the semisimple leading
+  coefficient, with its eigenvalues as the classes, and so commutes
+  every slot past it;
 * bv_chain reads the classes and the expected values off the diagonal
   top slots of the jet itself;
 * normalize reads them off a prescribed irregular type (coord_classes,
@@ -20,7 +20,8 @@ callers differ only in where the chain comes from:
 * irregular.orbit_to_qp embeds an orbit element as a jet and cleans its
   polar slots only, reading the chain of gauge factors back.
 
-A slot off its expected value raises OrbitMembershipError (a
+Float values closer than CLUSTER_RTOL (relative, floor 1) fall into one
+class.  A slot off its expected value raises OrbitMembershipError (a
 ValueError carrying the residual).
 """
 
@@ -33,6 +34,7 @@ import numpy as np
 from . import linalg
 from .irregular import IrregularType, OrbitMembershipError
 from .jets import ConnectionJet, JetMatrix, gauge, jet_exp, jet_mul
+from .scalars import scalars_equal
 
 CLUSTER_RTOL = 1e-8
 
@@ -81,31 +83,6 @@ def _eigen_data(a0: np.ndarray):
     return list(vals), vecs, np.linalg.inv(vecs)
 
 
-def _split_pass(jet: ConnectionJet, slot0: int, allowed, divisor, last: int):
-    """Kill, for every degree j, the allowed-positions component of slot
-    slot0 + j <= last by conjugating with exp(z^j X); divisor[r][c] is
-    the eigenvalue difference to divide by.  The gauge factors keep the
-    jet's own precision.  Returns (factors, reduced)."""
-    n = jet.n
-    exact = jet.exact
-    factors = []
-    work = jet
-    for j in range(1, last - slot0 + 1):
-        c = work.coeffs[slot0 + j]
-        x = linalg.zeros(n, n, exact)
-        dirty = False
-        for r in range(n):
-            for q in range(n):
-                if allowed[r][q] and c[r, q]:
-                    x[r, q] = -c[r, q] / divisor[r][q]
-                    dirty = True
-        if not dirty:
-            continue
-        work = gauge(jet_exp(x, j, jet.depth + 1), work)
-        factors.append((j, x))
-    return factors, work
-
-
 def _truncate(a: ConnectionJet, depth) -> ConnectionJet:
     if depth is None:
         return a
@@ -119,26 +96,22 @@ def bv_split(a: ConnectionJet) -> ReductionResult:
 
     The reduced jet satisfies [A_0, A'_i] = 0 for all i up to the
     trusted depth, with A'_0 = A_0; slots already commuting with A_0
-    are returned unchanged.  Float eigenvalues closer than CLUSTER_RTOL
-    (relative to the largest, floor 1) count as equal.
+    are returned unchanged.  This is one stage of stage_loop in an
+    eigenbasis of A_0, whose eigenvalues fall into classes by the rule
+    of bv_chain (CLUSTER_RTOL).
     """
-    work = a
     n = a.n
     vals, vecs, vecs_inv = _eigen_data(a.coeffs[0])
     if vecs is not None:
-        # work in the eigenbasis; transform back at the end
-        work = ConnectionJet(n, a.k, tuple(vecs_inv @ c @ vecs for c in work.coeffs))
-        scale = max(abs(v) for v in vals) if vals else 0.0
-        tol = CLUSTER_RTOL * max(scale, 1.0)
-        allowed = [[abs(vals[r] - vals[c]) > tol for c in range(n)] for r in range(n)]
-    else:
-        allowed = [[bool(vals[r] - vals[c]) for c in range(n)] for r in range(n)]
-    divisor = [[vals[c] - vals[r] if allowed[r][c] else None for c in range(n)] for r in range(n)]
-    factors, work = _split_pass(work, 0, allowed, divisor, work.depth)
-    if vecs is not None:
-        factors = [(j, vecs @ x @ vecs_inv) for j, x in factors]
-        work = ConnectionJet(n, a.k, tuple(vecs @ c @ vecs_inv for c in work.coeffs))
-    return ReductionResult(factors, work)
+        a = ConnectionJet(n, a.k, tuple(vecs_inv @ c @ vecs for c in a.coeffs))
+    # expect the conjugated A_0 itself, not its diagonal: its off-diagonal
+    # rounding grows with the condition of the eigenbasis
+    out = stage_loop(a, [[0] * n, _diag_tuple_classes([vals], a.exact)], [a.coeffs[0]])
+    if vecs is None:
+        return out
+    factors = [(j, vecs @ x @ vecs_inv) for j, x in out.factors]
+    reduced = ConnectionJet(n, a.k, tuple(vecs @ c @ vecs_inv for c in out.reduced.coeffs))
+    return ReductionResult(factors, reduced)
 
 
 def _restore_invariant_slots(before: ConnectionJet, after: ConnectionJet, upto: int) -> ConnectionJet:
@@ -158,25 +131,26 @@ def _restore_invariant_slots(before: ConnectionJet, after: ConnectionJet, upto: 
 def stage_loop(
     a: ConnectionJet, classes, expected, last: int = None, rtol: float = CLUSTER_RTOL
 ) -> ReductionResult:
-    """The stabilizer-chain reduction shared by bv_chain, normalize and
-    orbit_to_qp.
+    """The stabilizer-chain reduction shared by bv_split, bv_chain,
+    normalize and orbit_to_qp: one stage per step of the class chain.
 
-    classes[i] (i = 0..k-1) is the class id of every coordinate once
-    slots 0..i-1 are taken into account, so classes[0] is a single
-    class; expected[i] (i = 0..k-2) is the diagonal value slot i must
-    reach.  Stage i checks slot i-1 against expected[i-1] (relative to
-    the largest coefficient) and then clears from slots i..last (default
-    the trusted depth) the component inside a class of classes[i-1] but
-    across classes of classes[i], dividing by differences of the
-    diagonal of expected[i-1].
+    classes[i] is the class id of every coordinate once slots 0..i-1
+    are taken into account, so classes[0] is a single class; expected[i]
+    (one fewer than classes) is the value slot i must reach.  Stage i
+    (i = 1..len(classes)-1) checks slot i-1 against expected[i-1]
+    (relative to the largest coefficient) and then clears, for every
+    degree j, the component of slot i-1+j <= last (default the trusted
+    depth) inside a class of classes[i-1] but across classes of
+    classes[i], by conjugating with exp(z^j X), X dividing by
+    differences of the diagonal of expected[i-1].  The gauge factors
+    keep the jet's own precision.
     """
-    n, k = a.n, a.k
+    n = a.n
     last = a.depth if last is None else last
     scale = max(linalg.mat_norm(m) for m in list(a.coeffs) + list(expected))
     work = a
     factors = []
-    for stage in range(1, k):
-        slot = stage - 1
+    for slot in range(len(classes) - 1):
         defect = work.coeffs[slot] - expected[slot]
         if not linalg.is_zero_matrix(defect, rtol=rtol, scale=scale):
             residual = linalg.mat_norm(defect)
@@ -184,40 +158,43 @@ def stage_loop(
                 f"slot {slot} differs from its expected value (residual {residual:.3e})",
                 residual=residual,
             )
-        hi, lo = classes[stage - 1], classes[stage]
+        hi, lo = classes[slot], classes[slot + 1]
         dvals = [expected[slot][i, i] for i in range(n)]
-        allowed = [[hi[r] == hi[c] and lo[r] != lo[c] for c in range(n)] for r in range(n)]
-        divisor = [
-            [dvals[c] - dvals[r] if allowed[r][c] else None for c in range(n)]
-            for r in range(n)
+        allowed = [
+            (r, c) for r in range(n) for c in range(n) if hi[r] == hi[c] and lo[r] != lo[c]
         ]
-        stage_factors, cleaned = _split_pass(work, slot, allowed, divisor, last)
-        work = _restore_invariant_slots(work, cleaned, slot)
-        factors.extend(stage_factors)
+        before = work
+        for j in range(1, last - slot + 1):
+            coeff = work.coeffs[slot + j]
+            x = linalg.zeros(n, n, a.exact)
+            dirty = False
+            for r, c in allowed:
+                if coeff[r, c]:
+                    x[r, c] = -coeff[r, c] / (dvals[c] - dvals[r])
+                    dirty = True
+            if dirty:
+                work = gauge(jet_exp(x, j, a.depth + 1), work)
+                factors.append((j, x))
+        work = _restore_invariant_slots(before, work, slot)
     return ReductionResult(factors, work)
 
 
-def _diag_tuple_classes(diags, rtol: float):
-    """Group coordinates by (approximate) equality of their value tuples."""
+def _diag_tuple_classes(diags, exact: bool):
+    """Group coordinates by equality of their value tuples, within
+    CLUSTER_RTOL on floats."""
     n = len(diags[0]) if diags else 0
     classes = [-1] * n
     reps = []
     for i in range(n):
         tup = [d[i] for d in diags]
         for cid, rep in enumerate(reps):
-            if all(_close(a, b, rtol) for a, b in zip(tup, rep)):
+            if all(scalars_equal(a, b, exact, CLUSTER_RTOL) for a, b in zip(tup, rep)):
                 classes[i] = cid
                 break
         else:
             classes[i] = len(reps)
             reps.append(tup)
     return classes
-
-
-def _close(a, b, rtol: float) -> bool:
-    if isinstance(a, complex) or isinstance(b, complex):
-        return abs(complex(a) - complex(b)) <= rtol * max(1.0, abs(complex(a)), abs(complex(b)))
-    return a == b
 
 
 def bv_chain(a: ConnectionJet, depth: int = None) -> ReductionResult:
@@ -240,8 +217,7 @@ def bv_chain(a: ConnectionJet, depth: int = None) -> ReductionResult:
             d[r, r] = a.coeffs[i][r, r]
         expected.append(d)
     diags = [[m[r, r] for r in range(n)] for m in expected]
-    tol = 0.0 if a.exact else CLUSTER_RTOL
-    classes = [[0] * n] + [_diag_tuple_classes(diags[:i], tol) for i in range(1, k)]
+    classes = [[0] * n] + [_diag_tuple_classes(diags[:i], a.exact) for i in range(1, k)]
     return stage_loop(a, classes, expected)
 
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linalg
-from .scalars import GaussianRational, as_exact, format_exact, parse_exact
+from .scalars import GaussianRational, format_exact, parse_exact
 
 
 def scalar_to_json(x):
@@ -74,10 +73,4 @@ def matrix_from_json(data: list, rows: int, cols: int, exact: bool) -> np.ndarra
     if len(data) != rows * cols:
         raise ValueError(f"matrix payload has {len(data)} entries, expected {rows * cols}")
     vals = [scalar_from_json(x, exact) for x in data]
-    if exact:
-        out = linalg.zeros(rows, cols, True)
-        for i in range(rows):
-            for j in range(cols):
-                out[i, j] = as_exact(vals[i * cols + j])
-        return out
-    return np.array(vals, dtype=complex).reshape(rows, cols)
+    return np.array(vals, dtype=object if exact else complex).reshape(rows, cols)

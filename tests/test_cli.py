@@ -16,6 +16,8 @@ with open(os.path.join(TESTS, "golden", "cli_text.json"), encoding="utf-8") as _
     GOLDEN = json.load(_f)
 with open(os.path.join(TESTS, "golden", "reports.json"), encoding="utf-8") as _f:
     REPORTS = json.load(_f)
+with open(os.path.join(TESTS, "golden", "matrix_reports.json"), encoding="utf-8") as _f:
+    MATRIX_REPORTS = json.load(_f)
 
 
 def run(capsys, *argv):
@@ -348,6 +350,17 @@ def test_exact_report_is_unchanged(case, capsys):
     name, command = case.split()
     code = main([command, path(name)])
     assert (capsys.readouterr().out, code) == (REPORTS[case]["stdout"], REPORTS[case]["exit"])
+
+
+@pytest.mark.parametrize("case", sorted(MATRIX_REPORTS))
+def test_exact_matrix_report_is_unchanged(case, capsys):
+    # leg and reduce on exact matrix payloads, byte for byte as recorded:
+    # the exact branch of matrix_from_json, and the exact stage loop of
+    # normalize (leg dimensions [2, 1]; exponent diag(0, 1/2))
+    name, command = case.split()
+    code = main([command, path(name)])
+    want = MATRIX_REPORTS[case]
+    assert (capsys.readouterr().out, code) == (want["stdout"], want["exit"])
 
 
 def test_main_keeps_no_state_between_in_process_calls(capsys):

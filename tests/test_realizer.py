@@ -28,11 +28,13 @@ from dsirr.assembly import (
     _residual_vector,
     _unpack,
     build_global_quiver,
+    connection_to_rep,
     decide_ds,
     instance_from_json,
     instance_to_json,
     moment_jacobian,
     realize_numeric,
+    rep_to_connection,
     verify_instance,
 )
 from dsirr.cli import main
@@ -202,12 +204,18 @@ def test_feasible_instances_never_stop_stationary(name):
 
 
 def test_the_numeric_paths_refuse_an_exact_quiver():
-    res = realize_numeric(build_global_quiver(rigid_star().as_float()), attempts=3, seed=1)
+    gq = build_global_quiver(rigid_star().as_float())
+    res = realize_numeric(gq, attempts=3, seed=1)
     exact = build_global_quiver(rigid_star())
     with pytest.raises(TypeError, match="realize_numeric needs a float quiver"):
         realize_numeric(exact)
     with pytest.raises(TypeError, match="verify_instance needs a float quiver"):
         verify_instance(exact, res.rep)
+    conn = rep_to_connection(gq, res.rep)
+    with pytest.raises(TypeError, match="rep_to_connection needs a float quiver"):
+        rep_to_connection(exact, res.rep)
+    with pytest.raises(TypeError, match="connection_to_rep needs a float quiver"):
+        connection_to_rep(exact, conn)
 
 
 def _no_constants(name):

@@ -88,6 +88,25 @@ def test_split_conjugated_leading_term(rng):
     assert commutation_residual(a0, out.reduced) <= 1e-9 * scale
 
 
+def test_split_keeps_the_coupling_of_clustered_eigenvalues(rng):
+    # eigenvalues 1e-10 apart are one class (CLUSTER_RTOL, the rule of
+    # bv_chain): their coupling stays, and only the part across the gap
+    # to 2 is cleared
+    g = rand_complex(rng, 3, 3) + 3 * np.eye(3)
+    g_inv = np.linalg.inv(g)
+    a0 = g @ np.diag([1.0, 1.0 + 1e-10, 2.0]).astype(complex) @ g_inv
+    coeffs = [a0] + [rand_complex(rng, 3, 3) for _ in range(4)]
+    out = bv_split(ConnectionJet(3, 2, tuple(coeffs)))
+    scale = max(linalg.mat_norm(c) for c in coeffs)
+    for c in out.reduced.coeffs[1:]:
+        b = g_inv @ c @ g
+        assert linalg.mat_norm(b[:2, 2]) + linalg.mat_norm(b[2, :2]) <= 1e-9 * scale
+    cluster = (g_inv @ coeffs[1] @ g)[:2, :2]
+    assert abs(cluster[0, 1]) > 0.1 and abs(cluster[1, 0]) > 0.1
+    kept = (g_inv @ out.reduced.coeffs[1] @ g)[:2, :2]
+    assert linalg.mat_norm(kept - cluster) <= 1e-9 * scale
+
+
 def test_split_exact_mode():
     a0 = exact_matrix([[1, 0], [0, -1]])
     x = exact_matrix([[0, 1], [2, 0]])
