@@ -25,36 +25,28 @@ slot j equal to -A_{j-1} (because z^i dz = -w^{-i-2} dw) and residue
 
 from __future__ import annotations
 
+from cmath import isfinite
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate
 from math import sqrt
 from operator import add, mul
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .irregular import (
-    IrregularType,
-    OrbitMembershipError,
-    core_quiver,
-    orbit_to_qp,
-    qp_to_orbit,
-    qp_to_rep,
-    rep_to_qp,
-)
+from .irregular import (IrregularType, OrbitMembershipError, core_quiver, irregular_type_from_json,
+                        irregular_type_to_json, orbit_to_qp, qp_to_orbit, qp_to_rep, rep_to_qp)
 from .jets import ConnectionJet, PrincipalPart
-from .orbits import (
-    OrbitSpec,
-    greedy_marking,
-    leg_dimensions,
-    orbit_membership,
-    realize_leg,
-)
-from .quiver import DoubledRep, delta, is_stable, make_quiver, moment_map, rep_stability, stability
+from .orbits import (OrbitSpec, greedy_marking, leg_dimensions, orbit_membership,
+                     orbit_spec_from_json, orbit_spec_to_json, realize_leg)
+from .quiver import (DoubledRep, delta, is_stable, make_quiver, moment_map, quiver_to_json,
+                     rep_stability, stability)
 from .roots import CartanData, Verdict, cb_solvable
 from .scalars import GaussianRational, as_complex, exact_dot, integerize, require_int, scalar_key
+from .serialize import matrix_from_json, matrix_to_json, scalar_from_json, scalar_to_json
 
 
 @dataclass(frozen=True)
@@ -111,16 +103,38 @@ class ProblemInstance:
         return copy
 
 
+class Leg(NamedTuple):
+    """One type-A leg of the global quiver, read off a marking.
+
+    The leg of finite pole j has vertices t{j}.{l}, l = 1, 2, ..., chain
+    arrows t{j}.{l+1}>t{j}.{l}, and a foot t{j}.1>p{b} into every core
+    vertex p{b}.  The leg of block b is named likewise from p{b}.1 up,
+    with the one foot p{b}.1>p{b}.  Chain arrow chain[l - 1] runs from
+    vertices[l] down to vertices[l - 1].  Only `build_global_quiver`
+    builds legs; other code reads the ids here instead of spelling them.
+    """
+
+    marking: tuple
+    vertices: tuple  # from the foot up; none for a length-one marking
+    chain: tuple  # arrow ids, the one out of vertices[l] at chain[l - 1]
+    feet: tuple  # arrow ids out of vertices[0], in block order
+
+
 @dataclass
 class GlobalQuiver:
     """Synthesized (quiver, dims, zeta) plus the bookkeeping to attach
-    representation data back to matrices."""
+    representation data back to matrices.
+
+    `legs` maps ("p", b) to the `Leg` of block b and then ("t", j) to
+    the `Leg` of pole j, in the order their vertices and arrows follow
+    the core quiver's (vertices p{b}, arrows p{p}>p{q}:{i}).  Only
+    `build_global_quiver` fills it; every leg id is read from there."""
 
     quiver: object
     dims: dict
     zeta: dict
     instance: ProblemInstance
-    markings: dict  # ("p", b) or ("t", j) -> marking tuple
+    legs: dict
     zeta_v: object = None  # zeta . v, exact when the instance or its source is
     zeta_int: tuple | None = None  # exact mode: c Re(zeta), c Im(zeta) on integers
 
@@ -142,43 +156,50 @@ def build_global_quiver(instance: ProblemInstance) -> GlobalQuiver:
     `zeta_v` is zeta . v: exact on an exact instance, and on the float
     copy of one (`ProblemInstance.as_float`) its source's exact value;
     on other float input, a left fold in vertex order, with rounding.
+    A float zeta_x or zeta . v that is not finite is a ValueError.  Each
+    leg is laid out here once and recorded as a `Leg` in `legs`.
     """
     T = instance.irregular
     core, core_dims = core_quiver(T)
     vertices = list(core.vertices)
     arrows = [(a.id, a.src, a.dst) for a in core.arrows]
     dims = dict(core_dims)
-    legs = [(("p", b), spec) for b, spec in enumerate(instance.residue_blocks)]
-    legs += [(("t", j), pole.orbit) for j, pole in enumerate(instance.poles)]
-    markings = {key: greedy_marking(spec) for key, spec in legs}
+    specs = [(("p", b), spec) for b, spec in enumerate(instance.residue_blocks)]
+    specs += [(("t", j), pole.orbit) for j, pole in enumerate(instance.poles)]
+    markings = {key: greedy_marking(spec) for key, spec in specs}
     entries = [x for m in markings.values() for x in m]
     first = dict(zip(markings, accumulate(map(len, markings.values()), initial=0)))
     if instance.exact:  # the eigenvalues follow the marking entries
-        traces = [(x, sum(b)) for _, spec in legs for x, b in spec.eigenvalues]
+        traces = [(x, sum(b)) for _, spec in specs for x, b in spec.eigenvalues]
         lcd, re, im = integerize(entries + [x for x, _ in traces])
     else:
         re, im = [as_complex(x).real for x in entries], [as_complex(x).imag for x in entries]
 
     terms = {}  # vertex -> (Re, Im) of zeta, in the arithmetic of the mode
-    for key, spec in legs:
-        prefix, ldims = f"{key[0]}{key[1]}.", leg_dimensions(spec)
-        for l, d in enumerate(ldims, start=1):
-            v, a = f"{prefix}{l}", first[key] + l - 1
+    legs = {}
+    for key, spec in specs:
+        prefix, names, chain, feet = f"{key[0]}{key[1]}.", [], [], []
+        for a, d in enumerate(leg_dimensions(spec), first[key]):
+            v = f"{prefix}{len(names) + 1}"
             vertices.append(v)
             dims[v] = d
             terms[v] = (re[a] - re[a + 1], im[a] - im[a + 1])
-            if l >= 2:
-                arrows.append((f"{prefix}{l}>{prefix}{l-1}", v, f"{prefix}{l-1}"))
-        if ldims:
-            feet = [f"p{b}" for b in range(T.block_count)] if key[0] == "t" else [f"p{key[1]}"]
-            arrows += [(f"{prefix}1>{foot}", f"{prefix}1", foot) for foot in feet]
+            if names:  # the chain arrow down to the vertex before
+                chain.append(f"{v}>{names[-1]}")
+                arrows.append((chain[-1], v, names[-1]))
+            names.append(v)
+        if names:
+            cores = core.vertices if key[0] == "t" else (core.vertices[key[1]],)
+            feet = [f"{names[0]}>{p}" for p in cores]
+            arrows += zip(feet, [names[0]] * len(feet), cores)
+        legs[key] = Leg(markings[key], tuple(names), tuple(chain), tuple(feet))
     for b in range(T.block_count):
         a = first[("p", b)]
         zr, zi = -re[a], -im[a]
         for j in range(len(instance.poles)):
             a = first[("t", j)]
             zr, zi = zr - re[a], zi - im[a]
-        terms[f"p{b}"] = (zr, zi)
+        terms[core.vertices[b]] = (zr, zi)
 
     quiver = make_quiver(vertices, arrows)
     weights = [dims[v] for v in vertices]
@@ -187,7 +208,9 @@ def build_global_quiver(instance: ProblemInstance) -> GlobalQuiver:
         zeta_v = instance.exact_zeta_v
         if zeta_v is None:
             zeta_v = reduce(add, map(mul, (zeta[v] for v in vertices), weights))
-        return GlobalQuiver(quiver, dims, zeta, instance, markings, zeta_v)
+        if not (all(map(isfinite, zeta.values())) and isfinite(as_complex(zeta_v))):
+            raise ValueError("zeta or zeta . v is not finite: the scalars overflow floating point")
+        return GlobalQuiver(quiver, dims, zeta, instance, legs, zeta_v)
     zeta = {v: GaussianRational(Fraction(r, lcd), Fraction(i, lcd)) for v, (r, i) in terms.items()}
     zr, zi = [terms[v][0] for v in vertices], [terms[v][1] for v in vertices]
     mults, e = [m for _, m in traces], len(entries)
@@ -195,7 +218,7 @@ def build_global_quiver(instance: ProblemInstance) -> GlobalQuiver:
     if total_re != -sum(map(mul, re[e:], mults)) or total_im != -sum(map(mul, im[e:], mults)):
         raise AssertionError("internal: zeta . v failed the trace identity")
     zeta_v = GaussianRational(Fraction(total_re, lcd), Fraction(total_im, lcd))
-    return GlobalQuiver(quiver, dims, zeta, instance, markings, zeta_v, (zr, zi))
+    return GlobalQuiver(quiver, dims, zeta, instance, legs, zeta_v, (zr, zi))
 
 
 @dataclass
@@ -210,8 +233,6 @@ class DSVerdict:
 
 def verdict_to_json(verdict: Verdict, quiver, dims, zeta) -> dict:
     """Report form of a criterion verdict on (quiver, dims, zeta)."""
-    from .quiver import quiver_to_json
-
     out = {
         "verdict": "undecided"
         if verdict.undecided
@@ -279,10 +300,6 @@ class ConnectionData:
         return ConnectionJet(self.n, k, tuple(coeffs))
 
 
-def _block_slices(T: IrregularType):
-    return [T.block_slice(b) for b in range(T.block_count)]
-
-
 def _fro(a: np.ndarray) -> float:
     """Frobenius norm of a float block: `linalg.mat_norm` without its
     exact-entry conversion, cheap enough to take for every block."""
@@ -305,57 +322,57 @@ def moment_residual(gq: GlobalQuiver, rep: DoubledRep) -> float:
     return total ** 0.5
 
 
+def _foot_maps(rep: DoubledRep, leg: Leg):
+    """The forward maps of the leg's feet stacked by rows, and the
+    reverse maps by columns: for a pole, the maps from its first leg
+    vertex to C^n and back, since the feet run in block order."""
+    return (np.concatenate([rep.fwd[a] for a in leg.feet], axis=0),
+            np.concatenate([rep.rev[a] for a in leg.feet], axis=1))
+
+
 def _leg_condition_failures(gq: GlobalQuiver, rep: DoubledRep, rtol: float) -> list:
     """Injectivity/surjectivity demanded of leg arrows.
 
-    Ordinary leg arrows (chains and block feet) need injective forward
-    maps and surjective reverse maps onto the source space; the foot
-    family of a finite pole needs joint injectivity and joint
-    surjectivity of the stacked maps.
+    Chain arrows and the foot of a block leg need injective forward
+    maps and surjective reverse maps onto the source space; they are
+    tested one by one, in quiver arrow order.  The feet of a finite pole
+    need joint injectivity and joint surjectivity of the stacked maps,
+    tested after them, pole by pole.
     """
-    fails = []
-    finite_feet = {}
-    for a in gq.quiver.arrows:
-        if ":" in a.id:
-            continue  # core arrows carry no rank conditions
-        if a.id.startswith("t") and ">p" in a.id:
-            finite_feet.setdefault(a.src, []).append(a)
-            continue
-        d_src = rep.dims[a.src]
-        if linalg.rank(rep.fwd[a.id], rtol) != d_src:
-            fails.append(f"{a.id}: forward map not injective")
-        if linalg.rank(rep.rev[a.id], rtol) != d_src:
-            fails.append(f"{a.id}: reverse map not surjective")
-    for src, aa in finite_feet.items():
-        d_src = rep.dims[src]
-        stacked_fwd = np.concatenate([rep.fwd[a.id] for a in aa], axis=0)
-        stacked_rev = np.concatenate([rep.rev[a.id] for a in aa], axis=1)
-        if linalg.rank(stacked_fwd, rtol) != d_src:
+    fails, poles = [], []
+    for (kind, _), leg in gq.legs.items():
+        single = list(zip(leg.chain, leg.vertices[1:]))
+        if kind == "p":
+            single += [(a, leg.vertices[0]) for a in leg.feet]
+        elif leg.feet:
+            poles.append(leg)
+        for a, src in single:
+            if linalg.rank(rep.fwd[a], rtol) != rep.dims[src]:
+                fails.append(f"{a}: forward map not injective")
+            if linalg.rank(rep.rev[a], rtol) != rep.dims[src]:
+                fails.append(f"{a}: reverse map not surjective")
+    for leg in poles:
+        src = leg.vertices[0]
+        stacked_fwd, stacked_rev = _foot_maps(rep, leg)
+        if linalg.rank(stacked_fwd, rtol) != rep.dims[src]:
             fails.append(f"{src}: joint kernel of the foot maps is non-zero")
-        if linalg.rank(stacked_rev, rtol) != d_src:
+        if linalg.rank(stacked_rev, rtol) != rep.dims[src]:
             fails.append(f"{src}: foot reverse maps do not jointly surject")
     return fails
 
 
 def assemble_residue(gq: GlobalQuiver, rep: DoubledRep, j: int):
-    """R_t from the foot arrows of pole j: block (p,q) is the product of
-    the forward map into p with the reverse map out of q, plus the
-    first marking scalar.  Returns (R_t, scale), where scale =
-    |lambda_1| + ||products||_F sizes the summed terms for
-    `orbit_membership`."""
-    inst = gq.instance
-    T = inst.irregular
-    n = inst.n
-    lam1 = gq.markings[("t", j)][0]
-    out = np.zeros((n, n), dtype=complex)
-    src = f"t{j}.1"
-    if src in rep.dims:  # else a length-one marking: scalar residue
-        slices = _block_slices(T)
-        for p in range(T.block_count):
-            fwd = rep.fwd[f"{src}>p{p}"]
-            for q in range(T.block_count):
-                rev = rep.rev[f"{src}>p{q}"]
-                out[slices[p], slices[q]] = out[slices[p], slices[q]] + np.dot(fwd, rev)
+    """The residue of pole j: R_t = F_t G_t + lambda_1 I, where F_t and
+    G_t are the forward and reverse maps of the pole's feet stacked over
+    the blocks (`_foot_maps`) and lambda_1 is the first marking scalar.
+    A length-one marking has no leg, and R_t = lambda_1 I.
+
+    Returns (R_t, scale), where scale = |lambda_1| + ||F_t G_t||_F sizes
+    the summed terms for `orbit_membership`."""
+    n = gq.instance.n
+    leg = gq.legs[("t", j)]
+    lam1 = leg.marking[0]
+    out = np.dot(*_foot_maps(rep, leg)) if leg.feet else np.zeros((n, n), dtype=complex)
     scale = abs(lam1) + _fro(out)
     out.flat[:: n + 1] += lam1
     return out, scale
@@ -373,7 +390,8 @@ def exponent_blocks(gq: GlobalQuiver, rep: DoubledRep, residues) -> dict:
     # block-diagonal of the summed core commutators [Q_i, P_i]
     mu = moment_map(_core_rep_of(gq, rep))
     out = {}
-    for b, sl in enumerate(_block_slices(T)):
+    for b in range(T.block_count):
+        sl = T.block_slice(b)
         acc = -mu[f"p{b}"]
         scale = _fro(acc)
         for r in residues:
@@ -405,7 +423,7 @@ def _conversion(gq: GlobalQuiver, rep: DoubledRep, rtol: float):
 
     resid = moment_residual(gq, rep)
     scale = max(1.0, rep.norm() ** 2)
-    check("moment_residual", resid <= rtol * scale, f"{resid:.3e}",
+    check("moment_residual", isfinite(resid) and resid <= rtol * scale, f"{resid:.3e}",
           f"moment residual {resid:.3e} above tolerance")
     fails = "; ".join(_leg_condition_failures(gq, rep, rtol))
     check("leg_conditions", not fails, fails, "leg conditions failed: " + fails)
@@ -470,46 +488,35 @@ def connection_to_rep(gq: GlobalQuiver, conn: ConnectionData) -> DoubledRep:
         ) from None
     core_rep = qp_to_rep(T, qp)
     rep = DoubledRep.zero(gq.quiver, gq.dims)
-    for a in core_rep.quiver.arrows:
-        rep.fwd[a.id] = core_rep.fwd[a.id]
-        rep.rev[a.id] = core_rep.rev[a.id]
-    slices = _block_slices(T)
+    rep.fwd.update(core_rep.fwd)
+    rep.rev.update(core_rep.rev)
     for j, pole in enumerate(inst.poles):
         r = conn.residues[j]
         if not orbit_membership(r, pole.orbit):
             raise ValueError(f"residue at pole {j} is not in its declared orbit")
-        leg = realize_leg(r, gq.markings[("t", j)])
-        _install_leg(rep, leg, f"t{j}.", foot_blocks=slices)
+        _install_leg(rep, gq.legs[("t", j)], r)
     residues = [assemble_residue(gq, rep, j)[0] for j in range(len(inst.poles))]
     for b, (lb, scale) in exponent_blocks(gq, rep, residues).items():
         if not orbit_membership(lb, inst.residue_blocks[b], scale=scale):
             raise ValueError(f"exponent at block {b} is not in its declared orbit")
-        leg = realize_leg(lb, gq.markings[("p", b)])
-        _install_leg(rep, leg, f"p{b}.", foot_vertex=f"p{b}")
+        _install_leg(rep, gq.legs[("p", b)], lb)
     return rep
 
 
-def _install_leg(rep: DoubledRep, leg, prefix: str, foot_blocks=None, foot_vertex=None):
-    """Copy a leg realization into the global representation.
-
-    The leg's own vertices "1", "2", ... become prefix1, prefix2, ...;
-    the arrow into the ambient vertex "0" becomes the foot arrows,
-    split over core blocks for finite poles.
-    """
-    lr = leg.rep
-    for a in lr.quiver.arrows:
-        src_l = int(a.src)
-        if a.dst != "0":
-            rep.fwd[f"{prefix}{src_l}>{prefix}{a.dst}"] = lr.fwd[a.id]
-            rep.rev[f"{prefix}{src_l}>{prefix}{a.dst}"] = lr.rev[a.id]
-            continue
-        if foot_vertex is not None:
-            rep.fwd[f"{prefix}1>{foot_vertex}"] = lr.fwd[a.id]
-            rep.rev[f"{prefix}1>{foot_vertex}"] = lr.rev[a.id]
-        else:
-            for b, sl in enumerate(foot_blocks):
-                rep.fwd[f"{prefix}1>p{b}"] = lr.fwd[a.id][sl, :]
-                rep.rev[f"{prefix}1>p{b}"] = lr.rev[a.id][:, sl]
+def _install_leg(rep: DoubledRep, leg: Leg, matrix: np.ndarray):
+    """Realize the leg's marking on the matrix and copy the maps in: the
+    realization's chain "2>1", "3>2", ... goes to leg.chain, and its foot
+    "1>0" is split by rows (the reverse map by columns) over leg.feet."""
+    lr = realize_leg(matrix, leg.marking).rep
+    if not lr.quiver.arrows:  # a length-one marking: no leg
+        return
+    foot, *chain = (a.id for a in lr.quiver.arrows)
+    for a, local in zip(leg.chain, chain):
+        rep.fwd[a], rep.rev[a] = lr.fwd[local], lr.rev[local]
+    cuts = np.cumsum([rep.fwd[a].shape[0] for a in leg.feet[:-1]])
+    fwds, revs = np.split(lr.fwd[foot], cuts, axis=0), np.split(lr.rev[foot], cuts, axis=1)
+    for a, fwd, rev in zip(leg.feet, fwds, revs):
+        rep.fwd[a], rep.rev[a] = fwd, rev
 
 
 def connection_stability(conn: ConnectionData):
@@ -810,7 +817,9 @@ def realize_numeric(
                 "converged-unresolved" if cert.dim is None else "converged-unstable")
         elif stop == "converged":
             stop = "converged-unstable"  # at the cost floor, but too close to 0
-        records.append({"iterations": iterations, "trials": trials, "residual": resid, "stop": stop})
+        # JSON has no inf: an overflowing restart records its residual as None
+        records.append({"iterations": iterations, "trials": trials,
+                        "residual": resid if isfinite(resid) else None, "stop": stop})
         if stop == "converged-stable":
             return RealizeResult(rep, resid, attempt + 1, seed, records, floor, stop, cert)
     return RealizeResult(None, best, attempts, seed, records, floor)
@@ -841,13 +850,14 @@ def _trace_rounding_bound(gq: GlobalQuiver) -> float:
     is (N + P) eps S, about twice that.
     """
     poles = len(gq.instance.poles)
-    first = sum(abs(gq.markings[("t", j)][0]) for j in range(poles))
+    first = sum(abs(gq.legs[("t", j)].marking[0]) for j in range(poles))
     total = 0.0
-    for (kind, i), marking in gq.markings.items():
+    for (kind, i), leg in gq.legs.items():
+        m = leg.marking
         if kind == "p":  # zeta_p = -l_{p,1} - sum_t l_{t,1}
-            total += gq.dims[f"p{i}"] * (abs(marking[0]) + first)
-        for l in range(1, len(marking)):  # zeta_{x,l} = l_{x,l} - l_{x,l+1}
-            total += gq.dims.get(f"{kind}{i}.{l}", 0) * (abs(marking[l - 1]) + abs(marking[l]))
+            total += gq.dims[f"p{i}"] * (abs(m[0]) + first)
+        for l, v in enumerate(leg.vertices, 1):  # zeta_{x,l} = l_{x,l} - l_{x,l+1}
+            total += gq.dims[v] * (abs(m[l - 1]) + abs(m[l]))
     return (len(gq.dims) + poles) * np.finfo(float).eps * total
 
 
@@ -919,10 +929,6 @@ def verify_instance(
 
 
 def instance_to_json(instance: ProblemInstance) -> dict:
-    from .irregular import irregular_type_to_json
-    from .orbits import orbit_spec_to_json
-    from .serialize import scalar_to_json
-
     return {
         "schema_version": 1,
         "rank": instance.n,
@@ -938,10 +944,6 @@ def instance_to_json(instance: ProblemInstance) -> dict:
 
 
 def instance_from_json(data: dict, exact: bool) -> ProblemInstance:
-    from .irregular import irregular_type_from_json
-    from .orbits import orbit_spec_from_json
-    from .serialize import scalar_from_json
-
     n = data["rank"]
     T = irregular_type_from_json(data["infinity"]["irregular_type"], exact)
     blocks_json = data["infinity"]["residue_blocks"]
@@ -965,8 +967,6 @@ def instance_from_json(data: dict, exact: bool) -> ProblemInstance:
 
 
 def rep_to_json(gq: GlobalQuiver, rep: DoubledRep) -> dict:
-    from .serialize import matrix_to_json
-
     return {
         "schema_version": 1,
         "dims": {v: int(d) for v, d in rep.dims.items()},
@@ -979,8 +979,6 @@ def rep_to_json(gq: GlobalQuiver, rep: DoubledRep) -> dict:
 
 def rep_from_json(gq: GlobalQuiver, data: dict) -> DoubledRep:
     """A float representation from its JSON form (see rep_to_json)."""
-    from .serialize import matrix_from_json
-
     for v, d in data.get("dims", {}).items():
         if type(d) is not int:  # rejects bool too, an int subclass
             raise ValueError(f"dimension at vertex {v} must be a JSON integer, got {d!r}")

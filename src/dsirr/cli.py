@@ -45,6 +45,7 @@ from .orbits import (
     realize_leg,
 )
 from .quiver import quiver_from_json, quiver_to_json, to_dot
+from .reduction import normalize
 from .roots import CartanData, cb_solvable
 from .serialize import matrix_from_json, matrix_to_json, payload_is_float, scalar_to_json
 
@@ -155,8 +156,6 @@ def cmd_verify(args):
 
 
 def cmd_reduce(args):
-    from .reduction import normalize
-
     data = _load_json(args.input)
     exact = not payload_is_float(data)
     T = irregular_type_from_json(_require(data, "irregular_type", "", dict), exact)

@@ -43,6 +43,7 @@ from . import linalg
 from .jets import ConnectionJet, JetMatrix, PrincipalPart, jet_inv, pp_left_mul
 from .quiver import DoubledRep, make_quiver
 from .scalars import GaussianRational, require_int, scalar_key, scalars_equal
+from .serialize import scalar_from_json, scalar_to_json
 
 FLOAT_COEFF_RTOL = 1e-9
 
@@ -333,7 +334,7 @@ def orbit_to_qp(T: IrregularType, B: PrincipalPart) -> QPPair:
     (Q, P) are read off.  A slot that does not reach dT (relative
     tolerance 1e-8) raises OrbitMembershipError.
     """
-    from .reduction import stage_loop
+    from .reduction import stage_loop  # here, since reduction imports this module
 
     n, k = T.n, T.k
     if B.tag != "polar" or B.n != n or B.k != k:
@@ -380,8 +381,6 @@ def rep_to_qp(T: IrregularType, rep: DoubledRep) -> QPPair:
 
 
 def irregular_type_to_json(T: IrregularType) -> dict:
-    from .serialize import scalar_to_json
-
     return {
         "k": T.k,
         "blocks": [
@@ -392,8 +391,6 @@ def irregular_type_to_json(T: IrregularType) -> dict:
 
 
 def irregular_type_from_json(data: dict, exact: bool) -> IrregularType:
-    from .serialize import scalar_from_json
-
     blocks = [
         (tuple(scalar_from_json(c, exact) for c in b["coeffs"]), b["mult"])
         for b in data["blocks"]

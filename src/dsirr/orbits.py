@@ -36,6 +36,7 @@ import numpy as np
 from . import linalg
 from .quiver import DoubledRep, make_quiver
 from .scalars import GaussianRational, as_complex, as_exact, require_int, scalar_key
+from .serialize import matrix_from_json, scalar_from_json, scalar_to_json
 
 Marking = tuple
 
@@ -371,8 +372,6 @@ def orbit_membership(R: np.ndarray, spec: OrbitSpec, rtol: float = 1e-8, scale: 
 
 
 def orbit_spec_to_json(spec: OrbitSpec) -> dict:
-    from .serialize import scalar_to_json
-
     out = {
         "eigenvalues": [
             {"value": scalar_to_json(v), "blocks": list(b)} for v, b in spec.eigenvalues
@@ -384,8 +383,6 @@ def orbit_spec_to_json(spec: OrbitSpec) -> dict:
 
 
 def orbit_spec_from_json(data: dict, n: int, exact: bool) -> OrbitSpec:
-    from .serialize import matrix_from_json, scalar_from_json
-
     marking = None
     if "marking" in data and "ranks" in data:
         return _spec_from_marking_ranks(data, n, exact)
@@ -409,8 +406,6 @@ def orbit_spec_from_json(data: dict, n: int, exact: bool) -> OrbitSpec:
 
 def _spec_from_marking_ranks(data: dict, n: int, exact: bool) -> OrbitSpec:
     """Rebuild Jordan data from a marking and its rank sequence."""
-    from .serialize import scalar_from_json
-
     marking = [scalar_from_json(x, exact) for x in data["marking"]]
     ranks = [require_int(r, "a marking rank", 0) for r in data["ranks"]]
     if len(ranks) != len(marking) - 1:

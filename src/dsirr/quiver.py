@@ -90,7 +90,8 @@ from itertools import repeat
 import numpy as np
 
 from . import linalg
-from .scalars import ONE, as_complex
+from .scalars import ONE, GaussianRational, as_complex
+from .serialize import scalar_from_json, scalar_to_json
 
 DimVector = dict  # vertex id -> nonnegative int
 ParamVector = dict  # vertex id -> scalar
@@ -198,8 +199,6 @@ def symplectic_form(rep: DoubledRep, dxi1: DoubledRep, dxi2: DoubledRep):
         )
         acc = t if acc is None else acc + t
     if acc is None:
-        from .scalars import GaussianRational
-
         acc = GaussianRational(0) if rep.exact else 0j
     return acc
 
@@ -526,8 +525,6 @@ def is_stable(rep: DoubledRep) -> bool:
 
 
 def quiver_to_json(quiver: Quiver, dims: DimVector = None, zeta: ParamVector = None) -> dict:
-    from .serialize import scalar_to_json
-
     out = {
         "vertices": list(quiver.vertices),
         "arrows": [[a.id, a.src, a.dst] for a in quiver.arrows],
@@ -543,8 +540,6 @@ def quiver_from_json(data: dict):
     """Inverse of quiver_to_json.  The criterion runs on this payload, so
     dims must be JSON integers and zeta exact scalars (strings or
     integers); floats are rejected, never rounded."""
-    from .serialize import scalar_from_json
-
     q = make_quiver(data["vertices"], [tuple(a) for a in data["arrows"]])
     dims = data.get("dims", {})
     for v, d in dims.items():

@@ -8,6 +8,8 @@ from context.
 
 from __future__ import annotations
 
+from cmath import isfinite
+
 import numpy as np
 
 from .scalars import GaussianRational, format_exact, parse_exact
@@ -20,24 +22,37 @@ def scalar_to_json(x):
     return [z.real, z.imag]
 
 
-def scalar_from_json(obj, exact: bool = None):
-    """Decode a scalar; exact=None infers the mode from the payload."""
+def scalar_from_json(obj, exact: bool):
+    """Decode a scalar in the given mode.  A float-mode scalar must be
+    finite: NaN, an infinity or a value beyond the float range is a
+    ValueError."""
     if isinstance(obj, str):
         g = parse_exact(obj)
-        return g if exact in (None, True) else g.to_complex()
+        return g if exact else _finite(g.re, g.im, obj)
     if isinstance(obj, bool):
         raise ValueError("booleans are not scalars")
     if isinstance(obj, int):
-        return complex(obj) if exact is False else GaussianRational(obj)
+        return GaussianRational(obj) if exact else _finite(obj, 0, obj)
     if isinstance(obj, float):
         if exact:
             raise ValueError(f"float {obj!r} not allowed in exact mode; use 'a/b+c/d i' strings")
-        return complex(obj)
+        return _finite(obj, 0, obj)
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
         if exact:
             raise ValueError("[re, im] pairs are float-mode scalars; exact mode needs strings")
-        return complex(float(obj[0]), float(obj[1]))
+        return _finite(*obj, obj)
     raise ValueError(f"cannot decode scalar from {obj!r}")
+
+
+def _finite(re, im, obj) -> complex:
+    """complex(re, im), or a ValueError naming obj unless both are finite."""
+    try:
+        z = complex(float(re), float(im))
+    except OverflowError:  # an integer or a fraction beyond the float range
+        z = complex("inf")
+    if not isfinite(z):
+        raise ValueError(f"scalar {obj!r} is not a finite float")
+    return z
 
 
 # keys holding one scalar, and keys holding a list of scalars (or of

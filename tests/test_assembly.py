@@ -292,9 +292,22 @@ def test_exponent_blocks_match_normalize():
         assert linalg.mat_norm(out.exponent[sl, sl] - lbs[b][0]) < 1e-8
 
 
-def test_connection_round_trip():
-    inst = rigid_star()
-    gq = build_global_quiver(inst.as_float())
+def _nonempty_problems():
+    """rigid_star, and every problem file in tests/data whose verdict is
+    nonempty: ladder_g4x1k2_seed206.json has chain arrows, block-leg
+    feet and the feet of two poles."""
+    out = [pytest.param(rigid_star, id="rigid_star")]
+    for path in sorted((ROOT / "tests" / "data").glob("*.json")):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if "rank" in data and decide_ds(instance_from_json(data, exact=True)).nonempty:
+            out.append(pytest.param(lambda d=data: instance_from_json(d, exact=True),
+                                    id=path.name))
+    return out
+
+
+@pytest.mark.parametrize("make", _nonempty_problems())
+def test_connection_round_trip(make):
+    gq = build_global_quiver(make().as_float())
     res = realize_numeric(gq, attempts=10, seed=13)
     conn = rep_to_connection(gq, res.rep)
     rep2 = connection_to_rep(gq, conn)
@@ -304,6 +317,24 @@ def test_connection_round_trip():
         assert linalg.mat_norm(a - b) < 1e-9
     for a, b in zip(conn.poly, conn2.poly):
         assert linalg.mat_norm(a - b) < 1e-9
+
+
+def test_failing_leg_conditions_are_named_in_arrow_order():
+    # one-by-one failures (chain arrows, block-leg feet) in quiver arrow
+    # order come first, then the joint failures of a pole's feet
+    data = json.loads((ROOT / "tests" / "data" / "ladder_g4x1k2_seed206.json").read_text())
+    gq = build_global_quiver(instance_from_json(data, exact=True).as_float())
+    rep = realize_numeric(gq, seed=1).rep
+    for a in ("t0.2>t0.1", "t0.1>p0", "t0.1>p1"):
+        rep.fwd[a] = np.zeros_like(rep.fwd[a])
+    for a in ("t0.1>p0", "t0.1>p1", "p0.1>p0"):
+        rep.rev[a] = np.zeros_like(rep.rev[a])
+    checks = {c["name"]: c for c in verify_instance(gq, rep)["checks"]}
+    assert not checks["leg_conditions"]["ok"]
+    assert checks["leg_conditions"]["detail"] == (
+        "p0.1>p0: reverse map not surjective; t0.2>t0.1: forward map not injective; "
+        "t0.1: joint kernel of the foot maps is non-zero; "
+        "t0.1: foot reverse maps do not jointly surject")
 
 
 def test_connection_membership_error_names_pole():

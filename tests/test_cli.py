@@ -1,11 +1,13 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from dsirr.cli import main
@@ -231,6 +233,101 @@ def test_float_payload_is_parsed_in_float_mode(tmp_path, capsys):
     with pytest.warns(UserWarning, match="float irregular-type"):
         code, report = run(capsys, "build-quiver", str(floats))
     assert code == 0 and report["dims"] == {"p0": 1, "p1": 1, "t0.1": 1}
+
+
+def _strict(text):
+    """The report, parsed as strict JSON: a NaN or Infinity token fails."""
+    def refuse(token):
+        raise AssertionError(f"the report holds the non-JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _run_on(data, tmp_path, capsys, *argv):
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(data))  # writes NaN and Infinity as Python's json does
+    code = main([*argv, str(src)])
+    return code, _strict(capsys.readouterr().out)
+
+
+def _float_star(first, second):
+    """star_rigid.json with float pole eigenvalues `first` and `second`."""
+    data = _star_rigid()
+    evs = data["finite_poles"][0]["orbit"]["eigenvalues"]
+    evs[0]["value"], evs[1]["value"] = [first, 0.0], [second, 0.0]
+    return data
+
+
+@pytest.mark.parametrize("where, command", [
+    ("position", ["realize", "--seed", "1"]), ("eigenvalue", ["build-quiver"])],
+    ids=["position-realize", "eigenvalue-build-quiver"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_non_finite_scalar_is_an_input_error(where, command, value, tmp_path, capsys):
+    # a NaN pole position used to realize with success; an infinite
+    # eigenvalue used to build a quiver with Infinity and NaN in zeta
+    data = _star_rigid()
+    if where == "position":
+        data["finite_poles"][0]["position"] = [value, 0.0]
+    else:
+        data["finite_poles"][0]["orbit"]["eigenvalues"][0]["value"] = [value, 0.0]
+    code, report = _run_on(data, tmp_path, capsys, *command)
+    assert code == 2
+    assert report["error"] == f"ValueError: scalar [{value}, 0.0] is not a finite float"
+
+
+def test_an_integer_beyond_the_float_range_is_an_input_error(tmp_path, capsys):
+    # one [re, im] pair puts the file in float mode, where an integer of
+    # 401 digits has no double; converting it used to raise OverflowError
+    data = _star_rigid()
+    data["finite_poles"][0]["position"] = [1.0, 0.0]
+    data["finite_poles"][0]["orbit"]["eigenvalues"][0]["value"] = 10**400
+    code, report = _run_on(data, tmp_path, capsys, "build-quiver")
+    assert code == 2
+    assert report["error"] == f"ValueError: scalar {10**400} is not a finite float"
+
+
+@pytest.mark.parametrize("command", [["build-quiver"], ["realize", "--seed", "1"]],
+                         ids=["build-quiver", "realize"])
+def test_a_zeta_beyond_the_float_range_is_an_input_error(command, tmp_path, capsys):
+    # finite eigenvalues +-1e308 make zeta_{t0.1} = 2e308 overflow
+    code, report = _run_on(_float_star(1e308, -1e308), tmp_path, capsys, *command)
+    assert code == 2
+    assert report["error"] == (
+        "ValueError: zeta or zeta . v is not finite: the scalars overflow floating point")
+
+
+def test_a_non_finite_restart_residual_is_written_as_null(tmp_path, capsys):
+    # zeta is finite at +-1e200, but every restart's cost overflows
+    with np.errstate(all="ignore"):
+        code, report = _run_on(_float_star(1e200, -1e200), tmp_path, capsys,
+                               "realize", "--seed", "1", "--attempts", "3")
+    assert code == 1 and report["residual"] is None
+    assert [r["residual"] for r in report["stats"]["attempts"]] == [None] * 3
+
+
+def _star_witness(entry, capsys):
+    """The realize --seed 1 witness of star_rigid.json, with the first
+    entry of t0.1>p0's forward map replaced."""
+    main(["realize", "--seed", "1", path("star_rigid.json")])
+    rep = json.loads(capsys.readouterr().out)["rep"]
+    rep["maps"]["t0.1>p0"]["fwd"][0] = entry
+    return {"instance": _star_rigid(), "rep": rep}
+
+
+def test_a_non_finite_witness_entry_is_an_input_error(tmp_path, capsys):
+    # it used to die in the SVD with an unnamed LinAlgError
+    code, report = _run_on(_star_witness([math.nan, 0.0], capsys), tmp_path, capsys, "verify")
+    assert code == 2
+    assert report["error"] == "ValueError: scalar [nan, 0.0] is not a finite float"
+
+
+def test_an_infinite_moment_residual_fails_its_check(tmp_path, capsys):
+    # a finite entry of 1e308 makes the residual and its scale both inf,
+    # and inf <= rtol * inf used to pass the check
+    with np.errstate(all="ignore"):
+        code, report = _run_on(_star_witness([1e308, 0.0], capsys), tmp_path, capsys, "verify")
+    checks = {c["name"]: c for c in report["checks"]}
+    assert code == 1 and not report["all_ok"]
+    assert checks["moment_residual"] == {"name": "moment_residual", "ok": False, "detail": "inf"}
 
 
 @pytest.mark.parametrize(
