@@ -45,7 +45,8 @@ from .orbits import (OrbitSpec, greedy_marking, leg_dimensions, orbit_membership
 from .quiver import (DoubledRep, delta, is_stable, make_quiver, moment_map, quiver_to_json,
                      rep_stability, stability)
 from .roots import CartanData, Verdict, cb_solvable
-from .scalars import GaussianRational, as_complex, exact_dot, integerize, require_int, scalar_key
+from .scalars import (GaussianRational, as_complex, as_double, exact_dot, integerize, require_int,
+                      scalar_key)
 from .serialize import matrix_from_json, matrix_to_json, scalar_from_json, scalar_to_json
 
 
@@ -94,7 +95,8 @@ class ProblemInstance:
         if not self.exact:
             return self
         blocks = tuple(s.to_float(f"block {b}") for b, s in enumerate(self.residue_blocks))
-        poles = tuple(FinitePole(as_complex(p.position), p.orbit.to_float(f"pole {j}"))
+        poles = tuple(FinitePole(as_double(p.position, f"pole {j}: position"),
+                                 p.orbit.to_float(f"pole {j}"))
                       for j, p in enumerate(self.poles))
         copy = ProblemInstance(self.n, self.irregular.to_float(), blocks, poles)
         specs = self.residue_blocks + tuple(p.orbit for p in self.poles)
@@ -208,7 +210,7 @@ def build_global_quiver(instance: ProblemInstance) -> GlobalQuiver:
         zeta_v = instance.exact_zeta_v
         if zeta_v is None:
             zeta_v = reduce(add, map(mul, (zeta[v] for v in vertices), weights))
-        if not (all(map(isfinite, zeta.values())) and isfinite(as_complex(zeta_v))):
+        if not (all(map(isfinite, zeta.values())) and isfinite(as_double(zeta_v, "zeta . v"))):
             raise ValueError("zeta or zeta . v is not finite: the scalars overflow floating point")
         return GlobalQuiver(quiver, dims, zeta, instance, legs, zeta_v)
     zeta = {v: GaussianRational(Fraction(r, lcd), Fraction(i, lcd)) for v, (r, i) in terms.items()}

@@ -42,7 +42,7 @@ import numpy as np
 from . import linalg
 from .jets import ConnectionJet, JetMatrix, PrincipalPart, jet_inv, pp_left_mul
 from .quiver import DoubledRep, make_quiver
-from .scalars import GaussianRational, require_int, scalar_key, scalars_equal
+from .scalars import GaussianRational, as_double, require_int, scalar_key, scalars_equal
 from .serialize import scalar_from_json, scalar_to_json
 
 FLOAT_COEFF_RTOL = 1e-9
@@ -143,7 +143,8 @@ class IrregularType:
         if not self.exact:
             return self
         blocks = tuple(
-            Block(tuple(c.to_complex() for c in b.coeffs), b.mult) for b in self.blocks
+            Block(tuple(as_double(c, "irregular type: coefficient") for c in b.coeffs), b.mult)
+            for b in self.blocks
         )
         return IrregularType(
             self.n, self.k, blocks, self.starts, self.level_classes, self.source_indices

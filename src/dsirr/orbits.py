@@ -35,7 +35,7 @@ import numpy as np
 
 from . import linalg
 from .quiver import DoubledRep, make_quiver
-from .scalars import GaussianRational, as_complex, as_exact, require_int, scalar_key
+from .scalars import GaussianRational, as_complex, as_double, as_exact, require_int, scalar_key
 from .serialize import matrix_from_json, scalar_from_json, scalar_to_json
 
 Marking = tuple
@@ -75,14 +75,16 @@ class OrbitSpec:
             return self
         evs, first = [], {}
         for v, blocks in self.eigenvalues:
-            z = as_complex(v)
+            z = as_double(v, f"{name}: eigenvalue")
             if z in first:
                 raise ValueError(f"{name}: eigenvalues {first[z]} and {v} round to the "
                                  "same double, so the orbit has no float form")
             first[z] = v
             evs.append((z, blocks))
         marking = self.marking_override
-        return OrbitSpec(self.n, tuple(evs), tuple(map(as_complex, marking)) if marking else None)
+        if marking:
+            marking = tuple(as_double(x, f"{name}: marking entry") for x in marking)
+        return OrbitSpec(self.n, tuple(evs), marking or None)
 
 
 def make_orbit_spec(n: int, eigenvalues, marking=None) -> OrbitSpec:

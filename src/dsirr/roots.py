@@ -44,12 +44,13 @@ iff some candidate w != v has delta(w) + F(v - w) >= delta(v), and
 following the maximizing parts from v - w gives the violating
 decomposition.
 
-The search budget `max_nodes` of `cb_solvable` bounds the reflection
-steps of condition (1), and the enumeration's work: both half boxes,
-checked before either is built, plus every zeta-orthogonal point, each
-block checked before it is built.  The DP's states are among those
-points, so the budget bounds them too.  Running out gives an
-"undecided" verdict that names the budget and its value.
+The search budget `max_nodes` of `cb_solvable` bounds three counts,
+each on its own: the reflection steps of condition (1); the
+enumeration's work, both half boxes, checked before either is built,
+plus every zeta-orthogonal point, each block checked before it is
+built; and the DP's part checks, the parts it tries summed over the
+states it evaluates, which is where its time goes.  Running out gives
+an "undecided" verdict that names the budget and its value.
 """
 
 from __future__ import annotations
@@ -325,54 +326,80 @@ class Verdict:
 
 
 def _bits(mask: np.ndarray) -> int:
-    """The boolean array `mask` as a Python int with bit c set iff mask[c]."""
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+    """The boolean array `mask` as a Python int whose big-endian bytes are
+    `np.packbits(mask)`, so that `np.unpackbits` of those bytes gives
+    `mask` back, zero-padded to whole bytes."""
+    return int.from_bytes(np.packbits(mask).tobytes(), "big")
 
 
-def _violating_decomposition(cartan: CartanData, v, dv: int, cands):
+def _violating_decomposition(cartan: CartanData, v, dv: int, cands, budget: int):
     """Parts of a decomposition of v with >= 2 parts and sum delta >= dv = delta(v).
 
     Returns (parts or None, states evaluated).  F(u), the largest total
-    delta of a decomposition of u into candidates (-1 if u has none;
-    every candidate has delta >= 0), is memoized by u's lexicographic
-    rank in the box of v, so that rank(u - w) = rank(u) - rank(w).
-    Every decomposition of u has a part w with w_i > 0 at u's first
-    non-zero coordinate i, so only those parts are tried.
+    delta of a decomposition of u into candidates, is memoized by u's
+    lexicographic rank in the box of v, so that rank(u - w) = rank(u) -
+    rank(w); every candidate has delta >= 0, and a u with no
+    decomposition gets F(u) = `none`, low enough that no part lifts it
+    to 0.  Every decomposition of u has a part w with w_i > 0 at u's
+    first non-zero coordinate i, so only those parts are tried.
 
     The parts of u are found on Python-int bitsets over the candidate
-    indices, each built on first use: lead[i] holds the candidates with
-    w_i > 0 and below[i][x] those with w_i <= x, for x < v_i.  A state
-    ANDs lead[i] with below[j][u_j] for every u_j < v_j and reads the
-    set bits back in ascending order.
+    indices (`_bits`), each built on first use: lead[i] holds the
+    candidates whose first non-zero coordinate is i, and below[j][x]
+    those with w_j <= x, for x < v_j.  One pass over u's digits, from the
+    last coordinate up, ANDs below[j][u_j] for every u_j < v_j until the
+    rest of the rank is 0, which happens at the lead coordinate i; the
+    state then ANDs lead[i] and reads the set bits back in ascending
+    order with one numpy unpack.  The pass over its parts that looks up
+    each F(u - w) also takes the maximum, so a state whose u - w are all
+    known is done in it; otherwise it keeps its parts, pushes the
+    unknown u - w, and makes the same pass again once they are known.
+
+    Each state's parts are charged to `budget`; a DP that needs more
+    raises `SearchCapExceeded`.
     """
-    m = len(v)
+    m, n = len(v), len(cands)
     strides = [1] * m
     for i in range(m - 2, -1, -1):
         strides[i] = strides[i + 1] * (v[i + 1] + 1)
-    wc = np.array(cands, dtype=np.int64).reshape(len(cands), m)
-    rank = [_dot(w, strides) for w in cands]
+    wc = np.array(cands, dtype=np.int64).reshape(n, m)
+    # every rank is below prod(v + 1): int64 where that fits, exact ints past it
+    box = strides[0] * (v[0] + 1)
+    rank = (wc @ np.array(strides, dtype=np.int64 if box <= 2**63 else object)).tolist()
     # delta(w) = 1 - (w, w) / 2 for all candidates from one product W C
     deltas = [1 - q // 2 for q in ((wc @ cartan.matrix) * wc).sum(1).tolist()]
-    nbytes = (len(cands) + 7) // 8
+    none = -1 - max(deltas, default=0)
+    nbytes = (n + 7) // 8
     lead = [None] * m
     below = [[None] * x for x in v]
+    digits = [(j, v[j] + 1, v[j], below[j]) for j in reversed(range(m))]
     best = {0: 0}  # rank(u) -> F(u); F(0) = 0 counts as v's own state
     choice = {}  # rank(u) -> the candidate the maximum picks first
+    checks = 0
 
     def parts(r):
-        u = [r // s % (x + 1) for s, x in zip(strides, v)]
-        i = next(i for i, x in enumerate(u) if x)
-        mask = lead[i]
-        if mask is None:
-            mask = lead[i] = _bits(wc[:, i] > 0)
-        for j, x in enumerate(u):
-            if x < v[j]:  # every candidate has w_j <= v_j
-                b = below[j][x]
+        nonlocal checks
+        mask = -1  # every bit set
+        for j, radix, vj, le in digits:
+            x = r % radix
+            r //= radix
+            if x < vj:  # every candidate has w_j <= v_j
+                b = le[x]
                 if b is None:
-                    b = below[j][x] = _bits(wc[:, j] <= x)
+                    b = le[x] = _bits(wc[:, j] <= x)
                 mask &= b
-        bits = np.frombuffer(mask.to_bytes(nbytes, "little"), np.uint8)
-        return np.unpackbits(bits, bitorder="little").view(bool).nonzero()[0].tolist()
+            if not r:  # j is u's first non-zero coordinate
+                break
+        b = lead[j]
+        if b is None:
+            b = lead[j] = _bits((wc[:, :j] == 0).all(1) & (wc[:, j] > 0))
+        bits = np.frombuffer((mask & b).to_bytes(nbytes, "big"), np.uint8)
+        out = np.unpackbits(bits).view(bool).nonzero()[0].tolist()
+        checks += len(out)
+        if checks > budget:
+            raise SearchCapExceeded(f"enumeration budget of {budget} exhausted: "
+                                    "the condition-3 DP needs more part checks")
+        return out
 
     def solve(root):
         stack, tried = [root], {}
@@ -381,18 +408,22 @@ def _violating_decomposition(cartan: CartanData, v, dv: int, cands):
             if r in best:
                 stack.pop()
                 continue
-            if r not in tried:
-                tried[r] = parts(r)
-                todo = [r - rank[c] for c in tried[r] if r - rank[c] not in best]
-                if todo:
-                    stack.extend(todo)
-                    continue
-            f, pick = -1, None
-            for c in tried.pop(r):
-                g = best[r - rank[c]]
-                if g >= 0 and deltas[c] + g > f:
+            cs = tried.pop(r, None)
+            if cs is None:
+                cs = parts(r)
+            f, pick, todo = -1, None, []
+            for c in cs:
+                k = r - rank[c]
+                g = best.get(k)
+                if g is None:
+                    todo.append(k)
+                elif deltas[c] + g > f:
                     f, pick = deltas[c] + g, c
-            best[r], choice[r] = f, pick
+            if todo:
+                tried[r] = cs
+                stack.extend(todo)
+                continue
+            best[r], choice[r] = f if pick is not None else none, pick
             stack.pop()
 
     top = _dot(v, strides)
@@ -414,11 +445,12 @@ def cb_solvable(cartan: CartanData, v, zeta, max_nodes: int = 200_000) -> Verdic
     """Decide non-emptiness for (v, zeta) on a loop-free quiver.
 
     On failure the verdict names the violated condition; a condition-3
-    failure carries a violating decomposition.  `max_nodes` bounds the
-    reflection steps of condition 1's root test, and the candidate
-    enumeration's work and with it the DP's states; running out of
-    either yields an honest "undecided" that names the budget, which
-    must be at least 1.  `zeta` is as in `summand_candidates`.
+    failure carries a violating decomposition.  `max_nodes` bounds, each
+    on its own, the reflection steps of condition 1's root test, the
+    candidate enumeration's work and the DP's part checks (the parts
+    tried, summed over its states); running out of any yields an honest
+    "undecided" that names the budget, which must be at least 1.  `zeta`
+    is as in `summand_candidates`.
     """
     if max_nodes < 1:
         raise ValueError(f"search budget max_nodes must be at least 1, got {max_nodes}")
@@ -431,9 +463,9 @@ def cb_solvable(cartan: CartanData, v, zeta, max_nodes: int = 200_000) -> Verdic
         if _dot(zr, v) or _dot(zi, v):
             return Verdict(False, failed_condition=2, delta=dv, detail="zeta . v != 0")
         cands = summand_candidates(cartan, v, (zr, zi), cap=max_nodes)
+        witness, states = _violating_decomposition(cartan, v, dv, cands, budget=max_nodes)
     except SearchCapExceeded as e:
         return Verdict(None, delta=dv, detail=str(e))
-    witness, states = _violating_decomposition(cartan, v, dv, cands)
     if witness is not None:
         return Verdict(
             False,

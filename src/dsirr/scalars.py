@@ -217,6 +217,15 @@ def as_complex(x) -> complex:
     return x.to_complex() if isinstance(x, GaussianRational) else complex(x)
 
 
+def as_double(x, name: str) -> complex:
+    """`as_complex(x)` for a scalar the float commands need: one beyond
+    the double range is a ValueError that names it as `name`."""
+    try:
+        return as_complex(x)
+    except OverflowError:
+        raise ValueError(f"{name} {x} lies beyond the double range") from None
+
+
 def integerize(values):
     """(lcd, re, im): the least common denominator of the real and
     imaginary parts of exact `values` (floats are rejected), and the

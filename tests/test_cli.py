@@ -6,11 +6,13 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dsirr.cli import main
+from oracles import bench_ladder
 
 TESTS = os.path.dirname(__file__)
 DATA = os.path.join(TESTS, "data")
@@ -211,6 +213,49 @@ def test_eigenvalues_that_round_together_are_a_named_error(tmp_path, capsys):
             "so the orbit has no float form")
 
 
+BIG = "1" + "0" * 400
+
+
+def _beyond_double(data, place):
+    pole = data["finite_poles"][0]
+    evs = pole["orbit"]["eigenvalues"]
+    if place == "eigenvalue":
+        evs[0]["value"], evs[1]["value"] = BIG, "-" + BIG
+    elif place == "position":
+        pole["position"] = BIG
+    elif place == "marking":
+        pole["orbit"]["marking"] = ["1/5", "19/30", BIG]
+    elif place == "coefficient":
+        data["infinity"]["irregular_type"]["blocks"][0]["coeffs"] = [BIG]
+    else:  # each eigenvalue has a double, their zeta . v does not
+        evs[0]["value"], evs[1]["value"] = str(15 * 10**307), str(16 * 10**307)
+
+
+@pytest.mark.parametrize("place, verdict, error", [
+    ("eigenvalue", "empty", f"pole 0: eigenvalue {-10**400}"),
+    ("position", "nonempty", f"pole 0: position {10**400}"),
+    ("marking", "nonempty", f"pole 0: marking entry {10**400}"),
+    ("coefficient", "nonempty", f"irregular type: coefficient {10**400}"),
+    ("zeta . v", "empty", f"zeta . v {Fraction(5, 6) - 31 * 10**307}"),
+])
+def test_exact_scalars_beyond_the_double_range_are_a_named_error(tmp_path, capsys, place,
+                                                                  verdict, error):
+    # check decides the exact instance, and the float commands refuse it
+    # instead of raising OverflowError
+    data = _star_rigid()
+    _beyond_double(data, place)
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(data))
+    code, report = run(capsys, "check", str(huge))
+    assert code in (0, 1) and report["verdict"] == verdict
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps({"instance": data, "rep": {}}))
+    for argv in (["realize", str(huge)], ["verify", str(witness)]):
+        code, report = run(capsys, *argv)
+        assert code == 2
+        assert report["error"] == f"ValueError: {error} lies beyond the double range"
+
+
 def test_realize_reports_the_exact_mode_error(tmp_path, capsys):
     # an all-exact file is parsed once, in exact mode: its own error
     # stands and no float-mode parse (with its warning) follows
@@ -370,6 +415,22 @@ def test_condition_one_honours_the_budget(tmp_path, capsys):
         assert time.perf_counter() - start < 1.0
         assert code == 2 and report["verdict"] == "undecided"
         assert report["detail"].startswith("enumeration budget of 1000 exhausted")
+
+
+def test_the_budget_bounds_the_decomposition_dp(tmp_path, capsys):
+    # nilpotent 6x4: its enumeration fits 50 000 steps, but the DP tries
+    # 89 333 parts over its 2 275 states
+    ladder = bench_ladder()
+    src = tmp_path / "n6x4.json"
+    rung = ladder.Rung("n6x4k2", "nilpotent", 6, 4, 2, "nonempty")
+    src.write_text(json.dumps(ladder.problem(rung, 5)))
+    code, report = run(capsys, "check", str(src), "--max-decompositions", "50000")
+    assert code == 2 and report["verdict"] == "undecided"
+    assert report["detail"] == (
+        "enumeration budget of 50000 exhausted: the condition-3 DP needs more part checks")
+    code, report = run(capsys, "check", str(src))
+    assert code == 0 and report["verdict"] == "nonempty" and report["dim"] == 38
+    assert report["stats"] == {"candidates": 1729, "search_states": 2275}
 
 
 def _double_arrow(dims, zeta):

@@ -356,8 +356,8 @@ def test_integer_engine_matches_oracles_on_random_corpus():
         cands = summand_candidates(cartan, v, zeta)
         assert cands == brute_candidates(cartan, v, zeta)
         dv = cartan.delta(v)
-        assert _violating_decomposition(cartan, v, dv, cands) == mask_violating_decomposition(
-            cartan, v, dv, cands)
+        assert _violating_decomposition(cartan, v, dv, cands, 200_000) == (
+            mask_violating_decomposition(cartan, v, dv, cands))
         new, old = cb_solvable(cartan, v, zeta), dfs_solvable(cartan, v, zeta)
         assert not new.undecided and new.nodes >= 1 and new.candidates >= 1
         if not old.undecided:
@@ -392,9 +392,39 @@ def test_bitset_dp_matches_the_mask_dp_on_the_ladder(rung, seed):
     v = cartan.vec(gq.dims)
     cands = summand_candidates(cartan, v, gq.zeta)
     dv = cartan.delta(v)
-    new = _violating_decomposition(cartan, v, dv, cands)
+    new = _violating_decomposition(cartan, v, dv, cands, 200_000)
     assert new == mask_violating_decomposition(cartan, v, dv, cands)
     assert (new[0] is None) == (rung.verdict == "nonempty")
+
+
+def test_the_dp_charges_each_states_parts_to_its_budget():
+    """The budget counts the parts tried, summed over the states the DP
+    evaluates: nilpotent 6x3 at seed 1 tries 8 426 parts."""
+    rung = LADDER.Rung("n6x3k2", "nilpotent", 6, 3, 2, "nonempty")
+    gq = build_global_quiver(instance_from_json(LADDER.problem(rung, 1), exact=True))
+    cartan = CartanData.from_quiver(gq.quiver)
+    v = cartan.vec(gq.dims)
+    cands = summand_candidates(cartan, v, gq.zeta)
+    dv = cartan.delta(v)
+    assert _violating_decomposition(cartan, v, dv, cands, budget=8426) == (None, 533)
+    with pytest.raises(SearchCapExceeded, match="the condition-3 DP needs more part checks"):
+        _violating_decomposition(cartan, v, dv, cands, budget=8425)
+
+
+def test_dp_ranks_stay_exact_past_int64():
+    """A 70-vertex path with v all ones: its box holds 2^70 points, so
+    the ranks need Python ints, and the DP still matches the oracle."""
+    names = [f"x{i}" for i in range(70)]
+    cartan = CartanData.from_quiver(
+        make_quiver(names, [(f"a{i}", a, b) for i, (a, b) in enumerate(zip(names, names[1:]))]))
+    v = (1,) * 70
+    # every interval of one or two vertices, and v itself; all real roots
+    cands = sorted({tuple(int(i <= k < i + n) for k in range(70))
+                    for n in (1, 2) for i in range(71 - n)} | {v}, reverse=True)
+    dv = cartan.delta(v)
+    witness, states = _violating_decomposition(cartan, v, dv, cands, 200_000)
+    assert (witness, states) == mask_violating_decomposition(cartan, v, dv, cands)
+    assert len(witness) >= 2 and tuple(map(sum, zip(*witness))) == v
 
 
 def test_dp_decides_where_the_dfs_runs_out():
