@@ -231,8 +231,10 @@ COMMANDS = {
     "check": Command(cmd_check, "decide non-emptiness from a problem file (exact scalars)", (
         (("--max-decompositions",), {
             "type": int, "default": 200_000,
-            "help": "search budget (candidate enumeration steps, which also bound "
-                    "the decomposition DP's states) before reporting undecided"}),
+            "help": "search budget, applied on its own to each of: condition 1's "
+                    "reflection steps, the candidate enumeration's work (the box "
+                    "of v at zeta = 0) and the condition-3 DP's part checks; "
+                    "running out reports undecided"}),
     )),
     "build-quiver": Command(cmd_build_quiver, "synthesize (Q, v, zeta) from a problem file", (
         (("--dot",), {"default": None, "help": "write Graphviz DOT here"}),

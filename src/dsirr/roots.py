@@ -37,25 +37,38 @@ both halves gives a block of matches, every head plus every tail, built
 as one broadcast; one batched root test covers all blocks.  At
 zeta = 0 every box point is a match, in a single block.
 
+Most candidates are never needed as a part.  If zeta_i = 0, w != e_i
+and (w, e_i) >= 1, then w - e_i is a zeta-orthogonal positive root and
+delta(e_i) + delta(w - e_i) >= delta(w), so w can be split without
+lowering a decomposition's delta-sum.  `indispensable_candidates`
+applies this where zeta vanishes on the support of v: it skips the
+enumeration and keeps the simple roots plus Kac's fundamental set, the
+box points with connected support and no positive pairing, which are
+imaginary roots, so one product over the box replaces the root test.
+Elsewhere the DP runs on every enumerated candidate.
+
 Condition (3) is a dynamic programme over the zeta-orthogonal u <= v:
-F(0) = 0 and F(u) = max delta(w) + F(u - w) over the candidates
+F(0) = 0 and F(u) = max delta(w) + F(u - w) over the kept candidates
 w <= u, the largest total delta of a decomposition of u.  (3) fails
-iff some candidate w != v has delta(w) + F(v - w) >= delta(v), and
+iff some kept candidate w != v has delta(w) + F(v - w) >= delta(v), and
 following the maximizing parts from v - w gives the violating
 decomposition.
 
 The search budget `max_nodes` of `cb_solvable` bounds three counts,
 each on its own: the reflection steps of condition (1); the
-enumeration's work, both half boxes, checked before either is built,
-plus every zeta-orthogonal point, each block checked before it is
-built; and the DP's part checks, the parts it tries summed over the
-states it evaluates, which is where its time goes.  Running out gives
-an "undecided" verdict that names the budget and its value.
+enumeration's work, which at zeta = 0 on the support of v is the box of
+v, checked before it is built, and otherwise both half boxes, checked
+before either is built, plus every zeta-orthogonal point, each block
+checked before it is built; and the DP's part checks, the parts it
+tries summed over the states it evaluates, which is where its time
+goes.  Running out gives an "undecided" verdict that names the budget
+and its value.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -263,6 +276,46 @@ def _half_box(v, half, zr, zi):
         yield w, sum(map(mul, zr, w)), sum(map(mul, zi, w)) if zi else 0
 
 
+def indispensable_candidates(cartan: CartanData, v, zeta, cap: int = 2_000_000):
+    """The parts condition (3) needs: the zeta-orthogonal positive roots
+    0 < w <= v, without those the lemma below splits where zeta
+    vanishes on the support of v.
+
+    If zeta_i = 0, w != e_i and (w, e_i) >= 1, then w - e_i is a
+    zeta-orthogonal positive root (the e_i-string through w is unbroken)
+    and delta(e_i) + delta(w - e_i) = delta(w) + (w, e_i) - 1 >= delta(w),
+    so any decomposition using w does as well with e_i and w - e_i in its
+    place.  Splitting parts so, by induction on height, turns every
+    decomposition into one of the kept parts, the simple roots and the w
+    with (w, e_i) <= 0 at every zero vertex i, with no lower delta-sum
+    and no fewer parts; so the DP on the kept parts reaches the same
+    verdict.
+
+    Where zeta vanishes on the support of v, every box point is
+    zeta-orthogonal, and the kept set is the simple roots plus Kac's
+    fundamental set: the w <= v with connected support and (w, e_i) <= 0
+    at every vertex, all of them imaginary roots (Kac, *Infinite
+    dimensional Lie algebras*, 5.3), so no reflection walk is needed.
+    The box of v is charged to `cap` before it is built and is read
+    with one Cartan product, in lexicographic order.  Otherwise this is
+    `summand_candidates`, unfiltered.  `zeta` is as there.
+    """
+    v = tuple(int(x) for x in v)
+    zr, zi = zeta if isinstance(zeta, tuple) else _integer_zeta(cartan, zeta)
+    if any(x and (zr[i] or zi[i]) for i, x in enumerate(v)):
+        return summand_candidates(cartan, v, (zr, zi), cap)
+    if math.prod(x + 1 for x in v) > cap:
+        raise SearchCapExceeded(f"enumeration budget of {cap} exhausted")
+    # the box in lexicographic order: row r is the point of rank r
+    w = np.indices([x + 1 for x in v], dtype=np.int64).reshape(len(v), -1).T
+    keep = ((w @ cartan.matrix) <= 0).all(1)
+    keep[0] = False  # w = 0
+    fund = np.flatnonzero(keep)
+    keep[fund] = _support_connected(cartan, w[fund] > 0)
+    keep |= w.sum(1) == 1
+    return list(map(tuple, w[keep].tolist()))
+
+
 def summand_candidates(cartan: CartanData, v, zeta, cap: int = 2_000_000):
     """All positive roots w with 0 < w <= v componentwise and zeta.w = 0.
 
@@ -318,7 +371,10 @@ class Verdict:
     dim: int | None = None
     detail: str = ""
     nodes: int = 0  # states of the condition-3 DP evaluated, v included
-    candidates: int = 0  # zeta-orthogonal positive roots w <= v
+    # the parts the DP runs on (`indispensable_candidates`); they include
+    # every w <= v in Sigma_zeta, the roots all of whose proper
+    # decompositions have a smaller delta-sum, so this bounds that count
+    candidates: int = 0
 
     @property
     def undecided(self) -> bool:
@@ -445,12 +501,14 @@ def cb_solvable(cartan: CartanData, v, zeta, max_nodes: int = 200_000) -> Verdic
     """Decide non-emptiness for (v, zeta) on a loop-free quiver.
 
     On failure the verdict names the violated condition; a condition-3
-    failure carries a violating decomposition.  `max_nodes` bounds, each
-    on its own, the reflection steps of condition 1's root test, the
-    candidate enumeration's work and the DP's part checks (the parts
-    tried, summed over its states); running out of any yields an honest
-    "undecided" that names the budget, which must be at least 1.  `zeta`
-    is as in `summand_candidates`.
+    failure carries a violating decomposition, found by the DP on
+    `indispensable_candidates`.  `max_nodes` bounds, each on its own, the
+    reflection steps of condition 1's root test, the candidate
+    enumeration's work (the box of v where zeta vanishes on its support)
+    and the DP's part checks (the parts tried, summed over its states);
+    running out of any yields an honest "undecided" that names the
+    budget, which must be at least 1.  `zeta` is as in
+    `summand_candidates`.
     """
     if max_nodes < 1:
         raise ValueError(f"search budget max_nodes must be at least 1, got {max_nodes}")
@@ -462,7 +520,7 @@ def cb_solvable(cartan: CartanData, v, zeta, max_nodes: int = 200_000) -> Verdic
         zr, zi = zeta if isinstance(zeta, tuple) else _integer_zeta(cartan, zeta)
         if _dot(zr, v) or _dot(zi, v):
             return Verdict(False, failed_condition=2, delta=dv, detail="zeta . v != 0")
-        cands = summand_candidates(cartan, v, (zr, zi), cap=max_nodes)
+        cands = indispensable_candidates(cartan, v, (zr, zi), cap=max_nodes)
         witness, states = _violating_decomposition(cartan, v, dv, cands, budget=max_nodes)
     except SearchCapExceeded as e:
         return Verdict(None, delta=dv, detail=str(e))

@@ -6,8 +6,9 @@ vector and one vertex at a time, a scan of the whole box with exact
 Q(i) arithmetic for the zeta-orthogonal positive roots, a depth-first
 search over multisets for condition (3) of the criterion, the
 condition-3 DP with each state's parts found by a numpy mask over every
-candidate, the ranks of every power of a matrix without stopping once
-they settle,
+candidate, the criterion with that DP run on every zeta-orthogonal
+positive root rather than on the ones no split makes dispensable, the
+ranks of every power of a matrix without stopping once they settle,
 the triple-sum conjugation term of a gauge transform, the float density
 test of irreducibility and the graded invariant closure of a quiver
 representation (both on a float Gram-Schmidt span), the realizer's
@@ -36,7 +37,14 @@ import numpy as np
 
 from dsirr import linalg
 from dsirr.jets import ConnectionJet, PrincipalPart, jet_inv, pp_left_mul, pp_right_mul
-from dsirr.roots import SearchCapExceeded, Verdict
+from dsirr.roots import (
+    SearchCapExceeded,
+    Verdict,
+    _integer_zeta,
+    _violating_decomposition,
+    is_positive_root,
+    summand_candidates,
+)
 from dsirr.scalars import GaussianRational, as_exact, scalar_key
 
 
@@ -212,6 +220,27 @@ def mask_violating_decomposition(cartan, v, dv: int, cands):
                 rest -= rank[choice[rest]]
             return witness, len(best)
     return None, len(best)
+
+
+def unfiltered_solvable(cartan, v, zeta, max_nodes: int = 200_000) -> Verdict:
+    """The criterion with the condition-3 DP run on every candidate that
+    `summand_candidates` enumerates, none dropped as dispensable."""
+    v = tuple(int(x) for x in v)
+    dv = cartan.delta(v)
+    try:
+        if not is_positive_root(cartan, v, max_steps=max_nodes):
+            return Verdict(False, failed_condition=1, delta=dv)
+        zr, zi = _integer_zeta(cartan, zeta)
+        if any(sum(a * b for a, b in zip(z, v)) for z in (zr, zi)):
+            return Verdict(False, failed_condition=2, delta=dv)
+        cands = summand_candidates(cartan, v, (zr, zi), cap=max_nodes)
+        witness, states = _violating_decomposition(cartan, v, dv, cands, budget=max_nodes)
+    except SearchCapExceeded as e:
+        return Verdict(None, delta=dv, detail=str(e))
+    if witness is not None:
+        return Verdict(False, failed_condition=3, witness=[list(w) for w in witness],
+                       delta=dv, nodes=states, candidates=len(cands))
+    return Verdict(True, delta=dv, dim=2 * dv, nodes=states, candidates=len(cands))
 
 
 def power_ranks_every_step(a, jmax, rtol=linalg.RANK_RTOL, scale=None) -> list:

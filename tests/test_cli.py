@@ -418,19 +418,19 @@ def test_condition_one_honours_the_budget(tmp_path, capsys):
 
 
 def test_the_budget_bounds_the_decomposition_dp(tmp_path, capsys):
-    # nilpotent 6x4: its enumeration fits 50 000 steps, but the DP tries
-    # 89 333 parts over its 2 275 states
+    # nilpotent 8x5: its box of 78 125 points fits 100 000, but the DP
+    # tries 187 521 parts over its 7 293 states
     ladder = bench_ladder()
-    src = tmp_path / "n6x4.json"
-    rung = ladder.Rung("n6x4k2", "nilpotent", 6, 4, 2, "nonempty")
+    src = tmp_path / "n8x5.json"
+    rung = ladder.Rung("n8x5k2", "nilpotent", 8, 5, 2, "nonempty")
     src.write_text(json.dumps(ladder.problem(rung, 5)))
-    code, report = run(capsys, "check", str(src), "--max-decompositions", "50000")
+    code, report = run(capsys, "check", str(src), "--max-decompositions", "100000")
     assert code == 2 and report["verdict"] == "undecided"
     assert report["detail"] == (
-        "enumeration budget of 50000 exhausted: the condition-3 DP needs more part checks")
+        "enumeration budget of 100000 exhausted: the condition-3 DP needs more part checks")
     code, report = run(capsys, "check", str(src))
-    assert code == 0 and report["verdict"] == "nonempty" and report["dim"] == 38
-    assert report["stats"] == {"candidates": 1729, "search_states": 2275}
+    assert code == 0 and report["verdict"] == "nonempty" and report["dim"] == 98
+    assert report["stats"] == {"candidates": 6005, "search_states": 7293}
 
 
 def _double_arrow(dims, zeta):

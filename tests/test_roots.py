@@ -16,6 +16,7 @@ from dsirr.roots import (
     SearchCapExceeded,
     _violating_decomposition,
     cb_solvable,
+    indispensable_candidates,
     is_positive_root,
     positive_root_mask,
     summand_candidates,
@@ -29,6 +30,7 @@ from oracles import (
     reflection_end,
     reflection_is_positive_root,
     support_connected,
+    unfiltered_solvable,
 )
 
 
@@ -200,7 +202,7 @@ def test_cb_rejects_a_budget_below_one(max_nodes):
 
 def test_budget_is_checked_before_allocation():
     # (10^6, 10^6) is an imaginary root of the doubled arrow and zeta = 0, so
-    # the criterion reaches the enumeration, whose half boxes exceed the cap
+    # the criterion reaches the enumeration, whose box exceeds the cap
     tracemalloc.start()
     try:
         v = cb_solvable(double(), (10**6, 10**6), {"1": G(0), "2": G(0)})
@@ -210,9 +212,8 @@ def test_budget_is_checked_before_allocation():
     assert v.undecided and v.nodes == 0
     assert v.detail.startswith("enumeration budget of 200000 exhausted")
     assert peak < 100_000
-    # (1000, 1000): both half boxes (1001 points each) fit the cap, but at
-    # zeta = 0 their one zeta sum pairs every head with every tail, a block
-    # of 1001^2 rows (16 MB) that must be refused before it is built
+    # (1000, 1000): at zeta = 0 the enumeration reads the whole box, 1001^2
+    # rows (16 MB), which must be refused before it is built
     tracemalloc.start()
     try:
         v = cb_solvable(double(), (1000, 1000), {"1": G(0), "2": G(0)})
@@ -221,6 +222,19 @@ def test_budget_is_checked_before_allocation():
         tracemalloc.stop()
     assert v.undecided and v.nodes == 0
     assert v.detail == "enumeration budget of 200000 exhausted"
+    assert peak < 1_000_000
+    # the meet-in-the-middle enumeration on its own: both half boxes (1001
+    # points each) fit the cap, but at zeta = 0 their one zeta sum pairs
+    # every head with every tail, a block of 1001^2 rows that must be
+    # refused before it is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchCapExceeded) as refused:
+            summand_candidates(double(), (1000, 1000), {"1": G(0), "2": G(0)}, cap=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == "enumeration budget of 200000 exhausted"
     assert peak < 1_000_000
     single = CartanData.from_quiver(make_quiver(["1"], []))
     with pytest.raises(SearchCapExceeded, match="enumeration budget of 2000000"):
@@ -290,24 +304,38 @@ def test_positive_root_test_runs_on_python_integers_past_int64():
 def random_case(rng):
     """A small loop-free quiver, a positive root v and a zeta with zeta.v = 0.
 
-    zeta is generic, zero, or split (also orthogonal to some 0 < w < v),
-    so condition (3) meets one, many and some decompositions.
+    zeta is generic, zero, split (also orthogonal to some 0 < w < v) or
+    mixed, so condition (3) meets one, many and some decompositions.  A
+    mixed zeta is integral, and zero at a vertex of the support of v,
+    non-zero at another and random elsewhere: its quiver has 3-5
+    vertices joined in a path, and v has at least three non-zero
+    coordinates.
     """
-    m = rng.randint(1, 4)
+    kind = rng.choice(("generic", "zero", "split", "mixed"))
+    mixed = kind == "mixed"
+    m = rng.randint(3, 5) if mixed else rng.randint(1, 4)
     names = [str(i) for i in range(m)]
     arrows = [
         (f"a{i}{j}{r}", names[i], names[j])
         for i, j in itertools.combinations(range(m), 2)
-        for r in range(rng.choice((0, 1, 1, 2)))
+        for r in range(rng.choice((0, 1, 1, 2)) or int(mixed and j == i + 1))
     ]
     cartan = CartanData.from_quiver(make_quiver(names, arrows))
     while True:
         v = tuple(rng.randint(0, 3) for _ in range(m))
-        if math.prod(x + 1 for x in v) <= 120 and is_positive_root(cartan, v):
+        if (math.prod(x + 1 for x in v) <= 120 and sum(map(bool, v)) >= 3 * mixed
+                and is_positive_root(cartan, v)):
             break
-    kind = rng.choice(("generic", "zero", "split"))
     zeta = [G(0)] * m
-    if kind != "zero":
+    if mixed:
+        # zeta_i = v_p r_i off a pivot p in the support of v, and
+        # zeta_p = -sum r_i v_i, so that zeta . v = 0
+        p, q, z = rng.sample([i for i, x in enumerate(v) if x], 3)
+        r = [rng.choice((0, -2, -1, 1, 3)) for _ in range(m)]
+        r[p], r[q], r[z] = 0, rng.choice((-2, -1, 1, 3)), 0
+        zeta = [G(v[p] * x) for x in r]
+        zeta[p] = G(-sum(x * y for x, y in zip(r, v)))
+    elif kind != "zero":
         orth = [v]
         if kind == "split":
             orth.append(tuple(rng.randint(0, x) for x in v))
@@ -346,11 +374,24 @@ def check_witness(cartan, v, zeta, verdict):
     assert sum(cartan.delta(w) for w in parts) >= cartan.delta(v)
 
 
+def pairings(cartan, w):
+    """(w, e_i) at every vertex i, by the scalar pairing."""
+    m = cartan.size
+    return [cartan.pairing(w, [int(i == j) for j in range(m)]) for i in range(m)]
+
+
+def fundamental_set(cartan, v):
+    """The box points 0 < w <= v with connected support and (w, e_i) <= 0
+    at every vertex."""
+    return [w for w in itertools.product(*(range(x + 1) for x in v))
+            if any(w) and support_connected(cartan, w) and max(pairings(cartan, w)) <= 0]
+
+
 def test_integer_engine_matches_oracles_on_random_corpus():
     rng = random.Random(20261017)
-    seen = {"generic": 0, "zero": 0, "split": 0}
-    outcomes = collections.Counter()
-    for _ in range(240):
+    seen = collections.Counter()
+    outcomes, dropped = collections.Counter(), collections.Counter()
+    for _ in range(320):
         cartan, v, zeta, kind = random_case(rng)
         seen[kind] += 1
         cands = summand_candidates(cartan, v, zeta)
@@ -358,16 +399,51 @@ def test_integer_engine_matches_oracles_on_random_corpus():
         dv = cartan.delta(v)
         assert _violating_decomposition(cartan, v, dv, cands, 200_000) == (
             mask_violating_decomposition(cartan, v, dv, cands))
-        new, old = cb_solvable(cartan, v, zeta), dfs_solvable(cartan, v, zeta)
-        assert not new.undecided and new.nodes >= 1 and new.candidates >= 1
+        # where zeta vanishes on the support of v the kept candidates are
+        # the simple roots and the roots with no positive pairing; Kac:
+        # these are the fundamental set, imaginary roots only
+        kept = indispensable_candidates(cartan, v, zeta)
+        if all(zeta[x] == G(0) for x, y in zip(cartan.vertices, v) if y):
+            simple = [w for w in cands if sum(w) == 1]
+            assert kept == [w for w in cands if sum(w) == 1 or max(pairings(cartan, w)) <= 0]
+            assert kept == sorted(simple + fundamental_set(cartan, v))
+        else:
+            assert kept == cands
+        dropped[kind] += len(cands) - len(kept)
+        new = cb_solvable(cartan, v, zeta)
+        assert not new.undecided and new.nodes >= 1 and new.candidates == len(kept)
+        key = (new.nonempty, new.failed_condition, new.dim)
+        full = unfiltered_solvable(cartan, v, zeta)
+        assert key == (full.nonempty, full.failed_condition, full.dim), (v, zeta)
+        old = dfs_solvable(cartan, v, zeta)
         if not old.undecided:
-            key = (new.nonempty, new.failed_condition, new.dim)
             assert key == (old.nonempty, old.failed_condition, old.dim), (v, zeta)
             outcomes[key[:2]] += 1
-        if new.failed_condition == 3:
-            check_witness(cartan, v, zeta, new)
-    assert min(seen.values()) >= 50
+        for verdict in (new, full):
+            if verdict.failed_condition == 3:
+                check_witness(cartan, v, zeta, verdict)
+    assert min(seen[k] for k in ("generic", "zero", "split", "mixed")) >= 50, seen
     assert outcomes[True, None] >= 50 and outcomes[False, 3] >= 50
+    assert dropped["zero"] >= 50, dropped
+
+
+def test_the_fundamental_set_needs_connected_support():
+    # two Kronecker pairs joined through c: w = (1, 1, 0, 1, 1) pairs
+    # non-positively with every vertex, but its support is disconnected
+    # and it is no root
+    names = ["a", "b", "c", "d", "e"]
+    arrows = [("x", "a", "b"), ("y", "a", "b"), ("z", "b", "c"), ("u", "c", "d"),
+              ("s", "d", "e"), ("t", "d", "e")]
+    cartan = CartanData.from_quiver(make_quiver(names, arrows))
+    v, zeta = (1, 1, 1, 1, 1), {x: G(0) for x in names}
+    assert not is_positive_root(cartan, (1, 1, 0, 1, 1))
+    kept = indispensable_candidates(cartan, v, zeta)
+    simple = [w for w in brute_candidates(cartan, v, zeta) if sum(w) == 1]
+    assert kept == sorted(simple + fundamental_set(cartan, v))
+    assert (1, 1, 0, 0, 0) in kept and (1, 1, 0, 1, 1) not in kept
+    verdict = cb_solvable(cartan, v, zeta)
+    assert verdict.failed_condition == 3
+    check_witness(cartan, v, zeta, verdict)
 
 
 LADDER = bench_ladder()
@@ -409,6 +485,26 @@ def test_the_dp_charges_each_states_parts_to_its_budget():
     assert _violating_decomposition(cartan, v, dv, cands, budget=8426) == (None, 533)
     with pytest.raises(SearchCapExceeded, match="the condition-3 DP needs more part checks"):
         _violating_decomposition(cartan, v, dv, cands, budget=8425)
+
+
+def test_zeta_zero_charges_the_box_before_the_dp():
+    """Where zeta vanishes on the support of v, the enumeration's work is
+    the box of v: 1 024 points on nilpotent 6x3 at seed 1, whose 43 kept
+    candidates need 259 part checks over 88 states."""
+    rung = LADDER.Rung("n6x3k2", "nilpotent", 6, 3, 2, "nonempty")
+    gq = build_global_quiver(instance_from_json(LADDER.problem(rung, 1), exact=True))
+    cartan = CartanData.from_quiver(gq.quiver)
+    v = cartan.vec(gq.dims)
+    assert math.prod(x + 1 for x in v) == 1024
+    verdict = cb_solvable(cartan, v, gq.zeta, max_nodes=1024)
+    assert (verdict.nonempty, verdict.dim, verdict.candidates, verdict.nodes) == (True, 20, 43, 88)
+    verdict = cb_solvable(cartan, v, gq.zeta, max_nodes=1023)
+    assert verdict.undecided and verdict.detail == "enumeration budget of 1023 exhausted"
+    kept = indispensable_candidates(cartan, v, gq.zeta)
+    dv = cartan.delta(v)
+    assert _violating_decomposition(cartan, v, dv, kept, budget=259) == (None, 88)
+    with pytest.raises(SearchCapExceeded, match="the condition-3 DP needs more part checks"):
+        _violating_decomposition(cartan, v, dv, kept, budget=258)
 
 
 def test_dp_ranks_stay_exact_past_int64():
