@@ -37,8 +37,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .irregular import (IrregularType, OrbitMembershipError, core_quiver, irregular_type_from_json,
-                        irregular_type_to_json, orbit_to_qp, qp_to_orbit, qp_to_rep, rep_to_qp)
+from .irregular import (IrregularType, OrbitMembershipError, QPPair, core_quiver,
+                        irregular_type_from_json, irregular_type_to_json, orbit_to_qp, qp_to_orbit,
+                        qp_to_rep, rep_to_qp)
 from .jets import ConnectionJet, PrincipalPart
 from .orbits import (OrbitSpec, greedy_marking, leg_dimensions, orbit_membership,
                      orbit_spec_from_json, orbit_spec_to_json, realize_leg)
@@ -308,14 +309,6 @@ def _fro(a: np.ndarray) -> float:
     return sqrt(np.vdot(a, a).real)
 
 
-def _core_rep_of(gq: GlobalQuiver, rep: DoubledRep) -> DoubledRep:
-    T = gq.instance.irregular
-    core, core_dims = core_quiver(T)
-    fwd = {a.id: rep.fwd[a.id] for a in core.arrows}
-    rev = {a.id: rep.rev[a.id] for a in core.arrows}
-    return DoubledRep(core, core_dims, fwd, rev)
-
-
 def moment_residual(gq: GlobalQuiver, rep: DoubledRep) -> float:
     mu = moment_map(rep)
     total = 0.0
@@ -380,21 +373,23 @@ def assemble_residue(gq: GlobalQuiver, rep: DoubledRep, j: int):
     return out, scale
 
 
-def exponent_blocks(gq: GlobalQuiver, rep: DoubledRep, residues) -> dict:
+def exponent_blocks(T: IrregularType, qp: QPPair, residues) -> dict:
     """The block exponents forced by the moment equations:
-    L_b = -(core bracket)_bb - sum_t (R_t)_bb, given the residues R_t.
+    L_b = -(sum_i [Q_i, P_i])_bb - sum_t (R_t)_bb, given the core
+    coordinates (Q, P) and the residues R_t.  Block b of the bracket is
+    the core moment map at p{b}: Q_i (P_i) is strictly lower (upper) at
+    level i, so (Q_i P_i)_bb sums f r over the arrows into b and
+    (P_i Q_i)_bb sums r f over those out of b.
 
     Maps b to (L_b, scale), where scale = ||(core bracket)_bb||_F +
     sum_t ||(R_t)_bb||_F sizes the terms that cancel: a zero exponent
     orbit leaves L_b at round-off of that size, which `orbit_membership`
     must read as 0, not as full rank against ||L_b||."""
-    T = gq.instance.irregular
-    # block-diagonal of the summed core commutators [Q_i, P_i]
-    mu = moment_map(_core_rep_of(gq, rep))
+    bracket = reduce(add, (np.dot(q, p) - np.dot(p, q) for q, p in zip(qp.q[1:], qp.p[1:])))
     out = {}
     for b in range(T.block_count):
         sl = T.block_slice(b)
-        acc = -mu[f"p{b}"]
+        acc = -bracket[sl, sl]
         scale = _fro(acc)
         for r in residues:
             acc = acc - r[sl, sl]
@@ -435,7 +430,8 @@ def _conversion(gq: GlobalQuiver, rep: DoubledRep, rtol: float):
         residues.append(r)
         check(f"residue_orbit_t{j}", orbit_membership(r, pole.orbit, rtol, scale), "",
               f"residue at pole {j} leaves its declared orbit")
-    for b, (lb, scale) in exponent_blocks(gq, rep, residues).items():
+    qp = rep_to_qp(T, rep)  # reads the core arrows only
+    for b, (lb, scale) in exponent_blocks(T, qp, residues).items():
         check(f"exponent_orbit_p{b}", orbit_membership(lb, inst.residue_blocks[b], rtol, scale),
               "", f"exponent at block {b} leaves its declared orbit")
     conn = error = None
@@ -443,7 +439,7 @@ def _conversion(gq: GlobalQuiver, rep: DoubledRep, rtol: float):
         error = ValueError(failures[0])
     else:
         try:
-            B = qp_to_orbit(T, rep_to_qp(T, _core_rep_of(gq, rep)))
+            B = qp_to_orbit(T, qp)
         except ValueError as e:  # an OrbitMembershipError too
             error = e
         else:
@@ -498,7 +494,7 @@ def connection_to_rep(gq: GlobalQuiver, conn: ConnectionData) -> DoubledRep:
             raise ValueError(f"residue at pole {j} is not in its declared orbit")
         _install_leg(rep, gq.legs[("t", j)], r)
     residues = [assemble_residue(gq, rep, j)[0] for j in range(len(inst.poles))]
-    for b, (lb, scale) in exponent_blocks(gq, rep, residues).items():
+    for b, (lb, scale) in exponent_blocks(T, qp, residues).items():
         if not orbit_membership(lb, inst.residue_blocks[b], scale=scale):
             raise ValueError(f"exponent at block {b} is not in its declared orbit")
         _install_leg(rep, gq.legs[("p", b)], lb)
@@ -668,7 +664,7 @@ def _damped_steps(jac: np.ndarray, r: np.ndarray):
     return step
 
 
-def _lm_minimize(gq: GlobalQuiver, x0: np.ndarray, max_iter: int = 500):
+def _lm_minimize(gq: GlobalQuiver, x0: np.ndarray):
     """Levenberg-Marquardt (damped Gauss-Newton) on ||mu(x) - zeta||^2.
 
     x is the packed coordinate vector.  Each iteration builds the
@@ -685,14 +681,14 @@ def _lm_minimize(gq: GlobalQuiver, x0: np.ndarray, max_iter: int = 500):
     1e-28), "stationary" (the gradient test above), "stalled" (five
     accepted steps in a row each cut the cost by a relative 1e-12 or
     less), "damping-overflow" (no trial lowered the cost before lam
-    passed 1e12 or the 25-trial cap) or "iteration-limit".
+    passed 1e12 or the 25-trial cap) or "iteration-limit" (500 iterations).
     """
     x = x0.copy()
     r = _residual_vector(gq, x)
     cost = float(np.vdot(r, r).real)
     lam = 1e-3
     stall = iterations = trials = 0
-    for _ in range(max_iter):
+    for _ in range(500):
         if cost < 1e-28:
             stop = "converged"
             break
@@ -770,7 +766,6 @@ def realize_numeric(
     gq: GlobalQuiver,
     attempts: int = 50,
     seed: int = 0,
-    max_iter: int = 500,
 ) -> RealizeResult:
     """Search for a stable moment-map solution by restarted damped
     Gauss-Newton from random starts.
@@ -809,7 +804,7 @@ def realize_numeric(
     for attempt in range(attempts):
         rng = np.random.default_rng((seed, attempt))
         x0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        x, cost, iterations, trials, stop = _lm_minimize(gq, x0, max_iter=max_iter)
+        x, cost, iterations, trials, stop = _lm_minimize(gq, x0)
         resid = cost ** 0.5
         best = min(best, resid)
         if resid <= 1e-8 * np.linalg.norm(x) ** 2:  # ||x|| is the norm of the rep
@@ -857,7 +852,7 @@ def _trace_rounding_bound(gq: GlobalQuiver) -> float:
     for (kind, i), leg in gq.legs.items():
         m = leg.marking
         if kind == "p":  # zeta_p = -l_{p,1} - sum_t l_{t,1}
-            total += gq.dims[f"p{i}"] * (abs(m[0]) + first)
+            total += gq.instance.irregular.blocks[i].mult * (abs(m[0]) + first)
         for l, v in enumerate(leg.vertices, 1):  # zeta_{x,l} = l_{x,l} - l_{x,l+1}
             total += gq.dims[v] * (abs(m[l - 1]) + abs(m[l]))
     return (len(gq.dims) + poles) * np.finfo(float).eps * total

@@ -40,12 +40,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .jets import ConnectionJet, JetMatrix, PrincipalPart, jet_inv, pp_left_mul
+from .jets import ConnectionJet, JetMatrix, PrincipalPart, jet_inv, pp_left_mul, truncated_product
 from .quiver import DoubledRep, make_quiver
 from .scalars import GaussianRational, as_double, require_int, scalar_key, scalars_equal
 from .serialize import scalar_from_json, scalar_to_json
 
 FLOAT_COEFF_RTOL = 1e-9
+# IrregularType.project: part -> comparison of the row's class with the column's
+_PARTS = {"lower": np.greater, "upper": np.less, "diag": np.equal,
+          "lower_eq": np.greater_equal, "upper_eq": np.less_equal}
 
 
 @dataclass(frozen=True)
@@ -93,16 +96,7 @@ class IrregularType:
         parabolic pieces p^-/p^+.
         """
         cls = self.coord_classes(level)
-        row = cls[:, None]
-        col = cls[None, :]
-        masks = {
-            "lower": row > col,
-            "upper": row < col,
-            "diag": row == col,
-            "lower_eq": row >= col,
-            "upper_eq": row <= col,
-        }
-        mask = masks[part]
+        mask = _PARTS[part](cls[:, None], cls[None, :])
         if linalg.is_exact(m):
             return np.where(mask, m, GaussianRational(0))
         return np.where(mask, m, 0j)
@@ -239,9 +233,8 @@ def factorize(T: IrregularType, b: JetMatrix):
     minus = [linalg.eye(n, exact)] + [linalg.zeros(n, n, exact) for _ in range(k - 1)]
     plus = [linalg.eye(n, exact)] + [linalg.zeros(n, n, exact) for _ in range(k - 1)]
     for i in range(1, k):
-        rhs = b.coeffs[i].copy()
-        for j in range(1, i):
-            rhs = rhs - np.dot(minus[j], plus[i - j])
+        # minus[i] is still 0, so the sum's last term minus[i] plus[0] is too
+        rhs = b.coeffs[i] - truncated_product(minus, plus, i, lo=1)
         lower = T.project(rhs, i, "lower")
         minus[i] = lower
         plus[i] = rhs - lower
@@ -310,20 +303,14 @@ def qp_to_orbit(T: IrregularType, qp: QPPair) -> PrincipalPart:
     _require_same_mode(T, qp.exact)
     validate_qp(T, qp)
     n, k = T.n, T.k
-    exact = qp.exact
-    bprime = [None] * k
+    bprime = [linalg.zeros(n, n, qp.exact) for _ in range(k)]
     for s in range(k - 1, 0, -1):
         acc = T.dt_slot(s)
         for j in range(1, k - s):
             acc = acc - np.dot(bprime[s + j], qp.q[j])
         bprime[s] = qp.p[s] + T.project(acc, s, "lower_eq")
-    coeffs = [linalg.zeros(n, n, exact)]
-    for s in range(1, k):
-        b = bprime[s]
-        for j in range(1, k - s):
-            b = b + np.dot(qp.q[j], bprime[s + j])
-        coeffs.append(b)
-    return PrincipalPart(n, k, tuple(coeffs), "polar")
+    one_plus_q = JetMatrix(n, k, (linalg.eye(n, qp.exact),) + qp.q[1:])
+    return pp_left_mul(one_plus_q, PrincipalPart(n, k, tuple(bprime), "polar"))
 
 
 def orbit_to_qp(T: IrregularType, B: PrincipalPart) -> QPPair:

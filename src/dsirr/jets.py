@@ -10,6 +10,14 @@ A(z) = sum_{i>=0} A_i z^{i-k} dz up to a trusted jet depth N.
 The pairing between jets and principal parts is the residue of the
 trace, res tr(X A) = sum_i tr(X_i A_i); all duality conventions in the
 package flow from it.
+
+Every truncated product is one Cauchy sum, `truncated_product`, added
+in index order from its first product: exact sums ignore the order, but
+float ones reach the `reduce` and `verify` reports, so no caller may
+reorder its sum.
+Read backwards, a principal part is a jet, P(z) = z^k A(z) = sum_d
+A_{k-1-d} z^d: slot s of g A (or A g) is degree k-1-s of g P (or P g),
+and A_0 reaches only slot 0, which a polar part zeroes.
 """
 
 from __future__ import annotations
@@ -119,17 +127,20 @@ def _one_over(m: int, exact: bool):
     return GaussianRational(Fraction(1, m)) if exact else 1.0 / m
 
 
+def truncated_product(a, b, s: int, lo: int = 0):
+    """sum_{i=lo}^{s} a[i] b[s-i], added in index order from the first product."""
+    acc = np.dot(a[lo], b[s - lo])
+    for i in range(lo + 1, s + 1):
+        acc = acc + np.dot(a[i], b[s - i])
+    return acc
+
+
 def jet_mul(a: JetMatrix, b: JetMatrix) -> JetMatrix:
     """Cauchy product truncated at z^k."""
     if a.n != b.n or a.k != b.k:
         raise ValueError("jet dimension/precision mismatch")
-    out = []
-    for s in range(a.k):
-        acc = linalg.zeros(a.n, a.n, a.exact)
-        for i in range(s + 1):
-            acc = acc + np.dot(a.coeffs[i], b.coeffs[s - i])
-        out.append(acc)
-    return JetMatrix(a.n, a.k, tuple(out))
+    out = tuple(truncated_product(a.coeffs, b.coeffs, s) for s in range(a.k))
+    return JetMatrix(a.n, a.k, out)
 
 
 def jet_inv(a: JetMatrix) -> JetMatrix:
@@ -137,10 +148,7 @@ def jet_inv(a: JetMatrix) -> JetMatrix:
     g0_inv = linalg.inv(a.coeffs[0])
     out = [g0_inv]
     for s in range(1, a.k):
-        acc = linalg.zeros(a.n, a.n, a.exact)
-        for i in range(1, s + 1):
-            acc = acc + np.dot(a.coeffs[i], out[s - i])
-        out.append(-np.dot(g0_inv, acc))
+        out.append(-np.dot(g0_inv, truncated_product(a.coeffs, out, s, lo=1)))
     return JetMatrix(a.n, a.k, tuple(out))
 
 
@@ -150,8 +158,7 @@ def jet_exp(x: np.ndarray, i: int, k: int) -> JetMatrix:
         raise ValueError("exponent degree must be >= 1")
     n = x.shape[0]
     exact = linalg.is_exact(x)
-    coeffs = [linalg.zeros(n, n, exact) for _ in range(k)]
-    coeffs[0] = linalg.eye(n, exact)
+    coeffs = list(JetMatrix.identity(n, k, exact).coeffs)
     term = linalg.eye(n, exact)
     m = 1
     while m * i < k:
@@ -165,45 +172,33 @@ def pairing(x: JetMatrix, a: PrincipalPart):
     """res tr(x a) = sum_i tr(x_i a_i)."""
     if x.n != a.n:
         raise ValueError("size mismatch in pairing")
-    acc = None
+    acc = GaussianRational(0) if a.exact else 0j
     for i in a.slot_range:
         if i >= x.k:
             break
-        t = np.trace(np.dot(x.coeffs[i], a.coeffs[i]))
-        acc = t if acc is None else acc + t
-    if acc is None:
-        acc = GaussianRational(0) if a.exact else 0j
+        acc = acc + np.trace(np.dot(x.coeffs[i], a.coeffs[i]))
     return acc
+
+
+def _principal_product(a: PrincipalPart, left, right) -> PrincipalPart:
+    """The principal part, in a's slots, whose slot s is the degree
+    k-1-s coefficient of left * right (one of them is a read backwards)."""
+    if len(left) != len(right) or left[0].shape != right[0].shape:
+        raise ValueError("size/precision mismatch")
+    out = [linalg.zeros(a.n, a.n, a.exact) for _ in range(a.k)]
+    for s in a.slot_range:
+        out[s] = truncated_product(left, right, a.k - 1 - s)
+    return PrincipalPart(a.n, a.k, tuple(out), a.tag)
 
 
 def pp_left_mul(g: JetMatrix, a: PrincipalPart) -> PrincipalPart:
     """Principal part of g(z) * A(z)."""
-    if g.n != a.n or g.k != a.k:
-        raise ValueError("size/precision mismatch")
-    out = [linalg.zeros(a.n, a.n, a.exact) for _ in range(a.k)]
-    for s in a.slot_range:
-        acc = linalg.zeros(a.n, a.n, a.exact)
-        for j in range(0, a.k - s):
-            src = s + j
-            if src in a.slot_range:
-                acc = acc + np.dot(g.coeffs[j], a.coeffs[src])
-        out[s] = acc
-    return PrincipalPart(a.n, a.k, tuple(out), a.tag)
+    return _principal_product(a, g.coeffs, a.coeffs[::-1])
 
 
 def pp_right_mul(a: PrincipalPart, g: JetMatrix) -> PrincipalPart:
     """Principal part of A(z) * g(z)."""
-    if g.n != a.n or g.k != a.k:
-        raise ValueError("size/precision mismatch")
-    out = [linalg.zeros(a.n, a.n, a.exact) for _ in range(a.k)]
-    for s in a.slot_range:
-        acc = linalg.zeros(a.n, a.n, a.exact)
-        for j in range(0, a.k - s):
-            src = s + j
-            if src in a.slot_range:
-                acc = acc + np.dot(a.coeffs[src], g.coeffs[j])
-        out[s] = acc
-    return PrincipalPart(a.n, a.k, tuple(out), a.tag)
+    return _principal_product(a, a.coeffs[::-1], g.coeffs)
 
 
 def coadjoint(g: JetMatrix, a: PrincipalPart) -> PrincipalPart:
@@ -229,26 +224,16 @@ def gauge(g: JetMatrix, a: ConnectionJet) -> ConnectionJet:
     out_depth = min(a.depth, g.k - 1)
     if out_depth < a.k - 1:
         raise ValueError("depth underflow: gauge jet too short for the polar part")
-    n, exact = a.n, a.exact
     h = jet_inv(g)
     # conjugation term sum_{i+j+l=s} g_i A_j h_l, as (g A) then (g A) h
-    ga = []
-    for t in range(out_depth + 1):
-        acc = linalg.zeros(n, n, exact)
-        for i in range(t + 1):
-            acc = acc + np.dot(g.coeffs[i], a.coeffs[t - i])
-        ga.append(acc)
+    ga = [truncated_product(g.coeffs, a.coeffs, t) for t in range(out_depth + 1)]
     out = []
     for s in range(out_depth + 1):
-        acc = linalg.zeros(n, n, exact)
-        for t in range(s + 1):
-            acc = acc + np.dot(ga[t], h.coeffs[s - t])
-        # derivative term dg g^{-1}: coefficient of z^{s-k} dz needs s >= k
-        m = s - a.k  # z^m dz with m = s - k >= 0
-        if m >= 0:
-            for i in range(1, m + 2):
-                l = m + 1 - i
-                if i < g.k and l < g.k:
-                    acc = acc + np.dot(g.coeffs[i] * i, h.coeffs[l])
+        acc = truncated_product(ga, h.coeffs, s)
+        # derivative term dg g^{-1}: sum_i i g_i h_{m+1-i} at z^m dz, m = s - k
+        # (none for m < 0); every index is at most s - k + 1 < g.k
+        m = s - a.k
+        for i in range(1, m + 2):
+            acc = acc + np.dot(g.coeffs[i] * i, h.coeffs[m + 1 - i])
         out.append(acc)
-    return ConnectionJet(n, a.k, tuple(out))
+    return ConnectionJet(a.n, a.k, tuple(out))

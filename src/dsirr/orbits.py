@@ -239,6 +239,13 @@ def jordan_from_matrix(L: np.ndarray, eigenvalues=None) -> OrbitSpec:
     raise ValueError(f"eigenvalue clustering ambiguity: {last_error}")
 
 
+def _blocks_from_drops(drops) -> list:
+    """Jordan block sizes, ascending: drops[j - 1] counts the blocks of
+    size >= j, so drops[j - 1] - drops[j] of them have size exactly j."""
+    drops = list(drops) + [0]
+    return [j for j in range(1, len(drops)) for _ in range(drops[j - 1] - drops[j])]
+
+
 def _jordan_pass(L: np.ndarray, values, detect_rtol: float) -> OrbitSpec:
     n = L.shape[0]
     exact = linalg.is_exact(L)
@@ -252,11 +259,7 @@ def _jordan_pass(L: np.ndarray, values, detect_rtol: float) -> OrbitSpec:
         mult = n - ranks[-1]
         if mult == 0:
             raise ValueError(f"{value} is not an eigenvalue (within tolerance)")
-        blocks = []
-        for j in range(1, len(ranks)):
-            at_least_j = ranks[j - 1] - ranks[j]
-            at_least_next = ranks[j] - ranks[j + 1] if j + 1 < len(ranks) else 0
-            blocks.extend([j] * (at_least_j - at_least_next))
+        blocks = _blocks_from_drops([a - b for a, b in zip(ranks, ranks[1:])])
         spec_data.append((value, blocks))
         total += mult
     if total != n:
@@ -418,8 +421,7 @@ def _spec_from_marking_ranks(data: dict, n: int, exact: bool) -> OrbitSpec:
         drops.setdefault(scalar_key(lam), (lam, []))[1].append(dims[l] - dims[l + 1])
     evs = []
     for lam, d in drops.values():
-        # its j-th use drops the rank by its number of blocks of size >= j
-        blocks = [j for j, (a, b) in enumerate(zip(d, d[1:] + [0]), 1) for _ in range(a - b)]
+        blocks = _blocks_from_drops(d)  # its j-th use drops the rank by d[j - 1]
         if blocks:
             evs.append((lam, blocks))
     return make_orbit_spec(n, evs, marking)

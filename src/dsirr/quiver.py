@@ -192,14 +192,12 @@ def symplectic_form(rep: DoubledRep, dxi1: DoubledRep, dxi2: DoubledRep):
     The value is base-point independent; rep only fixes the quiver and
     dimensions.
     """
-    acc = None
+    acc = GaussianRational(0) if rep.exact else 0j
     for a in rep.quiver.arrows:
         t = np.trace(np.dot(dxi1.fwd[a.id], dxi2.rev[a.id])) - np.trace(
             np.dot(dxi2.fwd[a.id], dxi1.rev[a.id])
         )
-        acc = t if acc is None else acc + t
-    if acc is None:
-        acc = GaussianRational(0) if rep.exact else 0j
+        acc = acc + t
     return acc
 
 

@@ -17,7 +17,9 @@ the trace identity's two sides folded term by term in Q(i) arithmetic,
 the scalar parser that built each part with ``Fraction(str)``, and the
 orbit bookkeeping that found each eigenvalue by its hashed or compared
 (Re, Im) key: the step-by-step greedy marking, the rank sequence and
-the expected rank of a power.
+the expected rank of a power.  The exponent check's core bracket is
+here as it was first computed: the core quiver's moment map, summed
+arrow by arrow.
 The last few helpers are small constructions only the tests need: an
 exact matrix literal, the infinitesimal coadjoint action, the
 dT-stabilizer test, the matrix a leg realization reproduces and the
@@ -36,7 +38,9 @@ from pathlib import Path
 import numpy as np
 
 from dsirr import linalg
+from dsirr.irregular import core_quiver
 from dsirr.jets import ConnectionJet, PrincipalPart, jet_inv, pp_left_mul, pp_right_mul
+from dsirr.quiver import DoubledRep, moment_map
 from dsirr.roots import (
     SearchCapExceeded,
     Verdict,
@@ -448,6 +452,18 @@ def leg_reconstruction(realization, exact: bool = None) -> np.ndarray:
     a = realization.rep.fwd["1>0"]
     b = realization.rep.rev["1>0"]
     return np.dot(a, b) + lam1 * ident
+
+
+def core_bracket_by_arrows(gq, rep) -> dict:
+    """Block b of the core bracket sum_i [Q_i, P_i] as the core quiver's
+    moment map at p{b}: f r summed over the core arrows into p{b}, minus
+    r f over those out of it, each arrow read off the global rep."""
+    T = gq.instance.irregular
+    core, dims = core_quiver(T)
+    fwd = {a.id: rep.fwd[a.id] for a in core.arrows}
+    rev = {a.id: rep.rev[a.id] for a in core.arrows}
+    mu = moment_map(DoubledRep(core, dims, fwd, rev))
+    return {b: mu[f"p{b}"] for b in range(T.block_count)}
 
 
 def fraction_fold(values, weights):

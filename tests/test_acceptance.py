@@ -631,7 +631,7 @@ def test_criterion_11_criterion_vs_realizer():
             assert moment_residual(gq, res.rep) <= 1e-8 * max(1.0, res.rep.norm() ** 2)
             assert is_stable(res.rep)
         else:
-            res = realize_numeric(gq, attempts=50, seed=idx, max_iter=80)
+            res = realize_numeric(gq, attempts=50, seed=idx)
             # soft evidence only: log, never assert emptiness from failures
             failures_logged.append((idx, res.attempts, res.residual))
             assert not res.success

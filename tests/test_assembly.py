@@ -28,13 +28,13 @@ from dsirr.assembly import (
     verdict_to_json,
     verify_instance,
 )
-from dsirr.irregular import make_irregular_type
+from dsirr.irregular import make_irregular_type, rep_to_qp
 from dsirr.orbits import make_orbit_spec
 from dsirr.quiver import DoubledRep, is_stable
 from dsirr.reduction import normalize
 from dsirr.roots import CartanData, cb_solvable
 from dsirr.scalars import GaussianRational as G
-from oracles import bench_ladder, exponent_trace_fold, zeta_dot_v_fold
+from oracles import bench_ladder, core_bracket_by_arrows, exponent_trace_fold, zeta_dot_v_fold
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -251,7 +251,7 @@ def test_realize_fails_on_trace_obstruction():
     mu2 = -(lam1 + lam2 + mu1) + G(1)
     inst = star_instance(lam1, lam2, mu1, mu2)
     gq = build_global_quiver(inst.as_float())
-    res = realize_numeric(gq, attempts=5, seed=3, max_iter=60)
+    res = realize_numeric(gq, attempts=5, seed=3)
     assert not res.success
 
 
@@ -286,10 +286,44 @@ def test_exponent_blocks_match_normalize():
     T = gq.instance.irregular
     jet = conn.infinity_jet(T.k, 2 * T.k)
     out = normalize(jet, T)
-    lbs = exponent_blocks(gq, res.rep, conn.residues)
+    lbs = exponent_blocks(T, rep_to_qp(T, res.rep), conn.residues)
     for b in range(T.block_count):
         sl = T.block_slice(b)
         assert linalg.mat_norm(out.exponent[sl, sl] - lbs[b][0]) < 1e-8
+
+
+def _bracket_problems():
+    """Every problem file in tests/data, and the realize-verify rungs of
+    the benchmark ladder at seeds 1 and 2."""
+    out = []
+    for path in sorted((ROOT / "tests" / "data").glob("*.json")):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if "rank" in data:
+            out.append(pytest.param(data, id=path.stem))
+    ladder = bench_ladder()
+    for rung in ladder.WORKLOADS["realize-verify"][1]:
+        for seed in (1, 2):
+            out.append(pytest.param(ladder.problem(rung, seed), id=f"{rung.name}-{seed}"))
+    return out
+
+
+@pytest.mark.parametrize("data", _bracket_problems())
+def test_core_bracket_is_the_core_moment_map(data, rng):
+    # block b of sum_i [Q_i, P_i] is the core moment map at p{b} on any
+    # float rep, so exponent_blocks reads it through the QP pair.  Only
+    # example_iii (k = 5) and the k = 3 rung have core arrows; at k = 2
+    # both sides vanish
+    gq = build_global_quiver(instance_from_json(data, exact=True).as_float())
+    rep = DoubledRep.zero(gq.quiver, gq.dims)
+    for a in gq.quiver.arrows:
+        rep.fwd[a.id] = rand_complex(rng, *rep.fwd[a.id].shape)
+        rep.rev[a.id] = rand_complex(rng, *rep.rev[a.id].shape)
+    T = gq.instance.irregular
+    blocks = exponent_blocks(T, rep_to_qp(T, rep), [])
+    for b, mu in core_bracket_by_arrows(gq, rep).items():
+        lb, scale = blocks[b]
+        assert linalg.mat_norm(lb + mu) <= 1e-12 * max(1.0, linalg.mat_norm(mu))
+        assert abs(scale - linalg.mat_norm(mu)) <= 1e-12 * max(1.0, scale)
 
 
 def _nonempty_problems():

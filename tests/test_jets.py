@@ -13,9 +13,11 @@ from dsirr.jets import (
     jet_inv,
     jet_mul,
     pairing,
+    pp_left_mul,
+    pp_right_mul,
 )
 from dsirr.scalars import GaussianRational as G
-from oracles import ad_star
+from oracles import ad_star, exact_matrix
 
 
 def jet(n, k, terms, exact=False):
@@ -222,6 +224,30 @@ def test_coadjoint_dual_to_conjugation_polar_tag(rng):
     lhs = pairing(adx, a)
     rhs = pairing(x, coadjoint(jet_inv(g), a))
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+
+
+def rand_exact(rng, n):
+    return exact_matrix([[G(*(int(x) for x in rng.integers(-5, 6, 2))) for _ in range(n)]
+                         for _ in range(n)])
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_polar_products_ignore_slot_zero(rng, exact):
+    # slot 0 of a polar part is quotiented away; read backwards it is the
+    # jet's top coefficient, which only slot 0 of a product reaches
+    n, k = 2, 4
+    draw = (lambda: rand_exact(rng, n)) if exact else (lambda: rand_complex(rng, n, n))
+    g = JetMatrix(n, k, (linalg.eye(n, exact),) + tuple(draw() for _ in range(k - 1)))
+    zeroed = PrincipalPart(n, k, (linalg.zeros(n, n, exact),) + tuple(
+        draw() for _ in range(k - 1)), "polar")
+    noisy = zeroed.with_slot(0, draw())
+    for op in (lambda a: pp_left_mul(g, a), lambda a: pp_right_mul(a, g),
+               lambda a: coadjoint(g, a)):
+        out, ref = op(noisy), op(zeroed)
+        assert out.tag == "polar"
+        assert np.array_equal(out.coeffs[0], linalg.zeros(n, n, exact))
+        for s in range(1, k):
+            assert np.array_equal(out.coeffs[s], ref.coeffs[s])
 
 
 def test_ad_star_is_derivative_of_coadjoint(rng):
