@@ -175,12 +175,13 @@ def solve_linear(a: np.ndarray, b: np.ndarray):
 
 
 def inv(a: np.ndarray) -> np.ndarray:
+    """Inverse of a square matrix.  The exact solve of a x = I is
+    inconsistent just when a is singular."""
     if is_exact(a):
-        n = a.shape[0]
-        x, _ = solve_linear(a, eye(n, True))
-        if not matrices_equal(np.dot(a, x), eye(n, True)):
-            raise ValueError("singular exact matrix")
-        return x
+        try:
+            return solve_linear(a, eye(a.shape[0], True))[0]
+        except ValueError:
+            raise ValueError("singular exact matrix") from None
     return np.linalg.inv(np.asarray(a, dtype=complex))
 
 

@@ -8,14 +8,8 @@ delta(v) = 1 - q(v) on the same quiver.
 Positive roots are recognized by the reflection algorithm: reflect at
 a vertex with (v, e_i) > 0; landing on a simple root means a real root,
 going negative means not a root, and a fixed vector is an imaginary
-root exactly when its support is connected.  `positive_root_mask` runs
-it on a whole integer array of vectors at once.  The pairings P = W C
-with the int64 Cartan matrix C = 2I - A are computed once, and each step
-reflects every row at the vertices of one colour class (pairwise
-non-adjacent, so the reflections commute) and updates P by the matching
-rows of C.  A fixed row with full support reads the cached
-connectedness of the quiver; only other fixed rows need a reachability
-pass.  `is_positive_root` is the same test on one vector.
+root exactly when its support is connected.  `is_positive_root` runs
+it on one vector of Python integers.
 
 The decision procedure: the moduli space for (v, zeta) is non-empty
 iff (1) v is a positive root, (2) zeta . v = 0, and (3) every
@@ -34,7 +28,7 @@ one half's points are tabulated, and the other half's points are
 grouped by the negated sum.  That takes about 2 sqrt(prod(v_i + 1))
 steps, where scanning the box takes prod(v_i + 1).  Each sum found in
 both halves gives a block of matches, every head plus every tail, built
-as one broadcast; one batched root test covers all blocks.  At
+as one broadcast; each non-zero match gets its own root test.  At
 zeta = 0 every box point is a match, in a single block.
 
 Most candidates are never needed as a part.  If zeta_i = 0, w != e_i
@@ -114,12 +108,6 @@ class CartanData:
         return np.array(flat, dtype=np.int64).reshape(self.size, self.size)
 
     @cached_property
-    def int64_bound(self) -> int:
-        """Largest coordinate for which a vector's sum and pairings, and
-        those of every reflection of it, fit int64."""
-        return 2**62 // (3 + max(map(sum, self.adjacency), default=0) + self.size)
-
-    @cached_property
     def connected(self) -> bool:
         """Whether the whole quiver is connected."""
         seen, stack = {0}, [0]
@@ -132,18 +120,21 @@ class CartanData:
         return len(seen) == self.size
 
     @cached_property
-    def same_colour(self) -> np.ndarray:
-        """(m, m) booleans; row i marks the vertices of i's class in a
-        greedy proper colouring, a set of pairwise non-adjacent vertices."""
+    def colour_class(self) -> tuple:
+        """Entry i lists the vertices of i's class in a greedy proper
+        colouring, a set of pairwise non-adjacent vertices."""
         colour = []
         for i, row in enumerate(self.adjacency):
             used = {colour[j] for j in range(i) if row[j]}
             colour.append(next(k for k in itertools.count() if k not in used))
-        colour = np.array(colour)
-        return colour[:, None] == colour[None, :]
+        return tuple(tuple(j for j, c in enumerate(colour) if c == ci) for ci in colour)
+
+    def pairings(self, v) -> list:
+        """The pairings (v, e_i) = 2 v_i - sum_j a_ij v_j, in vertex order."""
+        return [2 * x - _dot(row, v) for x, row in zip(v, self.adjacency)]
 
     def pairing(self, u, v) -> int:
-        return sum(x * (2 * v[i] - _dot(self.adjacency[i], v)) for i, x in enumerate(u) if x)
+        return _dot(u, self.pairings(v))
 
     def tits_form(self, v) -> int:
         p = self.pairing(v, v)
@@ -177,74 +168,47 @@ def _support_connected(cartan: CartanData, supp: np.ndarray) -> np.ndarray:
         reach = grown
 
 
-def positive_root_mask(cartan: CartanData, w: np.ndarray, max_steps: int | None = None) -> np.ndarray:
-    """Reflection test of every row of the (n, m) integer array `w` at once.
+def is_positive_root(cartan: CartanData, v, max_steps: int | None = None) -> bool:
+    """Whether v is a positive root, by the reflection walk on Python integers.
 
-    The pairings P = W C are computed once.  A row with full support and
-    no positive pairing is fixed by every reflection, so it is an
-    imaginary root exactly when the quiver is connected; when all rows
-    are such, that one product and the cached flag decide them.
-
-    Otherwise each step reflects a row at every vertex with positive
-    pairing in the colour class of its largest pairing, lowering w_j by
-    (w, e_j) and P by that multiple of row j of C.  Vertices of a class
-    are non-adjacent, so these reflections commute and leave each
-    other's pairings alone: together they act as one after the other.
-    A positive root that is not simple stays one under each of them, so
-    a row goes negative only if it is no root, and becomes a simple root
-    (a root) only between steps.  A row that no reflection moves is an
-    imaginary root exactly when its support is connected.
-
-    Reflections only lower coordinates, so int64 holds every step
-    whenever it holds the first pairings of the non-negative rows; other
-    input runs on Python integers.
+    Each step reflects w at every vertex j with positive pairing
+    d_j = (w, e_j) in the colour class of its first largest pairing:
+    w_j falls by d_j, (w, e_j) turns to -d_j, and each neighbour's
+    pairing rises by a_jk d_j.  Vertices of a class are non-adjacent, so
+    these reflections commute and act as one after the other.  A
+    positive root that is not simple stays one under each of them, so w
+    goes negative only if it is no root, and becomes a simple root only
+    between steps.  A w that no reflection moves is an imaginary root
+    exactly when its support is connected.
 
     A real root takes about as many steps as its height.  With
-    `max_steps` set, a row still undecided after that many steps raises
+    `max_steps` set, a w still undecided after that many steps raises
     `SearchCapExceeded`.
     """
-    c = cartan.matrix
-    if w.dtype == object or w.size and w.max() > cartan.int64_bound:
-        w, c = w.astype(object), c.astype(object)
-    p = w @ c
-    if w.size and w.min() > 0 and p.max() <= 0:
-        return np.full(len(w), cartan.connected)
-    out = np.zeros(len(w), dtype=bool)
-    idx = np.flatnonzero((w >= 0).all(1) & w.any(1))
-    w, p = w[idx], p[idx]  # copies, so the reflections leave the input alone
-    steps = 0
-    while len(idx):
-        pos = p > 0
-        simple = w.sum(1) == 1
-        fixed = ~pos.any(1)
-        done = simple | fixed
-        if np.count_nonzero(done):
-            out[idx[simple]] = True
-            if np.count_nonzero(fixed):
-                out[idx[fixed]] = _support_connected(cartan, w[fixed] > 0)
-            go = ~done
-            idx, w, p, pos = idx[go], w[go], p[go], pos[go]
-        if max_steps is not None and steps >= max_steps and len(idx):
+    w = [int(x) for x in v]
+    if not any(w) or min(w) < 0:
+        return False
+    p = cartan.pairings(w)
+    for steps in itertools.count():
+        if sum(w) == 1:
+            return True
+        top = max(p)
+        if top <= 0:
+            if min(w) > 0:
+                return cartan.connected
+            return bool(_support_connected(cartan, np.array([[x > 0 for x in w]]))[0])
+        if max_steps is not None and steps >= max_steps:
             raise SearchCapExceeded(
                 f"enumeration budget of {max_steps} exhausted: the root test needs more "
                 "reflection steps")
-        steps += 1
-        # d_j = (w, e_j) at the positive vertices j of one colour class
-        d = p * (cartan.same_colour[p.argmax(1)] & pos)
-        w -= d
-        p -= d @ c
-        neg = (w < 0).any(1)
-        if np.count_nonzero(neg):
-            go = ~neg
-            idx, w, p = idx[go], w[go], p[go]
-    return out
-
-
-def is_positive_root(cartan: CartanData, v, max_steps: int | None = None) -> bool:
-    """Whether v is a positive root: `positive_root_mask` on one row."""
-    small = max(map(abs, v), default=0) <= cartan.int64_bound
-    w = np.array([v], dtype=np.int64 if small else object)
-    return bool(positive_root_mask(cartan, w, max_steps)[0])
+        for j in cartan.colour_class[p.index(top)]:
+            d = p[j]
+            if d > 0:
+                w[j] -= d
+                if w[j] < 0:
+                    return False
+                p = [x + a * d for x, a in zip(p, cartan.adjacency[j])]
+                p[j] = -d
 
 
 def _integer_zeta(cartan: CartanData, zeta):
@@ -322,7 +286,7 @@ def summand_candidates(cartan: CartanData, v, zeta, cap: int = 2_000_000):
     Meets in the middle: one half box is tabulated by its integer zeta
     sums, and the other half's points are grouped by the negated sum.
     Each sum found in both gives a block of matches, every head plus
-    every tail, and one `positive_root_mask` call tests all blocks.  The
+    every tail, and `is_positive_root` tests each non-zero match.  The
     work (both half boxes plus every match) may not exceed `cap`; the
     half boxes are checked before either is built, and each block
     before it is built.  `zeta` maps vertices to exact scalars (float
@@ -355,9 +319,8 @@ def summand_candidates(cartan: CartanData, v, zeta, cap: int = 2_000_000):
         block[:, :, tail] = np.array(wt, dtype=np.int64).reshape(1, len(wt), len(tail))
         blocks.append(block.reshape(-1, len(v)))
     # both half boxes start at 0, so the first row is 0 + 0: drop it
-    w = np.concatenate(blocks)[1:]
-    w = w[positive_root_mask(cartan, w)]
-    return list(map(tuple, w[np.lexsort(w.T[::-1])].tolist()))
+    matches = map(tuple, np.concatenate(blocks)[1:].tolist())
+    return sorted(w for w in matches if is_positive_root(cartan, w))
 
 
 @dataclass

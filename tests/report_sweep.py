@@ -4,10 +4,11 @@
 
 writes {case: [exit code, stdout]} with sorted keys, so the sweeps of two
 checkouts compare with `cmp`.  Each input gets `check`, `build-quiver`,
-`realize --seed 1` and, when realize finds a witness, `verify` of that
-witness.  The inputs are every problem file in tests/data and its float
-copy, and the check-generic, realize-verify and realize-infeasible rungs
-of the benchmark ladder at seeds 1-3, with the float copies of the
+`check` of that raw (Q, v, zeta) payload, `realize --seed 1` and, when
+realize finds a witness, `verify` of that witness.  The inputs are every
+problem file in tests/data and its float copy, and the check-generic,
+check-degenerate, realize-verify and realize-infeasible rungs of the
+benchmark ladder at seeds 1-3, with the float copies of the
 realize-verify rungs; `leg` and `reduce` also run on their four example
 files.  Not a test module: pytest does not collect it.
 """
@@ -52,7 +53,7 @@ def problems():
             yield f"data/{path.name}", data
             yield f"data/{path.name} float", float_copy(data)
     ladder = bench_ladder()
-    for workload in ("check-generic", "realize-verify", "realize-infeasible"):
+    for workload in ("check-generic", "check-degenerate", "realize-verify", "realize-infeasible"):
         for rung in ladder.WORKLOADS[workload][1]:
             for seed in (1, 2, 3):
                 name, data = f"{workload}/{rung.name}/seed{seed}", ladder.problem(rung, seed)
@@ -68,6 +69,11 @@ def sweep(tmp: Path) -> dict:
         src.write_text(json.dumps(data), encoding="utf-8")
         for argv in (["check"], ["build-quiver"], ["realize", "--seed", "1"]):
             cases[f"{name}: {' '.join(argv)}"] = run(*argv, str(src))
+        code, payload = cases[f"{name}: build-quiver"]
+        if code == 0:
+            raw = tmp / "quiver.json"
+            raw.write_text(payload, encoding="utf-8")
+            cases[f"{name}: build-quiver | check"] = run("check", str(raw))
         report = json.loads(cases[f"{name}: realize --seed 1"][1])
         if "rep" in report:
             witness = tmp / "witness.json"

@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 
 from dsirr.cli import main
-from oracles import bench_ladder
+from dsirr.quiver import quiver_from_json
+from dsirr.roots import CartanData
+from dsirr.scalars import GaussianRational as G
+from oracles import bench_ladder, reflection_is_positive_root
 
 TESTS = os.path.dirname(__file__)
 DATA = os.path.join(TESTS, "data")
@@ -431,6 +434,30 @@ def test_the_budget_bounds_the_decomposition_dp(tmp_path, capsys):
     code, report = run(capsys, "check", str(src))
     assert code == 0 and report["verdict"] == "nonempty" and report["dim"] == 98
     assert report["stats"] == {"candidates": 6005, "search_states": 7293}
+
+
+def test_check_reports_a_condition3_witness(tmp_path, capsys):
+    # nilpotent 4x2 at seed 1 fails condition 3; the witness is reported by
+    # vertex name, and the raw build-quiver payload gives the same one
+    ladder = bench_ladder()
+    rung = next(r for r in ladder.WORKLOADS["check-degenerate"][1] if r.name == "n4x2k2")
+    src = tmp_path / "n4x2.json"
+    src.write_text(json.dumps(ladder.problem(rung, 1)))
+    code, report = run(capsys, "check", str(src))
+    assert code == 1 and report["verdict"] == "empty" and report["failed_condition"] == 3
+    assert report["witness"] == [{"p0": 1, "p1": 1, "t0.1": 1, "t1.1": 1}] * 2
+    quiver, dims, zeta = quiver_from_json(report["quiver"])
+    cartan = CartanData.from_quiver(quiver)
+    parts = [cartan.vec(dict.fromkeys(quiver.vertices, 0) | part) for part in report["witness"]]
+    assert [sum(col) for col in zip(*parts)] == list(cartan.vec(dims))
+    for w in parts:
+        assert reflection_is_positive_root(cartan, w)
+        assert sum((zeta[u] * x for u, x in zip(cartan.vertices, w)), G(0)) == 0
+    assert sum(map(cartan.delta, parts)) >= report["delta"]
+    raw = tmp_path / "quiver.json"
+    assert run(capsys, "build-quiver", str(src), "-o", str(raw))[0] == 0
+    code, again = run(capsys, "check", str(raw))
+    assert code == 1 and again["witness"] == report["witness"]
 
 
 def _double_arrow(dims, zeta):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dsirr import linalg
+from dsirr.jets import JetMatrix, jet_inv
 from dsirr.scalars import GaussianRational as G
 from oracles import FloatSpan, exact_matrix, power_ranks_every_step
 
@@ -42,6 +43,18 @@ def test_inv_round_trip_both_modes():
     assert linalg.matrices_equal(np.dot(a, inv), linalg.eye(2, True))
     af = linalg.to_complex(a)
     assert np.allclose(af @ linalg.inv(af), np.eye(2))
+
+
+def test_inv_names_a_singular_exact_matrix():
+    # a consistent exact solve of a x = I gives a x = I exactly, so a
+    # singular exact matrix shows up as an inconsistent system
+    a = exact([[1, 2], [2, 4]])
+    with pytest.raises(ValueError, match="^singular exact matrix$"):
+        linalg.inv(a)
+    with pytest.raises(ValueError, match="^singular exact matrix$"):
+        jet_inv(JetMatrix(2, 2, (a, linalg.zeros(2, 2, True))))
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg.inv(linalg.to_complex(a))
 
 
 def test_column_space_exact_picks_original_columns():

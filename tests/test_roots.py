@@ -6,7 +6,6 @@ import random
 import tracemalloc
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from dsirr.assembly import build_global_quiver, decide_ds, instance_from_json
@@ -18,7 +17,6 @@ from dsirr.roots import (
     cb_solvable,
     indispensable_candidates,
     is_positive_root,
-    positive_root_mask,
     summand_candidates,
 )
 from dsirr.scalars import GaussianRational as G
@@ -102,8 +100,8 @@ def test_imaginary_needs_connected_support():
     c = CartanData.from_quiver(make_quiver(
         ["1", "2", "3", "4"], [("a", "1", "2"), ("b", "1", "2"), ("c", "3", "4"), ("d", "3", "4")]))
     assert not c.connected and not is_positive_root(c, (1, 1, 1, 1))
-    batch = np.array([(1, 1, 1, 1), (1, 0, 0, 0), (1, 1, 0, 0), (2, 2, 1, 1)])
-    assert positive_root_mask(c, batch).tolist() == [False, True, True, False]
+    batch = [(1, 1, 1, 1), (1, 0, 0, 0), (1, 1, 0, 0), (2, 2, 1, 1)]
+    assert [is_positive_root(c, w) for w in batch] == [False, True, True, False]
 
 
 def test_positive_root_invariant_under_relabeling():
@@ -241,7 +239,7 @@ def test_budget_is_checked_before_allocation():
         summand_candidates(single, (10**7,), {"1": G(0)})
 
 
-# --- the batched reflection test against the scalar loop ----------------------
+# --- the colour-class reflection walk against the scalar loop -----------------
 
 
 def random_quiver(rng):
@@ -261,7 +259,7 @@ def random_quiver(rng):
     return CartanData.from_quiver(make_quiver(names, arrows))
 
 
-def test_positive_root_mask_matches_the_reflection_loop():
+def test_is_positive_root_matches_the_reflection_loop():
     # every non-zero box point of 250 quivers: the scalar loop ends at a
     # simple root, a negative coordinate, or a fixed vector whose support
     # is connected or not, and each ending occurs at least 50 times
@@ -275,9 +273,8 @@ def test_positive_root_mask_matches_the_reflection_loop():
         box = [w for w in itertools.product(*(range(x + 1) for x in v)) if any(w)]
         if not box:
             continue
-        mask = positive_root_mask(cartan, np.array(box, dtype=np.int64))
-        assert mask.tolist() == [reflection_is_positive_root(cartan, w) for w in box]
-        assert [is_positive_root(cartan, w) for w in box[:5]] == mask[:5].tolist()
+        assert ([is_positive_root(cartan, w) for w in box]
+                == [reflection_is_positive_root(cartan, w) for w in box])
         for w in box:
             end, u = reflection_end(cartan, w)
             if end == "fixed":
@@ -294,8 +291,20 @@ def test_positive_root_test_runs_on_python_integers_past_int64():
     for cartan, w in [(d4, (2 * k, k, k, k, k)), (a2(), (1, k)), (a2(), (-k, 1)), (d4, (0, k, 0, k, 0))]:
         assert is_positive_root(cartan, w) == reflection_is_positive_root(cartan, w)
     assert is_positive_root(d4, (2 * k, k, k, k, k))
-    batch = np.array([(2 * k, k, k, k, k), (0, 0, 0, 0, 0)], dtype=object)
-    assert positive_root_mask(d4, batch).tolist() == [True, False]
+    assert not is_positive_root(d4, (0, 0, 0, 0, 0))
+
+
+def test_root_test_charges_each_colour_class_step():
+    # the two Kronecker vertices are adjacent, so each step reflects at one
+    # of them: (50, 51) walks down to a simple root in 50 steps, and
+    # (50, 52) goes negative at its 26th
+    kronecker = double()
+    assert is_positive_root(kronecker, (50, 51), max_steps=50)
+    with pytest.raises(SearchCapExceeded, match="root test needs more reflection steps"):
+        is_positive_root(kronecker, (50, 51), max_steps=49)
+    assert not is_positive_root(kronecker, (50, 52), max_steps=26)
+    with pytest.raises(SearchCapExceeded, match="enumeration budget of 25 exhausted"):
+        is_positive_root(kronecker, (50, 52), max_steps=25)
 
 
 # --- the integer engine against the box scan and the multiset DFS -------------
