@@ -48,7 +48,8 @@ from .quiver import (DoubledRep, delta, is_stable, make_quiver, moment_map, quiv
 from .roots import CartanData, Verdict, cb_solvable
 from .scalars import (GaussianRational, as_complex, as_double, exact_dot, integerize, require_int,
                       scalar_key)
-from .serialize import matrix_from_json, matrix_to_json, scalar_from_json, scalar_to_json
+from .serialize import (SCHEMA_VERSION, matrix_from_json, matrix_to_json, scalar_from_json,
+                        scalar_to_json)
 
 
 @dataclass(frozen=True)
@@ -927,7 +928,7 @@ def verify_instance(
 
 def instance_to_json(instance: ProblemInstance) -> dict:
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "rank": instance.n,
         "infinity": {
             "irregular_type": irregular_type_to_json(instance.irregular),
@@ -965,7 +966,7 @@ def instance_from_json(data: dict, exact: bool) -> ProblemInstance:
 
 def rep_to_json(gq: GlobalQuiver, rep: DoubledRep) -> dict:
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "dims": {v: int(d) for v, d in rep.dims.items()},
         "maps": {
             a.id: {"fwd": matrix_to_json(rep.fwd[a.id]), "rev": matrix_to_json(rep.rev[a.id])}

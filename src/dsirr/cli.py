@@ -47,9 +47,8 @@ from .orbits import (
 from .quiver import quiver_from_json, quiver_to_json, to_dot
 from .reduction import normalize
 from .roots import CartanData, cb_solvable
-from .serialize import matrix_from_json, matrix_to_json, payload_is_float, scalar_to_json
-
-SCHEMA_VERSION = 1
+from .serialize import (SCHEMA_VERSION, matrix_from_json, matrix_to_json, payload_is_float,
+                        scalar_to_json)
 
 
 class SchemaError(ValueError):
@@ -110,7 +109,6 @@ def cmd_check(args):
         ds = decide_ds(instance_from_json(data, exact=True), max_nodes=args.max_decompositions)
         verdict, quiver, dims, zeta = ds.verdict, ds.gq.quiver, ds.gq.dims, ds.gq.zeta
     report = verdict_to_json(verdict, quiver, dims, zeta)
-    report["schema_version"] = SCHEMA_VERSION
     code = 2 if report["verdict"] == "undecided" else (0 if report["verdict"] == "nonempty" else 1)
     return report, code
 
@@ -118,7 +116,6 @@ def cmd_check(args):
 def cmd_build_quiver(args):
     gq = build_global_quiver(_instance(_load_json(args.input)))
     payload = quiver_to_json(gq.quiver, gq.dims, gq.zeta)
-    payload["schema_version"] = SCHEMA_VERSION
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as f:
             f.write(to_dot(gq.quiver, gq.dims, gq.zeta, full=args.dot_mode == "full"))
@@ -129,7 +126,6 @@ def cmd_realize(args):
     gq = build_global_quiver(_instance(_load_json(args.input)).as_float())
     result = realize_numeric(gq, attempts=args.attempts, seed=args.seed)
     report = {
-        "schema_version": SCHEMA_VERSION,
         "success": result.success,
         # JSON has no Infinity or NaN
         "residual": result.residual if math.isfinite(result.residual) else None,
@@ -151,7 +147,6 @@ def cmd_verify(args):
     gq = build_global_quiver(_instance(_require(data, "instance", "", dict)).as_float())
     rep = rep_from_json(gq, _require(data, "rep", "", dict))
     report = verify_instance(gq, rep, rtol=args.tolerance)
-    report["schema_version"] = SCHEMA_VERSION
     return report, 0 if report["all_ok"] else 1
 
 
@@ -173,9 +168,8 @@ def cmd_reduce(args):
     try:
         out = normalize(jet, T, rtol=args.tolerance)
     except ValueError as e:
-        return {"schema_version": SCHEMA_VERSION, "compatible": False, "detail": str(e)}, 1
+        return {"compatible": False, "detail": str(e)}, 1
     report = {
-        "schema_version": SCHEMA_VERSION,
         "compatible": True,
         "exponent": matrix_to_json(out.exponent),
         "gauge": [{"degree": d, "matrix": matrix_to_json(x)} for d, x in out.factors],
@@ -197,9 +191,8 @@ def cmd_leg(args):
     try:
         leg = realize_leg(matrix, marking)
     except ValueError as e:
-        return {"schema_version": SCHEMA_VERSION, "ok": False, "detail": str(e)}, 1
+        return {"ok": False, "detail": str(e)}, 1
     report = {
-        "schema_version": SCHEMA_VERSION,
         "ok": True,
         "orbit": orbit_spec_to_json(spec),
         "marking": [scalar_to_json(m) for m in marking],
@@ -277,11 +270,12 @@ def main(argv=None) -> int:
     try:
         report, code = COMMANDS[args.command].handler(args)
     except SchemaError as e:
-        report, code = {"schema_version": SCHEMA_VERSION, "error": str(e)}, 2
+        report, code = {"error": str(e)}, 2
     # a payload of the wrong shape raises TypeError or AttributeError on
     # access; JSONDecodeError is a ValueError
     except (ValueError, KeyError, TypeError, AttributeError, OSError) as e:
-        report, code = {"schema_version": SCHEMA_VERSION, "error": f"{type(e).__name__}: {e}"}, 2
+        report, code = {"error": f"{type(e).__name__}: {e}"}, 2
+    report["schema_version"] = SCHEMA_VERSION
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:

@@ -44,12 +44,22 @@ def eye(n: int, exact: bool) -> np.ndarray:
     return np.eye(n, dtype=complex)
 
 
+def _double(x) -> float:
+    """float(x), or an infinity of x's sign beyond the double range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def to_complex(a: np.ndarray) -> np.ndarray:
+    """The matrix in floats; an exact entry beyond the double range reads
+    as an infinity, so its float norm is inf rather than an error."""
     if not is_exact(a):
         return np.asarray(a, dtype=complex)
     out = np.zeros(a.shape, dtype=complex)
     for idx in np.ndindex(a.shape):
-        out[idx] = a[idx].to_complex()
+        out[idx] = complex(_double(a[idx].re), _double(a[idx].im))
     return out
 
 
@@ -109,43 +119,42 @@ def rank(a: np.ndarray, rtol: float = RANK_RTOL) -> int:
     return int(np.sum(s > rtol * s[0]))
 
 
-def power_rank_sequence(a: np.ndarray, jmax: int, rtol: float = RANK_RTOL, scale: float = None) -> list:
-    """Ranks of a^j for j = 1..jmax.
+def product_rank_sequence(a: np.ndarray, shifts, rtol: float = RANK_RTOL, scale: float = None) -> list:
+    """Ranks of (a - s_1)(a - s_2)...(a - s_j) for j = 1..len(shifts).
 
-    Float mode iterates orthonormalized images (rank of a^j equals the
-    rank of a applied to an orthonormal basis of range(a^{j-1})), which
-    avoids the condition-number blow-up of explicit powers.  The cutoff
-    is rtol * scale per step; scale defaults to ||a||, but callers that
+    Each step applies a - s_j to a basis of the last range, so no product
+    or power is formed: float mode keeps an orthonormal basis from the
+    SVD, which avoids the condition-number blow-up and the overflow of
+    explicit products, and counts the singular values above
+    rtol * (scale + |s_j|).  scale defaults to ||a||_2, but callers that
     obtained a by cancellation should pass the ambient scale, or a
     numerically-zero difference gets a spurious positive rank.
 
-    Once rank a^j = rank a^{j-1} (with a^0 = I), range(a^j) = range(a^{j-1})
-    and every later rank is the same (Fitting's lemma), so the rest of
-    the sequence is filled in without further steps.
+    Each range is a-invariant and lies in the last one.  Once a step
+    keeps the rank, its shift maps the range onto itself (Fitting's
+    lemma), so a run of that shift is filled in without further steps.
     """
     n = a.shape[0]
-    ranks = []
     exact = is_exact(a)
-    if exact:
-        power = a
-    else:
-        af = np.asarray(a, dtype=complex)
-        scale = np.linalg.norm(af, 2) if scale is None else max(scale, 0.0)
-        basis = np.eye(n, dtype=complex)
-    last = n
-    while len(ranks) < jmax:
-        if exact:
-            k = rank(power)
-            power = np.dot(power, a)
-        elif basis.shape[1] == 0 or scale == 0.0:
+    if not exact:
+        a = np.asarray(a, dtype=complex)
+        scale = np.linalg.norm(a, 2) if scale is None else max(scale, 0.0)
+    ident = eye(n, exact)
+    basis, ranks, last = ident, [], n
+    while len(ranks) < len(shifts):
+        s = shifts[len(ranks)]
+        if basis.shape[1] == 0:
             k = 0
+        elif exact:
+            basis = column_space(np.dot(a - s * ident, basis))
+            k = basis.shape[1]
         else:
-            u, s, _ = np.linalg.svd(af @ basis, full_matrices=False)
-            k = int(np.sum(s > rtol * scale))
+            u, sv, _ = np.linalg.svd(np.dot(a - s * ident, basis), full_matrices=False)
+            k = int(np.sum(sv > rtol * (scale + abs(s))))
             basis = u[:, :k]
         ranks.append(k)
-        if k == last:
-            ranks += [k] * (jmax - len(ranks))
+        while k == last and len(ranks) < len(shifts) and shifts[len(ranks)] == s:
+            ranks.append(k)
         last = k
     return ranks
 
@@ -206,9 +215,10 @@ def column_space(a: np.ndarray) -> np.ndarray:
 
 def coords_in_basis(basis: np.ndarray, vectors: np.ndarray):
     """Express vectors (columns) in a column basis; raise if not in span
-    (residual above 1e-9 relative to max(1, ||vectors||))."""
+    (residual above 1e-9 relative to max(1, ||vectors||)).  The norm is
+    taken only past 1e-9, never in exact mode, whose residual is 0."""
     x, residual = solve_linear(basis, vectors)
-    if residual > 1e-9 * max(1.0, mat_norm(vectors)):
+    if residual > 1e-9 and residual > 1e-9 * mat_norm(vectors):
         raise ValueError("vectors do not lie in the span of the basis")
     return x
 

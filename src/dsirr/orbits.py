@@ -20,9 +20,10 @@ realize_leg builds the chain maps explicitly: the reverse map along
 arrow l -> l-1 is (A - l_l) corestricted to V_l, the forward map is
 the inclusion; the product of the pair at the top plus l_1 recovers A.
 
-orbit_membership reads each eigenvalue's rank profile up to its largest
-block only, the first ranks of all from one stacked SVD in float mode,
-at a cutoff scaled by the terms that cancelled in forming the matrix.
+Every rank read off a matrix comes from _rank_profiles, the ranks of
+the partial products of lists of shifts: orbit_membership and
+_jordan_pass read the profiles of powers at each eigenvalue, and
+realize_leg the rank of a marking's whole product.
 """
 
 from __future__ import annotations
@@ -247,15 +248,12 @@ def _blocks_from_drops(drops) -> list:
 
 
 def _jordan_pass(L: np.ndarray, values, detect_rtol: float) -> OrbitSpec:
+    """Jordan data at `values`, read off rank profiles of depth n."""
     n = L.shape[0]
-    exact = linalg.is_exact(L)
     spec_data = []
     total = 0
-    norm = None if exact else np.linalg.norm(linalg.to_complex(L), 2)
-    for value in values:
-        shifted = L - value * linalg.eye(n, exact)
-        ambient = None if exact else norm + abs(complex(value))
-        ranks = [n] + linalg.power_rank_sequence(shifted, n, detect_rtol, scale=ambient)
+    for value, ranks in zip(values, _rank_profiles(L, [[v] * n for v in values], detect_rtol)):
+        ranks = [n] + ranks
         mult = n - ranks[-1]
         if mult == 0:
             raise ValueError(f"{value} is not an eigenvalue (within tolerance)")
@@ -267,6 +265,42 @@ def _jordan_pass(L: np.ndarray, values, detect_rtol: float) -> OrbitSpec:
             f"declared eigenvalues account for dimension {total} of {n}; spectrum incomplete"
         )
     return make_orbit_spec(n, spec_data)
+
+
+def _rank_profiles(R: np.ndarray, chains, rtol: float, scale: float = 0.0) -> list:
+    """For each list of shifts in `chains`, the ranks of (R - s_1)...(R - s_j)
+    for j = 1..len(shifts): b copies of a value give its rank profile up
+    to depth b, and a marking annihilates R just when its last rank is 0.
+
+    Float mode reads ||R||_2, and the rank of every one-shift chain, from
+    one stacked SVD of [R, R - s_1, ...] without singular vectors; longer
+    chains go to `linalg.product_rank_sequence`.  A singular value counts
+    above rtol * (max(||R||_2, scale) + |s_j|).  A caller that formed R
+    by cancellation passes the size of the terms that cancelled as
+    `scale`; otherwise round-off in a numerically zero R reads as full
+    rank.  Exact mode ranks exactly and ignores `rtol` and `scale`.
+    """
+    if linalg.is_exact(R):
+        return [linalg.product_rank_sequence(R, shifts) for shifts in chains]
+    firsts = [as_complex(shifts[0]) for shifts in chains if len(shifts) == 1]
+    n, m = R.shape[0], len(firsts)
+    stack = np.empty((m + 1, n, n), dtype=complex)
+    stack[:] = R
+    # slice i's diagonal, through a strided view, minus first shift i
+    stack.reshape(m + 1, n * n)[1:, :: n + 1] -= np.array(firsts, dtype=complex)[:, None]
+    rows = np.linalg.svd(stack, compute_uv=False).tolist()
+    norm = max(rows[0][0], scale)
+    one_shift = iter(zip(firsts, rows[1:]))
+    profiles = []
+    for shifts in chains:
+        if len(shifts) == 1:
+            s, row = next(one_shift)
+            cutoff = rtol * (norm + abs(s))
+            profiles.append([sum(x > cutoff for x in row)])
+        else:
+            shifts = [as_complex(s) for s in shifts]
+            profiles.append(linalg.product_rank_sequence(R, shifts, rtol, norm))
+    return profiles
 
 
 @dataclass
@@ -282,23 +316,18 @@ class LegRealization:
     rep: DoubledRep
 
 
-def _check_annihilation(L: np.ndarray, marking: Marking):
-    n = L.shape[0]
-    exact = linalg.is_exact(L)
-    ident = linalg.eye(n, exact)
-    prod = ident
-    scale = max(1.0, linalg.mat_norm(L)) ** max(1, len(marking))
-    for lam in marking:
-        prod = np.dot(prod, L - lam * ident)
-    if not linalg.is_zero_matrix(prod, rtol=1e-8, scale=scale):
-        raise ValueError("invalid marking: the shifted product does not annihilate")
-
-
 def realize_leg(L: np.ndarray, marking: Marking) -> LegRealization:
-    """Build the chain of subspaces and maps for a marking of L."""
+    """Build the chain of subspaces and maps for a marking of L.
+
+    The marking must annihilate L: its product has rank 0, read at rtol
+    1e-8 with ||L||_2 floored at 1, since a zero exponent block formed by
+    cancellation is only numerically zero.
+    """
     n = L.shape[0]
     exact = linalg.is_exact(L)
-    _check_annihilation(L, marking)
+    ranks = [n] + _rank_profiles(L, [marking], 1e-8, 1.0)[0]  # n: the empty product
+    if ranks[-1] > 0:
+        raise ValueError("invalid marking: the shifted product does not annihilate")
     ident = linalg.eye(n, exact)
     d = len(marking)
     dims = {"0": n}
@@ -326,7 +355,8 @@ def realize_leg(L: np.ndarray, marking: Marking) -> LegRealization:
 
 
 def orbit_membership(R: np.ndarray, spec: OrbitSpec, rtol: float = 1e-8, scale: float = 0.0) -> bool:
-    """Conjugacy-class membership via rank profiles.
+    """Conjugacy-class membership via rank profiles (`_rank_profiles`,
+    whose docstring gives the cutoff and the use of `scale`).
 
     R lies in the orbit when, for every declared eigenvalue value with
     largest block b_max, rank((R - value)^j) = n - sum_b min(b, j) for
@@ -335,17 +365,8 @@ def orbit_membership(R: np.ndarray, spec: OrbitSpec, rtol: float = 1e-8, scale: 
     the generalized eigenspaces of distinct eigenvalues form a direct sum
     and the multiplicities fill n (an OrbitSpec invariant), so each such
     kernel is the whole generalized eigenspace.  Every later rank is then
-    n - m, and no undeclared eigenvalue is left.
-
-    Float mode reads ||R||_2 and every rank at j = 1 from one stacked
-    SVD of [R, R - value_1, ..., R - value_m], without singular vectors,
-    at the cutoff rtol * (max(||R||_2, scale) + |value|); an eigenvalue
-    with a block of size 2 or more then takes its profile up to b_max
-    from `linalg.power_rank_sequence` at the same cutoff.  A semisimple
-    spec costs the one SVD.  A caller that formed R by cancellation
-    passes the size of the terms that cancelled as `scale`; otherwise
-    round-off in a numerically zero R reads as full rank.  Exact mode
-    ignores `scale`.
+    n - m, and no undeclared eigenvalue is left.  A semisimple spec costs
+    one SVD in float mode.
     """
     n = R.shape[0]
     if n != spec.n:
@@ -354,26 +375,8 @@ def orbit_membership(R: np.ndarray, spec: OrbitSpec, rtol: float = 1e-8, scale: 
     def expected(blocks):
         return [n - sum(min(b, j) for b in blocks) for j in range(1, blocks[0] + 1)]
 
-    if linalg.is_exact(R):
-        ident = linalg.eye(n, True)
-        return all(linalg.power_rank_sequence(R - v * ident, blocks[0]) == expected(blocks)
-                   for v, blocks in spec.eigenvalues)
-    values = [as_complex(v) for v, _ in spec.eigenvalues]
-    m = len(values)
-    stack = np.empty((m + 1, n, n), dtype=complex)
-    stack[:] = R
-    # slice i's diagonal, through a strided view, minus value i
-    stack.reshape(m + 1, n * n)[1:, :: n + 1] -= np.array(values)[:, None]
-    rows = np.linalg.svd(stack, compute_uv=False).tolist()
-    norm = max(rows[0][0], scale)
-    # the ranks at j = 1, read off the stacked singular values
-    if any(sum(x > rtol * (norm + abs(v)) for x in row) != n - len(blocks)
-           for row, v, (_, blocks) in zip(rows[1:], values, spec.eigenvalues)):
-        return False
-    return all(
-        linalg.power_rank_sequence(stack[i], blocks[0], rtol, scale=norm + abs(values[i - 1]))
-        == expected(blocks)
-        for i, (_, blocks) in enumerate(spec.eigenvalues, 1) if blocks[0] > 1)
+    profiles = _rank_profiles(R, [[v] * blocks[0] for v, blocks in spec.eigenvalues], rtol, scale)
+    return all(profile == expected(blocks) for profile, (_, blocks) in zip(profiles, spec.eigenvalues))
 
 
 def orbit_spec_to_json(spec: OrbitSpec) -> dict:

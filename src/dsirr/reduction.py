@@ -50,6 +50,11 @@ class ReductionResult:
     def depth(self) -> int:
         return self.reduced.depth
 
+    @property
+    def exponent(self) -> np.ndarray:
+        """The residue slot of the reduced jet: `normalize`'s exponent."""
+        return self.reduced.coeffs[self.reduced.k - 1]
+
     def gauge_jet(self, precision: int = None) -> JetMatrix:
         """Product of the factors as a single jet (later factors on the left)."""
         n = self.reduced.n
@@ -59,11 +64,6 @@ class ReductionResult:
         for degree, x in self.factors:
             total = jet_mul(jet_exp(x, degree, precision), total)
         return total
-
-
-@dataclass
-class NormalizeResult(ReductionResult):
-    exponent: np.ndarray = None
 
 
 def _eigen_data(a0: np.ndarray):
@@ -221,7 +221,7 @@ def bv_chain(a: ConnectionJet, depth: int = None) -> ReductionResult:
     return stage_loop(a, classes, expected)
 
 
-def normalize(a: ConnectionJet, T: IrregularType, rtol: float = 1e-8) -> NormalizeResult:
+def normalize(a: ConnectionJet, T: IrregularType, rtol: float = 1e-8) -> ReductionResult:
     """Reduce a connection jet against a prescribed irregular type, on
     its first min(2k, trusted depth) + 1 slots.
 
@@ -245,5 +245,4 @@ def normalize(a: ConnectionJet, T: IrregularType, rtol: float = 1e-8) -> Normali
         raise ValueError("depth underflow: cannot even trust the residue slot")
     classes = [T.coord_classes(k - 1 - i) for i in range(k)]
     expected = [T.dt_slot(k - 1 - i) for i in range(k - 1)]
-    out = stage_loop(_truncate(a, depth), classes, expected, rtol=rtol)
-    return NormalizeResult(out.factors, out.reduced, exponent=out.reduced.coeffs[k - 1])
+    return stage_loop(_truncate(a, depth), classes, expected, rtol=rtol)

@@ -14,6 +14,8 @@ import numpy as np
 
 from .scalars import GaussianRational, format_exact, parse_exact
 
+SCHEMA_VERSION = 1  # of every CLI report and saved instance or rep
+
 
 def scalar_to_json(x):
     if isinstance(x, GaussianRational):

@@ -17,7 +17,8 @@ the trace identity's two sides folded term by term in Q(i) arithmetic,
 the scalar parser that built each part with ``Fraction(str)``, and the
 orbit bookkeeping that found each eigenvalue by its hashed or compared
 (Re, Im) key: the step-by-step greedy marking, the rank sequence and
-the expected rank of a power.  The exponent check's core bracket is
+the expected rank of a power, and the marking check by the explicit
+product of the shifted matrices.  The exponent check's core bracket is
 here as it was first computed: the core quiver's moment map, summed
 arrow by arrow.
 The last few helpers are small constructions only the tests need: an
@@ -575,16 +576,26 @@ def keyed_orbit_membership(R, spec, rtol: float = 1e-8, scale: float = 0.0,
     + |value|)."""
     n = R.shape[0]
     exact = linalg.is_exact(R)
-    ident = linalg.eye(n, exact)
     norm = None if exact else max(np.linalg.norm(linalg.to_complex(R), 2), scale)
     for value, blocks in spec.eigenvalues:
         v = value if exact else complex(value)
-        ambient = None if exact else norm + abs(v)
         jmax = max(blocks) if largest_block else n
-        ranks = linalg.power_rank_sequence(R - v * ident, jmax, rtol, scale=ambient)
+        ranks = linalg.product_rank_sequence(R, [v] * jmax, rtol, scale=norm)
         if any(ranks[j - 1] != keyed_expected_rank(spec, value, j) for j in range(1, jmax + 1)):
             return False
     return True
+
+
+def annihilates_by_product(L, marking) -> bool:
+    """prod (L - l_i) = 0 for the marking, by the explicit product, within
+    1e-8 of max(1, ||L||)^len(marking) in float mode."""
+    n = L.shape[0]
+    ident = linalg.eye(n, linalg.is_exact(L))
+    prod = ident
+    scale = max(1.0, linalg.mat_norm(L)) ** max(1, len(marking))
+    for lam in marking:
+        prod = np.dot(prod, L - lam * ident)
+    return linalg.is_zero_matrix(prod, rtol=1e-8, scale=scale)
 
 
 def bench_ladder():

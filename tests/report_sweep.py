@@ -9,8 +9,12 @@ realize finds a witness, `verify` of that witness.  The inputs are every
 problem file in tests/data and its float copy, and the check-generic,
 check-degenerate, realize-verify and realize-infeasible rungs of the
 benchmark ladder at seeds 1-3, with the float copies of the
-realize-verify rungs; `leg` and `reduce` also run on their four example
-files.  Not a test module: pytest does not collect it.
+realize-verify rungs, and two problem files with their finite poles'
+orbits given as a matrix with eigenvalue hints (exact), as a matrix
+alone (float) and as a marking with its ranks.  `leg` and `reduce` run
+on their four example files; `leg` also on float copies of its two and
+on a matrix outside its orbit, in both modes.  Not a test module: pytest
+does not collect it.
 """
 
 from __future__ import annotations
@@ -25,13 +29,19 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
+from dsirr import linalg  # noqa: E402
 from dsirr.assembly import instance_from_json, instance_to_json  # noqa: E402
 from dsirr.cli import main  # noqa: E402
+from dsirr.orbits import (greedy_marking, normal_form_matrix, orbit_spec_from_json,  # noqa: E402
+                          orbit_spec_to_json, rank_sequence)
+from dsirr.scalars import ONE  # noqa: E402
+from dsirr.serialize import matrix_from_json, matrix_to_json, scalar_to_json  # noqa: E402
 from oracles import bench_ladder  # noqa: E402
 
 DATA = TESTS / "data"
 MATRIX_EXAMPLES = [("leg", "leg_example.json"), ("leg", "leg_exact_matrix.json"),
                    ("reduce", "reduce_example.json"), ("reduce", "reduce_exact.json")]
+POLE_FORM_PROBLEMS = ["star_rigid.json", "ladder_n4x3k2_seed1.json"]
 
 
 def run(*argv):
@@ -45,6 +55,54 @@ def float_copy(data):
     return instance_to_json(instance_from_json(data, exact=True).as_float())
 
 
+def leg_float_copy(data):
+    """A leg payload with its orbit and matrix in float scalars."""
+    n = data["n"]
+    out = dict(data, orbit=orbit_spec_to_json(
+        orbit_spec_from_json(data["orbit"], n, True).to_float("orbit")))
+    if "matrix" in data:
+        out["matrix"] = matrix_to_json(linalg.to_complex(matrix_from_json(data["matrix"], n, n, True)))
+    return out
+
+
+def legs():
+    """(name, leg payload) of the example files, their float copies and
+    the first example with diag(0, 0, 5), outside its orbit."""
+    for _, file in filter(lambda e: e[0] == "leg", MATRIX_EXAMPLES):
+        data = json.loads((DATA / file).read_text(encoding="utf-8"))
+        yield f"data/{file}", data
+        yield f"data/{file} float", leg_float_copy(data)
+        if file == "leg_example.json":
+            outside = dict(data, matrix=["0", "0", "0", "0", "0", "0", "0", "0", "5"])
+            yield f"data/{file} diag(0, 0, 5)", outside
+            yield f"data/{file} diag(0, 0, 5) float", leg_float_copy(outside)
+
+
+def pole_forms(data):
+    """(form, problem) with every finite pole's orbit rewritten: as the
+    conjugate g N g^-1 of its normal form N by the unit lower triangle g
+    of ones, with the eigenvalues as hints; as that matrix in floats
+    alone; and as its greedy marking with the ranks of that marking."""
+    instance = instance_from_json(data, exact=True)
+    forms = {"matrix": [], "matrix float": [], "marking": []}
+    for pole in instance.poles:
+        spec, n = pole.orbit, pole.orbit.n
+        g = linalg.eye(n, True)
+        for i in range(n):
+            for j in range(i):
+                g[i, j] = ONE
+        conj = g.dot(normal_form_matrix(spec)).dot(linalg.inv(g))
+        forms["matrix"].append({"matrix": matrix_to_json(conj), "eigenvalue_hints": [
+            scalar_to_json(v) for v, _ in spec.eigenvalues]})
+        forms["matrix float"].append({"matrix": matrix_to_json(linalg.to_complex(conj))})
+        marking = greedy_marking(spec)
+        forms["marking"].append({"marking": [scalar_to_json(m) for m in marking],
+                                 "ranks": rank_sequence(spec, marking)})
+    for form, orbits in forms.items():
+        poles = [dict(p, orbit=o) for p, o in zip(data["finite_poles"], orbits)]
+        yield form, dict(data, finite_poles=poles)
+
+
 def problems():
     """(name, problem payload) of every sweep input."""
     for path in sorted(DATA.glob("*.json")):
@@ -52,6 +110,9 @@ def problems():
         if "rank" in data:
             yield f"data/{path.name}", data
             yield f"data/{path.name} float", float_copy(data)
+        if path.name in POLE_FORM_PROBLEMS:
+            for form, problem in pole_forms(data):
+                yield f"data/{path.name} pole {form}", problem
     ladder = bench_ladder()
     for workload in ("check-generic", "check-degenerate", "realize-verify", "realize-infeasible"):
         for rung in ladder.WORKLOADS[workload][1]:
@@ -81,7 +142,12 @@ def sweep(tmp: Path) -> dict:
                                encoding="utf-8")
             cases[f"{name}: verify"] = run("verify", str(witness))
     for command, file in MATRIX_EXAMPLES:
-        cases[f"data/{file}: {command}"] = run(command, str(DATA / file))
+        if command != "leg":
+            cases[f"data/{file}: {command}"] = run(command, str(DATA / file))
+    for name, data in legs():
+        src = tmp / "leg.json"
+        src.write_text(json.dumps(data), encoding="utf-8")
+        cases[f"{name}: leg"] = run("leg", str(src))
     return cases
 
 

@@ -259,6 +259,61 @@ def test_exact_scalars_beyond_the_double_range_are_a_named_error(tmp_path, capsy
         assert report["error"] == f"ValueError: {error} lies beyond the double range"
 
 
+def _simple(values):
+    return {"eigenvalues": [{"value": v, "blocks": [1]} for v in values]}
+
+
+@pytest.mark.parametrize("data, dims", [
+    ({"n": 2, "orbit": _simple(["2", BIG])}, [1]),
+    ({"n": 2, "orbit": {"eigenvalues": [{"value": "0", "blocks": [2]}]},
+      "matrix": ["0", BIG, "0", "0"]}, [1]),
+    ({"n": 4, "orbit": _simple([str(10**100), "2", "3", "4"])}, [3, 2, 1]),
+    ({"n": 4, "orbit": _simple([[k * 1e100, 0.0] for k in range(1, 5)])}, [3, 2, 1]),
+    ({"n": 5, "orbit": _simple([[k * 1e80, 0.0] for k in range(1, 6)])}, [4, 3, 2, 1]),
+], ids=["exact beyond double", "exact matrix beyond double", "exact 1e100", "float 1e100",
+        "float 1e80"])
+def test_leg_reads_large_eigenvalues(data, dims, tmp_path, capsys):
+    # the float norms of exact entries beyond the double range read as
+    # inf, and the marking check reads ranks rather than a product
+    # tested against a power of the norm, which overflowed
+    code, report = _run_on(data, tmp_path, capsys, "leg")
+    assert code == 0 and report["ok"] and report["leg_dimensions"] == dims
+
+
+def test_leg_rejects_a_marking_of_values_within_the_cutoff(tmp_path, capsys):
+    # 1 and 1 + 1e-12 read the same kernel of diag(1, 2); the product of
+    # the marking, (L - 1)(L - 1 - 1e-12), still has rank 1
+    data = {"n": 2, "orbit": _simple([[1.0, 0.0], [1.000000000001, 0.0]]),
+            "matrix": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [2.0, 0.0]]}
+    code, report = _run_on(data, tmp_path, capsys, "leg")
+    assert code == 1 and not report["ok"]
+    assert report["detail"] == "invalid marking: the shifted product does not annihilate"
+
+
+def _reduce_beyond_double(scaled):
+    """reduce_exact.json with its type and leading coefficient times
+    10^400, or else with its first "-1" (the type's) as -10^400."""
+    data = json.loads(open(path("reduce_exact.json")).read())
+    blocks, lead = data["irregular_type"]["blocks"], data["jet"]["coeffs"][0]
+    if scaled:
+        for b in blocks:
+            b["coeffs"] = [c if c == "0" else c + BIG[1:] for c in b["coeffs"]]
+        data["jet"]["coeffs"][0] = [c if c == "0" else c + BIG[1:] for c in lead]
+    else:
+        blocks[1]["coeffs"] = ["-" + BIG]
+    return data
+
+
+def test_reduce_reads_exact_scalars_beyond_the_double_range(tmp_path, capsys):
+    # exact reduction needs no float norm; its error text prints one
+    code, report = _run_on(_reduce_beyond_double(True), tmp_path, capsys, "reduce")
+    assert code == 0 and report["compatible"]
+    assert report["exponent"] == ["0", "0", "0", "1/2"]
+    code, report = _run_on(_reduce_beyond_double(False), tmp_path, capsys, "reduce")
+    assert code == 1 and not report["compatible"]
+    assert report["detail"] == "slot 0 differs from its expected value (residual inf)"
+
+
 def test_realize_reports_the_exact_mode_error(tmp_path, capsys):
     # an all-exact file is parsed once, in exact mode: its own error
     # stands and no float-mode parse (with its warning) follows

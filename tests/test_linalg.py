@@ -123,10 +123,10 @@ def test_power_ranks_stop_early_without_changing_the_sequence():
             shifted = a - lam * np.eye(n, dtype=np.int64)
             ex = exact(shifted.tolist())
             want = power_ranks_every_step(ex, n)
-            assert linalg.power_rank_sequence(ex, n) == want
+            assert linalg.product_rank_sequence(ex, [0] * n) == want
             fl = shifted.astype(complex)
             scale = np.linalg.norm(a.astype(complex), 2) + abs(lam)
-            assert linalg.power_rank_sequence(fl, n, scale=scale) == want
+            assert linalg.product_rank_sequence(fl, [0] * n, scale=scale) == want
             assert power_ranks_every_step(fl, n, scale=scale) == want
             settled += want.index(want[-1]) + 1 < n
     assert settled >= 30  # sequences that settle before the last power

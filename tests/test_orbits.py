@@ -23,6 +23,7 @@ from dsirr.orbits import (
 from dsirr.quiver import moment_map
 from dsirr.scalars import GaussianRational as G
 from oracles import (
+    annihilates_by_product,
     exact_matrix,
     keyed_greedy_marking,
     keyed_orbit_membership,
@@ -316,6 +317,28 @@ def _conjugates(r, N, exact):
     return out
 
 
+def _membership_corpus(r, exact):
+    """Endless batches of (R, spec, whether the full-profile oracle may
+    reject R): per random spec of size at most 5, its normal form N, the
+    matrices near N, and each against the spec and every spec one block
+    move away."""
+    while True:
+        spec = _random_spec(r, exact)
+        if spec.n > 5:  # exact powers are slow, float powers of size 18 lose ranks
+            continue
+        N = normal_form_matrix(spec)
+        others = []
+        for i, (value, blocks) in enumerate(spec.eigenvalues):
+            moved = list(spec.eigenvalues)
+            moved[i] = (value, blocks[1:] + (1,) * blocks[0])  # split the largest block
+            others.append(make_orbit_spec(spec.n, moved))
+        pairs = [(N, s, False) for s in [spec] + others]
+        pairs += [(normal_form_matrix(other), spec, False) for other in others]
+        pairs += [(R, s, ill and member and s == spec)
+                  for R, member, ill in _conjugates(r, N, exact) for s in [spec] + others]
+        yield pairs
+
+
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 def test_orbit_membership_matches_the_keyed_oracle(exact):
     # the normal form of a spec, matrices near it, and each against the
@@ -327,24 +350,10 @@ def test_orbit_membership_matches_the_keyed_oracle(exact):
     # cond-1e5 conjugate can drop a rank the matrix has; so there alone,
     # on such a conjugate that is a member by construction, the
     # full-profile oracle may reject what orbit_membership accepts
-    r = random.Random(16)
+    corpus = _membership_corpus(random.Random(16), exact)
     answers, rejected_members = [], 0
     while len(answers) < (300 if exact else 1500):
-        spec = _random_spec(r, exact)
-        if spec.n > 5:  # exact powers are slow, float powers of size 18 lose ranks
-            continue
-        N = normal_form_matrix(spec)
-        others = []
-        for i, (value, blocks) in enumerate(spec.eigenvalues):
-            moved = list(spec.eigenvalues)
-            moved[i] = (value, blocks[1:] + (1,) * blocks[0])  # split the largest block
-            others.append(make_orbit_spec(spec.n, moved))
-        # (R, spec, whether the full-profile oracle may reject R)
-        pairs = [(N, s, False) for s in [spec] + others]
-        pairs += [(normal_form_matrix(other), spec, False) for other in others]
-        pairs += [(R, s, ill and member and s == spec)
-                  for R, member, ill in _conjugates(r, N, exact) for s in [spec] + others]
-        for R, s, loose in pairs:
+        for R, s, loose in next(corpus):
             norm = np.linalg.norm(linalg.to_complex(R), 2)
             for scale in (0.0, 10 * norm, 1e3):
                 answers.append(orbit_membership(R, s, scale=scale))
@@ -354,6 +363,84 @@ def test_orbit_membership_matches_the_keyed_oracle(exact):
                     rejected_members += 1
     assert rejected_members <= len(answers) // 100
     assert len(answers) // 5 < sum(answers) < len(answers) - len(answers) // 5
+
+
+def test_exact_membership_is_the_jordan_reading():
+    # R lies in spec's orbit just when the Jordan data read off R at
+    # spec's eigenvalues is spec (a read that raises is no match)
+    corpus = _membership_corpus(random.Random(17), True)
+    answers = []
+    for _ in range(30):
+        for R, s, _ in next(corpus):
+            try:
+                read = jordan_from_matrix(R, eigenvalues=[v for v, _ in s.eigenvalues]) == s
+            except ValueError:
+                read = False
+            answers.append(orbit_membership(R, s))
+            assert answers[-1] == read
+    assert 0 < sum(answers) < len(answers)
+
+
+def _markings(spec, exact):
+    """The greedy marking, it with one use of a largest-block eigenvalue
+    removed, and it with a scalar outside the spectrum appended."""
+    greedy = list(greedy_marking(spec))
+    top = max(spec.eigenvalues, key=lambda e: e[1][0])[0]
+    short = greedy[:]
+    del short[len(short) - 1 - short[::-1].index(top)]
+    return [greedy, short, greedy + [G(7, 7) if exact else 7 + 7j]]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_realize_leg_accepts_the_markings_the_product_annihilates(exact):
+    # the rank reading of realize_leg and the explicit product agree on
+    # every marking, for normal forms and matrices near them: exact
+    # conjugates and a corner entry that splits a block, float unitary
+    # conjugates (on an ill-conditioned one the product's tolerance, a
+    # power of ||L||, also accepts markings that leave a factor of about
+    # 1).  Past the check, a float chain may still fail to build (values
+    # one ulp apart, or an image already numerically zero before the
+    # marking ends)
+    r, rng = random.Random(18), np.random.default_rng(18)
+    answers = []
+    while len(answers) < 150:
+        spec = _random_spec(r, exact)
+        if spec.n > 5:
+            continue
+        N = normal_form_matrix(spec)
+        if exact:
+            near = [R for R, _, _ in _conjugates(r, N, True)]
+        else:
+            q = np.linalg.qr(rand_complex(rng, spec.n, spec.n))[0]
+            near = [q @ N @ q.conj().T]
+        for R in [N] + near:
+            for marking in _markings(spec, exact):
+                answers.append(annihilates_by_product(R, marking))
+                try:
+                    realize_leg(R, marking)
+                    invalid = False
+                except ValueError as e:
+                    invalid = "invalid marking" in str(e)
+                    assert invalid or not exact
+                assert invalid != answers[-1]
+    assert len(answers) // 5 < sum(answers) < len(answers) - len(answers) // 5
+
+
+@pytest.mark.parametrize("L, marking", [
+    (np.diag([1.0, 2.0]), (1.0, 1.0 + 1e-12)),
+    (np.array([[0, 1, 0], [0, 0, 0], [0, 0, 5]]), (0, 0, 1e-4)),
+    (np.array([[0, 1, 0], [0, 0, 0], [0, 0, 5]]), (0, 1e-4, 5)),
+], ids=["values within the cutoff", "value near a block of 2", "block of 2 used once"])
+def test_realize_leg_counts_close_values_once(L, marking):
+    # each marking leaves a factor of size about 1 in the product.  The
+    # kernels at its values overlap numerically (1 + 1e-12 reads the
+    # kernel of 1, and 1e-4 that of the block of 2 at 0, whose smallest
+    # singular value shifted by 1e-4 is 1e-8), so their dimensions add
+    # up to n; the rank of the product, read factor by factor, is 1
+    L = L.astype(complex)
+    assert not annihilates_by_product(L, marking)
+    with pytest.raises(ValueError, match="^invalid marking"):
+        realize_leg(L, marking)
 
 
 def test_the_scale_sets_the_cutoff_of_every_power():
@@ -383,7 +470,7 @@ def test_a_semisimple_orbit_costs_one_svd(monkeypatch, rng):
         calls.clear()
         assert orbit_membership(M, spec) is member
         assert calls == [False]  # one stacked SVD, no singular vectors
-    # a block of size 2 adds its profile from power_rank_sequence, one
+    # a block of size 2 adds its profile from product_rank_sequence, one
     # SVD per power
     spec = jordan_from_matrix(jordan_block(0, 2))
     calls.clear()
