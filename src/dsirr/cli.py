@@ -192,11 +192,16 @@ def cmd_leg(args):
         leg = realize_leg(matrix, marking)
     except ValueError as e:
         return {"ok": False, "detail": str(e)}, 1
+    # equal ranks at every step, with the last 0, hold just in the orbit
+    dims, walked = leg_dimensions(spec, marking), list(leg.rep.dims.values())[1:]
+    if walked != dims:
+        return {"ok": False, "detail": f"the matrix is not in the declared orbit: its leg "
+                                       f"dimensions are {walked}, the orbit's are {dims}"}, 1
     report = {
         "ok": True,
         "orbit": orbit_spec_to_json(spec),
         "marking": [scalar_to_json(m) for m in marking],
-        "leg_dimensions": leg_dimensions(spec, marking),
+        "leg_dimensions": dims,
         "maps": {
             a.id: {
                 "fwd": matrix_to_json(leg.rep.fwd[a.id]),

@@ -1,7 +1,7 @@
 """Dense linear algebra over both scalar backends.
 
-Float mode delegates to numpy (SVD ranks, least squares); exact mode
-uses fraction-exact Gaussian elimination over Q(i).  The float rank
+Float mode delegates to numpy (SVD ranks and factorizations); exact
+mode uses fraction-exact Gaussian elimination over Q(i).  The float rank
 threshold is relative to the largest singular value.
 """
 
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, as_complex
 
 RANK_RTOL = 1e-8
 
@@ -119,108 +119,58 @@ def rank(a: np.ndarray, rtol: float = RANK_RTOL) -> int:
     return int(np.sum(s > rtol * s[0]))
 
 
-def product_rank_sequence(a: np.ndarray, shifts, rtol: float = RANK_RTOL, scale: float = None) -> list:
-    """Ranks of (a - s_1)(a - s_2)...(a - s_j) for j = 1..len(shifts).
+def product_chain(a: np.ndarray, shifts, rtol: float = RANK_RTOL, scale: float = None) -> list:
+    """Rank factorizations along the chain V_j = range (a - s_1)...(a - s_j):
+    the pairs (f_j, r_j), j = 1..len(shifts), with a_{j-1} - s_j = f_j r_j,
+    where a_0 = a and a_j = r_j f_j + s_j is a on V_j in the coordinates
+    of f_1 ... f_j.  So f_j is the inclusion V_j -> V_{j-1}, r_j is
+    a - s_j corestricted to V_j, and the width of f_j is the rank of the
+    j-th partial product; no product or power is formed.
 
-    Each step applies a - s_j to a basis of the last range, so no product
-    or power is formed: float mode keeps an orthonormal basis from the
-    SVD, which avoids the condition-number blow-up and the overflow of
-    explicit products, and counts the singular values above
-    rtol * (scale + |s_j|).  scale defaults to ||a||_2, but callers that
-    obtained a by cancellation should pass the ambient scale, or a
-    numerically-zero difference gets a spurious positive rank.
-
-    Each range is a-invariant and lies in the last one.  Once a step
-    keeps the rank, its shift maps the range onto itself (Fitting's
-    lemma), so a run of that shift is filled in without further steps.
+    Float mode takes f = U_k and r = S_k V_k^H from one SVD per step, k
+    counting the singular values above rtol * (scale + |s_j|), so the
+    coordinates stay orthonormal.  scale defaults to ||a||_2; callers
+    that obtained a by cancellation should pass the ambient scale, or a
+    numerically-zero difference gets a spurious positive rank.  Exact
+    mode takes the pivot columns as f and the non-zero rref rows as r.
+    Once a step keeps the width, its shift maps the range onto itself
+    (Fitting's lemma), so a repeat of it factors as (a_j - s, I) with no
+    SVD or rref; the rref gives the same pair.
     """
-    n = a.shape[0]
     exact = is_exact(a)
     if not exact:
         a = np.asarray(a, dtype=complex)
         scale = np.linalg.norm(a, 2) if scale is None else max(scale, 0.0)
-    ident = eye(n, exact)
-    basis, ranks, last = ident, [], n
-    while len(ranks) < len(shifts):
-        s = shifts[len(ranks)]
-        if basis.shape[1] == 0:
-            k = 0
+        shifts = [as_complex(s) for s in shifts]
+    steps, kept = [], False
+    for j, s in enumerate(shifts):
+        k = a.shape[0]
+        m = a - s * eye(k, exact)
+        if k == 0 or (kept and s == shifts[j - 1]):
+            f, r = m, eye(k, exact)
         elif exact:
-            basis = column_space(np.dot(a - s * ident, basis))
-            k = basis.shape[1]
+            red, pivots = rref(m)
+            f, r = m[:, pivots], red[: len(pivots)]
         else:
-            u, sv, _ = np.linalg.svd(np.dot(a - s * ident, basis), full_matrices=False)
-            k = int(np.sum(sv > rtol * (scale + abs(s))))
-            basis = u[:, :k]
-        ranks.append(k)
-        while k == last and len(ranks) < len(shifts) and shifts[len(ranks)] == s:
-            ranks.append(k)
-        last = k
-    return ranks
-
-
-def solve_linear(a: np.ndarray, b: np.ndarray):
-    """Solve a x = b (b may be a matrix).
-
-    Returns (x, residual) where residual is the float norm of a x - b;
-    exact mode returns residual 0.0 on consistency and raises
-    ValueError on an inconsistent system.
-    """
-    if is_exact(a):
-        aug = np.concatenate([a, b], axis=1)
-        r, pivots = rref(aug)
-        ncols = a.shape[1]
-        if any(p >= ncols for p in pivots):
-            raise ValueError("inconsistent exact linear system")
-        x = zeros(ncols, b.shape[1], True)
-        for row, p in enumerate(pivots):
-            x[p, :] = r[row, ncols:]
-        return x, 0.0
-    af = np.asarray(a, dtype=complex)
-    bf = np.asarray(b, dtype=complex)
-    x, *_ = np.linalg.lstsq(af, bf, rcond=None)
-    residual = float(np.linalg.norm(af @ x - bf))
-    return x, residual
+            u, sv, vh = np.linalg.svd(m, full_matrices=False)
+            w = int(np.sum(sv > rtol * (scale + abs(s))))
+            f, r = u[:, :w], sv[:w, None] * vh[:w]
+        kept = f.shape[1] == k
+        steps.append((f, r))
+        a = np.dot(r, f) + s * eye(f.shape[1], exact)
+    return steps
 
 
 def inv(a: np.ndarray) -> np.ndarray:
-    """Inverse of a square matrix.  The exact solve of a x = I is
-    inconsistent just when a is singular."""
+    """Inverse of a square matrix.  Exact mode reads it off the rref of
+    [a | I], whose pivots are the columns of a just when a is invertible."""
     if is_exact(a):
-        try:
-            return solve_linear(a, eye(a.shape[0], True))[0]
-        except ValueError:
-            raise ValueError("singular exact matrix") from None
+        n = a.shape[0]
+        r, pivots = rref(np.concatenate([a, eye(n, True)], axis=1))
+        if pivots[:n] != list(range(n)):
+            raise ValueError("singular exact matrix")
+        return r[:, n:]
     return np.linalg.inv(np.asarray(a, dtype=complex))
-
-
-def column_space(a: np.ndarray) -> np.ndarray:
-    """Basis of the column space, as columns of the returned matrix.
-
-    Exact mode returns pivot columns of a itself; float mode returns an
-    orthonormal basis from the SVD.
-    """
-    if is_exact(a):
-        _, pivots = rref(a)
-        return a[:, pivots].copy()
-    af = np.asarray(a, dtype=complex)
-    if af.size == 0:
-        return np.zeros((af.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(af, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((af.shape[0], 0), dtype=complex)
-    k = int(np.sum(s > RANK_RTOL * s[0]))
-    return u[:, :k]
-
-
-def coords_in_basis(basis: np.ndarray, vectors: np.ndarray):
-    """Express vectors (columns) in a column basis; raise if not in span
-    (residual above 1e-9 relative to max(1, ||vectors||)).  The norm is
-    taken only past 1e-9, never in exact mode, whose residual is 0."""
-    x, residual = solve_linear(basis, vectors)
-    if residual > 1e-9 and residual > 1e-9 * mat_norm(vectors):
-        raise ValueError("vectors do not lie in the span of the basis")
-    return x
 
 
 class SpanBasis:

@@ -16,14 +16,14 @@ active blocks at its `level`-th use.  The rank sequence and the ranks
 orbit_membership expects are computed by index too; only a marking given
 by value is matched to indices, entry by entry with ==.
 
-realize_leg builds the chain maps explicitly: the reverse map along
-arrow l -> l-1 is (A - l_l) corestricted to V_l, the forward map is
-the inclusion; the product of the pair at the top plus l_1 recovers A.
-
-Every rank read off a matrix comes from _rank_profiles, the ranks of
-the partial products of lists of shifts: orbit_membership and
-_jordan_pass read the profiles of powers at each eigenvalue, and
-realize_leg the rank of a marking's whole product.
+A marking's chain is one walk, `linalg.product_chain`: step l factors
+A - l_l on V_{l-1} through V_l, and the two factors are the leg's maps
+along arrow l -> l-1, the inclusion forward and (A - l_l) corestricted
+to V_l backward; the product of the pair at the top plus l_1 recovers
+A.  The widths of the walk are the ranks of the partial products:
+realize_leg reads the marking check off the last one, and
+_rank_profiles, behind orbit_membership and _jordan_pass, reads the
+profiles of powers at each eigenvalue.
 """
 
 from __future__ import annotations
@@ -274,14 +274,14 @@ def _rank_profiles(R: np.ndarray, chains, rtol: float, scale: float = 0.0) -> li
 
     Float mode reads ||R||_2, and the rank of every one-shift chain, from
     one stacked SVD of [R, R - s_1, ...] without singular vectors; longer
-    chains go to `linalg.product_rank_sequence`.  A singular value counts
+    chains read the widths of `linalg.product_chain`.  A singular value counts
     above rtol * (max(||R||_2, scale) + |s_j|).  A caller that formed R
     by cancellation passes the size of the terms that cancelled as
     `scale`; otherwise round-off in a numerically zero R reads as full
     rank.  Exact mode ranks exactly and ignores `rtol` and `scale`.
     """
     if linalg.is_exact(R):
-        return [linalg.product_rank_sequence(R, shifts) for shifts in chains]
+        return [_widths(linalg.product_chain(R, shifts)) for shifts in chains]
     firsts = [as_complex(shifts[0]) for shifts in chains if len(shifts) == 1]
     n, m = R.shape[0], len(firsts)
     stack = np.empty((m + 1, n, n), dtype=complex)
@@ -298,9 +298,13 @@ def _rank_profiles(R: np.ndarray, chains, rtol: float, scale: float = 0.0) -> li
             cutoff = rtol * (norm + abs(s))
             profiles.append([sum(x > cutoff for x in row)])
         else:
-            shifts = [as_complex(s) for s in shifts]
-            profiles.append(linalg.product_rank_sequence(R, shifts, rtol, norm))
+            profiles.append(_widths(linalg.product_chain(R, shifts, rtol, norm)))
     return profiles
+
+
+def _widths(steps) -> list:
+    """The ranks of a `linalg.product_chain` walk."""
+    return [f.shape[1] for f, _ in steps]
 
 
 @dataclass
@@ -317,38 +321,28 @@ class LegRealization:
 
 
 def realize_leg(L: np.ndarray, marking: Marking) -> LegRealization:
-    """Build the chain of subspaces and maps for a marking of L.
+    """Build the chain of subspaces and maps for a marking of L, from one
+    `linalg.product_chain` walk: arrow l -> l-1 carries f_l forward and
+    r_l backward, for each step before the first of width 0.
 
-    The marking must annihilate L: its product has rank 0, read at rtol
-    1e-8 with ||L||_2 floored at 1, since a zero exponent block formed by
-    cancellation is only numerically zero.
+    The marking must annihilate L: the walk's last width is 0, read at
+    rtol 1e-8 with ||L||_2 floored at 1, since a zero exponent block
+    formed by cancellation is only numerically zero.
     """
-    n = L.shape[0]
-    exact = linalg.is_exact(L)
-    ranks = [n] + _rank_profiles(L, [marking], 1e-8, 1.0)[0]  # n: the empty product
-    if ranks[-1] > 0:
+    scale = None if linalg.is_exact(L) else max(np.linalg.norm(L, 2), 1.0)
+    steps = linalg.product_chain(L, marking, 1e-8, scale)
+    if not steps or steps[-1][0].shape[1] > 0:
         raise ValueError("invalid marking: the shifted product does not annihilate")
-    ident = linalg.eye(n, exact)
-    d = len(marking)
-    dims = {"0": n}
+    dims = {"0": L.shape[0]}
     fwd, rev, arrows = {}, {}, []
-    prev_basis = ident
-    for l in range(1, d):
-        lam = marking[l - 1]
-        shifted = L - lam * ident
-        image = np.dot(shifted, prev_basis)
-        basis = linalg.column_space(image)
-        if basis.shape[1] == 0:
+    for l, (f, r) in enumerate(steps, 1):
+        if f.shape[1] == 0:
             break  # zero-dimensional tail: leg ends here
         vertex, parent = str(l), str(l - 1)
-        dims[vertex] = basis.shape[1]
+        dims[vertex] = f.shape[1]
         arrow_id = f"{vertex}>{parent}"
         arrows.append((arrow_id, vertex, parent))
-        # reverse map: (L - lam) corestricted to V_l, in chain coordinates
-        rev[arrow_id] = linalg.coords_in_basis(basis, image)
-        # forward map: inclusion of V_l into V_{l-1}
-        fwd[arrow_id] = linalg.coords_in_basis(prev_basis, basis)
-        prev_basis = basis
+        fwd[arrow_id], rev[arrow_id] = f, r
     quiver = make_quiver(list(dims.keys()), arrows)
     rep = DoubledRep(quiver, dims, fwd, rev)
     return LegRealization(tuple(marking), rep)

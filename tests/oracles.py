@@ -580,7 +580,8 @@ def keyed_orbit_membership(R, spec, rtol: float = 1e-8, scale: float = 0.0,
     for value, blocks in spec.eigenvalues:
         v = value if exact else complex(value)
         jmax = max(blocks) if largest_block else n
-        ranks = linalg.product_rank_sequence(R, [v] * jmax, rtol, scale=norm)
+        shifted = R - v * linalg.eye(n, exact)
+        ranks = power_ranks_every_step(shifted, jmax, rtol, None if exact else norm + abs(v))
         if any(ranks[j - 1] != keyed_expected_rank(spec, value, j) for j in range(1, jmax + 1)):
             return False
     return True

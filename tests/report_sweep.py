@@ -12,9 +12,10 @@ benchmark ladder at seeds 1-3, with the float copies of the
 realize-verify rungs, and two problem files with their finite poles'
 orbits given as a matrix with eigenvalue hints (exact), as a matrix
 alone (float) and as a marking with its ranks.  `leg` and `reduce` run
-on their four example files; `leg` also on float copies of its two and
-on a matrix outside its orbit, in both modes.  Not a test module: pytest
-does not collect it.
+on their four example files; `leg` also on float copies of its two, on
+three matrices outside their orbits, in both modes, and on a float
+unitary conjugate with a marking longer than the minimal one.  Not a
+test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -29,11 +30,13 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
+import numpy as np  # noqa: E402
+
 from dsirr import linalg  # noqa: E402
 from dsirr.assembly import instance_from_json, instance_to_json  # noqa: E402
 from dsirr.cli import main  # noqa: E402
-from dsirr.orbits import (greedy_marking, normal_form_matrix, orbit_spec_from_json,  # noqa: E402
-                          orbit_spec_to_json, rank_sequence)
+from dsirr.orbits import (greedy_marking, make_orbit_spec, normal_form_matrix,  # noqa: E402
+                          orbit_spec_from_json, orbit_spec_to_json, rank_sequence)
 from dsirr.scalars import ONE  # noqa: E402
 from dsirr.serialize import matrix_from_json, matrix_to_json, scalar_to_json  # noqa: E402
 from oracles import bench_ladder  # noqa: E402
@@ -65,17 +68,42 @@ def leg_float_copy(data):
     return out
 
 
+def diagonal(*entries) -> list:
+    """The exact JSON matrix diag(entries)."""
+    return [str(entries[i]) if i == j else "0" for i in range(len(entries))
+            for j in range(len(entries))]
+
+
+def long_marking_conjugate(data):
+    """A leg payload with the float orbit of `data`, its greedy marking
+    with 7 + 7i appended, and the unitary conjugate Q N Q^H of the normal
+    form N by the fixed Q of a QR factorization."""
+    n = data["n"]
+    spec = orbit_spec_from_json(data["orbit"], n, True).to_float("orbit")
+    q = np.linalg.qr(np.array([[1, 2, 0], [1j, 1, 3], [2, -1j, 1]]))[0]
+    spec = make_orbit_spec(n, spec.eigenvalues, greedy_marking(spec) + (7 + 7j,))
+    return dict(data, orbit=orbit_spec_to_json(spec),
+                matrix=matrix_to_json(q @ normal_form_matrix(spec) @ q.conj().T))
+
+
 def legs():
-    """(name, leg payload) of the example files, their float copies and
-    the first example with diag(0, 0, 5), outside its orbit."""
+    """(name, leg payload) of the example files and their float copies,
+    with matrices outside the orbit in both modes: diag(0, 0, 5) for the
+    first, which its marking does not annihilate, and the zero matrix and
+    diag(0, 0, 4) for the second, which its marking does.  Also the
+    second's `long_marking_conjugate`."""
+    outside = {"leg_example.json": {" diag(0, 0, 5)": diagonal(0, 0, 5)},
+               "leg_exact_matrix.json": {" zero": diagonal(0, 0, 0),
+                                         " diag(0, 0, 4)": diagonal(0, 0, 4)}}
     for _, file in filter(lambda e: e[0] == "leg", MATRIX_EXAMPLES):
         data = json.loads((DATA / file).read_text(encoding="utf-8"))
-        yield f"data/{file}", data
-        yield f"data/{file} float", leg_float_copy(data)
-        if file == "leg_example.json":
-            outside = dict(data, matrix=["0", "0", "0", "0", "0", "0", "0", "0", "5"])
-            yield f"data/{file} diag(0, 0, 5)", outside
-            yield f"data/{file} diag(0, 0, 5) float", leg_float_copy(outside)
+        for label, payload in [("", data)] + [(k, dict(data, matrix=m))
+                                              for k, m in outside[file].items()]:
+            yield f"data/{file}{label}", payload
+            yield f"data/{file}{label} float", leg_float_copy(payload)
+    data = json.loads((DATA / "leg_exact_matrix.json").read_text(encoding="utf-8"))
+    yield "data/leg_exact_matrix.json float, marking + 7+7i, unitary conjugate", \
+        long_marking_conjugate(data)
 
 
 def pole_forms(data):

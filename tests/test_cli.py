@@ -290,6 +290,40 @@ def test_leg_rejects_a_marking_of_values_within_the_cutoff(tmp_path, capsys):
     assert report["detail"] == "invalid marking: the shifted product does not annihilate"
 
 
+def _leg_with_matrix(diagonal, floats):
+    """leg_exact_matrix.json's orbit, {0: [2], 4: [1]}, with the matrix
+    diag(`diagonal`), exact or in floats."""
+    data = json.loads(open(path("leg_exact_matrix.json")).read())
+    entries = [str(diagonal[i]) if i == j else "0" for i in range(3) for j in range(3)]
+    if floats:
+        for e in data["orbit"]["eigenvalues"]:
+            e["value"] = [float(e["value"]), 0.0]
+        entries = [[float(x), 0.0] for x in entries]
+    return dict(data, matrix=entries)
+
+
+@pytest.mark.parametrize("floats", [False, True], ids=["exact", "float"])
+@pytest.mark.parametrize("diagonal, walked", [((0, 0, 0), []), ((0, 0, 4), [1, 1])],
+                         ids=["zero", "diag(0, 0, 4)"])
+def test_leg_rejects_a_matrix_outside_its_orbit(diagonal, walked, floats, tmp_path, capsys):
+    # the marking (0, 0, 4) annihilates both matrices, but the ranks of
+    # its partial products are not the orbit's [2, 1]
+    code, report = _run_on(_leg_with_matrix(diagonal, floats), tmp_path, capsys, "leg")
+    assert code == 1 and not report["ok"]
+    assert report["detail"] == ("the matrix is not in the declared orbit: its leg dimensions "
+                                f"are {walked}, the orbit's are [2, 1]")
+
+
+def test_leg_rejects_an_orbit_of_values_within_the_cutoff(tmp_path, capsys):
+    # 0 and 1e-9 lie within the rank cutoff of each other, so the normal
+    # form's first partial product already reads as zero
+    data = {"n": 2, "orbit": _simple([[0.0, 0.0], [1e-9, 0.0]])}
+    code, report = _run_on(data, tmp_path, capsys, "leg")
+    assert code == 1 and not report["ok"]
+    assert report["detail"] == ("the matrix is not in the declared orbit: its leg dimensions "
+                                "are [], the orbit's are [1]")
+
+
 def _reduce_beyond_double(scaled):
     """reduce_exact.json with its type and leading coefficient times
     10^400, or else with its first "-1" (the type's) as -10^400."""

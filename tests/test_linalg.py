@@ -5,8 +5,10 @@ import pytest
 
 from dsirr import linalg
 from dsirr.jets import JetMatrix, jet_inv
+from dsirr.orbits import greedy_marking, normal_form_matrix
 from dsirr.scalars import GaussianRational as G
 from oracles import FloatSpan, exact_matrix, power_ranks_every_step
+from test_orbits import _random_spec
 
 
 def exact(rows):
@@ -25,18 +27,6 @@ def test_rank_float_threshold():
     assert linalg.rank(a) == 2  # relative threshold 1e-8 * smax
 
 
-def test_solve_exact_and_inconsistent():
-    a = exact([[2, 0], [0, 4]])
-    b = exact([[1], [2]])
-    x, resid = linalg.solve_linear(a, b)
-    assert resid == 0.0
-    assert x[0, 0] == G(1, 0) / G(2) and x[1, 0] == G(1) / G(2)
-    bad = exact([[1, 1], [2, 2]])
-    rhs = exact([[1], [0]])
-    with pytest.raises(ValueError):
-        linalg.solve_linear(bad, rhs)
-
-
 def test_inv_round_trip_both_modes():
     a = exact([[1, 2], [3, 5]])
     inv = linalg.inv(a)
@@ -46,8 +36,8 @@ def test_inv_round_trip_both_modes():
 
 
 def test_inv_names_a_singular_exact_matrix():
-    # a consistent exact solve of a x = I gives a x = I exactly, so a
-    # singular exact matrix shows up as an inconsistent system
+    # the rref of [a | I] has a pivot in its I half just when a is
+    # singular
     a = exact([[1, 2], [2, 4]])
     with pytest.raises(ValueError, match="^singular exact matrix$"):
         linalg.inv(a)
@@ -57,11 +47,17 @@ def test_inv_names_a_singular_exact_matrix():
         linalg.inv(linalg.to_complex(a))
 
 
-def test_column_space_exact_picks_original_columns():
-    a = exact([[1, 2, 0], [2, 4, 1]])
-    cs = linalg.column_space(a)
-    assert cs.shape == (2, 2)
-    assert cs[0, 0] == G(1) and cs[1, 0] == G(2)
+def test_exact_walk_factors_by_pivot_columns_and_rref_rows():
+    # a - 0 factors through its pivot columns 0 and 2; a on V_1 is then
+    # r f = [[5, 2], [0, 0]], and its shift by 1 is invertible, so the
+    # rref gives (r f - 1, I), the pair the repeated shift 1 takes
+    # without an rref
+    a = exact([[1, 2, 0], [2, 4, 1], [0, 0, 0]])
+    pairs = linalg.product_chain(a, [0, 1, 1])
+    want = [(a[:, [0, 2]], exact([[1, 2, 0], [0, 0, 1]]))]
+    want += 2 * [(exact([[4, 2], [0, -1]]), linalg.eye(2, True))]
+    for (f, r), (wf, wr) in zip(pairs, want, strict=True):
+        assert linalg.matrices_equal(f, wf) and linalg.matrices_equal(r, wr)
 
 
 def test_span_basis_exact_and_float():
@@ -76,16 +72,6 @@ def test_span_basis_exact_and_float():
     assert not sf.add(np.array([2.0, 0, 2], dtype=complex) + 1e-13)
     assert sf.add(np.array([0, 1j, 0], dtype=complex))
     assert sf.rank == 2
-
-
-def test_coords_in_basis():
-    basis = np.array([[1.0, 0], [0, 1], [1, 1]], dtype=complex)
-    vecs = np.array([[2.0], [3], [5]], dtype=complex)
-    x = linalg.coords_in_basis(basis, vecs)
-    assert np.allclose(basis @ x, vecs)
-    outside = np.array([[1.0], [0], [0]], dtype=complex)
-    with pytest.raises(ValueError):
-        linalg.coords_in_basis(basis, outside)
 
 
 def random_jordan_matrix(rng, n):
@@ -123,10 +109,77 @@ def test_power_ranks_stop_early_without_changing_the_sequence():
             shifted = a - lam * np.eye(n, dtype=np.int64)
             ex = exact(shifted.tolist())
             want = power_ranks_every_step(ex, n)
-            assert linalg.product_rank_sequence(ex, [0] * n) == want
+            assert widths(ex, [0] * n) == want
             fl = shifted.astype(complex)
             scale = np.linalg.norm(a.astype(complex), 2) + abs(lam)
-            assert linalg.product_rank_sequence(fl, [0] * n, scale=scale) == want
+            assert widths(fl, [0] * n, scale) == want
             assert power_ranks_every_step(fl, n, scale=scale) == want
             settled += want.index(want[-1]) + 1 < n
     assert settled >= 30  # sequences that settle before the last power
+
+
+def widths(a, shifts, scale=None) -> list:
+    return [f.shape[1] for f, _ in linalg.product_chain(a, shifts, scale=scale)]
+
+
+def _norm2(m) -> float:
+    return float(np.linalg.norm(m, 2)) if m.size else 0.0
+
+
+def _walk_by_definition(a, shifts, scale) -> list:
+    """The widths of the walk of a over shifts, each step checked against
+    its definition: f r = a_{j-1} - s_j (in floats up to the step's
+    cutoff), and a_j = r f + s_j is a on V_j in the coordinates
+    B_j = f_1 ... f_j, a B_j = B_j a_j (in floats up to the cutoffs so
+    far)."""
+    is_ex = linalg.is_exact(a)
+    basis, a_j, slack, out = linalg.eye(a.shape[0], is_ex), a, 0.0, []
+    for s, (f, r) in zip(shifts, linalg.product_chain(a, shifts, scale=scale), strict=True):
+        diff = a_j - s * linalg.eye(a_j.shape[0], is_ex)
+        a_j = np.dot(r, f) + s * linalg.eye(f.shape[1], is_ex)
+        basis = np.dot(basis, f)
+        if is_ex:
+            assert linalg.is_zero_matrix(np.dot(f, r) - diff)
+            assert linalg.is_zero_matrix(np.dot(a, basis) - np.dot(basis, a_j))
+        else:
+            cutoff = linalg.RANK_RTOL * (scale + abs(s))
+            slack += cutoff
+            assert _norm2(f @ r - diff) <= cutoff + 1e-12 * (scale + abs(s))
+            assert _norm2(a @ basis - basis @ a_j) <= slack + 1e-12 * (scale + abs(s))
+        out.append(f.shape[1])
+    return out
+
+
+@pytest.mark.parametrize("is_ex", [True, False], ids=["exact", "float"])
+def test_the_walk_factors_each_step_and_ranks_the_powers(is_ex):
+    # integer Jordan conjugates walked by the powers at each eigenvalue
+    # and at 3, and orbit normal forms (unitary conjugates in floats)
+    # walked by the powers at each eigenvalue and by the greedy marking
+    # with 7 + 7i appended; a power walk has the widths of
+    # power_ranks_every_step at the same cutoff
+    r, rng = random.Random(25), np.random.default_rng(25)
+    cases = []
+    for _ in range(20):
+        n = r.randint(1, 5)
+        a, values = random_jordan_matrix(r, n)
+        cases.append((exact(a.tolist()) if is_ex else a.astype(complex),
+                      [[v] * n for v in values + [3]]))
+    while len(cases) < 40:
+        spec = _random_spec(r, is_ex)
+        if spec.n > 5:
+            continue
+        a = normal_form_matrix(spec)
+        if not is_ex:
+            q = np.linalg.qr(rng.normal(size=(spec.n,) * 2) + 1j * rng.normal(size=(spec.n,) * 2))[0]
+            a = q @ a @ q.conj().T
+        marking = list(greedy_marking(spec)) + [G(7, 7) if is_ex else 7 + 7j]
+        cases.append((a, [[v] * spec.n for v, _ in spec.eigenvalues] + [marking]))
+    for a, chains in cases:
+        n, scale = a.shape[0], None if is_ex else float(np.linalg.norm(a, 2))
+        for shifts in chains:
+            got = _walk_by_definition(a, shifts, scale)
+            if len(set(shifts)) == 1:
+                s = shifts[0]
+                want = power_ranks_every_step(a - s * linalg.eye(n, is_ex), len(shifts),
+                                              scale=None if is_ex else scale + abs(s))
+                assert got == want
