@@ -845,7 +845,9 @@ def _trace_rounding_bound(gq: GlobalQuiver) -> float:
     at most (N + P + 1) eps/2 S for N vertices and P finite poles: one
     rounding of each declared scalar, P in forming a core zeta_p, one
     in the product with v_x and N - 1 in the fold.  The bound returned
-    is (N + P) eps S, about twice that.
+    is (N + P) eps S, about twice that, plus the `trace_error` of every
+    orbit read from a float matrix alone, whose values are only as near
+    a trace-zero instance as the computed eigenvalues' means.
     """
     poles = len(gq.instance.poles)
     first = sum(abs(gq.legs[("t", j)].marking[0]) for j in range(poles))
@@ -856,7 +858,9 @@ def _trace_rounding_bound(gq: GlobalQuiver) -> float:
             total += gq.instance.irregular.blocks[i].mult * (abs(m[0]) + first)
         for l, v in enumerate(leg.vertices, 1):  # zeta_{x,l} = l_{x,l} - l_{x,l+1}
             total += gq.dims[v] * (abs(m[l - 1]) + abs(m[l]))
-    return (len(gq.dims) + poles) * np.finfo(float).eps * total
+    specs = gq.instance.residue_blocks + tuple(p.orbit for p in gq.instance.poles)
+    return (len(gq.dims) + poles) * np.finfo(float).eps * total + sum(
+        s.trace_error for s in specs)
 
 
 def verify_instance(

@@ -229,10 +229,10 @@ COMMANDS = {
     "check": Command(cmd_check, "decide non-emptiness from a problem file (exact scalars)", (
         (("--max-decompositions",), {
             "type": int, "default": 200_000,
-            "help": "search budget, applied on its own to each of: condition 1's "
-                    "reflection steps, the candidate enumeration's work (the box "
-                    "of v at zeta = 0) and the condition-3 DP's part checks; "
-                    "running out reports undecided"}),
+            "help": "search budget, applied on its own to each of: a root test's "
+                    "reflection steps, the search's work (the isotropic-root boxes "
+                    "where zeta = 0 on supp v, else the candidate enumeration) and "
+                    "the condition-3 DP's part checks; running out reports undecided"}),
     )),
     "build-quiver": Command(cmd_build_quiver, "synthesize (Q, v, zeta) from a problem file", (
         (("--dot",), {"default": None, "help": "write Graphviz DOT here"}),

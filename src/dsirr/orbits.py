@@ -29,7 +29,7 @@ profiles of powers at each eigenvalue.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from operator import lt
 
 import numpy as np
@@ -49,6 +49,9 @@ class OrbitSpec:
     n: int
     eigenvalues: tuple  # ((value, (b1 >= b2 >= ...)), ...)
     marking_override: Marking | None = None
+    # how far the values' weighted sum may lie from the trace of the float
+    # matrix they were read from alone, n eps max(1, ||L||_2); else 0
+    trace_error: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         total = sum(sum(blocks) for _, blocks in self.eigenvalues)
@@ -231,7 +234,8 @@ def jordan_from_matrix(L: np.ndarray, eigenvalues=None) -> OrbitSpec:
     for _ in range(7):
         values = [v for v, _ in _cluster_eigenvalues(eigvals, tol * scale)]
         try:
-            return _jordan_pass(L, values, tol)
+            return replace(_jordan_pass(L, values, tol),
+                           trace_error=n * float(np.finfo(float).eps) * scale)
         except ValueError as e:
             last_error = e
             tol *= 10.0
@@ -401,7 +405,7 @@ def orbit_spec_from_json(data: dict, n: int, exact: bool) -> OrbitSpec:
         hints = [scalar_from_json(x, exact) for x in data.get("eigenvalue_hints", [])] or None
         spec = jordan_from_matrix(m, eigenvalues=hints)
         if marking is not None:
-            spec = make_orbit_spec(n, spec.eigenvalues, marking)
+            spec = replace(spec, marking_override=tuple(marking))
         return spec
     raise ValueError("orbit spec needs 'eigenvalues', 'matrix', or 'marking'+'ranks'")
 

@@ -22,41 +22,22 @@ denominator of its real and imaginary parts, so zeta . w = 0 becomes
 two integer dot products.
 
 The candidates for (3), the positive roots 0 < w <= v with
-zeta . w = 0, are found by meeting in the middle.  The vertices are
-split into two halves of near-equal box size; the integer zeta sums of
-one half's points are tabulated, and the other half's points are
-grouped by the negated sum.  That takes about 2 sqrt(prod(v_i + 1))
-steps, where scanning the box takes prod(v_i + 1).  Each sum found in
-both halves gives a block of matches, every head plus every tail, built
-as one broadcast; each non-zero match gets its own root test.  At
-zeta = 0 every box point is a match, in a single block.
+zeta . w = 0, are found by meeting in the middle (`summand_candidates`)
+in about 2 sqrt(prod(v_i + 1)) steps, where scanning the box takes
+prod(v_i + 1).  Condition (3) is then a dynamic programme over the
+zeta-orthogonal u <= v: F(0) = 0 and F(u) = max delta(w) + F(u - w)
+over the candidates w <= u.  (3) fails iff some candidate w != v has
+delta(w) + F(v - w) >= delta(v), and following the maximizing parts
+from v - w gives the violating decomposition.  Where zeta vanishes on
+the support of v, (3) is membership in Crawley-Boevey's Sigma_0, which
+`_zero_zeta_verdict` decides in closed form, with neither.
 
-Most candidates are never needed as a part.  If zeta_i = 0, w != e_i
-and (w, e_i) >= 1, then w - e_i is a zeta-orthogonal positive root and
-delta(e_i) + delta(w - e_i) >= delta(w), so w can be split without
-lowering a decomposition's delta-sum.  `indispensable_candidates`
-applies this where zeta vanishes on the support of v: it skips the
-enumeration and keeps the simple roots plus Kac's fundamental set, the
-box points with connected support and no positive pairing, which are
-imaginary roots, so one product over the box replaces the root test.
-Elsewhere the DP runs on every enumerated candidate.
-
-Condition (3) is a dynamic programme over the zeta-orthogonal u <= v:
-F(0) = 0 and F(u) = max delta(w) + F(u - w) over the kept candidates
-w <= u, the largest total delta of a decomposition of u.  (3) fails
-iff some kept candidate w != v has delta(w) + F(v - w) >= delta(v), and
-following the maximizing parts from v - w gives the violating
-decomposition.
-
-The search budget `max_nodes` of `cb_solvable` bounds three counts,
-each on its own: the reflection steps of condition (1); the
-enumeration's work, which at zeta = 0 on the support of v is the box of
-v, checked before it is built, and otherwise both half boxes, checked
-before either is built, plus every zeta-orthogonal point, each block
-checked before it is built; and the DP's part checks, the parts it
-tries summed over the states it evaluates, which is where its time
-goes.  Running out gives an "undecided" verdict that names the budget
-and its value.
+The budget `max_nodes` of `cb_solvable` bounds, each on its own, the
+reflection steps of each root test, the search's work (the closed
+form's isotropic-root boxes, or both half boxes plus every
+zeta-orthogonal point), each part checked before it is built, and the
+DP's part checks, the parts it tries summed over its states.  Running
+out gives an "undecided" verdict that names the budget and its value.
 """
 
 from __future__ import annotations
@@ -107,17 +88,20 @@ class CartanData:
         flat = [2 * (i == j) - a for i, row in enumerate(self.adjacency) for j, a in enumerate(row)]
         return np.array(flat, dtype=np.int64).reshape(self.size, self.size)
 
-    @cached_property
-    def connected(self) -> bool:
-        """Whether the whole quiver is connected."""
-        seen, stack = {0}, [0]
+    def reach(self, supp: set, i: int) -> set:
+        """The vertices of `supp` joined to i by arrows inside `supp`."""
+        seen, stack = {i}, [i]
         while stack:
-            i = stack.pop()
-            for j, a in enumerate(self.adjacency[i]):
-                if a and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == self.size
+            row = self.adjacency[stack.pop()]
+            step = {j for j in supp - seen if row[j]}
+            seen |= step
+            stack.extend(step)
+        return seen
+
+    def connected(self, w) -> bool:
+        """Whether the support of w, the i with w_i != 0, is non-empty and connected."""
+        supp = {i for i, x in enumerate(w) if x}
+        return bool(supp) and self.reach(supp, min(supp)) == supp
 
     @cached_property
     def colour_class(self) -> tuple:
@@ -148,26 +132,6 @@ class CartanData:
         return tuple(int(dims[v]) for v in self.vertices)
 
 
-def _support_connected(cartan: CartanData, supp: np.ndarray) -> np.ndarray:
-    """For each non-empty boolean row of `supp`, whether that vertex set is
-    connected: rows with full support read `cartan.connected`, and one
-    reachability pass serves the others."""
-    out = np.full(len(supp), cartan.connected)
-    part = ~supp.all(1)
-    if not np.count_nonzero(part):
-        return out
-    supp = supp[part]
-    adj = cartan.matrix < 0
-    reach = np.zeros_like(supp)
-    reach[np.arange(len(supp)), supp.argmax(1)] = True
-    while True:
-        grown = supp & (reach | reach @ adj)
-        if (grown == reach).all():
-            out[part] = (reach == supp).all(1)
-            return out
-        reach = grown
-
-
 def is_positive_root(cartan: CartanData, v, max_steps: int | None = None) -> bool:
     """Whether v is a positive root, by the reflection walk on Python integers.
 
@@ -194,9 +158,7 @@ def is_positive_root(cartan: CartanData, v, max_steps: int | None = None) -> boo
             return True
         top = max(p)
         if top <= 0:
-            if min(w) > 0:
-                return cartan.connected
-            return bool(_support_connected(cartan, np.array([[x > 0 for x in w]]))[0])
+            return cartan.connected(w)
         if max_steps is not None and steps >= max_steps:
             raise SearchCapExceeded(
                 f"enumeration budget of {max_steps} exhausted: the root test needs more "
@@ -238,46 +200,6 @@ def _half_box(v, half, zr, zi):
     zi = [zi[i] for i in half] if any(zi) else None
     for w in itertools.product(*(range(v[i] + 1) for i in half)):
         yield w, sum(map(mul, zr, w)), sum(map(mul, zi, w)) if zi else 0
-
-
-def indispensable_candidates(cartan: CartanData, v, zeta, cap: int = 2_000_000):
-    """The parts condition (3) needs: the zeta-orthogonal positive roots
-    0 < w <= v, without those the lemma below splits where zeta
-    vanishes on the support of v.
-
-    If zeta_i = 0, w != e_i and (w, e_i) >= 1, then w - e_i is a
-    zeta-orthogonal positive root (the e_i-string through w is unbroken)
-    and delta(e_i) + delta(w - e_i) = delta(w) + (w, e_i) - 1 >= delta(w),
-    so any decomposition using w does as well with e_i and w - e_i in its
-    place.  Splitting parts so, by induction on height, turns every
-    decomposition into one of the kept parts, the simple roots and the w
-    with (w, e_i) <= 0 at every zero vertex i, with no lower delta-sum
-    and no fewer parts; so the DP on the kept parts reaches the same
-    verdict.
-
-    Where zeta vanishes on the support of v, every box point is
-    zeta-orthogonal, and the kept set is the simple roots plus Kac's
-    fundamental set: the w <= v with connected support and (w, e_i) <= 0
-    at every vertex, all of them imaginary roots (Kac, *Infinite
-    dimensional Lie algebras*, 5.3), so no reflection walk is needed.
-    The box of v is charged to `cap` before it is built and is read
-    with one Cartan product, in lexicographic order.  Otherwise this is
-    `summand_candidates`, unfiltered.  `zeta` is as there.
-    """
-    v = tuple(int(x) for x in v)
-    zr, zi = zeta if isinstance(zeta, tuple) else _integer_zeta(cartan, zeta)
-    if any(x and (zr[i] or zi[i]) for i, x in enumerate(v)):
-        return summand_candidates(cartan, v, (zr, zi), cap)
-    if math.prod(x + 1 for x in v) > cap:
-        raise SearchCapExceeded(f"enumeration budget of {cap} exhausted")
-    # the box in lexicographic order: row r is the point of rank r
-    w = np.indices([x + 1 for x in v], dtype=np.int64).reshape(len(v), -1).T
-    keep = ((w @ cartan.matrix) <= 0).all(1)
-    keep[0] = False  # w = 0
-    fund = np.flatnonzero(keep)
-    keep[fund] = _support_connected(cartan, w[fund] > 0)
-    keep |= w.sum(1) == 1
-    return list(map(tuple, w[keep].tolist()))
 
 
 def summand_candidates(cartan: CartanData, v, zeta, cap: int = 2_000_000):
@@ -334,9 +256,8 @@ class Verdict:
     dim: int | None = None
     detail: str = ""
     nodes: int = 0  # states of the condition-3 DP evaluated, v included
-    # the parts the DP runs on (`indispensable_candidates`); they include
-    # every w <= v in Sigma_zeta, the roots all of whose proper
-    # decompositions have a smaller delta-sum, so this bounds that count
+    # the parts the DP runs on, which bound the count of w <= v in
+    # Sigma_zeta; like `nodes`, 0 where zeta vanishes on supp v
     candidates: int = 0
 
     @property
@@ -460,18 +381,107 @@ def _violating_decomposition(cartan: CartanData, v, dv: int, cands, budget: int)
     return None, len(best)
 
 
+VIOLATED = "a decomposition violates the strict dimension inequality"
+HOLDS = "no decomposition violates the strict dimension inequality"
+
+
+def _split(v, w, dv: int, why: str) -> Verdict:
+    """The condition-3 failure whose witness is the two parts [v - w, w]."""
+    return Verdict(False, failed_condition=3, witness=[[x - y for x, y in zip(v, w)], list(w)],
+                   delta=dv, detail=f"{VIOLATED}: {why}")
+
+
+def _zero_zeta_verdict(cartan: CartanData, v, dv: int, budget: int) -> Verdict:
+    """Condition (3) for a positive root v on whose support zeta vanishes,
+    that is v in Crawley-Boevey's Sigma_0, decided in this order:
+
+    1. v simple: (3) holds.
+    2. (v, e_i) > 0 at some i: v - e_i is a positive root (the e_i-string
+       through v is unbroken) and delta(v - e_i) + delta(e_i) = delta(v)
+       + (v, e_i) - 1, so [v - e_i, e_i] violates (3).  Otherwise v lies
+       in Kac's fundamental set F.
+    3. delta(v) = 1: v = m gamma, m = gcd(v), gamma isotropic.  (3) holds
+       iff m = 1; else [(m - 1) gamma, gamma] violates it.
+    4. delta(v) >= 2.  A split [v - w, w] into positive roots violates
+       (3) iff (v - w, w) >= -1, as delta(v - w) + delta(w) - delta(v) =
+       1 + (v - w, w).  By Crawley-Boevey (*Geometry of the moment map
+       for representations of quivers*, Compositio Math. 126 (2001), Thm
+       8.1), (3) fails iff one with (v - w, w) = -1 exists where
+       a. w is an isotropic root gamma with (v, gamma) = -1, or
+       b. v - w and w are v on the two sides of the one arrow joining
+          them, with v = 1 at both its ends.
+
+    In 4a, (v, gamma) = sum_i gamma_i (v, e_i) with no term positive, so
+    gamma_j = 1 at one j with (v, e_j) = -1 and gamma lies otherwise on
+    Z, the i in supp v with (v, e_i) = 0.  For each such j the box of Z
+    is charged to `budget` before it is walked; its points with q(gamma)
+    = 1 + q(z) + (z, e_j) = 0 come from one Cartan product, in
+    lexicographic order, and only they get root tests.  4b walks, for
+    each single arrow i - j with v_i = v_j = 1, the side of i in supp v
+    less j, and the arrow is a bridge iff (v - w, w) = -1.  The `detail`
+    names the branch after the condition-3 sentence.
+    """
+    if sum(v) == 1:
+        return Verdict(True, delta=dv, dim=0, detail=f"{HOLDS}: v is a simple root")
+    p = cartan.pairings(v)
+    i = next((i for i, x in enumerate(p) if x > 0), None)
+    if i is not None:
+        e = [int(k == i) for k in range(len(v))]
+        return _split(v, e, dv, f"v lies outside the fundamental set, "
+                                f"(v, e_i) = {p[i]} > 0 at vertex {cartan.vertices[i]}")
+    if dv == 1:
+        m = math.gcd(*v)
+        if m == 1:
+            return Verdict(True, delta=dv, dim=2, detail=f"{HOLDS}: v is an indivisible "
+                                                         "isotropic root")
+        return _split(v, [x // m for x in v], dv, f"v is {m} times an isotropic root")
+    zero = [i for i, x in enumerate(v) if x and not p[i]]
+    box, work, zs = math.prod(v[i] + 1 for i in zero), 0, None
+    # with Z empty, gamma = e_j is a real root
+    for j in [j for j, x in enumerate(v) if x and p[j] == -1] if zero else ():
+        work += box
+        if work > budget:
+            raise SearchCapExceeded(f"enumeration budget of {budget} exhausted: the "
+                                    f"isotropic-root search's boxes reach {work} points")
+        if zs is None:  # the box of Z in lexicographic order, with q(z)
+            zs = np.indices([v[i] + 1 for i in zero], dtype=np.int64).reshape(len(zero), -1).T
+            qz = ((zs @ cartan.matrix[np.ix_(zero, zero)]) * zs).sum(1) // 2
+        for r in np.flatnonzero(qz + zs @ cartan.matrix[zero, j] == -1).tolist():
+            gamma = [0] * len(v)
+            gamma[j] = 1
+            for i, x in zip(zero, zs[r].tolist()):
+                gamma[i] = x
+            if is_positive_root(cartan, gamma, budget) and is_positive_root(
+                    cartan, [x - y for x, y in zip(v, gamma)], budget):
+                return _split(v, gamma, dv, "v - gamma is a positive root for an isotropic "
+                                            "root gamma with (v, gamma) = -1")
+    supp = {i for i, x in enumerate(v) if x}
+    for i, j in itertools.combinations([i for i in sorted(supp) if v[i] == 1], 2):
+        if cartan.adjacency[i][j] != 1:
+            continue
+        side = cartan.reach(supp - {j}, i)
+        u = [x * (k in side) for k, x in enumerate(v)]
+        w = [x - y for x, y in zip(v, u)]
+        if cartan.pairing(u, w) == -1 and is_positive_root(cartan, u, budget) and \
+                is_positive_root(cartan, w, budget):
+            return _split(v, w, dv, f"the arrow between vertices {cartan.vertices[i]} and "
+                                    f"{cartan.vertices[j]}, with v = 1 at both ends, is the only "
+                                    "one joining two positive roots")
+    return Verdict(True, delta=dv, dim=2 * dv, detail=f"{HOLDS}: v lies in the fundamental "
+                   "set with q(v) < 0, no isotropic root gamma with (v, gamma) = -1 leaves "
+                   "a positive root v - gamma, and no arrow with v = 1 at both ends is the "
+                   "only one joining two positive roots")
+
+
 def cb_solvable(cartan: CartanData, v, zeta, max_nodes: int = 200_000) -> Verdict:
     """Decide non-emptiness for (v, zeta) on a loop-free quiver.
 
     On failure the verdict names the violated condition; a condition-3
-    failure carries a violating decomposition, found by the DP on
-    `indispensable_candidates`.  `max_nodes` bounds, each on its own, the
-    reflection steps of condition 1's root test, the candidate
-    enumeration's work (the box of v where zeta vanishes on its support)
-    and the DP's part checks (the parts tried, summed over its states);
-    running out of any yields an honest "undecided" that names the
-    budget, which must be at least 1.  `zeta` is as in
-    `summand_candidates`.
+    failure carries a violating decomposition, from `_zero_zeta_verdict`
+    where zeta vanishes on the support of v and from the DP on
+    `summand_candidates` elsewhere.  Running out of `max_nodes`, which
+    must be at least 1, yields an honest "undecided" that names it.
+    `zeta` is as in `summand_candidates`.
     """
     if max_nodes < 1:
         raise ValueError(f"search budget max_nodes must be at least 1, got {max_nodes}")
@@ -483,7 +493,9 @@ def cb_solvable(cartan: CartanData, v, zeta, max_nodes: int = 200_000) -> Verdic
         zr, zi = zeta if isinstance(zeta, tuple) else _integer_zeta(cartan, zeta)
         if _dot(zr, v) or _dot(zi, v):
             return Verdict(False, failed_condition=2, delta=dv, detail="zeta . v != 0")
-        cands = indispensable_candidates(cartan, v, (zr, zi), cap=max_nodes)
+        if not any(x and (zr[i] or zi[i]) for i, x in enumerate(v)):
+            return _zero_zeta_verdict(cartan, v, dv, max_nodes)
+        cands = summand_candidates(cartan, v, (zr, zi), cap=max_nodes)
         witness, states = _violating_decomposition(cartan, v, dv, cands, budget=max_nodes)
     except SearchCapExceeded as e:
         return Verdict(None, delta=dv, detail=str(e))
@@ -493,7 +505,7 @@ def cb_solvable(cartan: CartanData, v, zeta, max_nodes: int = 200_000) -> Verdic
             failed_condition=3,
             witness=[list(w) for w in witness],
             delta=dv,
-            detail="a decomposition violates the strict dimension inequality",
+            detail=VIOLATED,
             nodes=states,
             candidates=len(cands),
         )

@@ -7,7 +7,8 @@ Q(i) arithmetic for the zeta-orthogonal positive roots, a depth-first
 search over multisets for condition (3) of the criterion, the
 condition-3 DP with each state's parts found by a numpy mask over every
 candidate, the criterion with that DP run on every zeta-orthogonal
-positive root rather than on the ones no split makes dispensable, the
+positive root, the criterion at zeta = 0 with the DP run on the simple
+roots and Kac's fundamental set in the box of v, the
 ranks of every power of a matrix without stopping once they settle,
 the triple-sum conjugation term of a gauge transform, the float density
 test of irreducibility and the graded invariant closure of a quiver
@@ -239,6 +240,71 @@ def unfiltered_solvable(cartan, v, zeta, max_nodes: int = 200_000) -> Verdict:
         if any(sum(a * b for a, b in zip(z, v)) for z in (zr, zi)):
             return Verdict(False, failed_condition=2, delta=dv)
         cands = summand_candidates(cartan, v, (zr, zi), cap=max_nodes)
+        witness, states = _violating_decomposition(cartan, v, dv, cands, budget=max_nodes)
+    except SearchCapExceeded as e:
+        return Verdict(None, delta=dv, detail=str(e))
+    if witness is not None:
+        return Verdict(False, failed_condition=3, witness=[list(w) for w in witness],
+                       delta=dv, nodes=states, candidates=len(cands))
+    return Verdict(True, delta=dv, dim=2 * dv, nodes=states, candidates=len(cands))
+
+
+def support_connected_rows(cartan, supp: np.ndarray) -> np.ndarray:
+    """For each non-empty boolean row of `supp`, whether that vertex set is
+    connected, by one reachability pass over all rows at once."""
+    adj = cartan.matrix < 0
+    reach = np.zeros_like(supp)
+    reach[np.arange(len(supp)), supp.argmax(1)] = True
+    while True:
+        grown = supp & (reach | reach @ adj)
+        if (grown == reach).all():
+            return (reach == supp).all(1)
+        reach = grown
+
+
+def indispensable_candidates(cartan, v, zeta, cap: int = 2_000_000):
+    """The parts condition (3) needs: the zeta-orthogonal positive roots
+    0 < w <= v, less those a split makes dispensable where zeta vanishes
+    on the support of v.
+
+    If zeta_i = 0, w != e_i and (w, e_i) >= 1, then w - e_i is a
+    zeta-orthogonal positive root and delta(e_i) + delta(w - e_i) >=
+    delta(w), so a decomposition using w does as well with e_i and
+    w - e_i.  Where zeta vanishes on the support of v, that keeps the
+    simple roots and Kac's fundamental set in the box of v: the w <= v
+    with connected support and (w, e_i) <= 0 at every vertex.  The box
+    is charged to `cap` before it is built and read with one Cartan
+    product, in lexicographic order.  Otherwise this is
+    `summand_candidates`.  `zeta` is as there.
+    """
+    v = tuple(int(x) for x in v)
+    zr, zi = zeta if isinstance(zeta, tuple) else _integer_zeta(cartan, zeta)
+    if any(x and (zr[i] or zi[i]) for i, x in enumerate(v)):
+        return summand_candidates(cartan, v, (zr, zi), cap)
+    if np.prod([x + 1 for x in v], dtype=object) > cap:
+        raise SearchCapExceeded(f"enumeration budget of {cap} exhausted")
+    w = np.indices([x + 1 for x in v], dtype=np.int64).reshape(len(v), -1).T
+    keep = ((w @ cartan.matrix) <= 0).all(1)
+    keep[0] = False  # w = 0
+    fund = np.flatnonzero(keep)
+    keep[fund] = support_connected_rows(cartan, w[fund] > 0)
+    keep |= w.sum(1) == 1
+    return list(map(tuple, w[keep].tolist()))
+
+
+def indispensable_solvable(cartan, v, zeta, max_nodes: int = 200_000) -> Verdict:
+    """The criterion with condition (3) decided by the DP on
+    `indispensable_candidates`; at zeta = 0 on the support of v, the
+    oracle of `roots.cb_solvable`'s closed form."""
+    v = tuple(int(x) for x in v)
+    dv = cartan.delta(v)
+    try:
+        if not is_positive_root(cartan, v, max_steps=max_nodes):
+            return Verdict(False, failed_condition=1, delta=dv)
+        zr, zi = zeta if isinstance(zeta, tuple) else _integer_zeta(cartan, zeta)
+        if any(sum(a * b for a, b in zip(z, v)) for z in (zr, zi)):
+            return Verdict(False, failed_condition=2, delta=dv)
+        cands = indispensable_candidates(cartan, v, (zr, zi), cap=max_nodes)
         witness, states = _violating_decomposition(cartan, v, dv, cands, budget=max_nodes)
     except SearchCapExceeded as e:
         return Verdict(None, delta=dv, detail=str(e))

@@ -9,13 +9,15 @@ realize finds a witness, `verify` of that witness.  The inputs are every
 problem file in tests/data and its float copy, and the check-generic,
 check-degenerate, realize-verify and realize-infeasible rungs of the
 benchmark ladder at seeds 1-3, with the float copies of the
-realize-verify rungs, and two problem files with their finite poles'
-orbits given as a matrix with eigenvalue hints (exact), as a matrix
-alone (float) and as a marking with its ranks.  `leg` and `reduce` run
-on their four example files; `leg` also on float copies of its two, on
-three matrices outside their orbits, in both modes, and on a float
-unitary conjugate with a marking longer than the minimal one.  Not a
-test module: pytest does not collect it.
+realize-verify rungs, and the nilpotent rungs n10x5k2, n10x5k3 and
+n12x6k2 at seeds 1-3, which probe the criterion's frontier and so get
+`check`, `build-quiver` and its `check` only.  Two problem files also
+come with their finite poles' orbits given as a matrix with eigenvalue
+hints (exact), as a matrix alone (float) and as a marking with its
+ranks.  `leg` and `reduce` run on their four example files; `leg` also
+on float copies of its two, on three matrices outside their orbits, in
+both modes, and on a float unitary conjugate with a marking longer than
+the minimal one.  Not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ DATA = TESTS / "data"
 MATRIX_EXAMPLES = [("leg", "leg_example.json"), ("leg", "leg_exact_matrix.json"),
                    ("reduce", "reduce_example.json"), ("reduce", "reduce_exact.json")]
 POLE_FORM_PROBLEMS = ["star_rigid.json", "ladder_n4x3k2_seed1.json"]
+FRONTIER = "check-frontier"
 
 
 def run(*argv):
@@ -149,6 +152,10 @@ def problems():
                 yield name, data
                 if workload == "realize-verify":
                     yield f"{name} float", float_copy(data)
+    for name, n, poles, k in (("n10x5k2", 10, 5, 2), ("n10x5k3", 10, 5, 3), ("n12x6k2", 12, 6, 2)):
+        rung = ladder.Rung(name, "nilpotent", n, poles, k, "nonempty")
+        for seed in (1, 2, 3):
+            yield f"{FRONTIER}/{name}/seed{seed}", ladder.problem(rung, seed)
 
 
 def sweep(tmp: Path) -> dict:
@@ -157,13 +164,14 @@ def sweep(tmp: Path) -> dict:
         src = tmp / "problem.json"
         src.write_text(json.dumps(data), encoding="utf-8")
         for argv in (["check"], ["build-quiver"], ["realize", "--seed", "1"]):
-            cases[f"{name}: {' '.join(argv)}"] = run(*argv, str(src))
+            if argv[0] != "realize" or not name.startswith(FRONTIER):
+                cases[f"{name}: {' '.join(argv)}"] = run(*argv, str(src))
         code, payload = cases[f"{name}: build-quiver"]
         if code == 0:
             raw = tmp / "quiver.json"
             raw.write_text(payload, encoding="utf-8")
             cases[f"{name}: build-quiver | check"] = run("check", str(raw))
-        report = json.loads(cases[f"{name}: realize --seed 1"][1])
+        report = json.loads(cases.get(f"{name}: realize --seed 1", (1, "{}"))[1])
         if "rep" in report:
             witness = tmp / "witness.json"
             witness.write_text(json.dumps({"instance": data, "rep": report["rep"]}),

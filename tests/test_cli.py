@@ -510,19 +510,22 @@ def test_condition_one_honours_the_budget(tmp_path, capsys):
 
 
 def test_the_budget_bounds_the_decomposition_dp(tmp_path, capsys):
-    # nilpotent 8x5: its box of 78 125 points fits 100 000, but the DP
-    # tries 187 521 parts over its 7 293 states
+    # nilpotent 6x4 at seed 5 with zeta 1 and -1 at two legs and 0 elsewhere:
+    # its enumeration fits 10 000, but the DP tries 10 351 parts
     ladder = bench_ladder()
-    src = tmp_path / "n8x5.json"
-    rung = ladder.Rung("n8x5k2", "nilpotent", 8, 5, 2, "nonempty")
+    src = tmp_path / "n6x4.json"
+    rung = ladder.Rung("n6x4k2", "nilpotent", 6, 4, 2, "nonempty")
     src.write_text(json.dumps(ladder.problem(rung, 5)))
-    code, report = run(capsys, "check", str(src), "--max-decompositions", "100000")
+    code, report = run(capsys, "build-quiver", str(src))
+    report["zeta"] |= {"t0.1": "1", "t1.1": "-1"}
+    src.write_text(json.dumps(report))
+    code, report = run(capsys, "check", str(src), "--max-decompositions", "10000")
     assert code == 2 and report["verdict"] == "undecided"
     assert report["detail"] == (
-        "enumeration budget of 100000 exhausted: the condition-3 DP needs more part checks")
-    code, report = run(capsys, "check", str(src))
-    assert code == 0 and report["verdict"] == "nonempty" and report["dim"] == 98
-    assert report["stats"] == {"candidates": 6005, "search_states": 7293}
+        "enumeration budget of 10000 exhausted: the condition-3 DP needs more part checks")
+    code, report = run(capsys, "check", str(src), "--max-decompositions", "10351")
+    assert code == 0 and report["verdict"] == "nonempty" and report["dim"] == 38
+    assert report["stats"] == {"candidates": 433, "search_states": 565}
 
 
 def test_check_reports_a_condition3_witness(tmp_path, capsys):

@@ -37,10 +37,12 @@ from dsirr.assembly import (
     rep_to_connection,
     verify_instance,
 )
+from dsirr import linalg
 from dsirr.cli import main
+from dsirr.orbits import normal_form_matrix, orbit_spec_from_json
 from dsirr.quiver import Stability, make_quiver, moment_map
-from dsirr.scalars import GaussianRational, format_exact, parse_exact
-from dsirr.serialize import payload_is_float
+from dsirr.scalars import ONE, GaussianRational, format_exact, parse_exact
+from dsirr.serialize import matrix_to_json, payload_is_float
 from oracles import bench_ladder, lm_step_real_doubled
 from test_assembly import rigid_star, star_instance
 
@@ -345,6 +347,30 @@ def test_verify_rejects_a_witness_when_the_exact_zeta_v_is_not_zero(tmp_path, ca
         failed = [c["name"] for c in checks["checks"] if not c["ok"]]
         assert failed == ([] if ok else ["trace_identity"])
         assert ("-1/10000000000" in trace["detail"]) is not ok
+
+
+def test_a_float_matrix_orbit_keeps_its_own_witness(tmp_path, capsys):
+    # nilpotent 4x3 with each finite pole's orbit given as g N g^-1 in floats
+    # alone, g the unit lower triangle of ones: the means of the computed
+    # eigenvalues are about 1e-17, not 0, so |zeta . v| is about 6e-17.  The
+    # trace bound grants each such orbit n eps max(1, ||L||_2), so realize
+    # keeps the witness it converged to
+    data = _problem("ladder_n4x3k2_seed1.json")
+    for pole, parsed in zip(data["finite_poles"], _load("ladder_n4x3k2_seed1.json").poles):
+        n = parsed.orbit.n
+        g = linalg.eye(n, True)
+        g[np.tril_indices(n, -1)] = ONE
+        conj = linalg.to_complex(g.dot(normal_form_matrix(parsed.orbit)).dot(linalg.inv(g)))
+        pole["orbit"] = {"matrix": matrix_to_json(conj)}
+        spec = orbit_spec_from_json(pole["orbit"], n, False)
+        assert spec.trace_error == n * np.finfo(float).eps * max(1.0, linalg.mat_norm(conj))
+    path = tmp_path / "matrix_float.json"
+    path.write_text(json.dumps(data))
+    with pytest.warns(UserWarning, match="float irregular-type coefficients"):
+        code, report = _run(["realize", path, "--seed", "1"], capsys)
+    assert code == 0 and report["success"] and report["verification"]["all_ok"]
+    (trace,) = [c for c in report["verification"]["checks"] if c["name"] == "trace_identity"]
+    assert trace["ok"] and not trace["detail"].startswith("|zeta . v| = 0.000e+00")
 
 
 @pytest.mark.parametrize("name", EXACT_PROBLEMS)

@@ -3,6 +3,7 @@ import copy
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -15,7 +16,6 @@ from dsirr.roots import (
     SearchCapExceeded,
     _violating_decomposition,
     cb_solvable,
-    indispensable_candidates,
     is_positive_root,
     summand_candidates,
 )
@@ -24,6 +24,8 @@ from oracles import (
     bench_ladder,
     brute_candidates,
     dfs_solvable,
+    indispensable_candidates,
+    indispensable_solvable,
     mask_violating_decomposition,
     reflection_end,
     reflection_is_positive_root,
@@ -99,7 +101,7 @@ def test_imaginary_needs_connected_support():
     # reflection and has full support, but the quiver is not connected
     c = CartanData.from_quiver(make_quiver(
         ["1", "2", "3", "4"], [("a", "1", "2"), ("b", "1", "2"), ("c", "3", "4"), ("d", "3", "4")]))
-    assert not c.connected and not is_positive_root(c, (1, 1, 1, 1))
+    assert not c.connected((1, 1, 1, 1)) and not is_positive_root(c, (1, 1, 1, 1))
     batch = [(1, 1, 1, 1), (1, 0, 0, 0), (1, 1, 0, 0), (2, 2, 1, 1)]
     assert [is_positive_root(c, w) for w in batch] == [False, True, True, False]
 
@@ -187,9 +189,13 @@ def test_cb_zeta_v_nonzero_always_empty():
 
 
 def test_cb_search_cap_reports_undecided():
-    d = double()
-    v = cb_solvable(d, (6, 6), {"1": G(0), "2": G(0)}, max_nodes=5)
-    assert v.undecided
+    # at zeta = (1, -1) the half boxes of (6, 6) hold 14 points
+    v = cb_solvable(double(), (6, 6), {"1": G(1), "2": G(-1)}, max_nodes=5)
+    assert v.undecided and v.detail.startswith("enumeration budget of 5 exhausted")
+    # at zeta = 0, (6, 6) is 6 times the isotropic root (1, 1): decided
+    # empty in closed form, with no search to charge
+    v = cb_solvable(double(), (6, 6), {"1": G(0), "2": G(0)}, max_nodes=1)
+    assert v.failed_condition == 3 and v.witness == [[5, 5], [1, 1]]
 
 
 @pytest.mark.parametrize("max_nodes", [0, -5])
@@ -198,28 +204,55 @@ def test_cb_rejects_a_budget_below_one(max_nodes):
         cb_solvable(a2(), (1, 1), {"1": G(0), "2": G(0)}, max_nodes=max_nodes)
 
 
+def star(legs: int, ends: int):
+    """Vertices A and B joined to each of `legs` leg vertices, with `ends`
+    end vertices hung on A by one arrow each, and v = 3 at every vertex but
+    the ends, 1 at those.  Then (v, e_x) is 0 at each leg and -1 at each
+    end, v lies in the fundamental set with q(v) < 0, and the closed form
+    walks the legs' box, 4^legs points, once per end; no gamma is found,
+    so v is nonempty."""
+    names = ["A", "B"] + [f"l{i}" for i in range(legs)] + [f"e{i}" for i in range(ends)]
+    arrows = [(f"{x}{i}", x, f"l{i}") for i in range(legs) for x in "AB"]
+    arrows += [(f"f{i}", f"e{i}", "A") for i in range(ends)]
+    cartan = CartanData.from_quiver(make_quiver(names, arrows))
+    return cartan, (3,) * (2 + legs) + (1,) * ends, {x: G(0) for x in names}
+
+
 def test_budget_is_checked_before_allocation():
-    # (10^6, 10^6) is an imaginary root of the doubled arrow and zeta = 0, so
-    # the criterion reaches the enumeration, whose box exceeds the cap
+    # (10^6, 10^6) is an imaginary root of the doubled arrow; at zeta = 0 it
+    # is 10^6 times the isotropic root (1, 1), empty with no allocation
     tracemalloc.start()
     try:
         v = cb_solvable(double(), (10**6, 10**6), {"1": G(0), "2": G(0)})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert v.undecided and v.nodes == 0
-    assert v.detail.startswith("enumeration budget of 200000 exhausted")
+    assert v.failed_condition == 3 and v.nodes == 0
+    assert v.witness == [[10**6 - 1] * 2, [1, 1]]
     assert peak < 100_000
-    # (1000, 1000): at zeta = 0 the enumeration reads the whole box, 1001^2
-    # rows (16 MB), which must be refused before it is built
+    # at zeta = (1, -1) the criterion reaches the enumeration, whose half
+    # boxes exceed the cap
     tracemalloc.start()
     try:
-        v = cb_solvable(double(), (1000, 1000), {"1": G(0), "2": G(0)})
+        v = cb_solvable(double(), (10**6, 10**6), {"1": G(1), "2": G(-1)})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert v.undecided and v.nodes == 0
-    assert v.detail == "enumeration budget of 200000 exhausted"
+    assert v.detail.startswith("enumeration budget of 200000 exhausted")
+    assert peak < 100_000
+    # nine legs: the closed form's box holds 4^9 = 262 144 points (19 MB),
+    # which must be refused before it is built
+    cartan, v, zeta = star(9, 1)
+    tracemalloc.start()
+    try:
+        verdict = cb_solvable(cartan, v, zeta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.undecided and verdict.nodes == 0
+    assert verdict.detail == ("enumeration budget of 200000 exhausted: the isotropic-root "
+                              "search's boxes reach 262144 points")
     assert peak < 1_000_000
     # the meet-in-the-middle enumeration on its own: both half boxes (1001
     # points each) fit the cap, but at zeta = 0 their one zeta sum pairs
@@ -399,7 +432,7 @@ def fundamental_set(cartan, v):
 def test_integer_engine_matches_oracles_on_random_corpus():
     rng = random.Random(20261017)
     seen = collections.Counter()
-    outcomes, dropped = collections.Counter(), collections.Counter()
+    outcomes, closed = collections.Counter(), collections.Counter()
     for _ in range(320):
         cartan, v, zeta, kind = random_case(rng)
         seen[kind] += 1
@@ -408,20 +441,23 @@ def test_integer_engine_matches_oracles_on_random_corpus():
         dv = cartan.delta(v)
         assert _violating_decomposition(cartan, v, dv, cands, 200_000) == (
             mask_violating_decomposition(cartan, v, dv, cands))
-        # where zeta vanishes on the support of v the kept candidates are
-        # the simple roots and the roots with no positive pairing; Kac:
-        # these are the fundamental set, imaginary roots only
-        kept = indispensable_candidates(cartan, v, zeta)
+        new = cb_solvable(cartan, v, zeta)
+        key = (new.nonempty, new.failed_condition, new.dim)
+        assert not new.undecided
         if all(zeta[x] == G(0) for x, y in zip(cartan.vertices, v) if y):
+            # the oracle keeps the simple roots and the roots with no
+            # positive pairing; Kac: these are the fundamental set,
+            # imaginary roots only.  The closed form runs no DP
+            kept = indispensable_candidates(cartan, v, zeta)
             simple = [w for w in cands if sum(w) == 1]
             assert kept == [w for w in cands if sum(w) == 1 or max(pairings(cartan, w)) <= 0]
             assert kept == sorted(simple + fundamental_set(cartan, v))
+            assert (new.nodes, new.candidates) == (0, 0)
+            oracle = indispensable_solvable(cartan, v, zeta)
+            assert key == (oracle.nonempty, oracle.failed_condition, oracle.dim), (v, zeta)
+            closed[key[:2]] += 1
         else:
-            assert kept == cands
-        dropped[kind] += len(cands) - len(kept)
-        new = cb_solvable(cartan, v, zeta)
-        assert not new.undecided and new.nodes >= 1 and new.candidates == len(kept)
-        key = (new.nonempty, new.failed_condition, new.dim)
+            assert new.nodes >= 1 and new.candidates == len(cands)
         full = unfiltered_solvable(cartan, v, zeta)
         assert key == (full.nonempty, full.failed_condition, full.dim), (v, zeta)
         old = dfs_solvable(cartan, v, zeta)
@@ -433,7 +469,7 @@ def test_integer_engine_matches_oracles_on_random_corpus():
                 check_witness(cartan, v, zeta, verdict)
     assert min(seen[k] for k in ("generic", "zero", "split", "mixed")) >= 50, seen
     assert outcomes[True, None] >= 50 and outcomes[False, 3] >= 50
-    assert dropped["zero"] >= 50, dropped
+    assert sum(closed.values()) >= 50 and min(closed[True, None], closed[False, 3]) >= 20, closed
 
 
 def test_the_fundamental_set_needs_connected_support():
@@ -496,19 +532,35 @@ def test_the_dp_charges_each_states_parts_to_its_budget():
         _violating_decomposition(cartan, v, dv, cands, budget=8425)
 
 
-def test_zeta_zero_charges_the_box_before_the_dp():
-    """Where zeta vanishes on the support of v, the enumeration's work is
-    the box of v: 1 024 points on nilpotent 6x3 at seed 1, whose 43 kept
-    candidates need 259 part checks over 88 states."""
+def test_zeta_zero_charges_the_isotropic_box_before_walking_it():
+    """Where zeta vanishes on the support of v, the closed form's work is
+    the box of the legs, 4^5 = 1 024 points, charged before it is walked
+    for each of the two ends; v is nonempty with delta 32."""
+    cartan, v, zeta = star(5, 2)
+    verdict = cb_solvable(cartan, v, zeta, max_nodes=2048)
+    assert (verdict.nonempty, verdict.dim, verdict.candidates, verdict.nodes) == (True, 64, 0, 0)
+    verdict = cb_solvable(cartan, v, zeta, max_nodes=2047)
+    assert verdict.undecided and verdict.detail == (
+        "enumeration budget of 2047 exhausted: the isotropic-root search's boxes reach 2048 points")
+    verdict = cb_solvable(cartan, v, zeta, max_nodes=1023)
+    assert verdict.undecided and verdict.detail.endswith("boxes reach 1024 points")
+
+
+def test_the_dp_charges_the_oracles_kept_parts():
+    """Nilpotent 6x3 at seed 1: no vertex pairs to -1 with v, so the closed
+    form walks no box and decides at a budget of 1.  The oracle's DP on
+    its 43 kept candidates, the simple roots and the fundamental set in
+    the box of v, needs 259 part checks over 88 states."""
     rung = LADDER.Rung("n6x3k2", "nilpotent", 6, 3, 2, "nonempty")
     gq = build_global_quiver(instance_from_json(LADDER.problem(rung, 1), exact=True))
     cartan = CartanData.from_quiver(gq.quiver)
     v = cartan.vec(gq.dims)
-    assert math.prod(x + 1 for x in v) == 1024
-    verdict = cb_solvable(cartan, v, gq.zeta, max_nodes=1024)
-    assert (verdict.nonempty, verdict.dim, verdict.candidates, verdict.nodes) == (True, 20, 43, 88)
-    verdict = cb_solvable(cartan, v, gq.zeta, max_nodes=1023)
-    assert verdict.undecided and verdict.detail == "enumeration budget of 1023 exhausted"
+    verdict = cb_solvable(cartan, v, gq.zeta, max_nodes=1)
+    assert (verdict.nonempty, verdict.dim, verdict.candidates, verdict.nodes) == (True, 20, 0, 0)
+    oracle = indispensable_solvable(cartan, v, gq.zeta, max_nodes=1024)
+    assert (oracle.nonempty, oracle.dim, oracle.candidates, oracle.nodes) == (True, 20, 43, 88)
+    assert indispensable_solvable(cartan, v, gq.zeta, max_nodes=1023).detail == (
+        "enumeration budget of 1023 exhausted")
     kept = indispensable_candidates(cartan, v, gq.zeta)
     dv = cartan.delta(v)
     assert _violating_decomposition(cartan, v, dv, kept, budget=259) == (None, 88)
@@ -533,15 +585,237 @@ def test_dp_ranks_stay_exact_past_int64():
 
 
 def test_dp_decides_where_the_dfs_runs_out():
-    # the null root of E6~ at zeta = 0: nonempty, moduli dimension 2
+    # the null root of E6~ with zeta 1 and -1 at the tips of two arms and 0
+    # elsewhere: nonempty, moduli dimension 2
     names = ["c", "a1", "a2", "b1", "b2", "d1", "d2"]
     arrows = [("x", "a1", "c"), ("y", "a2", "a1"), ("z", "b1", "c"),
               ("u", "b2", "b1"), ("s", "d1", "c"), ("t", "d2", "d1")]
     c = CartanData.from_quiver(make_quiver(names, arrows))
     v, zeta = (3, 2, 1, 2, 1, 2, 1), {x: G(0) for x in names}
-    assert dfs_solvable(c, v, zeta, max_nodes=5000).undecided
-    verdict = cb_solvable(c, v, zeta, max_nodes=5000)
-    assert verdict.nonempty and verdict.dim == 2 and 1 <= verdict.nodes <= 5000
+    mixed = dict(zeta, a2=G(1), b2=G(-1))
+    assert dfs_solvable(c, v, mixed, max_nodes=1000).undecided
+    verdict = cb_solvable(c, v, mixed, max_nodes=1000)
+    assert verdict.nonempty and verdict.dim == 2 and 1 <= verdict.nodes <= 1000
+    # at zeta = 0 the closed form reads v as an indivisible isotropic root
+    verdict = cb_solvable(c, v, zeta, max_nodes=1)
+    assert verdict.nonempty and verdict.dim == 2 and verdict.nodes == 0
+    assert verdict.detail.endswith(": v is an indivisible isotropic root")
+
+
+# --- the closed form at zeta = 0 against the oracle DP -----------------------
+
+# pieces (vertex count, edges), each with v all ones on it: first the
+# isotropic ones, the Kronecker quiver, A2~ and A3~, whose null root that
+# is; then two with q = -1, three arrows on a pair and a triangle with
+# one edge doubled
+PIECES = ((2, ((0, 1), (0, 1))), (3, ((0, 1), (1, 2), (2, 0))), (4, ((0, 1), (1, 2), (2, 3), (3, 0))),
+          (2, ((0, 1), (0, 1), (0, 1))), (3, ((0, 1), (0, 1), (1, 2), (2, 0))))
+
+
+def cartan_of(m: int, edges) -> CartanData:
+    names = [str(i) for i in range(m)]
+    return CartanData.from_quiver(
+        make_quiver(names, [(f"a{k}", names[i], names[j]) for k, (i, j) in enumerate(edges)]))
+
+
+def joined_pieces(pieces, rng=None, centre=True):
+    """A centre, vertex 0, with the `PIECES` of the given indices, each
+    joined to it by one arrow (to the piece's first vertex, or a random
+    one), and the vector 1 at the centre and on every piece.  Without the
+    centre, each piece is joined by one arrow to a vertex of the one
+    before it instead."""
+    m, edges, last = int(centre), [], None
+    for k in pieces:
+        size, inner = PIECES[k]
+        edges += [(m + a, m + b) for a, b in inner]
+        end = m + (rng.randrange(size) if rng else 0)
+        if centre or last is not None:
+            edges.append((0 if centre else last, end))
+        m, last = m + size, m + (rng.randrange(size) if rng else size - 1)
+    return cartan_of(m, edges), [1] * m
+
+
+def zero_zeta_case(rng):
+    """A quiver and a positive root v with prod(v_i + 1) <= 20 000, for
+    zeta = 0.  Half the quivers have 1-6 vertices and 0-3 arrows per pair,
+    with v <= 5; the other half are 1-3 `PIECES` joined to a centre or in
+    a chain, with v 1 or, a third of the time, 2 on the centre and on each
+    piece, some entries moved by 1."""
+    planted = rng.random() < 0.5
+    if planted:
+        pieces = [rng.randrange(len(PIECES)) for _ in range(rng.randint(1, 3))]
+        centre = rng.random() < 0.5
+        cartan, _ = joined_pieces(pieces, rng, centre)
+        base = [rng.choice((1, 1, 2))] * centre
+        for k in pieces:
+            base += [rng.choice((1, 1, 2))] * PIECES[k][0]
+    else:
+        m = rng.randint(1, 6)
+        cartan = cartan_of(m, [(i, j) for i, j in itertools.combinations(range(m), 2)
+                               for _ in range(rng.randint(0, 3))])
+    while True:
+        if planted:
+            v = tuple(max(0, x + rng.randint(-1, 1)) if rng.random() < 0.3 else x for x in base)
+        else:
+            v = tuple(rng.randint(0, 5) for _ in range(cartan.size))
+        if math.prod(x + 1 for x in v) <= 20_000 and is_positive_root(cartan, v):
+            return cartan, v, dict.fromkeys(cartan.vertices, G(0))
+
+
+def test_closed_form_matches_the_dp_oracle_at_zeta_zero():
+    """Verdict, failed condition and dimension equal the DP's on the
+    simple roots and the fundamental set, and every witness violates
+    condition (3), on a seeded corpus of plain and planted quivers."""
+    rng = random.Random(20261019)
+    branches = collections.Counter()
+    for _ in range(800):
+        cartan, v, zeta = zero_zeta_case(rng)
+        oracle = indispensable_solvable(cartan, v, zeta)
+        if oracle.undecided:
+            continue
+        verdict = cb_solvable(cartan, v, zeta)
+        assert (verdict.nonempty, verdict.failed_condition, verdict.dim) == (
+            oracle.nonempty, oracle.failed_condition, oracle.dim), (cartan.adjacency, v)
+        assert (verdict.candidates, verdict.nodes) == (0, 0)
+        if verdict.failed_condition == 3:
+            check_witness(cartan, v, zeta, verdict)
+            assert len(verdict.witness) == 2
+        # the branch: the detail past the condition-3 sentence, less numbers
+        branches[re.sub(r"[0-9]+", "#", verdict.detail.split(": ", 1)[1])] += 1
+    assert len(branches) == 7 and min(branches.values()) >= 3, branches
+    assert branches["v - gamma is a positive root for an isotropic root gamma with "
+                    "(v, gamma) = -#"] >= 20, branches
+    assert sum(n for b, n in branches.items() if b.startswith("the arrow between vertices")) >= 5, branches
+
+
+@pytest.mark.parametrize("piece", range(3))
+@pytest.mark.parametrize("m", range(1, 6))
+def test_multiples_of_an_isotropic_root(piece, m):
+    """m gamma, gamma a null root: nonempty of dim 2 for m = 1, and
+    otherwise empty with the witness [(m - 1) gamma, gamma]."""
+    size, edges = PIECES[piece]
+    cartan, gamma = cartan_of(size, edges), [1] * size
+    v = tuple(m * x for x in gamma)
+    verdict = cb_solvable(cartan, v, dict.fromkeys(cartan.vertices, G(0)))
+    if m == 1:
+        assert verdict.nonempty and verdict.dim == 2
+    else:
+        assert verdict.failed_condition == 3
+        assert verdict.witness == [[(m - 1) * x for x in gamma], gamma]
+        assert verdict.detail.endswith(f": v is {m} times an isotropic root")
+    oracle = indispensable_solvable(cartan, v, dict.fromkeys(cartan.vertices, G(0)))
+    assert (oracle.nonempty, oracle.dim) == (verdict.nonempty, verdict.dim)
+
+
+@pytest.mark.parametrize("pieces", [(0,), (1,), (2,), (0, 0), (0, 1), (0, 0, 0), (0, 0, 1)])
+@pytest.mark.parametrize("centre", [1, 2])
+def test_isotropic_pieces_joined_to_one_vertex(pieces, centre):
+    """Pieces joined to a centre by one arrow each, v = centre e_0 plus m
+    times every piece's null root gamma.  Where v lies in the fundamental
+    set, each gamma has (v, gamma) = -centre: with 1 at the centre, v -
+    gamma is a root and v is empty; with 2, no vertex pairs to -1 with v
+    and v is nonempty.  The DP oracle agrees on every v."""
+    cartan, ones = joined_pieces(pieces)
+    zeta = dict.fromkeys(cartan.vertices, G(0))
+    for m in (1, 2):
+        v = (centre,) + (m,) * (len(ones) - 1)
+        verdict = cb_solvable(cartan, v, zeta)
+        oracle = indispensable_solvable(cartan, v, zeta)
+        assert (verdict.nonempty, verdict.failed_condition, verdict.dim) == (
+            oracle.nonempty, oracle.failed_condition, oracle.dim)
+        if verdict.failed_condition == 1 or max(cartan.pairings(v)) > 0:
+            continue
+        if centre == 1:
+            assert verdict.failed_condition == 3 and verdict.detail.endswith(
+                "for an isotropic root gamma with (v, gamma) = -1")
+            check_witness(cartan, v, zeta, verdict)
+            gamma = verdict.witness[1]
+            assert cartan.tits_form(gamma) == 0 and cartan.pairing(v, gamma) == -1
+        else:
+            assert verdict.nonempty and verdict.dim == 2 * cartan.delta(v) >= 4
+
+
+@pytest.mark.parametrize("centre", [True, False])
+@pytest.mark.parametrize("pieces", [(3,), (4,), (3, 3), (3, 4), (4, 4), (0, 3), (1, 4), (3, 3, 3),
+                                    (0, 3, 4), (4, 2, 3)])
+def test_pieces_joined_by_one_arrow(pieces, centre):
+    """`PIECES` joined by one arrow each to a centre or in a chain, with v
+    all ones, or 2 on one piece.  With v all ones and at least two pieces
+    v lies in the fundamental set, and each joining arrow has v = 1 at
+    both ends with a positive root on either side, so v is empty; the
+    DP oracle agrees on every v."""
+    cartan, ones = joined_pieces(pieces, centre=centre)
+    zeta = dict.fromkeys(cartan.vertices, G(0))
+    vs, start = [tuple(ones)], int(centre)
+    for k in pieces:
+        size = PIECES[k][0]
+        vs.append(tuple(2 if start <= i < start + size else 1 for i in range(len(ones))))
+        start += size
+    for v in vs:
+        verdict = cb_solvable(cartan, v, zeta)
+        oracle = indispensable_solvable(cartan, v, zeta)
+        assert (verdict.nonempty, verdict.failed_condition, verdict.dim) == (
+            oracle.nonempty, oracle.failed_condition, oracle.dim), v
+        if verdict.failed_condition == 3:
+            check_witness(cartan, v, zeta, verdict)
+    if len(pieces) >= 2:
+        assert max(cartan.pairings(vs[0])) <= 0 and cartan.delta(vs[0]) >= 2
+        assert cb_solvable(cartan, vs[0], zeta).failed_condition == 3
+
+
+def test_two_imaginary_pieces_joined_by_one_arrow():
+    """Three arrows a - b, three arrows c - d and one arrow b - c, v all
+    ones: v lies in the fundamental set with delta(v) = 4, and (1, 1, 0, 0)
+    and (0, 0, 1, 1) are roots of delta 2 each, so v is empty, though no
+    isotropic root lies below v."""
+    cartan = cartan_of(4, [(0, 1)] * 3 + [(2, 3)] * 3 + [(1, 2)])
+    v, zeta = (1, 1, 1, 1), dict.fromkeys(cartan.vertices, G(0))
+    assert cartan.pairings(v) == [-1, -2, -2, -1] and cartan.delta(v) == 4
+    verdict = cb_solvable(cartan, v, zeta)
+    assert verdict.witness == [[1, 1, 0, 0], [0, 0, 1, 1]]
+    assert verdict.detail.endswith(": the arrow between vertices 1 and 2, with v = 1 at both "
+                                   "ends, is the only one joining two positive roots")
+    oracle = indispensable_solvable(cartan, v, zeta)
+    assert oracle.failed_condition == 3 and oracle.witness == verdict.witness
+
+
+def test_an_isotropic_piece_can_leave_an_imaginary_root():
+    """Edges 0-2 twice, 0-3, 1-2 twice and 3-4 twice, v = (1, 2, 3, 4, 4):
+    v is empty with the DP's witness, and v - gamma is imaginary, not the
+    real root a bound gamma <= v / delta(v) would ask for."""
+    cartan = cartan_of(5, [(0, 2), (0, 2), (0, 3), (1, 2), (1, 2), (3, 4), (3, 4)])
+    v, zeta = (1, 2, 3, 4, 4), dict.fromkeys(cartan.vertices, G(0))
+    verdict = cb_solvable(cartan, v, zeta)
+    assert verdict.witness == [[1, 2, 3, 3, 3], [0, 0, 0, 1, 1]]
+    assert cartan.delta(v) >= 2 and cartan.tits_form(verdict.witness[0]) < 0
+    assert indispensable_solvable(cartan, v, zeta).witness == verdict.witness
+
+
+NILPOTENT = [(f"n{n}x{poles}k{k}", n, poles, k) for n, poles, k in (
+    (4, 2, 2), (4, 3, 2), (4, 4, 2), (6, 2, 2), (6, 3, 2), (8, 2, 2), (4, 2, 3),
+    (8, 5, 2), (10, 4, 2), (10, 5, 2), (10, 5, 3), (12, 6, 2), (16, 8, 2))]
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+@pytest.mark.parametrize("name, n, poles, k", NILPOTENT, ids=[r[0] for r in NILPOTENT])
+def test_nilpotent_rungs_decide_in_closed_form(name, n, poles, k, seed):
+    """Every nilpotent rung is decided at the default budget, with no DP:
+    the two-pole ones are isotropic multiples, the rest nonempty of
+    dimension 2 delta; the DP oracle agrees where its box fits."""
+    rung = LADDER.Rung(name, "nilpotent", n, poles, k, "nonempty")
+    gq = build_global_quiver(instance_from_json(LADDER.problem(rung, seed), exact=True))
+    cartan = CartanData.from_quiver(gq.quiver)
+    v = cartan.vec(gq.dims)
+    verdict = cb_solvable(cartan, v, gq.zeta_int)
+    assert (verdict.candidates, verdict.nodes) == (0, 0)
+    if poles == 2 and k == 2:
+        assert verdict.failed_condition == 3 and cartan.delta(v) == 1
+    else:
+        assert verdict.nonempty and verdict.dim == 2 * cartan.delta(v)
+    if math.prod(x + 1 for x in v) <= 5_000:
+        oracle = indispensable_solvable(cartan, v, gq.zeta)
+        assert (oracle.nonempty, oracle.failed_condition, oracle.dim, oracle.witness) == (
+            verdict.nonempty, verdict.failed_condition, verdict.dim, verdict.witness)
 
 
 # --- metamorphic: the verdict is a property of the local data ----------------
