@@ -569,7 +569,9 @@ class _MomentPlan:
     sign * x[left] * x[right], one per (row, left, right, sign), minus
     zeta_flat[p].  The Jacobian entry (row, left) gains sign * x[right]
     and (row, right) gains sign * x[left]; jac_index holds those flat
-    positions and jac_factor the coordinates they read.
+    positions and jac_factor the coordinates they read.  `build` makes
+    the triples once per arrow shape (dim dst, dim src), at zero offsets,
+    and shifts them by each arrow's block and coordinate offsets.
     """
 
     rows: int
@@ -590,21 +592,25 @@ class _MomentPlan:
             row_off[v] = rows
             rows += gq.dims[v] ** 2
             zeta_flat.append((as_complex(gq.zeta[v]) * np.eye(gq.dims[v])).reshape(-1))
-        empty = np.zeros(0, dtype=np.intp)
-        terms, cols = [(empty, empty, empty, 1.0)], 0
+        terms, signs, cols, by_shape = [np.zeros((3, 0), dtype=np.intp)], [np.ones(0)], 0, {}
         for a in gq.quiver.arrows:
             ds, dt = gq.dims[a.src], gq.dims[a.dst]
-            f = cols + np.arange(dt * ds).reshape(dt, ds)
-            r = cols + dt * ds + np.arange(ds * dt).reshape(ds, dt)
+            if (dt, ds) not in by_shape:  # (row, left, right) at zero offsets
+                f = np.arange(dt * ds).reshape(dt, ds)
+                r = dt * ds + np.arange(ds * dt).reshape(ds, dt)
+                # mu[dst][i, k] += f[i, j] r[j, k]
+                i, j, k = np.indices((dt, ds, dt))
+                into_dst = np.stack([i * dt + k, f[i, j], r[j, k]]).reshape(3, -1)
+                # mu[src][j, l] -= r[j, i] f[i, l]
+                j, i, l = np.indices((ds, dt, ds))
+                by_shape[dt, ds] = into_dst, np.stack([j * ds + l, r[j, i], f[i, l]]).reshape(3, -1)
+            into_dst, into_src = by_shape[dt, ds]
+            terms += [into_dst + [[row_off[a.dst]], [cols], [cols]],
+                      into_src + [[row_off[a.src]], [cols], [cols]]]
+            signs += [np.ones(into_dst.shape[1]), -np.ones(into_src.shape[1])]
             cols += 2 * ds * dt
-            # mu[dst][i, k] += f[i, j] r[j, k]
-            i, j, k = np.indices((dt, ds, dt))
-            terms.append((row_off[a.dst] + i * dt + k, f[i, j], r[j, k], 1.0))
-            # mu[src][j, l] -= r[j, i] f[i, l]
-            j, i, l = np.indices((ds, dt, ds))
-            terms.append((row_off[a.src] + j * ds + l, r[j, i], f[i, l], -1.0))
-        row, left, right = (np.concatenate([t[c].reshape(-1) for t in terms]) for c in range(3))
-        sign = np.concatenate([np.full(t[0].size, t[3]) for t in terms])
+        row, left, right = np.concatenate(terms, axis=1)
+        sign = np.concatenate(signs)
         return _MomentPlan(
             rows, cols, row, left, right, sign, np.concatenate(zeta_flat),
             jac_index=np.concatenate([row * cols + left, row * cols + right]),

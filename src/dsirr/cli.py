@@ -2,17 +2,18 @@
 
 Subcommands: check, build-quiver, realize, verify, reduce, leg; each
 accepts only the options it reads.  One table, COMMANDS, gives each its
-handler, help and options.  A call builds the parser of the command it
-names alone, and the whole tree only for no arguments, -h or an unknown
-command; nothing carries over from one call to the next.  Every run
-writes a machine-readable JSON report (stdout by default); exit status 0
-means nonempty/verified/success, 1 means empty/falsified, 2 means
-undecided or error.  Input files are parsed once, in the mode their
-scalars are written in (float if any is a JSON float or an [re, im]
-pair, exact otherwise); check always needs exact scalars.  A --tolerance
-that is not finite and > 0, or a --max-decompositions or --attempts
-below 1, is an error (exit 2), never a verdict.  Randomized paths are
-reproducible through --seed.
+handler, help and options.  A call that names a command builds one
+parser, that command's, with the prog `dsirr <command>` its subparser
+has; the whole tree is built only for no arguments, -h, an unknown
+command or to word an unrecognized-arguments error.  Nothing carries
+over between calls.  Every run writes a machine-readable JSON report
+(stdout by default); exit status 0 means nonempty/verified/success, 1
+means empty/falsified, 2 means undecided or error.  Input files are
+parsed once, in the mode their scalars are written in (float if any is
+a JSON float or an [re, im] pair, exact otherwise); check always needs
+exact scalars.  A --tolerance that is not finite and > 0, or a
+--max-decompositions or --attempts below 1, is an error (exit 2), never
+a verdict.  Randomized paths are reproducible through --seed.
 """
 
 from __future__ import annotations
@@ -249,31 +250,39 @@ COMMANDS = {
 }
 
 
-def build_parser(name=None) -> argparse.ArgumentParser:
-    """The parser with command `name`'s subparser alone, or with every
-    command's when `name` names none (no arguments, -h, an unknown one)."""
+def _add_options(parser, name) -> argparse.ArgumentParser:
+    for flags, kwargs in (_INPUT, _OUTPUT, *COMMANDS[name].options):
+        parser.add_argument(*flags, **kwargs)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole tree, every command a subparser.  `main` builds it only
+    for no arguments, -h or an unknown command, and to word an
+    unrecognized-arguments error, which argparse reports from the top."""
     parser = argparse.ArgumentParser(
         prog="dsirr",
         description="decide, realize and verify additive irregular Deligne-Simpson instances",
     )
-    one = name in COMMANDS
-    # one command's tree still lists every command in its usage line; the
-    # full tree leaves the metavar unset, since it would also rename the
-    # action in the "required: command" and "argument command" errors
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar="{%s}" % ",".join(COMMANDS) if one else None)
-    for n in [name] if one else COMMANDS:
-        p = sub.add_parser(n, help=COMMANDS[n].help)
-        for flags, kwargs in (_INPUT, _OUTPUT, *COMMANDS[n].options):
-            p.add_argument(*flags, **kwargs)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        _add_options(sub.add_parser(name, help=command.help), name)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    name = argv[0] if argv else None
+    if name in COMMANDS:
+        parser = _add_options(argparse.ArgumentParser(prog=f"dsirr {name}"), name)
+        args, extra = parser.parse_known_args(argv[1:])
+        if extra:
+            build_parser().error("unrecognized arguments: " + " ".join(extra))
+    else:  # help, or an error, from the tree
+        args = build_parser().parse_args(argv)
+        name = args.command
     try:
-        report, code = COMMANDS[args.command].handler(args)
+        report, code = COMMANDS[name].handler(args)
     except SchemaError as e:
         report, code = {"error": str(e)}, 2
     # a payload of the wrong shape raises TypeError or AttributeError on

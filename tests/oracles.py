@@ -21,7 +21,8 @@ orbit bookkeeping that found each eigenvalue by its hashed or compared
 the expected rank of a power, and the marking check by the explicit
 product of the shifted matrices.  The exponent check's core bracket is
 here as it was first computed: the core quiver's moment map, summed
-arrow by arrow.
+arrow by arrow; so is the realizer's moment plan, its index triples
+made by ``np.indices`` and fancy indexing for every arrow.
 The last few helpers are small constructions only the tests need: an
 exact matrix literal, the infinitesimal coadjoint action, the
 dT-stabilizer test, the matrix a leg realization reproduces and the
@@ -40,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from dsirr import linalg
+from dsirr.assembly import _MomentPlan
 from dsirr.irregular import core_quiver
 from dsirr.jets import ConnectionJet, PrincipalPart, jet_inv, pp_left_mul, pp_right_mul
 from dsirr.quiver import DoubledRep, moment_map
@@ -51,7 +53,7 @@ from dsirr.roots import (
     is_positive_root,
     summand_candidates,
 )
-from dsirr.scalars import GaussianRational, as_exact, scalar_key
+from dsirr.scalars import GaussianRational, as_complex, as_exact, scalar_key
 
 
 def reflection_end(cartan, v):
@@ -663,6 +665,37 @@ def annihilates_by_product(L, marking) -> bool:
     for lam in marking:
         prod = np.dot(prod, L - lam * ident)
     return linalg.is_zero_matrix(prod, rtol=1e-8, scale=scale)
+
+
+def moment_plan_per_arrow(gq) -> _MomentPlan:
+    """`_MomentPlan` of the global quiver, every arrow's index triples
+    built on their own."""
+    row_off, zeta_flat, rows = {}, [], 0
+    for v in gq.quiver.vertices:
+        row_off[v] = rows
+        rows += gq.dims[v] ** 2
+        zeta_flat.append((as_complex(gq.zeta[v]) * np.eye(gq.dims[v])).reshape(-1))
+    empty = np.zeros(0, dtype=np.intp)
+    terms, cols = [(empty, empty, empty, 1.0)], 0
+    for a in gq.quiver.arrows:
+        ds, dt = gq.dims[a.src], gq.dims[a.dst]
+        f = cols + np.arange(dt * ds).reshape(dt, ds)
+        r = cols + dt * ds + np.arange(ds * dt).reshape(ds, dt)
+        cols += 2 * ds * dt
+        # mu[dst][i, k] += f[i, j] r[j, k]
+        i, j, k = np.indices((dt, ds, dt))
+        terms.append((row_off[a.dst] + i * dt + k, f[i, j], r[j, k], 1.0))
+        # mu[src][j, l] -= r[j, i] f[i, l]
+        j, i, l = np.indices((ds, dt, ds))
+        terms.append((row_off[a.src] + j * ds + l, r[j, i], f[i, l], -1.0))
+    row, left, right = (np.concatenate([t[c].reshape(-1) for t in terms]) for c in range(3))
+    sign = np.concatenate([np.full(t[0].size, t[3]) for t in terms])
+    return _MomentPlan(
+        rows, cols, row, left, right, sign, np.concatenate(zeta_flat),
+        jac_index=np.concatenate([row * cols + left, row * cols + right]),
+        jac_factor=np.concatenate([right, left]),
+        jac_sign=np.concatenate([sign, sign]),
+    )
 
 
 def bench_ladder():

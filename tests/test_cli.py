@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dsirr.cli import main
+from dsirr.cli import COMMANDS, main
 from dsirr.quiver import quiver_from_json
 from dsirr.roots import CartanData
 from dsirr.scalars import GaussianRational as G
@@ -716,21 +716,46 @@ def test_cli_text_is_unchanged(case, monkeypatch, capsys):
     assert (out, err, code) == (case["stdout"], case["stderr"], case["code"])
 
 
-def test_main_builds_only_the_invoked_subparser(monkeypatch, capsys):
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The prog of every argparse.ArgumentParser built, subparsers included."""
     built = []
-    add_parser = argparse._SubParsersAction.add_parser
+    init = argparse.ArgumentParser.__init__
 
-    def counting(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-    assert main(["check", path("star_rigid.json")]) == 0
-    assert built == ["check"]
-    built.clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("command,input_name", [
+    ("check", "star_rigid.json"), ("build-quiver", "star_rigid.json"),
+    ("realize", "star_rigid.json"), ("verify", None),
+    ("reduce", "reduce_example.json"), ("leg", "leg_example.json"),
+])
+def test_a_valid_call_builds_one_parser(command, input_name, witness, parsers_built, capsys):
+    # the named command's parser alone, its prog the one its subparser has,
+    # and as many again on the next call: nothing is kept between calls
+    argv = [command, path(input_name) if input_name else witness]
+    for _ in range(2):
+        assert main(argv) == 0
+        assert parsers_built == [f"dsirr {command}"]
+        parsers_built.clear()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["-h"], [], ["bogus", "x.json"], ["check", "x.json", "--bogus"]],
+                         ids=lambda argv: " ".join(argv) or "no-args")
+def test_the_whole_tree_is_built_only_for_help_and_errors(argv, parsers_built, capsys):
+    # the top-level parser and one subparser per command; an
+    # unrecognized argument first builds its command's parser as well
     with pytest.raises(SystemExit):
-        main(["-h"])
-    assert len(built) == 6
+        main(argv)
+    own = ["dsirr check"] if argv[-1:] == ["--bogus"] else []
+    assert parsers_built == own + ["dsirr"] + [f"dsirr {name}" for name in COMMANDS]
+    capsys.readouterr()
 
 
 def test_console_script_path_matches_in_process_main(monkeypatch, capsys):

@@ -3,7 +3,8 @@
 `_residual_vector` and `moment_jacobian` read the moment map from index
 arrays compiled once per quiver; they are checked against the dict form
 `quiver.moment_map` and against central differences on a quiver with
-loops and a double arrow, which synthesis never builds.  The complex Gram
+loops and a double arrow, which synthesis never builds, and their
+per-shape build against the per-arrow one it replaced.  The complex Gram
 step is checked against the real-doubled normal equations on both sides
 of the Gram choice.  On instances with zeta . v != 0 the trace of mu - zeta
 is -zeta . v whatever the point, so the residual is at least
@@ -13,6 +14,7 @@ stop on it; on exact input a non-zero zeta . v is a proof of emptiness,
 which `realize` answers at once, in agreement with `check`.
 """
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -43,7 +45,7 @@ from dsirr.orbits import normal_form_matrix, orbit_spec_from_json
 from dsirr.quiver import Stability, make_quiver, moment_map
 from dsirr.scalars import ONE, GaussianRational, format_exact, parse_exact
 from dsirr.serialize import matrix_to_json, payload_is_float
-from oracles import bench_ladder, lm_step_real_doubled
+from oracles import bench_ladder, lm_step_real_doubled, moment_plan_per_arrow
 from test_assembly import rigid_star, star_instance
 
 DATA = Path(__file__).parent / "data"
@@ -95,6 +97,48 @@ def test_plan_is_built_once_per_quiver(rng):
     plan = gq.moment_plan
     assert gq.moment_plan is plan
     assert loop_and_double_arrow(rng).moment_plan is not plan
+
+
+def _plan_quivers():
+    """Factories of global quivers: every problem file in tests/data and
+    the realize-verify rungs of the benchmark ladder at seeds 1-3, in float
+    mode, then a quiver with a zero-dimensional vertex and repeated arrow
+    shapes, and one with no arrows."""
+    def synthesized(data):
+        return lambda: build_global_quiver(instance_from_json(data, exact=True).as_float())
+
+    out = []
+    for path in sorted(DATA.glob("*.json")):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if "rank" in data:
+            out.append(pytest.param(synthesized(data), id=path.stem))
+    ladder = bench_ladder()
+    for rung in ladder.WORKLOADS["realize-verify"][1]:
+        for seed in (1, 2, 3):
+            out.append(pytest.param(synthesized(ladder.problem(rung, seed)),
+                                    id=f"{rung.name}-{seed}"))
+    zero_dim = make_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "1", "2"), ("c", "3", "1"),
+                                             ("d", "2", "3"), ("l", "2", "2"), ("m", "1", "1")])
+    out.append(pytest.param(lambda: GlobalQuiver(
+        zero_dim, {"1": 2, "2": 3, "3": 0}, {"1": 0.5j, "2": -1.0, "3": 2.0}, None, {}),
+        id="zero-dim-vertex"))
+    out.append(pytest.param(lambda: GlobalQuiver(
+        make_quiver(["1", "2"], []), {"1": 2, "2": 1}, {"1": 1.0, "2": -2.0}, None, {}),
+        id="no-arrows"))
+    return out
+
+
+@pytest.mark.parametrize("make_gq", _plan_quivers())
+def test_plan_equals_the_per_arrow_build(make_gq):
+    # the per-shape templates give every array element for element, and
+    # of the same dtype, as indexing each arrow on its own
+    gq = make_gq()
+    got, want = gq.moment_plan, moment_plan_per_arrow(gq)
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
 
 
 @pytest.mark.parametrize("shape", [(8, 20), (20, 8), (10, 10)], ids=["wide", "tall", "square"])

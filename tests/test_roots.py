@@ -818,6 +818,23 @@ def test_nilpotent_rungs_decide_in_closed_form(name, n, poles, k, seed):
             verdict.nonempty, verdict.failed_condition, verdict.dim, verdict.witness)
 
 
+FRONTIER = [("n8x5k2", 8, 5, 200_000, 98), ("n10x4k2", 10, 4, 200_000, 102),
+            ("n10x5k2", 10, 5, 2_000_000, 152)]
+
+
+@pytest.mark.parametrize("name, n, poles, max_nodes, dim", FRONTIER, ids=[r[0] for r in FRONTIER])
+def test_frontier_rungs_agree_with_the_oracle(name, n, poles, max_nodes, dim):
+    """Nilpotent rungs past the ladder whose box the oracle's DP still
+    walks, at seed 5: `decide_ds` and the oracle give the same verdict and
+    dimension.  n10x5k2 needs a budget of 2 000 000 for the oracle's box."""
+    rung = LADDER.Rung(name, "nilpotent", n, poles, 2, "nonempty")
+    ds = decide_ds(instance_from_json(LADDER.problem(rung, 5), exact=True), max_nodes=max_nodes)
+    cartan = CartanData.from_quiver(ds.gq.quiver)
+    oracle = indispensable_solvable(cartan, cartan.vec(ds.gq.dims), ds.gq.zeta,
+                                    max_nodes=max_nodes)
+    assert (ds.verdict.nonempty, ds.verdict.dim) == (oracle.nonempty, oracle.dim) == (True, dim)
+
+
 # --- metamorphic: the verdict is a property of the local data ----------------
 
 
