@@ -28,6 +28,7 @@ profiles of powers at each eigenvalue.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from operator import lt
@@ -256,7 +257,8 @@ def _jordan_pass(L: np.ndarray, values, detect_rtol: float) -> OrbitSpec:
     n = L.shape[0]
     spec_data = []
     total = 0
-    for value, ranks in zip(values, _rank_profiles(L, [[v] * n for v in values], detect_rtol)):
+    _, profiles = _rank_profiles(L, [[v] * n for v in values], detect_rtol)
+    for value, ranks in zip(values, profiles):
         ranks = [n] + ranks
         mult = n - ranks[-1]
         if mult == 0:
@@ -271,9 +273,10 @@ def _jordan_pass(L: np.ndarray, values, detect_rtol: float) -> OrbitSpec:
     return make_orbit_spec(n, spec_data)
 
 
-def _rank_profiles(R: np.ndarray, chains, rtol: float, scale: float = 0.0) -> list:
-    """For each list of shifts in `chains`, the ranks of (R - s_1)...(R - s_j)
-    for j = 1..len(shifts): b copies of a value give its rank profile up
+def _rank_profiles(R: np.ndarray, chains, rtol: float, scale: float = 0.0) -> tuple:
+    """The norm max(||R||_2, scale), None in exact mode, and for each list
+    of shifts in `chains` the ranks of (R - s_1)...(R - s_j) for
+    j = 1..len(shifts): b copies of a value give its rank profile up
     to depth b, and a marking annihilates R just when its last rank is 0.
 
     Float mode reads ||R||_2, and the rank of every one-shift chain, from
@@ -285,7 +288,7 @@ def _rank_profiles(R: np.ndarray, chains, rtol: float, scale: float = 0.0) -> li
     rank.  Exact mode ranks exactly and ignores `rtol` and `scale`.
     """
     if linalg.is_exact(R):
-        return [_widths(linalg.product_chain(R, shifts)) for shifts in chains]
+        return None, [_widths(linalg.product_chain(R, shifts)) for shifts in chains]
     firsts = [as_complex(shifts[0]) for shifts in chains if len(shifts) == 1]
     n, m = R.shape[0], len(firsts)
     stack = np.empty((m + 1, n, n), dtype=complex)
@@ -303,7 +306,7 @@ def _rank_profiles(R: np.ndarray, chains, rtol: float, scale: float = 0.0) -> li
             profiles.append([sum(x > cutoff for x in row)])
         else:
             profiles.append(_widths(linalg.product_chain(R, shifts, rtol, norm)))
-    return profiles
+    return norm, profiles
 
 
 def _widths(steps) -> list:
@@ -365,6 +368,10 @@ def orbit_membership(R: np.ndarray, spec: OrbitSpec, rtol: float = 1e-8, scale: 
     kernel is the whole generalized eigenspace.  Every later rank is then
     n - m, and no undeclared eigenvalue is left.  A semisimple spec costs
     one SVD in float mode.
+
+    In float mode two declared values lambda, mu with |lambda - mu| <=
+    rtol * (max(||R||_2, scale) + max(|lambda|, |mu|)) answer False: at
+    that distance their kernels are one numerical kernel read twice.
     """
     n = R.shape[0]
     if n != spec.n:
@@ -373,7 +380,13 @@ def orbit_membership(R: np.ndarray, spec: OrbitSpec, rtol: float = 1e-8, scale: 
     def expected(blocks):
         return [n - sum(min(b, j) for b in blocks) for j in range(1, blocks[0] + 1)]
 
-    profiles = _rank_profiles(R, [[v] * blocks[0] for v, blocks in spec.eigenvalues], rtol, scale)
+    norm, profiles = _rank_profiles(R, [[v] * blocks[0] for v, blocks in spec.eigenvalues],
+                                    rtol, scale)
+    if norm is not None:
+        values = [as_complex(v) for v, _ in spec.eigenvalues]
+        if any(abs(a - b) <= rtol * (norm + max(abs(a), abs(b)))
+               for a, b in itertools.combinations(values, 2)):
+            return False
     return all(profile == expected(blocks) for profile, (_, blocks) in zip(profiles, spec.eigenvalues))
 
 

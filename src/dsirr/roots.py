@@ -46,7 +46,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
+from operator import le, mul, sub
 
 import numpy as np
 
@@ -265,76 +265,33 @@ class Verdict:
         return self.nonempty is None
 
 
-def _bits(mask: np.ndarray) -> int:
-    """The boolean array `mask` as a Python int whose big-endian bytes are
-    `np.packbits(mask)`, so that `np.unpackbits` of those bytes gives
-    `mask` back, zero-padded to whole bytes."""
-    return int.from_bytes(np.packbits(mask).tobytes(), "big")
-
-
 def _violating_decomposition(cartan: CartanData, v, dv: int, cands, budget: int):
     """Parts of a decomposition of v with >= 2 parts and sum delta >= dv = delta(v).
 
     Returns (parts or None, states evaluated).  F(u), the largest total
-    delta of a decomposition of u into candidates, is memoized by u's
-    lexicographic rank in the box of v, so that rank(u - w) = rank(u) -
-    rank(w); every candidate has delta >= 0, and a u with no
-    decomposition gets F(u) = `none`, low enough that no part lifts it
-    to 0.  Every decomposition of u has a part w with w_i > 0 at u's
-    first non-zero coordinate i, so only those parts are tried.
-
-    The parts of u are found on Python-int bitsets over the candidate
-    indices (`_bits`), each built on first use: lead[i] holds the
-    candidates whose first non-zero coordinate is i, and below[j][x]
-    those with w_j <= x, for x < v_j.  One pass over u's digits, from the
-    last coordinate up, ANDs below[j][u_j] for every u_j < v_j until the
-    rest of the rank is 0, which happens at the lead coordinate i; the
-    state then ANDs lead[i] and reads the set bits back in ascending
-    order with one numpy unpack.  The pass over its parts that looks up
-    each F(u - w) also takes the maximum, so a state whose u - w are all
-    known is done in it; otherwise it keeps its parts, pushes the
-    unknown u - w, and makes the same pass again once they are known.
-
-    Each state's parts are charged to `budget`; a DP that needs more
+    delta of a decomposition of u into candidates, is memoized by u; a u
+    with none gets `none`, low enough that no part lifts it to 0.  Every
+    decomposition of u has a part w with w_i > 0 at u's first non-zero
+    coordinate i, so u tries the w <= u among the candidates led by i,
+    in candidate order, each charged to `budget`; a DP that needs more
     raises `SearchCapExceeded`.
     """
-    m, n = len(v), len(cands)
-    strides = [1] * m
-    for i in range(m - 2, -1, -1):
-        strides[i] = strides[i + 1] * (v[i + 1] + 1)
-    wc = np.array(cands, dtype=np.int64).reshape(n, m)
-    # every rank is below prod(v + 1): int64 where that fits, exact ints past it
-    box = strides[0] * (v[0] + 1)
-    rank = (wc @ np.array(strides, dtype=np.int64 if box <= 2**63 else object)).tolist()
+    wc = np.array(cands, dtype=np.int64).reshape(len(cands), len(v))
     # delta(w) = 1 - (w, w) / 2 for all candidates from one product W C
     deltas = [1 - q // 2 for q in ((wc @ cartan.matrix) * wc).sum(1).tolist()]
     none = -1 - max(deltas, default=0)
-    nbytes = (n + 7) // 8
-    lead = [None] * m
-    below = [[None] * x for x in v]
-    digits = [(j, v[j] + 1, v[j], below[j]) for j in reversed(range(m))]
-    best = {0: 0}  # rank(u) -> F(u); F(0) = 0 counts as v's own state
-    choice = {}  # rank(u) -> the candidate the maximum picks first
+    lead = [[] for _ in v]  # lead[i]: (index, w) of the candidates led by i
+    for c, w in enumerate(wc.tolist()):
+        lead[next(i for i, x in enumerate(w) if x)].append((c, w))
+    best = {(0,) * len(v): 0}  # u -> F(u); F(0) = 0 counts as v's own state
+    choice = {}  # u -> (the candidate the maximum picks first, u minus it)
     checks = 0
 
-    def parts(r):
+    def parts(u):
+        """(c, u - w) for the parts w of u, in candidate order."""
         nonlocal checks
-        mask = -1  # every bit set
-        for j, radix, vj, le in digits:
-            x = r % radix
-            r //= radix
-            if x < vj:  # every candidate has w_j <= v_j
-                b = le[x]
-                if b is None:
-                    b = le[x] = _bits(wc[:, j] <= x)
-                mask &= b
-            if not r:  # j is u's first non-zero coordinate
-                break
-        b = lead[j]
-        if b is None:
-            b = lead[j] = _bits((wc[:, :j] == 0).all(1) & (wc[:, j] > 0))
-        bits = np.frombuffer((mask & b).to_bytes(nbytes, "big"), np.uint8)
-        out = np.unpackbits(bits).view(bool).nonzero()[0].tolist()
+        i = next(i for i, x in enumerate(u) if x)
+        out = [(c, tuple(map(sub, u, w))) for c, w in lead[i] if all(map(le, w, u))]
         checks += len(out)
         if checks > budget:
             raise SearchCapExceeded(f"enumeration budget of {budget} exhausted: "
@@ -344,39 +301,36 @@ def _violating_decomposition(cartan: CartanData, v, dv: int, cands, budget: int)
     def solve(root):
         stack, tried = [root], {}
         while stack:
-            r = stack[-1]
-            if r in best:
+            u = stack[-1]
+            if u in best:
                 stack.pop()
                 continue
-            cs = tried.pop(r, None)
+            cs = tried.pop(u, None)
             if cs is None:
-                cs = parts(r)
+                cs = parts(u)
             f, pick, todo = -1, None, []
-            for c in cs:
-                k = r - rank[c]
+            for c, k in cs:
                 g = best.get(k)
                 if g is None:
                     todo.append(k)
                 elif deltas[c] + g > f:
-                    f, pick = deltas[c] + g, c
+                    f, pick = deltas[c] + g, (c, k)
             if todo:
-                tried[r] = cs
+                tried[u] = cs
                 stack.extend(todo)
                 continue
-            best[r], choice[r] = f if pick is not None else none, pick
+            best[u], choice[u] = f if pick is not None else none, pick
             stack.pop()
 
-    top = _dot(v, strides)
-    for c in reversed(parts(top)):
-        rest = top - rank[c]
-        if rest == 0:
+    for c, rest in reversed(parts(tuple(v))):
+        if not any(rest):
             continue  # w = v, the trivial decomposition
         solve(rest)
         if best[rest] >= 0 and deltas[c] + best[rest] >= dv:
             witness = [cands[c]]
-            while rest:
-                witness.append(cands[choice[rest]])
-                rest -= rank[choice[rest]]
+            while any(rest):
+                c, rest = choice[rest]
+                witness.append(cands[c])
             return witness, len(best)
     return None, len(best)
 

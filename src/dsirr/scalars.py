@@ -27,8 +27,6 @@ import re
 from fractions import Fraction
 from operator import mul
 
-DEFAULT_RTOL = 1e-9
-
 # RE[±IM i] or IM i; the groups are RE's numerator and denominator, IM's, IM-alone's
 _RE_EXACT = re.compile(
     r"([+-]?\d+)(?:/(\d+))?(?:([+-]\d+)(?:/(\d+))?i)?|([+-]?\d+)(?:/(\d+))?i")
@@ -260,7 +258,7 @@ def scalar_key(x):
     return (z.real, z.imag)
 
 
-def scalars_equal(a, b, exact: bool, rtol: float = DEFAULT_RTOL) -> bool:
+def scalars_equal(a, b, exact: bool, rtol: float) -> bool:
     if exact:
         return as_exact(a) == as_exact(b)
     za, zb = complex(a), complex(b)

@@ -6,13 +6,14 @@ vector and one vertex at a time, a scan of the whole box with exact
 Q(i) arithmetic for the zeta-orthogonal positive roots, a depth-first
 search over multisets for condition (3) of the criterion, the
 condition-3 DP with each state's parts found by a numpy mask over every
-candidate, the criterion with that DP run on every zeta-orthogonal
-positive root, the criterion at zeta = 0 with the DP run on the simple
-roots and Kac's fundamental set in the box of v, the
-ranks of every power of a matrix without stopping once they settle,
-the triple-sum conjugation term of a gauge transform, the float density
-test of irreducibility and the graded invariant closure of a quiver
-representation (both on a float Gram-Schmidt span), the realizer's
+candidate, and the criterion with that mask DP, never the package's
+DP, run on every zeta-orthogonal positive root (`unfiltered_solvable`)
+and at zeta = 0 on the simple roots and Kac's fundamental set in the
+box of v (`indispensable_solvable`), the ranks of every power of a
+matrix without stopping once they settle, the triple-sum conjugation
+term of a gauge transform, the float density test of irreducibility
+and the graded invariant closure of a quiver representation (both on
+a float Gram-Schmidt span), the realizer's
 damped Gauss-Newton step solved as a real system of twice the size, and
 the trace identity's two sides folded term by term in Q(i) arithmetic,
 the scalar parser that built each part with ``Fraction(str)``, and the
@@ -25,8 +26,8 @@ arrow by arrow; so is the realizer's moment plan, its index triples
 made by ``np.indices`` and fancy indexing for every arrow.
 The last few helpers are small constructions only the tests need: an
 exact matrix literal, the infinitesimal coadjoint action, the
-dT-stabilizer test, the matrix a leg realization reproduces and the
-benchmark's instance ladder.
+dT-stabilizer test, the matrix a leg realization reproduces, the
+benchmark's instance ladder and its nilpotent rungs with mixed zeta.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from dsirr.roots import (
     SearchCapExceeded,
     Verdict,
     _integer_zeta,
-    _violating_decomposition,
     is_positive_root,
     summand_candidates,
 )
@@ -122,8 +122,9 @@ def brute_candidates(cartan, v, zeta):
     return sorted(out)
 
 
-def dfs_solvable(cartan, v, zeta, max_nodes: int = 200_000) -> Verdict:
-    """The criterion with condition (3) decided by a DFS over multisets."""
+def dfs_solvable(cartan, v, zeta, max_nodes: int = 200_000, cands=None) -> Verdict:
+    """The criterion with condition (3) decided by a DFS over multisets of
+    `cands`, by default `brute_candidates`."""
     v = tuple(int(x) for x in v)
     dv = cartan.delta(v)
     if not reflection_is_positive_root(cartan, v):
@@ -132,7 +133,9 @@ def dfs_solvable(cartan, v, zeta, max_nodes: int = 200_000) -> Verdict:
     if _zeta_dot(zeta_vec, v):
         return Verdict(False, failed_condition=2, delta=dv)
     # non-increasing order canonicalizes multisets during the search
-    cands = sorted(brute_candidates(cartan, v, zeta), reverse=True)
+    if cands is None:
+        cands = brute_candidates(cartan, v, zeta)
+    cands = sorted(cands, reverse=True)
     deltas = [cartan.delta(w) for w in cands]
     nodes = 0
 
@@ -168,7 +171,8 @@ def dfs_solvable(cartan, v, zeta, max_nodes: int = 200_000) -> Verdict:
 
 def mask_violating_decomposition(cartan, v, dv: int, cands):
     """The condition-3 DP of `roots._violating_decomposition`, with the
-    parts of each state found by a numpy mask over every candidate.
+    parts of each state found by a numpy mask over every candidate and
+    no budget.
 
     Returns (parts or None, states evaluated).  F(u) is memoized by u's
     lexicographic rank in the box of v; only candidates w with w_i > 0
@@ -231,8 +235,9 @@ def mask_violating_decomposition(cartan, v, dv: int, cands):
 
 
 def unfiltered_solvable(cartan, v, zeta, max_nodes: int = 200_000) -> Verdict:
-    """The criterion with the condition-3 DP run on every candidate that
-    `summand_candidates` enumerates, none dropped as dispensable."""
+    """The criterion with `mask_violating_decomposition` run on every
+    candidate that `summand_candidates` enumerates, none dropped as
+    dispensable."""
     v = tuple(int(x) for x in v)
     dv = cartan.delta(v)
     try:
@@ -242,7 +247,7 @@ def unfiltered_solvable(cartan, v, zeta, max_nodes: int = 200_000) -> Verdict:
         if any(sum(a * b for a, b in zip(z, v)) for z in (zr, zi)):
             return Verdict(False, failed_condition=2, delta=dv)
         cands = summand_candidates(cartan, v, (zr, zi), cap=max_nodes)
-        witness, states = _violating_decomposition(cartan, v, dv, cands, budget=max_nodes)
+        witness, states = mask_violating_decomposition(cartan, v, dv, cands)
     except SearchCapExceeded as e:
         return Verdict(None, delta=dv, detail=str(e))
     if witness is not None:
@@ -295,9 +300,10 @@ def indispensable_candidates(cartan, v, zeta, cap: int = 2_000_000):
 
 
 def indispensable_solvable(cartan, v, zeta, max_nodes: int = 200_000) -> Verdict:
-    """The criterion with condition (3) decided by the DP on
-    `indispensable_candidates`; at zeta = 0 on the support of v, the
-    oracle of `roots.cb_solvable`'s closed form."""
+    """The criterion with condition (3) decided by
+    `mask_violating_decomposition` on `indispensable_candidates`; at
+    zeta = 0 on the support of v, the oracle of `roots.cb_solvable`'s
+    closed form."""
     v = tuple(int(x) for x in v)
     dv = cartan.delta(v)
     try:
@@ -307,7 +313,7 @@ def indispensable_solvable(cartan, v, zeta, max_nodes: int = 200_000) -> Verdict
         if any(sum(a * b for a, b in zip(z, v)) for z in (zr, zi)):
             return Verdict(False, failed_condition=2, delta=dv)
         cands = indispensable_candidates(cartan, v, (zr, zi), cap=max_nodes)
-        witness, states = _violating_decomposition(cartan, v, dv, cands, budget=max_nodes)
+        witness, states = mask_violating_decomposition(cartan, v, dv, cands)
     except SearchCapExceeded as e:
         return Verdict(None, delta=dv, detail=str(e))
     if witness is not None:
@@ -706,3 +712,19 @@ def bench_ladder():
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+def mixed_zeta_problem(ladder, rung, seed: int) -> dict:
+    """The problem of a nilpotent `ladder` rung with finite pole 0 and both
+    residue blocks given the generic family's a/p draws, and the last
+    eigenvalue of pole 0 re-solved for trace 0.  zeta vanishes on the
+    legs of the other, still nilpotent, poles only, so the criterion
+    reaches the condition-3 DP with many candidates."""
+    doc = ladder.problem(rung, seed)
+    draw, n = ladder._Draw(seed, f"{rung.name}:mixed"), rung.rank
+    orbits = [[(draw.value(), [1]) for _ in range(m)] for m in ((n + 1) // 2, n // 2)]
+    orbits.append([(draw.value(), [1]) for _ in range(n)])
+    ladder._balance(orbits)
+    doc["infinity"]["residue_blocks"] = [ladder._orbit(o) for o in orbits[:2]]
+    doc["finite_poles"][0]["orbit"] = ladder._orbit(orbits[2])
+    return doc

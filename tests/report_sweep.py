@@ -10,11 +10,13 @@ problem file in tests/data and its float copy, and the check-generic,
 check-degenerate, realize-verify and realize-infeasible rungs of the
 benchmark ladder at seeds 1-3, with the float copies of the
 realize-verify rungs, and the nilpotent rungs n10x5k2, n10x5k3 and
-n12x6k2 at seeds 1-3, which probe the criterion's frontier and so get
-`check`, `build-quiver` and its `check` only.  Two problem files also
-come with their finite poles' orbits given as a matrix with eigenvalue
-hints (exact), as a matrix alone (float) and as a marking with its
-ranks.  `leg` and `reduce` run on their four example files; `leg` also
+n12x6k2 at seeds 1-3, which probe the criterion's frontier, and the
+nilpotent rungs n4x6k2 and n6x4k2 at seed 1 with mixed zeta
+(`oracles.mixed_zeta_problem`), whose 248 and 67 candidates reach the
+condition-3 DP; these get `check`, `build-quiver` and its `check` only.
+Two problem files also come with their finite poles' orbits given as a
+matrix with eigenvalue hints (exact), as a matrix alone (float) and as
+a marking with its ranks.  `leg` and `reduce` run on their four example files; `leg` also
 on float copies of its two, on three matrices outside their orbits, in
 both modes, and on a float unitary conjugate with a marking longer than
 the minimal one.  Not a test module: pytest does not collect it.
@@ -41,13 +43,14 @@ from dsirr.orbits import (greedy_marking, make_orbit_spec, normal_form_matrix,  
                           orbit_spec_from_json, orbit_spec_to_json, rank_sequence)
 from dsirr.scalars import ONE  # noqa: E402
 from dsirr.serialize import matrix_from_json, matrix_to_json, scalar_to_json  # noqa: E402
-from oracles import bench_ladder  # noqa: E402
+from oracles import bench_ladder, mixed_zeta_problem  # noqa: E402
 
 DATA = TESTS / "data"
 MATRIX_EXAMPLES = [("leg", "leg_example.json"), ("leg", "leg_exact_matrix.json"),
                    ("reduce", "reduce_example.json"), ("reduce", "reduce_exact.json")]
 POLE_FORM_PROBLEMS = ["star_rigid.json", "ladder_n4x3k2_seed1.json"]
 FRONTIER = "check-frontier"
+MIXED = "check-mixed-zeta"
 
 
 def run(*argv):
@@ -156,6 +159,9 @@ def problems():
         rung = ladder.Rung(name, "nilpotent", n, poles, k, "nonempty")
         for seed in (1, 2, 3):
             yield f"{FRONTIER}/{name}/seed{seed}", ladder.problem(rung, seed)
+    for name, n, poles in (("n4x6k2", 4, 6), ("n6x4k2", 6, 4)):
+        rung = ladder.Rung(name, "nilpotent", n, poles, 2, "nonempty")
+        yield f"{MIXED}/{name}/seed1", mixed_zeta_problem(ladder, rung, 1)
 
 
 def sweep(tmp: Path) -> dict:
@@ -164,7 +170,7 @@ def sweep(tmp: Path) -> dict:
         src = tmp / "problem.json"
         src.write_text(json.dumps(data), encoding="utf-8")
         for argv in (["check"], ["build-quiver"], ["realize", "--seed", "1"]):
-            if argv[0] != "realize" or not name.startswith(FRONTIER):
+            if argv[0] != "realize" or not name.startswith((FRONTIER, MIXED)):
                 cases[f"{name}: {' '.join(argv)}"] = run(*argv, str(src))
         code, payload = cases[f"{name}: build-quiver"]
         if code == 0:

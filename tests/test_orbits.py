@@ -21,7 +21,8 @@ from dsirr.orbits import (
     realize_leg,
 )
 from dsirr.quiver import moment_map
-from dsirr.scalars import GaussianRational as G
+from dsirr.scalars import GaussianRational as G, as_complex
+from dsirr.serialize import matrix_to_json
 from oracles import (
     annihilates_by_product,
     exact_matrix,
@@ -200,6 +201,38 @@ def test_orbit_membership_exact():
     m = exact_matrix([[1, 5], [0, 2]])
     assert orbit_membership(m, spec)
     assert not orbit_membership(exact_matrix([[1, 5], [0, 1]]), spec)
+
+
+def test_float_membership_refuses_values_read_as_one_kernel():
+    # 1 and 1 + 1e-12 lie within the cutoff 1e-8 * (||R||_2 + 1): their
+    # kernels are one numerical kernel, which each reads as its own, so
+    # diag(1, 2) matched both until the values had to be apart
+    close = make_orbit_spec(2, [(1 + 0j, [1]), (1 + 1e-12 + 0j, [1])])
+    assert not orbit_membership(np.diag([1, 2]), close)
+    assert not orbit_membership(np.diag([1, 1 + 1e-12]).astype(complex), close)
+    # 1e-6 apart is past the cutoff, and the rank profiles decide
+    apart = make_orbit_spec(2, [(1 + 0j, [1]), (1 + 1e-6 + 0j, [1])])
+    assert orbit_membership(np.diag([1, 1 + 1e-6]).astype(complex), apart)
+    assert not orbit_membership(np.diag([1, 2]).astype(complex), apart)
+    # exact values are never merged
+    exact = make_orbit_spec(2, [(G(1), [1]), (G(1) + G(Fraction(1, 10**12)), [1])])
+    assert orbit_membership(exact_matrix([[1, 0], [0, Fraction(10**12 + 1, 10**12)]]), exact)
+
+
+def test_float_hints_read_the_exact_blocks(rng):
+    # a float unitary conjugate of an exact Jordan form, read through
+    # orbit_spec_from_json with float eigenvalue hints, has the blocks
+    # of the exact reading
+    N = exact_matrix([[2, 1, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 2, 0, 0],
+                      [0, 0, 0, -1, 1], [0, 0, 0, 0, -1]])
+    exact = orbit_spec_from_json({"matrix": matrix_to_json(N), "eigenvalue_hints": ["2", "-1"]},
+                                 5, True)
+    q = np.linalg.qr(rand_complex(rng, 5, 5))[0]
+    conj = q @ linalg.to_complex(N) @ q.conj().T
+    read = orbit_spec_from_json({"matrix": matrix_to_json(conj),
+                                 "eigenvalue_hints": [2.0, -1.0]}, 5, False)
+    assert [(as_complex(v), b) for v, b in read.eigenvalues] == [
+        (as_complex(v), b) for v, b in exact.eigenvalues] == [(-1, (2,)), (2, (2, 1))]
 
 
 def test_exact_jordan_needs_eigenvalues():

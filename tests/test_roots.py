@@ -27,6 +27,7 @@ from oracles import (
     indispensable_candidates,
     indispensable_solvable,
     mask_violating_decomposition,
+    mixed_zeta_problem,
     reflection_end,
     reflection_is_positive_root,
     support_connected,
@@ -505,7 +506,7 @@ DP_RUNGS = [
 
 
 @pytest.mark.parametrize("rung, seed", DP_RUNGS)
-def test_bitset_dp_matches_the_mask_dp_on_the_ladder(rung, seed):
+def test_dp_matches_the_mask_dp_on_the_ladder(rung, seed):
     """Same witness and state count as the numpy-mask DP, on the check
     rungs and two larger nilpotent ones."""
     gq = build_global_quiver(instance_from_json(LADDER.problem(rung, seed), exact=True))
@@ -516,6 +517,40 @@ def test_bitset_dp_matches_the_mask_dp_on_the_ladder(rung, seed):
     new = _violating_decomposition(cartan, v, dv, cands, 200_000)
     assert new == mask_violating_decomposition(cartan, v, dv, cands)
     assert (new[0] is None) == (rung.verdict == "nonempty")
+
+
+MIXED_RUNGS = [
+    pytest.param(LADDER.Rung(name, "nilpotent", n, poles, 2, "nonempty"), seed, count,
+                 id=f"{name}-mixed-{seed}")
+    for name, n, poles, count in (("n4x6k2", 4, 6, 248), ("n6x4k2", 6, 4, 67),
+                                  ("n6x6k2", 6, 6, 1029))
+    for seed in (1, 2)
+]
+
+
+@pytest.mark.parametrize("rung, seed, count", MIXED_RUNGS)
+def test_mixed_zeta_at_ladder_scale(rung, seed, count):
+    """Nilpotent rungs with pole 0 and the residue blocks made generic
+    (`mixed_zeta_problem`), the traffic the DP serves: its witness and
+    state count are the mask DP's, and `cb_solvable`'s verdict is that of
+    `unfiltered_solvable` and of the DFS on the same candidates where it
+    decides."""
+    gq = build_global_quiver(instance_from_json(mixed_zeta_problem(LADDER, rung, seed), exact=True))
+    cartan = CartanData.from_quiver(gq.quiver)
+    v = cartan.vec(gq.dims)
+    cands = summand_candidates(cartan, v, gq.zeta)
+    dv = cartan.delta(v)
+    assert len(cands) == count
+    dp = _violating_decomposition(cartan, v, dv, cands, 200_000)
+    assert dp == mask_violating_decomposition(cartan, v, dv, cands)
+    new = cb_solvable(cartan, v, gq.zeta)
+    key = (new.nonempty, new.failed_condition, new.dim)
+    assert (new.candidates, new.nodes) == (count, dp[1])
+    full = unfiltered_solvable(cartan, v, gq.zeta)
+    assert key == (full.nonempty, full.failed_condition, full.dim)
+    old = dfs_solvable(cartan, v, gq.zeta, cands=cands)
+    if not old.undecided:
+        assert key == (old.nonempty, old.failed_condition, old.dim)
 
 
 def test_the_dp_charges_each_states_parts_to_its_budget():
@@ -568,9 +603,9 @@ def test_the_dp_charges_the_oracles_kept_parts():
         _violating_decomposition(cartan, v, dv, kept, budget=258)
 
 
-def test_dp_ranks_stay_exact_past_int64():
-    """A 70-vertex path with v all ones: its box holds 2^70 points, so
-    the ranks need Python ints, and the DP still matches the oracle."""
+def test_dp_matches_the_mask_dp_on_a_box_past_int64():
+    """A 70-vertex path with v all ones: its box holds 2^70 points, more
+    than an int64 rank can index, and the DP still matches the oracle."""
     names = [f"x{i}" for i in range(70)]
     cartan = CartanData.from_quiver(
         make_quiver(names, [(f"a{i}", a, b) for i, (a, b) in enumerate(zip(names, names[1:]))]))
