@@ -43,6 +43,7 @@ from .irregular import (IrregularType, OrbitMembershipError, QPPair, core_quiver
 from .jets import ConnectionJet, PrincipalPart
 from .orbits import (OrbitSpec, greedy_marking, leg_dimensions, orbit_membership,
                      orbit_spec_from_json, orbit_spec_to_json, realize_leg)
+# is_stable and moment_map go unused here; bench/tracing.py patches them by this name
 from .quiver import (DoubledRep, delta, is_stable, make_quiver, moment_map, quiver_to_json,
                      rep_stability, stability)
 from .roots import CartanData, Verdict, cb_solvable
@@ -311,11 +312,9 @@ def _fro(a: np.ndarray) -> float:
 
 
 def moment_residual(gq: GlobalQuiver, rep: DoubledRep) -> float:
-    mu = moment_map(rep)
-    total = 0.0
-    for v in gq.quiver.vertices:
-        total += linalg.mat_norm(mu[v] - gq.zeta[v] * np.eye(gq.dims[v], dtype=complex)) ** 2
-    return total ** 0.5
+    """||mu - zeta||_F at rep, from the compiled moment plan: the residual
+    the realizer minimizes, read as verify reads it."""
+    return float(np.linalg.norm(_residual_vector(gq, _pack(gq, rep))))
 
 
 def _foot_maps(rep: DoubledRep, leg: Leg):
@@ -326,16 +325,17 @@ def _foot_maps(rep: DoubledRep, leg: Leg):
             np.concatenate([rep.rev[a] for a in leg.feet], axis=1))
 
 
-def _leg_condition_failures(gq: GlobalQuiver, rep: DoubledRep, rtol: float) -> list:
-    """Injectivity/surjectivity demanded of leg arrows.
+def _leg_conditions(gq: GlobalQuiver, rep: DoubledRep) -> list:
+    """The (map, rank it needs, message if it has another) triples of
+    the injectivity/surjectivity demanded of leg arrows.
 
     Chain arrows and the foot of a block leg need injective forward
-    maps and surjective reverse maps onto the source space; they are
-    tested one by one, in quiver arrow order.  The feet of a finite pole
-    need joint injectivity and joint surjectivity of the stacked maps,
-    tested after them, pole by pole.
+    maps and surjective reverse maps onto the source space; they come
+    one by one, in quiver arrow order.  The feet of a finite pole need
+    joint injectivity and joint surjectivity of the stacked maps, and
+    come after them, pole by pole.
     """
-    fails, poles = [], []
+    tests, poles = [], []
     for (kind, _), leg in gq.legs.items():
         single = list(zip(leg.chain, leg.vertices[1:]))
         if kind == "p":
@@ -343,18 +343,14 @@ def _leg_condition_failures(gq: GlobalQuiver, rep: DoubledRep, rtol: float) -> l
         elif leg.feet:
             poles.append(leg)
         for a, src in single:
-            if linalg.rank(rep.fwd[a], rtol) != rep.dims[src]:
-                fails.append(f"{a}: forward map not injective")
-            if linalg.rank(rep.rev[a], rtol) != rep.dims[src]:
-                fails.append(f"{a}: reverse map not surjective")
+            tests += [(rep.fwd[a], rep.dims[src], f"{a}: forward map not injective"),
+                      (rep.rev[a], rep.dims[src], f"{a}: reverse map not surjective")]
     for leg in poles:
         src = leg.vertices[0]
         stacked_fwd, stacked_rev = _foot_maps(rep, leg)
-        if linalg.rank(stacked_fwd, rtol) != rep.dims[src]:
-            fails.append(f"{src}: joint kernel of the foot maps is non-zero")
-        if linalg.rank(stacked_rev, rtol) != rep.dims[src]:
-            fails.append(f"{src}: foot reverse maps do not jointly surject")
-    return fails
+        tests += [(stacked_fwd, rep.dims[src], f"{src}: joint kernel of the foot maps is non-zero"),
+                  (stacked_rev, rep.dims[src], f"{src}: foot reverse maps do not jointly surject")]
+    return tests
 
 
 def assemble_residue(gq: GlobalQuiver, rep: DoubledRep, j: int):
@@ -419,22 +415,24 @@ def _conversion(gq: GlobalQuiver, rep: DoubledRep, rtol: float):
         if not ok:
             failures.append(failure)
 
-    resid = moment_residual(gq, rep)
-    scale = max(1.0, rep.norm() ** 2)
+    x = _pack(gq, rep)
+    resid = float(np.linalg.norm(_residual_vector(gq, x)))
+    scale = max(1.0, float(np.linalg.norm(x)) ** 2)  # ||rep||^2, as realize_numeric takes it
     check("moment_residual", isfinite(resid) and resid <= rtol * scale, f"{resid:.3e}",
           f"moment residual {resid:.3e} above tolerance")
-    fails = "; ".join(_leg_condition_failures(gq, rep, rtol))
+    legs = _leg_conditions(gq, rep)
+    ranks = linalg.ranks([m for m, _, _ in legs], rtol)  # one stacked SVD per map shape
+    fails = "; ".join(message for (_, wanted, message), k in zip(legs, ranks) if k != wanted)
     check("leg_conditions", not fails, fails, "leg conditions failed: " + fails)
-    residues = []
-    for j, pole in enumerate(inst.poles):
-        r, scale = assemble_residue(gq, rep, j)
-        residues.append(r)
-        check(f"residue_orbit_t{j}", orbit_membership(r, pole.orbit, rtol, scale), "",
-              f"residue at pole {j} leaves its declared orbit")
+    poles = [assemble_residue(gq, rep, j) for j in range(len(inst.poles))]
+    residues = [r for r, _ in poles]
     qp = rep_to_qp(T, rep)  # reads the core arrows only
-    for b, (lb, scale) in exponent_blocks(T, qp, residues).items():
-        check(f"exponent_orbit_p{b}", orbit_membership(lb, inst.residue_blocks[b], rtol, scale),
-              "", f"exponent at block {b} leaves its declared orbit")
+    mats, scales = zip(*poles, *exponent_blocks(T, qp, residues).values())
+    specs = [p.orbit for p in inst.poles] + list(inst.residue_blocks)
+    names = [(f"residue_orbit_t{j}", f"residue at pole {j}") for j in range(len(inst.poles))]
+    names += [(f"exponent_orbit_p{b}", f"exponent at block {b}") for b in range(T.block_count)]
+    for (name, what), ok in zip(names, orbit_membership(mats, specs, rtol, scales)):
+        check(name, ok, "", f"{what} leaves its declared orbit")
     conn = error = None
     if failures:
         error = ValueError(failures[0])

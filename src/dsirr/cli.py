@@ -49,7 +49,7 @@ from .quiver import quiver_from_json, quiver_to_json, to_dot
 from .reduction import normalize
 from .roots import CartanData, cb_solvable
 from .serialize import (SCHEMA_VERSION, matrix_from_json, matrix_to_json, payload_is_float,
-                        scalar_to_json)
+                        report_text, scalar_to_json)
 
 
 class SchemaError(ValueError):
@@ -290,7 +290,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError, AttributeError, OSError) as e:
         report, code = {"error": f"{type(e).__name__}: {e}"}, 2
     report["schema_version"] = SCHEMA_VERSION
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = report_text(report)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
             f.write(text + "\n")

@@ -119,6 +119,22 @@ def rank(a: np.ndarray, rtol: float = RANK_RTOL) -> int:
     return int(np.sum(s > rtol * s[0]))
 
 
+def ranks(mats, rtol: float = RANK_RTOL) -> list:
+    """`rank` of each float matrix, from one stacked SVD per shape: numpy
+    runs the same LAPACK call on each slice, so the singular values, and
+    the ranks, are those of one call per matrix.  An all-zero matrix has
+    rank 0, as no singular value exceeds its cutoff rtol * 0."""
+    by_shape, out = {}, [0] * len(mats)
+    for i, a in enumerate(mats):
+        by_shape.setdefault(a.shape, []).append(i)
+    for shape, where in by_shape.items():
+        if 0 not in shape:  # a zero-size matrix has rank 0
+            s = np.linalg.svd(np.array([mats[i] for i in where], dtype=complex), compute_uv=False)
+            for i, k in zip(where, np.sum(s > rtol * s[:, :1], axis=1).tolist()):
+                out[i] = k
+    return out
+
+
 def product_chain(a: np.ndarray, shifts, rtol: float = RANK_RTOL, scale: float = None) -> list:
     """Rank factorizations along the chain V_j = range (a - s_1)...(a - s_j):
     the pairs (f_j, r_j), j = 1..len(shifts), with a_{j-1} - s_j = f_j r_j,

@@ -257,7 +257,7 @@ def _jordan_pass(L: np.ndarray, values, detect_rtol: float) -> OrbitSpec:
     n = L.shape[0]
     spec_data = []
     total = 0
-    _, profiles = _rank_profiles(L, [[v] * n for v in values], detect_rtol)
+    (_, profiles), = _rank_profiles([(L, [[v] * n for v in values], 0.0)], detect_rtol)
     for value, ranks in zip(values, profiles):
         ranks = [n] + ranks
         mult = n - ranks[-1]
@@ -273,40 +273,48 @@ def _jordan_pass(L: np.ndarray, values, detect_rtol: float) -> OrbitSpec:
     return make_orbit_spec(n, spec_data)
 
 
-def _rank_profiles(R: np.ndarray, chains, rtol: float, scale: float = 0.0) -> tuple:
-    """The norm max(||R||_2, scale), None in exact mode, and for each list
-    of shifts in `chains` the ranks of (R - s_1)...(R - s_j) for
-    j = 1..len(shifts): b copies of a value give its rank profile up
-    to depth b, and a marking annihilates R just when its last rank is 0.
+def _rank_profiles(items, rtol: float) -> list:
+    """For each (R, chains, scale) in `items`: the norm max(||R||_2, scale),
+    None in exact mode, and for each list of shifts in `chains` the ranks
+    of (R - s_1)...(R - s_j) for j = 1..len(shifts): b copies of a value
+    give its rank profile up to depth b, and a marking annihilates R just
+    when its last rank is 0.
 
-    Float mode reads ||R||_2, and the rank of every one-shift chain, from
-    one stacked SVD of [R, R - s_1, ...] without singular vectors; longer
-    chains read the widths of `linalg.product_chain`.  A singular value counts
-    above rtol * (max(||R||_2, scale) + |s_j|).  A caller that formed R
-    by cancellation passes the size of the terms that cancelled as
-    `scale`; otherwise round-off in a numerically zero R reads as full
-    rank.  Exact mode ranks exactly and ignores `rtol` and `scale`.
+    Float mode reads every ||R||_2, and the rank of every one-shift chain,
+    from one SVD without singular vectors per matrix size: the stack of
+    [R, R - s_1, ...] over every item of that size.  Longer chains read
+    the widths of `linalg.product_chain`.  A singular value counts above
+    rtol * (max(||R||_2, scale) + |s_j|).  A caller that formed R by
+    cancellation passes the size of the terms that cancelled as `scale`;
+    otherwise round-off in a numerically zero R reads as full rank.  Exact
+    mode ranks exactly and ignores `rtol` and `scale`.
     """
-    if linalg.is_exact(R):
-        return None, [_widths(linalg.product_chain(R, shifts)) for shifts in chains]
-    firsts = [as_complex(shifts[0]) for shifts in chains if len(shifts) == 1]
-    n, m = R.shape[0], len(firsts)
-    stack = np.empty((m + 1, n, n), dtype=complex)
-    stack[:] = R
-    # slice i's diagonal, through a strided view, minus first shift i
-    stack.reshape(m + 1, n * n)[1:, :: n + 1] -= np.array(firsts, dtype=complex)[:, None]
-    rows = np.linalg.svd(stack, compute_uv=False).tolist()
-    norm = max(rows[0][0], scale)
-    one_shift = iter(zip(firsts, rows[1:]))
-    profiles = []
-    for shifts in chains:
-        if len(shifts) == 1:
-            s, row = next(one_shift)
-            cutoff = rtol * (norm + abs(s))
-            profiles.append([sum(x > cutoff for x in row)])
+    out, by_size = [None] * len(items), {}
+    for i, (R, chains, _) in enumerate(items):
+        if linalg.is_exact(R):
+            out[i] = None, [_widths(linalg.product_chain(R, shifts)) for shifts in chains]
         else:
-            profiles.append(_widths(linalg.product_chain(R, shifts, rtol, norm)))
-    return norm, profiles
+            by_size.setdefault(R.shape[0], []).append(i)
+    for n, where in by_size.items():
+        # per item: 0, then the first shift of each one-shift chain
+        shifts = [[0j] + [as_complex(s[0]) for s in items[i][1] if len(s) == 1] for i in where]
+        stack = np.repeat(np.array([items[i][0] for i in where], dtype=complex),
+                          [len(s) for s in shifts], axis=0)
+        # slice k's diagonal, through a strided view, minus shift k
+        stack.reshape(len(stack), n * n)[:, :: n + 1] -= np.concatenate(shifts)[:, None]
+        rows = iter(np.linalg.svd(stack, compute_uv=False).tolist())
+        for i, firsts in zip(where, shifts):
+            R, chains, scale = items[i]
+            norm = max(next(rows)[0], scale)
+            profiles, one_shift = [], iter(firsts[1:])
+            for chain in chains:
+                if len(chain) == 1:
+                    cutoff = rtol * (norm + abs(next(one_shift)))
+                    profiles.append([sum(x > cutoff for x in next(rows))])
+                else:
+                    profiles.append(_widths(linalg.product_chain(R, chain, rtol, norm)))
+            out[i] = norm, profiles
+    return out
 
 
 def _widths(steps) -> list:
@@ -355,7 +363,7 @@ def realize_leg(L: np.ndarray, marking: Marking) -> LegRealization:
     return LegRealization(tuple(marking), rep)
 
 
-def orbit_membership(R: np.ndarray, spec: OrbitSpec, rtol: float = 1e-8, scale: float = 0.0) -> bool:
+def orbit_membership(R, spec, rtol: float = 1e-8, scale=0.0):
     """Conjugacy-class membership via rank profiles (`_rank_profiles`,
     whose docstring gives the cutoff and the use of `scale`).
 
@@ -366,28 +374,32 @@ def orbit_membership(R: np.ndarray, spec: OrbitSpec, rtol: float = 1e-8, scale: 
     the generalized eigenspaces of distinct eigenvalues form a direct sum
     and the multiplicities fill n (an OrbitSpec invariant), so each such
     kernel is the whole generalized eigenspace.  Every later rank is then
-    n - m, and no undeclared eigenvalue is left.  A semisimple spec costs
-    one SVD in float mode.
+    n - m, and no undeclared eigenvalue is left.
 
     In float mode two declared values lambda, mu with |lambda - mu| <=
     rtol * (max(||R||_2, scale) + max(|lambda|, |mu|)) answer False: at
     that distance their kernels are one numerical kernel read twice.
+
+    Given equal-length sequences of matrices, specs and scales, it
+    answers for each in a list, and all the float matrices of one size
+    share one SVD: a semisimple spec adds its one-shift profiles to it
+    and nothing else.  One matrix and one OrbitSpec give one bool.
     """
-    n = R.shape[0]
-    if n != spec.n:
+    if isinstance(spec, OrbitSpec):
+        return orbit_membership([R], [spec], rtol, [scale])[0]
+    if any(m.shape[0] != s.n for m, s in zip(R, spec)):
         raise ValueError("size mismatch")
-
-    def expected(blocks):
-        return [n - sum(min(b, j) for b in blocks) for j in range(1, blocks[0] + 1)]
-
-    norm, profiles = _rank_profiles(R, [[v] * blocks[0] for v, blocks in spec.eigenvalues],
-                                    rtol, scale)
-    if norm is not None:
-        values = [as_complex(v) for v, _ in spec.eigenvalues]
-        if any(abs(a - b) <= rtol * (norm + max(abs(a), abs(b)))
-               for a, b in itertools.combinations(values, 2)):
-            return False
-    return all(profile == expected(blocks) for profile, (_, blocks) in zip(profiles, spec.eigenvalues))
+    items = [(m, [[v] * b[0] for v, b in s.eigenvalues], c)
+             for m, s, c in zip(R, spec, scale, strict=True)]
+    answers = []
+    for s, (norm, profiles) in zip(spec, _rank_profiles(items, rtol)):
+        values = [] if norm is None else [as_complex(v) for v, _ in s.eigenvalues]
+        apart = not any(abs(a - b) <= rtol * (norm + max(abs(a), abs(b)))
+                        for a, b in itertools.combinations(values, 2))
+        answers.append(apart and all(p == [s.n - sum(min(b, j) for b in blocks)
+                                           for j in range(1, blocks[0] + 1)]
+                                     for p, (_, blocks) in zip(profiles, s.eigenvalues)))
+    return answers
 
 
 def orbit_spec_to_json(spec: OrbitSpec) -> dict:

@@ -167,13 +167,6 @@ class DoubledRep:
             {k: v.copy() for k, v in self.rev.items()},
         )
 
-    def norm(self) -> float:
-        total = 0.0
-        for a in self.quiver.arrows:
-            total += linalg.mat_norm(self.fwd[a.id]) ** 2
-            total += linalg.mat_norm(self.rev[a.id]) ** 2
-        return total ** 0.5
-
 
 def moment_map(rep: DoubledRep) -> dict:
     """Vertex-wise moment values; their traces always sum to zero."""
@@ -337,7 +330,7 @@ def _norton(gens: list, n: int) -> Stability:
     stack = np.array([np.eye(n, dtype=complex)] + [np.asarray(g, dtype=complex) for g in gens])
     # one common scale: a map that is zero up to rounding next to the
     # others must stay below the cutoff, not be blown up to unit norm
-    scale = np.linalg.norm(stack[1:], 2, axis=(1, 2)).max(initial=0.0)
+    scale = np.linalg.svd(stack[1:], compute_uv=False)[:, 0].max(initial=0.0)
     if scale > 0:
         stack[1:] /= scale
     m = len(stack)

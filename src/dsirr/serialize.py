@@ -1,4 +1,4 @@
-"""JSON codecs for scalars and matrices.
+"""JSON codecs for scalars and matrices, and the report writer.
 
 Complex scalars travel as [re, im] pairs in float mode or as strings
 "a/b+c/d i" in exact mode; plain JSON integers are accepted in both
@@ -8,7 +8,9 @@ from context.
 
 from __future__ import annotations
 
+import math
 from cmath import isfinite
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -91,3 +93,48 @@ def matrix_from_json(data: list, rows: int, cols: int, exact: bool) -> np.ndarra
         raise ValueError(f"matrix payload has {len(data)} entries, expected {rows * cols}")
     vals = [scalar_from_json(x, exact) for x in data]
     return np.array(vals, dtype=object if exact else complex).reshape(rows, cols)
+
+
+def report_text(report) -> str:
+    """json.dumps(report, indent=2, sort_keys=True), byte for byte, in one
+    recursive pass; with `indent` set, the json module runs its
+    pure-Python encoder, a chain of generators.  As there, tuples are
+    lists, a float (np.float64 too) is its float.__repr__ or NaN or
+    +-Infinity, keys are sorted before they become text, and an object
+    JSON has no form for is a TypeError."""
+    return _text(report, "\n")
+
+
+_INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
+# the text of a leaf by its type, bool before int (True is an int too)
+_LEAVES = {str: encode_basestring_ascii, bool: {True: "true", False: "false"}.__getitem__,
+           int: int.__repr__, type(None): lambda _: "null",
+           float: lambda x: "NaN" if x != x else _INFINITIES.get(x) or float.__repr__(x)}
+
+
+def _scalar_text(x, refusal="Object of type {} is not JSON serializable") -> str:
+    """The text of a leaf of any subclass of those in _LEAVES."""
+    for kind, text in _LEAVES.items():
+        if isinstance(x, kind):
+            return text(x)
+    raise TypeError(refusal.format(x.__class__.__name__))
+
+
+def _text(x, newline: str) -> str:
+    """The text of x, whose lines continue at `newline`."""
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = newline + "  "
+        items = [f(v) if (f := _LEAVES.get(type(v))) else _text(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = newline + "  "
+        items = [(encode_basestring_ascii(k) if isinstance(k, str) else
+                  '"' + _scalar_text(k, "keys must be str, int, float, bool or None, not {}") + '"')
+                 + ": " + (f(v) if (f := _LEAVES.get(type(v))) else _text(v, inner))
+                 for k, v in sorted(x.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return _scalar_text(x)

@@ -20,10 +20,12 @@ the scalar parser that built each part with ``Fraction(str)``, and the
 orbit bookkeeping that found each eigenvalue by its hashed or compared
 (Re, Im) key: the step-by-step greedy marking, the rank sequence and
 the expected rank of a power, and the marking check by the explicit
-product of the shifted matrices.  The exponent check's core bracket is
-here as it was first computed: the core quiver's moment map, summed
-arrow by arrow; so is the realizer's moment plan, its index triples
-made by ``np.indices`` and fancy indexing for every arrow.
+product of the shifted matrices.  Orbit membership is here as it was
+before it took many matrices at once, one SVD stack per matrix.  The
+exponent check's core bracket is here as it was first computed: the
+core quiver's moment map, summed arrow by arrow; so is the realizer's
+moment plan, its index triples made by ``np.indices`` and fancy
+indexing for every arrow.
 The last few helpers are small constructions only the tests need: an
 exact matrix literal, the infinitesimal coadjoint action, the
 dT-stabilizer test, the matrix a leg realization reproduces, the
@@ -659,6 +661,41 @@ def keyed_orbit_membership(R, spec, rtol: float = 1e-8, scale: float = 0.0,
         if any(ranks[j - 1] != keyed_expected_rank(spec, value, j) for j in range(1, jmax + 1)):
             return False
     return True
+
+
+def one_at_a_time_orbit_membership(R, spec, rtol: float = 1e-8, scale: float = 0.0) -> bool:
+    """`orbit_membership` as it was before it took many matrices at once:
+    one stacked SVD of [R, R - s_1, ...] for this R alone, one entry per
+    semisimple eigenvalue s_j, and `linalg.product_chain` for each value
+    with a block of size 2 or more; the same cutoffs and the same refusal
+    of two declared values one numerical kernel apart."""
+    n = R.shape[0]
+    if n != spec.n:
+        raise ValueError("size mismatch")
+    chains = [[v] * blocks[0] for v, blocks in spec.eigenvalues]
+    if linalg.is_exact(R):
+        profiles = [[f.shape[1] for f, _ in linalg.product_chain(R, c)] for c in chains]
+    else:
+        firsts = [as_complex(c[0]) for c in chains if len(c) == 1]
+        stack = np.empty((len(firsts) + 1, n, n), dtype=complex)
+        stack[:] = R
+        stack.reshape(len(stack), n * n)[1:, :: n + 1] -= np.array(firsts, dtype=complex)[:, None]
+        rows = np.linalg.svd(stack, compute_uv=False).tolist()
+        norm = max(rows[0][0], scale)
+        one_shift = iter(zip(firsts, rows[1:]))
+        profiles = []
+        for c in chains:
+            if len(c) == 1:
+                s, row = next(one_shift)
+                profiles.append([sum(x > rtol * (norm + abs(s)) for x in row)])
+            else:
+                profiles.append([f.shape[1] for f, _ in linalg.product_chain(R, c, rtol, norm)])
+        values = [as_complex(v) for v, _ in spec.eigenvalues]
+        if any(abs(a - b) <= rtol * (norm + max(abs(a), abs(b)))
+               for a, b in itertools.combinations(values, 2)):
+            return False
+    return all(p == [n - sum(min(b, j) for b in blocks) for j in range(1, blocks[0] + 1)]
+               for p, (_, blocks) in zip(profiles, spec.eigenvalues))
 
 
 def annihilates_by_product(L, marking) -> bool:

@@ -14,6 +14,9 @@ n12x6k2 at seeds 1-3, which probe the criterion's frontier, and the
 nilpotent rungs n4x6k2 and n6x4k2 at seed 1 with mixed zeta
 (`oracles.mixed_zeta_problem`), whose 248 and 67 candidates reach the
 condition-3 DP; these get `check`, `build-quiver` and its `check` only.
+The mixed-zeta rungs n4x3k2 and n6x2k2 at seed 1 get every command:
+their witnesses are the only ladder-shaped ones whose orbit tests take
+the Jordan-block chain path and whose stability test runs Norton's.
 Two problem files also come with their finite poles' orbits given as a
 matrix with eigenvalue hints (exact), as a matrix alone (float) and as
 a marking with its ranks.  `leg` and `reduce` run on their four example files; `leg` also
@@ -162,6 +165,9 @@ def problems():
     for name, n, poles in (("n4x6k2", 4, 6), ("n6x4k2", 6, 4)):
         rung = ladder.Rung(name, "nilpotent", n, poles, 2, "nonempty")
         yield f"{MIXED}/{name}/seed1", mixed_zeta_problem(ladder, rung, 1)
+    for name, n, poles in (("n4x3k2", 4, 3), ("n6x2k2", 6, 2)):
+        rung = ladder.Rung(name, "nilpotent", n, poles, 2, "nonempty")
+        yield f"realize-mixed-zeta/{name}/seed1", mixed_zeta_problem(ladder, rung, 1)
 
 
 def sweep(tmp: Path) -> dict:

@@ -458,15 +458,16 @@ def assert_conversion_fails_with(gq, rep, report, message):
 
 
 def test_verify_checks_each_orbit_once(monkeypatch):
-    # one orbit_membership call per pole and per block: the conversion
-    # reuses the checks verify records instead of running them again
+    # one batched orbit_membership call holding each pole's orbit, then
+    # each block's, once and in report order: the conversion reuses the
+    # checks verify records instead of running them again
     import dsirr.assembly as assembly
 
     calls = []
     real = assembly.orbit_membership
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(list(args[1]))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(assembly, "orbit_membership", counted)
@@ -478,7 +479,7 @@ def test_verify_checks_each_orbit_once(monkeypatch):
         calls.clear()
         report = verify_instance(gq, res.rep)
         assert report["all_ok"], report
-        assert calls == [p.orbit for p in inst.poles] + list(inst.residue_blocks)
+        assert calls == [[p.orbit for p in inst.poles] + list(inst.residue_blocks)]
 
 
 def test_moment_jacobian_matches_finite_differences(rng):

@@ -11,10 +11,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dsirr.cli
 from dsirr.cli import COMMANDS, main
 from dsirr.quiver import quiver_from_json
 from dsirr.roots import CartanData
 from dsirr.scalars import GaussianRational as G
+from dsirr.serialize import report_text
 from oracles import bench_ladder, reflection_is_positive_root
 
 TESTS = os.path.dirname(__file__)
@@ -769,3 +771,46 @@ def test_console_script_path_matches_in_process_main(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["dsirr", *argv])
     code = main()
     assert (code, json.loads(capsys.readouterr().out)) == expected
+
+
+def test_the_report_writer_matches_json_dumps_on_every_sweep_report(monkeypatch, tmp_path):
+    # every report tests/report_sweep.py makes the CLI write
+    import report_sweep
+
+    reports = []
+
+    def recorded(report):
+        reports.append(report)
+        return report_text(report)
+
+    monkeypatch.setattr(dsirr.cli, "report_text", recorded)
+    cases = report_sweep.sweep(tmp_path)
+    assert len(reports) == len(cases) > 600
+    for report in reports:
+        assert report_text(report) == json.dumps(report, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), {"a": [], "b": {}, "c": ()}, [[], [{}], {"d": [[]]}],
+    [math.nan, math.inf, -math.inf, -0.0, 1e-7, 1e300, 0.1, np.float64(2.5), np.float64(math.nan)],
+    ["caf\u00e9 \u2603 \U0001f600", "tab\tnew\nline\x00\x1f\x7f", '"quoted" \\ /', "\ud800"],
+    {"b": 1, "a": (1, (2, [3])), "c": {"z": None, "y": True, "x": False}},
+    {2: "int", 1.5: "float", -1: "negative"}, {True: 1, False: 0}, {None: "null"},
+    {math.inf: 1, -math.inf: 2}, {np.float64(0.5): "np"}, {"\u00e9": 1, "e": 2},
+    "text", 7, 2**70, -0.0, None, True, False,
+], ids=repr)
+def test_the_report_writer_edge_cases(value):
+    assert report_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    object(), {"a": {1, 2}}, [np.int64(3)], {(1, 2): "tuple key"}, {"a": 1, 2: "mixed keys"},
+    [1j],
+], ids=repr)
+def test_the_report_writer_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        report_text(value)
+    assert str(got.value) == str(want.value)
+

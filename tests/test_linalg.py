@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from dsirr import linalg
+from dsirr.assembly import _leg_conditions, build_global_quiver, instance_from_json, realize_numeric
 from dsirr.jets import JetMatrix, jet_inv
 from dsirr.orbits import greedy_marking, normal_form_matrix
 from dsirr.scalars import GaussianRational as G
-from oracles import FloatSpan, exact_matrix, power_ranks_every_step
+from oracles import FloatSpan, bench_ladder, exact_matrix, power_ranks_every_step
 from test_orbits import _random_spec
 
 
@@ -25,6 +26,41 @@ def test_rref_rank_exact():
 def test_rank_float_threshold():
     a = np.diag([1.0, 1e-3, 1e-12]).astype(complex)
     assert linalg.rank(a) == 2  # relative threshold 1e-8 * smax
+
+
+def test_stacked_ranks_match_rank_on_every_leg_map_of_the_ladder():
+    # verify's leg maps at the witness realize finds on each realize-verify
+    # rung at seeds 1-3: the stacked SVD of each shape gives every map the
+    # singular values of its own SVD, bit for bit, so the ranks are equal
+    ladder, maps = bench_ladder(), []
+    for rung in ladder.WORKLOADS["realize-verify"][1]:
+        for seed in (1, 2, 3):
+            problem = instance_from_json(ladder.problem(rung, seed), exact=True)
+            gq = build_global_quiver(problem.as_float())
+            res = realize_numeric(gq, seed=seed)
+            assert res.success
+            maps += [m for m, _, _ in _leg_conditions(gq, res.rep)]
+    shapes = {m.shape for m in maps}
+    assert len(shapes) > 5 and any(1 in shape for shape in shapes)
+    for shape in shapes:
+        group = [m for m in maps if m.shape == shape]
+        stacked = np.linalg.svd(np.array(group), compute_uv=False)
+        for m, row in zip(group, stacked, strict=True):
+            assert np.array_equal(np.linalg.svd(m, compute_uv=False), row)
+    assert linalg.ranks(maps) == [linalg.rank(m) for m in maps]
+    assert linalg.ranks(maps[::-1], 1e-3) == [linalg.rank(m, 1e-3) for m in maps[::-1]]
+
+
+def test_stacked_ranks_edge_cases(rng):
+    def c(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    mats = [np.zeros((0, 3), complex), np.zeros((3, 0), complex), np.zeros((3, 3), complex),
+            c(3, 1) @ c(1, 3), c(4, 2) @ c(2, 3), c(1, 5), c(5, 1), np.zeros((1, 5), complex),
+            c(3, 3), c(4, 3), np.diag([1.0, 1e-3, 1e-12]).astype(complex), c(1, 1)]
+    got = linalg.ranks(mats)
+    assert got == [linalg.rank(m) for m in mats] == [0, 0, 0, 1, 2, 1, 1, 0, 3, 3, 2, 1]
+    assert linalg.ranks([]) == []
 
 
 def test_inv_round_trip_both_modes():

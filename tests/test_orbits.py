@@ -30,6 +30,7 @@ from oracles import (
     keyed_orbit_membership,
     keyed_rank_sequence,
     leg_reconstruction,
+    one_at_a_time_orbit_membership,
 )
 
 
@@ -396,6 +397,35 @@ def test_orbit_membership_matches_the_keyed_oracle(exact):
                     rejected_members += 1
     assert rejected_members <= len(answers) // 100
     assert len(answers) // 5 < sum(answers) < len(answers) - len(answers) // 5
+
+
+def test_batched_membership_matches_one_at_a_time():
+    # one call over a seeded corpus of mixed sizes and both modes: random
+    # specs with blocks up to size 3 (the chain path), the values 1 and
+    # 1 + 1e-12 that are one numerical kernel and the pair 1, 1 + 1e-6
+    # that is not, each at scales 0, 10 ||R|| and 1e3; every answer is
+    # the one-at-a-time oracle's, and so is the one-item call's
+    r = random.Random(29)
+    items = []
+    for exact in (True, False):
+        corpus = _membership_corpus(r, exact)
+        while len(items) < (60 if exact else 600):
+            items += [(R, s) for R, s, _ in next(corpus)]
+    for second in (1 + 1e-12, 1 + 1e-6):
+        spec = make_orbit_spec(2, [(1 + 0j, [1]), (complex(second), [1])])
+        items += [(np.diag([1, m]).astype(complex), spec) for m in (2, 1 + 1e-12, 1 + 1e-6)]
+    r.shuffle(items)
+    mats, specs = [R for R, _ in items], [s for _, s in items]
+    norms = [np.linalg.norm(linalg.to_complex(R), 2) for R in mats]
+    for scales in ([0.0] * len(items), [10 * x for x in norms], [1e3] * len(items)):
+        want = [one_at_a_time_orbit_membership(R, s, 1e-8, c)
+                for R, s, c in zip(mats, specs, scales)]
+        assert orbit_membership(mats, specs, 1e-8, scales) == want
+        assert [orbit_membership(R, s, 1e-8, c) for R, s, c in zip(mats, specs, scales)] == want
+        assert len(items) // 5 < sum(want) < len(items) - len(items) // 5
+    assert orbit_membership([], [], 1e-8, []) == []
+    with pytest.raises(ValueError, match="^size mismatch$"):
+        orbit_membership(mats[:1] + [np.eye(7)], specs[:2], 1e-8, [0.0, 0.0])
 
 
 def test_exact_membership_is_the_jordan_reading():
