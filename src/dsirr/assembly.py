@@ -311,10 +311,12 @@ def _fro(a: np.ndarray) -> float:
     return sqrt(np.vdot(a, a).real)
 
 
-def moment_residual(gq: GlobalQuiver, rep: DoubledRep) -> float:
-    """||mu - zeta||_F at rep, from the compiled moment plan: the residual
-    the realizer minimizes, read as verify reads it."""
-    return float(np.linalg.norm(_residual_vector(gq, _pack(gq, rep))))
+def moment_residual(gq: GlobalQuiver, rep: DoubledRep) -> tuple:
+    """||mu - zeta||_F at rep, from the compiled moment plan, and the scale
+    verify holds it to, max(1, ||rep||^2) as realize_numeric takes it: the
+    residual the realizer minimizes, read as verify reads it."""
+    x = _pack(gq, rep)
+    return float(np.linalg.norm(_residual_vector(gq, x))), max(1.0, float(np.linalg.norm(x)) ** 2)
 
 
 def _foot_maps(rep: DoubledRep, leg: Leg):
@@ -415,9 +417,7 @@ def _conversion(gq: GlobalQuiver, rep: DoubledRep, rtol: float):
         if not ok:
             failures.append(failure)
 
-    x = _pack(gq, rep)
-    resid = float(np.linalg.norm(_residual_vector(gq, x)))
-    scale = max(1.0, float(np.linalg.norm(x)) ** 2)  # ||rep||^2, as realize_numeric takes it
+    resid, scale = moment_residual(gq, rep)
     check("moment_residual", isfinite(resid) and resid <= rtol * scale, f"{resid:.3e}",
           f"moment residual {resid:.3e} above tolerance")
     legs = _leg_conditions(gq, rep)

@@ -113,10 +113,7 @@ def rank(a: np.ndarray, rtol: float = RANK_RTOL) -> int:
         return 0
     if is_exact(a):
         return len(rref(a)[1])
-    s = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
+    return ranks([a], rtol)[0]
 
 
 def ranks(mats, rtol: float = RANK_RTOL) -> list:

@@ -8,6 +8,7 @@ from context.
 
 from __future__ import annotations
 
+import json
 import math
 from cmath import isfinite
 from json.encoder import encode_basestring_ascii
@@ -98,43 +99,36 @@ def matrix_from_json(data: list, rows: int, cols: int, exact: bool) -> np.ndarra
 def report_text(report) -> str:
     """json.dumps(report, indent=2, sort_keys=True), byte for byte, in one
     recursive pass; with `indent` set, the json module runs its
-    pure-Python encoder, a chain of generators.  As there, tuples are
-    lists, a float (np.float64 too) is its float.__repr__ or NaN or
-    +-Infinity, keys are sorted before they become text, and an object
-    JSON has no form for is a TypeError."""
+    pure-Python encoder, a chain of generators.  Lists, tuples, dicts
+    with str keys and leaves of the exact types in _LEAVES are written
+    here; the json module writes any other node, at its indentation."""
     return _text(report, "\n")
 
 
 _INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
-# the text of a leaf by its type, bool before int (True is an int too)
+# the text of a leaf by its exact type
 _LEAVES = {str: encode_basestring_ascii, bool: {True: "true", False: "false"}.__getitem__,
            int: int.__repr__, type(None): lambda _: "null",
            float: lambda x: "NaN" if x != x else _INFINITIES.get(x) or float.__repr__(x)}
 
 
-def _scalar_text(x, refusal="Object of type {} is not JSON serializable") -> str:
-    """The text of a leaf of any subclass of those in _LEAVES."""
-    for kind, text in _LEAVES.items():
-        if isinstance(x, kind):
-            return text(x)
-    raise TypeError(refusal.format(x.__class__.__name__))
-
-
 def _text(x, newline: str) -> str:
     """The text of x, whose lines continue at `newline`."""
+    inner = newline + "  "
     if isinstance(x, (list, tuple)):
         if not x:
             return "[]"
-        inner = newline + "  "
         items = [f(v) if (f := _LEAVES.get(type(v))) else _text(v, inner) for v in x]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(x, dict):
+    if isinstance(x, dict) and all(type(k) is str for k in x):
         if not x:
             return "{}"
-        inner = newline + "  "
-        items = [(encode_basestring_ascii(k) if isinstance(k, str) else
-                  '"' + _scalar_text(k, "keys must be str, int, float, bool or None, not {}") + '"')
-                 + ": " + (f(v) if (f := _LEAVES.get(type(v))) else _text(v, inner))
+        items = [encode_basestring_ascii(k) + ": " + (f(v) if (f := _LEAVES.get(type(v))) else _text(v, inner))
                  for k, v in sorted(x.items())]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    return _scalar_text(x)
+    if f := _LEAVES.get(type(x)):
+        return f(x)
+    # a float subclass, a non-str key or what JSON has no form for: the json
+    # module writes it, or refuses it as json.dumps would; JSON strings escape
+    # newlines, so each raw one in its text starts an indented line
+    return json.dumps(x, indent=2, sort_keys=True).replace("\n", newline)

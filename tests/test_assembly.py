@@ -345,7 +345,7 @@ def test_connection_round_trip(make):
     res = realize_numeric(gq, attempts=10, seed=13)
     conn = rep_to_connection(gq, res.rep)
     rep2 = connection_to_rep(gq, conn)
-    assert moment_residual(gq, rep2) < 1e-9
+    assert moment_residual(gq, rep2)[0] < 1e-9
     conn2 = rep_to_connection(gq, rep2)
     for a, b in zip(conn.residues, conn2.residues):
         assert linalg.mat_norm(a - b) < 1e-9
@@ -396,7 +396,7 @@ def test_stability_transport_on_unstable_point():
     assert gq.zeta["p1"] == 0 and gq.zeta["p0"] == 1
     rep.fwd["t0.1>p0"] = np.array([[1.0]], dtype=complex)
     rep.rev["t0.1>p0"] = np.array([[1.0]], dtype=complex)
-    assert moment_residual(gq, rep) < 1e-12
+    assert moment_residual(gq, rep)[0] < 1e-12
     assert not is_stable(rep)
     conn = rep_to_connection(gq, rep)
     assert not is_stable_connection(conn)
@@ -425,7 +425,7 @@ def test_verify_flags_perturbed_point():
     failed = {c["name"] for c in report["checks"] if not c["ok"]}
     assert "moment_residual" in failed
     assert_conversion_fails_with(
-        gq, bad, report, f"moment residual {moment_residual(gq, bad):.3e} above tolerance")
+        gq, bad, report, f"moment residual {moment_residual(gq, bad)[0]:.3e} above tolerance")
 
 
 def test_verify_flags_wrong_residue_orbit():
@@ -445,7 +445,7 @@ def test_verify_flags_wrong_residue_orbit():
     # the declared orbits move zeta too, so the moment residual fails first
     assert_conversion_fails_with(
         gq_wrong, res.rep, report,
-        f"moment residual {moment_residual(gq_wrong, res.rep):.3e} above tolerance")
+        f"moment residual {moment_residual(gq_wrong, res.rep)[0]:.3e} above tolerance")
 
 
 def assert_conversion_fails_with(gq, rep, report, message):

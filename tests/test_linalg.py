@@ -47,8 +47,14 @@ def test_stacked_ranks_match_rank_on_every_leg_map_of_the_ladder():
         stacked = np.linalg.svd(np.array(group), compute_uv=False)
         for m, row in zip(group, stacked, strict=True):
             assert np.array_equal(np.linalg.svd(m, compute_uv=False), row)
-    assert linalg.ranks(maps) == [linalg.rank(m) for m in maps]
-    assert linalg.ranks(maps[::-1], 1e-3) == [linalg.rank(m, 1e-3) for m in maps[::-1]]
+
+    def one_rank(m, rtol):  # one SVD per matrix, its cutoff written out
+        s = np.linalg.svd(m, compute_uv=False)
+        return int(np.sum(s > rtol * s[0]))
+
+    assert linalg.ranks(maps) == [linalg.rank(m) for m in maps] == [
+        one_rank(m, linalg.RANK_RTOL) for m in maps]
+    assert linalg.ranks(maps[::-1], 1e-3) == [one_rank(m, 1e-3) for m in maps[::-1]]
 
 
 def test_stacked_ranks_edge_cases(rng):
