@@ -539,10 +539,8 @@ def is_stable_connection(conn: ConnectionData) -> bool:
 
 
 def _pack(gq: GlobalQuiver, rep: DoubledRep) -> np.ndarray:
-    parts = []
-    for a in gq.quiver.arrows:
-        parts.append(np.asarray(rep.fwd[a.id], dtype=complex).reshape(-1))
-        parts.append(np.asarray(rep.rev[a.id], dtype=complex).reshape(-1))
+    parts = [np.asarray(m, dtype=complex).reshape(-1)
+             for a in gq.quiver.arrows for m in (rep.fwd[a.id], rep.rev[a.id])]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
 
 
@@ -562,14 +560,21 @@ def _unpack(gq: GlobalQuiver, x: np.ndarray) -> DoubledRep:
 class _MomentPlan:
     """mu - zeta on packed coordinates, as fixed index arrays.
 
-    The moment map is bilinear, so entry p of the stacked vertex blocks
+    The moment map is bilinear, so entry i of the stacked vertex blocks
     (row-major, vertices in quiver order) is a sum of terms
     sign * x[left] * x[right], one per (row, left, right, sign), minus
-    zeta_flat[p].  The Jacobian entry (row, left) gains sign * x[right]
+    zeta_flat[i].  The Jacobian entry (row, left) gains sign * x[right]
     and (row, right) gains sign * x[left]; jac_index holds those flat
-    positions and jac_factor the coordinates they read.  `build` makes
-    the triples once per arrow shape (dim dst, dim src), at zero offsets,
-    and shifts them by each arrow's block and coordinate offsets.
+    positions and jac_factor the coordinates they read.
+
+    `build` derives all terms at once from a list of half-blocks, two per
+    arrow.  A half-block adds sign * A[a, b] B[b, e] to entry (a, e) of a
+    p x p vertex block, for a, e < p and b < q, where A (p x q) and B
+    (q x p) are arrow blocks.  Its term t = (a q + b) p + e has
+    left = t // p, right = t % (p q) and row (t // (p q)) p + t % p, each
+    plus the half-block's offset.  Into dst, A = f, B = r, p = dim dst and
+    the sign is +1; into src, A = r, B = f, p = dim src and it is -1.
+    Terms follow the arrows, each dst half then src half, row-major.
     """
 
     rows: int
@@ -585,33 +590,34 @@ class _MomentPlan:
 
     @staticmethod
     def build(gq: GlobalQuiver) -> "_MomentPlan":
-        row_off, zeta_flat, rows = {}, [], 0
+        dims, row_off, rows, diag, zeta = gq.dims, {}, 0, [], []
         for v in gq.quiver.vertices:
+            d = dims[v]
             row_off[v] = rows
-            rows += gq.dims[v] ** 2
-            zeta_flat.append((as_complex(gq.zeta[v]) * np.eye(gq.dims[v])).reshape(-1))
-        terms, signs, cols, by_shape = [np.zeros((3, 0), dtype=np.intp)], [np.ones(0)], 0, {}
+            diag += range(rows, rows + d * d, d + 1)  # zeta on the diagonal of block v
+            zeta += [as_complex(gq.zeta[v])] * d
+            rows += d * d
+        segments, terms, cols = [], 0, 0  # per half-block: first term, p, p q and offsets
         for a in gq.quiver.arrows:
-            ds, dt = gq.dims[a.src], gq.dims[a.dst]
-            if (dt, ds) not in by_shape:  # (row, left, right) at zero offsets
-                f = np.arange(dt * ds).reshape(dt, ds)
-                r = dt * ds + np.arange(ds * dt).reshape(ds, dt)
-                # mu[dst][i, k] += f[i, j] r[j, k]
-                i, j, k = np.indices((dt, ds, dt))
-                into_dst = np.stack([i * dt + k, f[i, j], r[j, k]]).reshape(3, -1)
-                # mu[src][j, l] -= r[j, i] f[i, l]
-                j, i, l = np.indices((ds, dt, ds))
-                by_shape[dt, ds] = into_dst, np.stack([j * ds + l, r[j, i], f[i, l]]).reshape(3, -1)
-            into_dst, into_src = by_shape[dt, ds]
-            terms += [into_dst + [[row_off[a.dst]], [cols], [cols]],
-                      into_src + [[row_off[a.src]], [cols], [cols]]]
-            signs += [np.ones(into_dst.shape[1]), -np.ones(into_src.shape[1])]
-            cols += 2 * ds * dt
-        row, left, right = np.concatenate(terms, axis=1)
-        sign = np.concatenate(signs)
+            ds, dt = dims[a.src], dims[a.dst]
+            n = ds * dt
+            # mu[dst][i, k] += f[i, j] r[j, k]; mu[src][j, l] -= r[j, i] f[i, l]
+            segments += [terms, dt, n, row_off[a.dst], cols, cols + n,
+                         terms + dt * n, ds, n, row_off[a.src], cols + n, cols]
+            terms, cols = terms + (dt + ds) * n, cols + 2 * n
+        table = np.array(segments, dtype=np.intp).reshape(-1, 6).T
+        sizes = table[1] * table[2]
+        first, p, pq, row0, left0, right0 = np.repeat(table, sizes, axis=1)
+        t = np.arange(terms) - first
+        aq_b, e = np.divmod(t, p)
+        a, bp_e = np.divmod(t, pq)
+        row, left, right = row0 + a * p + e, left0 + aq_b, right0 + bp_e
+        sign, jac_row = np.repeat([1.0, -1.0] * len(gq.quiver.arrows), sizes), row * cols
+        zeta_flat = np.zeros(rows, dtype=complex)
+        zeta_flat[diag] = zeta
         return _MomentPlan(
-            rows, cols, row, left, right, sign, np.concatenate(zeta_flat),
-            jac_index=np.concatenate([row * cols + left, row * cols + right]),
+            rows, cols, row, left, right, sign, zeta_flat,
+            jac_index=np.concatenate([jac_row + left, jac_row + right]),
             jac_factor=np.concatenate([right, left]),
             jac_sign=np.concatenate([sign, sign]),
         )
@@ -832,12 +838,9 @@ def kernel_dimension_check(gq: GlobalQuiver, rep: DoubledRep):
     2 * delta(v); returns (lhs, rhs).  The rank of dmu counts singular
     values above 1e-6 of the largest."""
     jac = moment_jacobian(gq, _pack(gq, rep))
-    rk = linalg.rank(jac, 1e-6)
-    dof = jac.shape[1]
     group = sum(d * d for d in gq.dims.values())
-    lhs = (dof - rk) - (group - 1)
-    rhs = 2 * delta(gq.quiver, gq.dims)
-    return lhs, rhs
+    lhs = (jac.shape[1] - linalg.rank(jac, 1e-6)) - (group - 1)  # dof - rank of dmu
+    return lhs, 2 * delta(gq.quiver, gq.dims)
 
 
 def _trace_rounding_bound(gq: GlobalQuiver) -> float:

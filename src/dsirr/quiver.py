@@ -85,7 +85,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -201,18 +201,10 @@ def delta(quiver: Quiver, dims: DimVector) -> int:
     return s - sum(d * d for d in dims.values()) + 1
 
 
-def _vertex_offsets(quiver: Quiver, dims: DimVector):
-    offsets = {}
-    total = 0
-    for v in quiver.vertices:
-        offsets[v] = total
-        total += dims[v]
-    return offsets, total
-
-
 def total_endomorphism_generators(rep: DoubledRep):
     """Vertex projections and arrow maps as endomorphisms of the sum."""
-    offsets, total = _vertex_offsets(rep.quiver, rep.dims)
+    dims = [rep.dims[v] for v in rep.quiver.vertices]
+    offsets, total = dict(zip(rep.quiver.vertices, accumulate(dims, initial=0))), sum(dims)
     exact = rep.exact
     gens = []
     one = ONE if exact else 1.0 + 0j

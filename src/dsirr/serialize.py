@@ -66,22 +66,26 @@ _SCALAR_KEYS = ("value", "position")
 _SCALAR_LIST_KEYS = ("coeffs", "marking", "matrix", "eigenvalue_hints")
 
 
-def payload_is_float(obj, scalar: bool = False) -> bool:
-    """Float mode iff some scalar in the payload is a JSON float or an
-    [re, im] pair; payloads of strings and integers are exact."""
-    if isinstance(obj, float):
-        return True
-    if isinstance(obj, dict):
-        return any(
-            any(payload_is_float(x, True) for x in val)
-            if key in _SCALAR_LIST_KEYS and isinstance(val, list)
-            else payload_is_float(val, key in _SCALAR_KEYS)
-            for key, val in obj.items()
-        )
-    if isinstance(obj, list):
-        if scalar and len(obj) == 2 and all(type(x) in (int, float) for x in obj):
+def payload_is_float(obj) -> bool:
+    """Float mode iff some scalar in the payload is a JSON float or an [re, im]
+    pair; payloads of strings and integers are exact.  Nodes under a scalar
+    or scalar-list key wait on one stack, all others on the other."""
+    plain, scalars = [obj], []
+    while plain or scalars:
+        scalar = not plain
+        obj = scalars.pop() if scalar else plain.pop()
+        if isinstance(obj, dict):
+            for key, val in obj.items():
+                if key in _SCALAR_LIST_KEYS and isinstance(val, list):
+                    scalars += val
+                else:
+                    (scalars if key in _SCALAR_KEYS else plain).append(val)
+        elif isinstance(obj, list):
+            if scalar and len(obj) == 2 and all(type(x) in (int, float) for x in obj):
+                return True
+            (scalars if scalar else plain).extend(obj)
+        elif isinstance(obj, float):
             return True
-        return any(payload_is_float(x, scalar) for x in obj)
     return False
 
 

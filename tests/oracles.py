@@ -25,7 +25,8 @@ before it took many matrices at once, one SVD stack per matrix.  The
 exponent check's core bracket is here as it was first computed: the
 core quiver's moment map, summed arrow by arrow; so is the realizer's
 moment plan, its index triples made by ``np.indices`` and fancy
-indexing for every arrow.
+indexing for every arrow, and the payload mode test as the recursion it
+was before it walked an explicit stack.
 The last few helpers are small constructions only the tests need: an
 exact matrix literal, the infinitesimal coadjoint action, the
 dT-stabilizer test, the matrix a leg realization reproduces, the
@@ -56,6 +57,7 @@ from dsirr.roots import (
     summand_candidates,
 )
 from dsirr.scalars import GaussianRational, as_complex, as_exact, scalar_key
+from dsirr.serialize import _SCALAR_KEYS, _SCALAR_LIST_KEYS
 
 
 def reflection_end(cartan, v):
@@ -739,6 +741,26 @@ def moment_plan_per_arrow(gq) -> _MomentPlan:
         jac_factor=np.concatenate([right, left]),
         jac_sign=np.concatenate([sign, sign]),
     )
+
+
+def payload_is_float_recursive(obj, scalar: bool = False) -> bool:
+    """`serialize.payload_is_float` as a recursion through nested
+    generators: float mode iff some scalar in the payload is a JSON float
+    or an [re, im] pair under a scalar key or scalar-list key."""
+    if isinstance(obj, float):
+        return True
+    if isinstance(obj, dict):
+        return any(
+            any(payload_is_float_recursive(x, True) for x in val)
+            if key in _SCALAR_LIST_KEYS and isinstance(val, list)
+            else payload_is_float_recursive(val, key in _SCALAR_KEYS)
+            for key, val in obj.items()
+        )
+    if isinstance(obj, list):
+        if scalar and len(obj) == 2 and all(type(x) in (int, float) for x in obj):
+            return True
+        return any(payload_is_float_recursive(x, scalar) for x in obj)
+    return False
 
 
 def bench_ladder():

@@ -1,10 +1,11 @@
 """The realizer's compiled moment map, its complex step, and its reports.
 
 `_residual_vector` and `moment_jacobian` read the moment map from index
-arrays compiled once per quiver; they are checked against the dict form
+arrays compiled once per quiver, and each `realize` or `verify` call
+compiles them once; they are checked against the dict form
 `quiver.moment_map` and against central differences on a quiver with
 loops and a double arrow, which synthesis never builds, and their
-per-shape build against the per-arrow one it replaced.  The complex Gram
+ragged build, all terms at once, against the per-arrow one.  The complex Gram
 step is checked against the real-doubled normal equations on both sides
 of the Gram choice.  On instances with zeta . v != 0 the trace of mu - zeta
 is -zeta . v whatever the point, so the residual is at least
@@ -26,6 +27,7 @@ import pytest
 from conftest import rand_complex
 from dsirr.assembly import (
     GlobalQuiver,
+    _MomentPlan,
     _damped_steps,
     _residual_vector,
     _unpack,
@@ -99,11 +101,33 @@ def test_plan_is_built_once_per_quiver(rng):
     assert loop_and_double_arrow(rng).moment_plan is not plan
 
 
+def _no_terms():
+    """A global quiver each of whose arrows, a loop among them, touches one
+    of its two zero-dimensional vertices."""
+    quiver = make_quiver(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "3"), ("c", "2", "2"),
+                                                ("d", "3", "4"), ("e", "2", "1")])
+    dims = {"1": 2, "2": 0, "3": 1, "4": 0}
+    return GlobalQuiver(quiver, dims, {"1": 1.5, "2": 0.5j, "3": -3.0, "4": 2.0}, None, {})
+
+
+def test_a_plan_without_terms_has_typed_empty_arrays():
+    plan = _no_terms().moment_plan
+    assert (plan.rows, plan.cols) == (5, 0)
+    for name in ("row", "left", "right", "jac_index", "jac_factor"):
+        assert getattr(plan, name).shape == (0,) and getattr(plan, name).dtype == np.intp
+    assert plan.sign.shape == plan.jac_sign.shape == (0,)
+    assert plan.sign.dtype == plan.jac_sign.dtype == np.float64
+    assert np.array_equal(plan.zeta_flat, [1.5, 0, 0, 1.5, -3.0])
+
+
 def _plan_quivers():
-    """Factories of global quivers: every problem file in tests/data and
-    the realize-verify rungs of the benchmark ladder at seeds 1-3, in float
-    mode, then a quiver with a zero-dimensional vertex and repeated arrow
-    shapes, and one with no arrows."""
+    """Factories of global quivers: every problem file in tests/data, the
+    realize-verify rungs of the benchmark ladder at seeds 1-3 and the
+    larger generic rungs g8x2k2 and g10x3k2 at seed 11, in float mode
+    (a plan needs no resonance margin); then `loop_and_double_arrow`, a
+    quiver with a zero-dimensional vertex and repeated arrow shapes, one
+    whose every arrow touches a zero-dimensional vertex, so that no term
+    exists, and one with no arrows."""
     def synthesized(data):
         return lambda: build_global_quiver(instance_from_json(data, exact=True).as_float())
 
@@ -117,11 +141,17 @@ def _plan_quivers():
         for seed in (1, 2, 3):
             out.append(pytest.param(synthesized(ladder.problem(rung, seed)),
                                     id=f"{rung.name}-{seed}"))
+    for name, rank, poles in (("g8x2k2", 8, 2), ("g10x3k2", 10, 3)):
+        rung = ladder.Rung(name, "generic", rank, poles, 2, "nonempty")
+        out.append(pytest.param(synthesized(ladder.problem(rung, 11)), id=f"{name}-11"))
+    out.append(pytest.param(lambda: loop_and_double_arrow(np.random.default_rng(0)),
+                            id="loop-and-double-arrow"))
     zero_dim = make_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "1", "2"), ("c", "3", "1"),
                                              ("d", "2", "3"), ("l", "2", "2"), ("m", "1", "1")])
     out.append(pytest.param(lambda: GlobalQuiver(
         zero_dim, {"1": 2, "2": 3, "3": 0}, {"1": 0.5j, "2": -1.0, "3": 2.0}, None, {}),
         id="zero-dim-vertex"))
+    out.append(pytest.param(_no_terms, id="no-terms"))
     out.append(pytest.param(lambda: GlobalQuiver(
         make_quiver(["1", "2"], []), {"1": 2, "2": 1}, {"1": 1.0, "2": -2.0}, None, {}),
         id="no-arrows"))
@@ -130,8 +160,8 @@ def _plan_quivers():
 
 @pytest.mark.parametrize("make_gq", _plan_quivers())
 def test_plan_equals_the_per_arrow_build(make_gq):
-    # the per-shape templates give every array element for element, and
-    # of the same dtype, as indexing each arrow on its own
+    # the ragged build gives every array element for element, and of the
+    # same dtype, as indexing each arrow on its own
     gq = make_gq()
     got, want = gq.moment_plan, moment_plan_per_arrow(gq)
     assert (got.rows, got.cols) == (want.rows, want.cols)
@@ -438,6 +468,37 @@ def test_embedded_verification_equals_a_fresh_one(name, capsys):
     assert [c["name"] for c in embedded] == [c["name"] for c in fresh["checks"]]
     for got, want in zip(embedded, fresh["checks"]):
         assert got == want
+
+
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """The global quivers `_MomentPlan.build` is called on, in order."""
+    calls, build = [], _MomentPlan.build
+
+    def counted(gq):
+        calls.append(gq)
+        return build(gq)
+
+    monkeypatch.setattr(_MomentPlan, "build", staticmethod(counted))
+    return calls
+
+
+def test_each_realize_and_verify_call_builds_its_plan_once(plan_builds, tmp_path, capsys):
+    # a feasible realize builds the plan for its restarts and reuses it in
+    # the verification of its witness; a verify builds it once, for the
+    # moment residual and the kernel check both; an exact realize with
+    # zeta . v != 0 answers at the trace floor without it
+    name = "ladder_s4x2k2_seed16.json"
+    code, report = _run(["realize", DATA / name, "--seed", "1"], capsys)
+    assert code == 0 and report["success"] and len(plan_builds) == 1
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps({"instance": _problem(name), "rep": report["rep"]}))
+    code, report = _run(["verify", witness], capsys)
+    assert code == 0 and report["all_ok"] and len(plan_builds) == 2
+    names = {c["name"] for c in report["checks"]}
+    assert {"moment_residual", "dimension_formula"} <= names
+    code, report = _run(["realize", DATA / "star_empty_cond2.json"], capsys)
+    assert code == 1 and report["stats"]["stop"] == "trace-floor" and len(plan_builds) == 2
 
 
 @pytest.fixture

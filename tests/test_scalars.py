@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -17,7 +18,8 @@ from dsirr.scalars import (
     scalar_key,
 )
 from dsirr.serialize import payload_is_float
-from oracles import fraction_fold, parse_exact_by_fraction_str
+from oracles import fraction_fold, parse_exact_by_fraction_str, payload_is_float_recursive
+from report_sweep import DATA, MATRIX_EXAMPLES, float_copy, legs, problems
 
 
 def test_field_arithmetic():
@@ -136,6 +138,42 @@ def test_payload_mode_detection():
     ]
     assert all(payload_is_float(p) for p in float_payloads)
     assert not any(payload_is_float(p) for p in exact_payloads)
+
+
+# bool pairs, integer pairs under each kind of key, integer lists where
+# integers belong, nested matrix lists and empty containers
+PAYLOAD_EDGE_CASES = [
+    {"value": [True, False]}, {"value": [True, 1]}, {"position": [1, False]},
+    {"coeffs": [[True, True]]}, {"value": [1, 2]}, {"position": [1, 2]}, {"coeffs": [[1, 2]]},
+    {"coeffs": [1, 2]}, {"value": [1, 2, 3]}, {"value": [[1, 2]]}, {"value": {"blocks": [1, 2]}},
+    {"blocks": [1, 2]}, {"blocks": [[1, 2], [3]]}, {"ranks": [[1, 2]]}, {"mult": [1, 2]},
+    {"matrix": [[1, 0], [0, 1]]}, {"matrix": [[[1, 0]]]}, {"matrix": ["1", "0", "0", "1"]},
+    {"marking": ["0", [1, 0]]}, {"eigenvalue_hints": [[1, 2.0]]}, {"coeffs": "1"},
+    {"eigenvalues": [{"value": "1/2", "blocks": [1]}, {"value": [0, 1], "blocks": [2]}]},
+    {"blocks": [1.0]}, {"n": 2.5}, {"coeffs": []}, {"value": []}, {"blocks": []},
+    {}, [], [{}], [[]], [[1, 2]], 1.0, 1, "1", None, True,
+]
+
+
+def _sweep_payloads():
+    """What tests/report_sweep.py feeds the CLI, every exact problem also as
+    its float copy, and every problem inside a verify input, as the instance
+    beside a float rep."""
+    out = list(PAYLOAD_EDGE_CASES)
+    for _, data in problems():
+        out += [data] if payload_is_float_recursive(data) else [data, float_copy(data)]
+        out.append({"instance": data, "rep": {"dims": {"p0": 1}, "maps": {"a": {"fwd": [[0.0, 1.0]]}}}})
+    out += [payload for _, payload in legs()]
+    out += [json.loads((DATA / file).read_text(encoding="utf-8")) for _, file in MATRIX_EXAMPLES]
+    return out
+
+
+def test_payload_walk_matches_the_recursive_one():
+    payloads = _sweep_payloads()
+    got = [payload_is_float(p) for p in payloads]
+    assert got == [payload_is_float_recursive(p) for p in payloads]
+    # instance parts and verify inputs are exact and float in good number
+    assert 100 < sum(got) < len(payloads) - 100
 
 
 def test_rationalize_bounds_denominator():
