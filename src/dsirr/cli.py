@@ -2,26 +2,27 @@
 
 Subcommands: check, build-quiver, realize, verify, reduce, leg; each
 accepts only the options it reads.  One table, COMMANDS, gives each its
-handler, help and options.  A call that names a command builds one
-parser, that command's, with the prog `dsirr <command>` its subparser
-has; the whole tree is built only for no arguments, -h, an unknown
-command or to word an unrecognized-arguments error.  Nothing carries
-over between calls.  Every run writes a machine-readable JSON report
-(stdout by default); exit status 0 means nonempty/verified/success, 1
-means empty/falsified, 2 means undecided or error.  Input files are
-parsed once, in the mode their scalars are written in (float if any is
-a JSON float or an [re, im] pair, exact otherwise); check always needs
-exact scalars.  A --tolerance that is not finite and > 0, or a
---max-decompositions or --attempts below 1, is an error (exit 2), never
-a verdict.  Randomized paths are reproducible through --seed.
+handler, help and options.  A plain call (one positional, each option
+spelled out once before its value) is read off that table with no parser
+built; argparse, imported only then, reads any other argv with the named
+command's parser, its prog `dsirr <command>`, or with the whole tree for
+no arguments, -h, an unknown command or to word an unrecognized-arguments
+error.  Nothing carries over between calls.  Every run writes a JSON
+report (stdout by default); exit status 0 means nonempty/verified/
+success, 1 empty/falsified, 2 undecided or error, an unwritable -o path
+included.  Input files are parsed once, in the mode their scalars are
+written in (float if any is a JSON float or an [re, im] pair, exact
+otherwise); check always needs exact scalars.  A --tolerance that is not
+finite and > 0, or a --max-decompositions or --attempts below 1, is an
+error (exit 2), never a verdict.  Randomized paths follow --seed.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from .assembly import (
@@ -250,16 +251,46 @@ COMMANDS = {
 }
 
 
-def _add_options(parser, name) -> argparse.ArgumentParser:
+def _add_options(parser, name):
     for flags, kwargs in (_INPUT, _OUTPUT, *COMMANDS[name].options):
         parser.add_argument(*flags, **kwargs)
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _plain_args(name, tokens):
+    """argparse's reading of a plain argv, off the same specs with no parser
+    built: one positional (not starting with '-', or '-' itself) and each
+    option string at most once, before a value not starting with '-' that
+    its type and choices accept.  None for any other argv, left to argparse."""
+    specs = (_INPUT, _OUTPUT, *COMMANDS[name].options)
+    index = {flag: i for i, (flags, _) in enumerate(specs) for flag in flags}
+    raw, tokens = {}, iter(tokens)
+    for token in tokens:
+        if token == "-" or not token.startswith("-"):
+            i, value = 0, token  # _INPUT
+        else:  # a missing value reads as "-"
+            i, value = index.get(token), next(tokens, "-")
+        if i is None or i in raw or i and value.startswith("-"):
+            return None
+        raw[i] = value
+    args = {}
+    for i, (flags, kwargs) in enumerate(specs):
+        # argparse's dest: the first long option string, else the first one
+        dest = next((f for f in flags if f.startswith("--")), flags[0]).lstrip("-").replace("-", "_")
+        try:
+            args[dest] = kwargs.get("type", str)(raw[i]) if i in raw else kwargs["default"]
+        except (KeyError, ValueError):  # no input (it has no default), or a bad value
+            return None
+        if args[dest] not in kwargs.get("choices", [args[dest]]):
+            return None
+    return SimpleNamespace(**args)
+
+
+def build_parser():
     """The whole tree, every command a subparser.  `main` builds it only
     for no arguments, -h or an unknown command, and to word an
     unrecognized-arguments error, which argparse reports from the top."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="dsirr",
         description="decide, realize and verify additive irregular Deligne-Simpson instances",
@@ -273,14 +304,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     name = argv[0] if argv else None
-    if name in COMMANDS:
+    if name not in COMMANDS:  # help, or an error, from the tree
+        args = build_parser().parse_args(argv)
+        name = args.command
+    elif (args := _plain_args(name, argv[1:])) is None:  # the command's own parser
+        import argparse
         parser = _add_options(argparse.ArgumentParser(prog=f"dsirr {name}"), name)
         args, extra = parser.parse_known_args(argv[1:])
         if extra:
             build_parser().error("unrecognized arguments: " + " ".join(extra))
-    else:  # help, or an error, from the tree
-        args = build_parser().parse_args(argv)
-        name = args.command
     try:
         report, code = COMMANDS[name].handler(args)
     except SchemaError as e:
@@ -292,10 +324,14 @@ def main(argv=None) -> int:
     report["schema_version"] = SCHEMA_VERSION
     text = report_text(report)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as f:
+                f.write(text + "\n")
+            return code
+        except OSError as e:  # an unwritten report is an error, whatever its verdict
+            report = {"error": f"{type(e).__name__}: {e}", "schema_version": SCHEMA_VERSION}
+            text, code = report_text(report), 2
+    print(text)
     return code
 
 

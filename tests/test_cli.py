@@ -16,8 +16,9 @@ from dsirr.cli import COMMANDS, main
 from dsirr.quiver import quiver_from_json
 from dsirr.roots import CartanData
 from dsirr.scalars import GaussianRational as G
+from dsirr.scalars import format_exact, parse_exact
 from dsirr.serialize import report_text
-from oracles import bench_ladder, reflection_is_positive_root
+from oracles import bench_ladder, mixed_zeta_problem, reflection_is_positive_root
 
 TESTS = os.path.dirname(__file__)
 DATA = os.path.join(TESTS, "data")
@@ -554,6 +555,59 @@ def test_check_reports_a_condition3_witness(tmp_path, capsys):
     assert code == 1 and again["witness"] == report["witness"]
 
 
+def reflection_problems():
+    """(name, problem) of the check rungs at seeds 1 and 2, the realize-
+    infeasible rungs (condition 2 fails) at seed 1, and four mixed-zeta
+    rungs."""
+    ladder = bench_ladder()
+    for workload, seeds in (("check-generic", (1, 2)), ("check-degenerate", (1, 2)),
+                            ("realize-infeasible", (1,))):
+        for rung in ladder.WORKLOADS[workload][1]:
+            for seed in seeds:
+                yield f"{rung.name}-{seed}", ladder.problem(rung, seed)
+    for name, n, poles in (("n4x6k2", 4, 6), ("n6x4k2", 6, 4), ("n4x3k2", 4, 3), ("n6x2k2", 6, 2)):
+        rung = ladder.Rung(name, "nilpotent", n, poles, 2, "nonempty")
+        yield f"{name}-mixed", mixed_zeta_problem(ladder, rung, 1)
+
+
+def test_check_is_invariant_under_admissible_reflections(tmp_path, capsys):
+    # Crawley-Boevey--Holland (Duke 1998): at a loop-free vertex i with
+    # zeta_i != 0, the reflection (v, zeta) -> (s_i v, r_i zeta), with
+    # s_i v = v - (v, e_i) e_i and (r_i zeta)_j = zeta_j - (e_i, e_j) zeta_i,
+    # maps the points of mu^-1(zeta) to those of mu^-1(r_i zeta) with their
+    # moduli dimension; so where s_i v >= 0, check reads the raw payload of
+    # either alike.  The criterion's quivers are loop-free.
+    src = tmp_path / "problem.json"
+    reflected = seen = 0
+
+    def check(payload):
+        src.write_text(json.dumps(payload))
+        code, report = run(capsys, "check", str(src))
+        return code, report["verdict"], report.get("failed_condition"), report.get("dim")
+
+    for name, problem in reflection_problems():
+        src.write_text(json.dumps(problem))
+        code, payload = run(capsys, "build-quiver", str(src))
+        assert code == 0
+        want, seen = check(payload), seen + 1
+        arrows = [(a[1], a[2]) for a in payload["arrows"]]
+        vertices, dims = payload["vertices"], payload["dims"]
+        zeta = {j: parse_exact(z) for j, z in payload["zeta"].items()}
+
+        def form(i, j):
+            return 2 * (i == j) - sum(a in ((i, j), (j, i)) for a in arrows)
+
+        for i in vertices:
+            v_ei = sum(dims[j] * form(i, j) for j in vertices)
+            if not zeta[i] or dims[i] < v_ei:
+                continue
+            payload_i = dict(payload, dims=dims | {i: dims[i] - v_ei},
+                             zeta={j: format_exact(zeta[j] - form(i, j) * zeta[i]) for j in vertices})
+            assert check(payload_i) == want, (name, i)
+            reflected += 1
+    assert (seen, reflected) == (43, 218)
+
+
 def _double_arrow(dims, zeta):
     return {"vertices": ["a", "b"], "arrows": [["x", "a", "b"], ["y", "a", "b"]],
             "dims": dims, "zeta": zeta}
@@ -732,19 +786,37 @@ def parsers_built(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("command,input_name", [
+PLAIN_CALLS = [
     ("check", "star_rigid.json"), ("build-quiver", "star_rigid.json"),
     ("realize", "star_rigid.json"), ("verify", None),
     ("reduce", "reduce_example.json"), ("leg", "leg_example.json"),
-])
-def test_a_valid_call_builds_one_parser(command, input_name, witness, parsers_built, capsys):
-    # the named command's parser alone, its prog the one its subparser has,
-    # and as many again on the next call: nothing is kept between calls
+]
+
+
+@pytest.mark.parametrize("command,input_name", PLAIN_CALLS)
+def test_a_plain_call_builds_no_parser(command, input_name, witness, parsers_built, capsys):
+    # the option specs are read directly, on this call and the next
     argv = [command, path(input_name) if input_name else witness]
     for _ in range(2):
         assert main(argv) == 0
+        assert parsers_built == []
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,input_name", PLAIN_CALLS)
+def test_an_argv_only_argparse_reads_builds_its_command_parser(command, input_name, witness,
+                                                               parsers_built, tmp_path, capsys):
+    # an abbreviation, or an = form, is left to argparse: the named
+    # command's parser alone, its prog the one its subparser has
+    src = path(input_name) if input_name else witness
+    calls = [[command, src, "--out", str(tmp_path / "report.json")]]
+    if command == "realize":
+        calls.append([command, src, "--seed=1"])
+    for argv in calls:
+        assert main(argv) == 0
         assert parsers_built == [f"dsirr {command}"]
         parsers_built.clear()
+    assert json.loads((tmp_path / "report.json").read_text())["schema_version"] == 1
     capsys.readouterr()
 
 
@@ -771,6 +843,45 @@ def test_console_script_path_matches_in_process_main(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["dsirr", *argv])
     code = main()
     assert (code, json.loads(capsys.readouterr().out)) == expected
+
+
+# runs main on its argv and lists which of argparse and gettext it imported
+IMPORT_PROBE = ("import sys\nfrom dsirr.cli import main\ncode = main(sys.argv[1:])\n"
+                "print(sorted({'argparse', 'gettext'} & set(sys.modules)), file=sys.stderr)\n"
+                "sys.exit(code)")
+
+
+def test_a_fresh_plain_call_imports_no_argparse(capsys):
+    # a plain call in a fresh interpreter loads neither argparse nor the
+    # gettext its messages go through; -h still prints argparse's help
+    env = dict(os.environ, PYTHONPATH=os.path.join(TESTS, os.pardir, "src"),
+               COLUMNS=str(GOLDEN["columns"]))
+    argv = ["check", path("star_rigid.json")]
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, json.loads(done.stdout)) == run(capsys, *argv)
+    assert done.stderr == "[]\n"
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, "check", "-h"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0 and done.stderr == ""
+    if sys.version_info[:2] == tuple(GOLDEN["python"]):
+        (case,) = [c for c in GOLDEN["cases"] if c["argv"] == ["check", "-h"]]
+        assert done.stdout == case["stdout"]
+
+
+@pytest.mark.parametrize("argv", [["check", "star_rigid.json"],
+                                  ["realize", "star_rigid.json", "--seed", "9"]])
+def test_an_unwritable_report_path_is_an_error(argv, capsys):
+    # both verdicts here are exit 0 with a report to write; losing the
+    # report is exit 2 with the error on stdout, never exit 1, "empty"
+    argv = [argv[0], path(argv[1]), *argv[2:]]
+    assert run(capsys, *argv)[0] == 0
+    missing = os.path.join(TESTS, "no such directory", "report.json")
+    code, report = run(capsys, *argv, "-o", missing)
+    assert code == 2
+    assert report == {"error": f"FileNotFoundError: [Errno 2] No such file or directory: "
+                               f"{missing!r}", "schema_version": 1}
+    assert not os.path.exists(os.path.dirname(missing))
 
 
 def test_the_report_writer_matches_json_dumps_on_every_sweep_report(monkeypatch, tmp_path):
