@@ -4,17 +4,17 @@ Subcommands: check, build-quiver, realize, verify, reduce, leg; each
 accepts only the options it reads.  One table, COMMANDS, gives each its
 handler, help and options.  A plain call (one positional, each option
 spelled out once before its value) is read off that table with no parser
-built; argparse, imported only then, reads any other argv with the named
-command's parser, its prog `dsirr <command>`, or with the whole tree for
-no arguments, -h, an unknown command or to word an unrecognized-arguments
-error.  Nothing carries over between calls.  Every run writes a JSON
-report (stdout by default); exit status 0 means nonempty/verified/
-success, 1 empty/falsified, 2 undecided or error, an unwritable -o path
-included.  Input files are parsed once, in the mode their scalars are
-written in (float if any is a JSON float or an [re, im] pair, exact
-otherwise); check always needs exact scalars.  A --tolerance that is not
-finite and > 0, or a --max-decompositions or --attempts below 1, is an
-error (exit 2), never a verdict.  Randomized paths follow --seed.
+built; argparse, imported only then, reads any other argv with the whole
+tree, which prints help and errors in its own words.  Nothing carries
+over between calls.  Every run writes a JSON report (stdout by default,
+and for -o -); exit status 0 means nonempty/verified/success, 1
+empty/falsified, 2 undecided or error, an unwritable -o path included.
+`main` loads the input once and hands it to the command, which parses
+it once, in the mode its scalars are written in (float if any is a JSON
+float or an [re, im] pair, exact otherwise); check always needs exact
+scalars.  A --tolerance that is not finite and > 0, or a
+--max-decompositions or --attempts below 1, is an error (exit 2), never
+a verdict.  Randomized paths follow --seed.
 """
 
 from __future__ import annotations
@@ -98,8 +98,7 @@ def _instance(data):
     return instance_from_json(data, exact=not payload_is_float(data))
 
 
-def cmd_check(args):
-    data = _load_json(args.input)
+def cmd_check(data, args):
     if "vertices" in data:  # raw (Q, v, zeta) payload from build-quiver
         quiver, dims, zeta = quiver_from_json(data)
         if dims is None or zeta is None:
@@ -115,8 +114,8 @@ def cmd_check(args):
     return report, code
 
 
-def cmd_build_quiver(args):
-    gq = build_global_quiver(_instance(_load_json(args.input)))
+def cmd_build_quiver(data, args):
+    gq = build_global_quiver(_instance(data))
     payload = quiver_to_json(gq.quiver, gq.dims, gq.zeta)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as f:
@@ -124,8 +123,8 @@ def cmd_build_quiver(args):
     return payload, 0
 
 
-def cmd_realize(args):
-    gq = build_global_quiver(_instance(_load_json(args.input)).as_float())
+def cmd_realize(data, args):
+    gq = build_global_quiver(_instance(data).as_float())
     result = realize_numeric(gq, attempts=args.attempts, seed=args.seed)
     report = {
         "success": result.success,
@@ -144,16 +143,14 @@ def cmd_realize(args):
     return report, 0 if report["success"] else 1
 
 
-def cmd_verify(args):
-    data = _load_json(args.input)
+def cmd_verify(data, args):
     gq = build_global_quiver(_instance(_require(data, "instance", "", dict)).as_float())
     rep = rep_from_json(gq, _require(data, "rep", "", dict))
     report = verify_instance(gq, rep, rtol=args.tolerance)
     return report, 0 if report["all_ok"] else 1
 
 
-def cmd_reduce(args):
-    data = _load_json(args.input)
+def cmd_reduce(data, args):
     exact = not payload_is_float(data)
     T = irregular_type_from_json(_require(data, "irregular_type", "", dict), exact)
     jet_data = _require(data, "jet", "", dict)
@@ -181,8 +178,7 @@ def cmd_reduce(args):
     return report, 0
 
 
-def cmd_leg(args):
-    data = _load_json(args.input)
+def cmd_leg(data, args):
     exact = not payload_is_float(data)
     n = _require(data, "n", "", int)
     spec = orbit_spec_from_json(_require(data, "orbit", "", dict), n, exact)
@@ -251,12 +247,6 @@ COMMANDS = {
 }
 
 
-def _add_options(parser, name):
-    for flags, kwargs in (_INPUT, _OUTPUT, *COMMANDS[name].options):
-        parser.add_argument(*flags, **kwargs)
-    return parser
-
-
 def _plain_args(name, tokens):
     """argparse's reading of a plain argv, off the same specs with no parser
     built: one positional (not starting with '-', or '-' itself) and each
@@ -287,9 +277,10 @@ def _plain_args(name, tokens):
 
 
 def build_parser():
-    """The whole tree, every command a subparser.  `main` builds it only
-    for no arguments, -h or an unknown command, and to word an
-    unrecognized-arguments error, which argparse reports from the top."""
+    """The whole tree, every command a subparser with the prog `dsirr
+    <command>`.  `main` builds it for any argv `_plain_args` declines:
+    help, an error (an unrecognized argument is reported from the top)
+    or an argv only argparse reads, such as `--seed=7` or `--out`."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="dsirr",
@@ -297,24 +288,21 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        _add_options(sub.add_parser(name, help=command.help), name)
+        subparser = sub.add_parser(name, help=command.help)
+        for flags, kwargs in (_INPUT, _OUTPUT, *command.options):
+            subparser.add_argument(*flags, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     name = argv[0] if argv else None
-    if name not in COMMANDS:  # help, or an error, from the tree
+    args = _plain_args(name, argv[1:]) if name in COMMANDS else None
+    if args is None:  # help, an error or any other argv, read by the tree
         args = build_parser().parse_args(argv)
         name = args.command
-    elif (args := _plain_args(name, argv[1:])) is None:  # the command's own parser
-        import argparse
-        parser = _add_options(argparse.ArgumentParser(prog=f"dsirr {name}"), name)
-        args, extra = parser.parse_known_args(argv[1:])
-        if extra:
-            build_parser().error("unrecognized arguments: " + " ".join(extra))
     try:
-        report, code = COMMANDS[name].handler(args)
+        report, code = COMMANDS[name].handler(_load_json(args.input), args)
     except SchemaError as e:
         report, code = {"error": str(e)}, 2
     # a payload of the wrong shape raises TypeError or AttributeError on
@@ -323,7 +311,7 @@ def main(argv=None) -> int:
         report, code = {"error": f"{type(e).__name__}: {e}"}, 2
     report["schema_version"] = SCHEMA_VERSION
     text = report_text(report)
-    if args.output:
+    if args.output and args.output != "-":  # like the input path, '-' is stdout
         try:
             with open(args.output, "w", encoding="utf-8") as f:
                 f.write(text + "\n")

@@ -803,18 +803,21 @@ def test_a_plain_call_builds_no_parser(command, input_name, witness, parsers_bui
     capsys.readouterr()
 
 
+WHOLE_TREE = ["dsirr"] + [f"dsirr {name}" for name in COMMANDS]
+
+
 @pytest.mark.parametrize("command,input_name", PLAIN_CALLS)
-def test_an_argv_only_argparse_reads_builds_its_command_parser(command, input_name, witness,
-                                                               parsers_built, tmp_path, capsys):
-    # an abbreviation, or an = form, is left to argparse: the named
-    # command's parser alone, its prog the one its subparser has
+def test_an_argv_only_argparse_reads_builds_the_whole_tree(command, input_name, witness,
+                                                           parsers_built, tmp_path, capsys):
+    # an abbreviation, or an = form, is left to argparse: the top-level
+    # parser and one subparser per command, and the report still written
     src = path(input_name) if input_name else witness
     calls = [[command, src, "--out", str(tmp_path / "report.json")]]
     if command == "realize":
         calls.append([command, src, "--seed=1"])
     for argv in calls:
         assert main(argv) == 0
-        assert parsers_built == [f"dsirr {command}"]
+        assert parsers_built == WHOLE_TREE
         parsers_built.clear()
     assert json.loads((tmp_path / "report.json").read_text())["schema_version"] == 1
     capsys.readouterr()
@@ -822,14 +825,29 @@ def test_an_argv_only_argparse_reads_builds_its_command_parser(command, input_na
 
 @pytest.mark.parametrize("argv", [["-h"], [], ["bogus", "x.json"], ["check", "x.json", "--bogus"]],
                          ids=lambda argv: " ".join(argv) or "no-args")
-def test_the_whole_tree_is_built_only_for_help_and_errors(argv, parsers_built, capsys):
-    # the top-level parser and one subparser per command; an
-    # unrecognized argument first builds its command's parser as well
+def test_help_and_errors_build_the_whole_tree(argv, parsers_built, capsys):
+    # the top-level parser and one subparser per command, and no other
     with pytest.raises(SystemExit):
         main(argv)
-    own = ["dsirr check"] if argv[-1:] == ["--bogus"] else []
-    assert parsers_built == own + ["dsirr"] + [f"dsirr {name}" for name in COMMANDS]
+    assert parsers_built == WHOLE_TREE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["check", "star_rigid.json"],
+                                  ["realize", "star_rigid.json", "--seed", "9"]])
+def test_a_dash_report_path_is_stdout(argv, tmp_path, monkeypatch, capsys):
+    # as '-' is stdin for the input, `-o -` prints the report and leaves
+    # no file named '-' behind
+    argv = [argv[0], path(argv[1]), *argv[2:]]
+    monkeypatch.chdir(tmp_path)
+
+    def printed(*extra):
+        return main([*argv, *extra]), capsys.readouterr().out
+
+    expected = printed()
+    assert expected[0] == 0
+    assert printed("-o", "-") == printed("--output", "-") == expected
+    assert os.listdir(tmp_path) == []
 
 
 def test_console_script_path_matches_in_process_main(monkeypatch, capsys):

@@ -1,6 +1,10 @@
-"""`cli._plain_args` against argparse, its oracle: wherever the reader
-answers an argv, it reads what the command's argparse parser reads, and
-wherever that parser exits, for help or an error, the reader declines."""
+"""`cli._plain_args` and `cli.build_parser` against an oracle, the
+reading `main` once gave an argv it did not read itself: the command's
+own argparse parser, its leftovers worded as an error of the whole tree.
+Wherever the reader answers an argv, it reads what the oracle reads, and
+wherever the oracle exits, for help or an error, the reader declines; on
+every argv the tree reads the oracle's values, or exits with its code,
+stdout and stderr."""
 
 import argparse
 import contextlib
@@ -15,28 +19,61 @@ import sys
 
 import pytest
 
-from dsirr.cli import _INPUT, _OUTPUT, COMMANDS, _add_options, _plain_args
+from dsirr.cli import _INPUT, _OUTPUT, COMMANDS, _plain_args, build_parser
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
-def oracle(name, tokens):
-    """vars() of the command parser's reading, or None where it exits."""
-    parser = _add_options(argparse.ArgumentParser(prog=f"dsirr {name}"), name)
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+def reading(parse):
+    """(vars of the namespace parse() returns, or None where it exits; its
+    exit code; what it printed to stdout; to stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return vars(parser.parse_args(tokens))
-        except SystemExit:
-            return None
+            values, code = vars(parse()), None
+        except SystemExit as e:
+            values, code = None, e.code
+    return values, code, out.getvalue(), err.getvalue()
+
+
+def command_parser_reading(name, tokens):
+    parser = argparse.ArgumentParser(prog=f"dsirr {name}")
+    for flags, kwargs in (_INPUT, _OUTPUT, *COMMANDS[name].options):
+        parser.add_argument(*flags, **kwargs)
+    args, extra = parser.parse_known_args(tokens)
+    if extra:
+        build_parser().error("unrecognized arguments: " + " ".join(extra))
+    return args
+
+
+def tree_reading(name, tokens):
+    args = build_parser().parse_args([name, *tokens])
+    del args.command
+    return args
+
+
+def same(a, b):
+    """Equal values, compared by repr so that a nan equals itself."""
+    return repr(sorted(a.items())) == repr(sorted(b.items()))
+
+
+def oracle(name, tokens):
+    """The oracle's values for an argv, or None where it exits; the tree
+    must read the same values, or exit printing the same."""
+    want, *printed = reading(lambda: command_parser_reading(name, tokens))
+    got, *tree_printed = reading(lambda: tree_reading(name, tokens))
+    assert tree_printed == printed and (got is None) == (want is None), tokens
+    assert want is None or same(got, want), tokens
+    return want
 
 
 def assert_agrees(name, tokens):
-    """The reader's answer, which argparse's reading must then equal, in
-    value and type (by repr, so that a nan tolerance equals itself)."""
+    """The reader's answer, which the oracle's values must then equal, in
+    value and type."""
     got, want = _plain_args(name, tokens), oracle(name, tokens)
     if got is not None:
         assert want is not None, tokens
-        assert repr(sorted(vars(got).items())) == repr(sorted(want.items())), tokens
+        assert same(vars(got), want), tokens
     return got
 
 
