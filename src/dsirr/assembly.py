@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate
-from math import sqrt
 from operator import add, mul
 from typing import NamedTuple
 
@@ -305,12 +304,6 @@ class ConnectionData:
         return ConnectionJet(self.n, k, tuple(coeffs))
 
 
-def _fro(a: np.ndarray) -> float:
-    """Frobenius norm of a float block: `linalg.mat_norm` without its
-    exact-entry conversion, cheap enough to take for every block."""
-    return sqrt(np.vdot(a, a).real)
-
-
 def moment_residual(gq: GlobalQuiver, rep: DoubledRep) -> tuple:
     """||mu - zeta||_F at rep, from the compiled moment plan, and the scale
     verify holds it to, max(1, ||rep||^2) as realize_numeric takes it: the
@@ -367,7 +360,7 @@ def assemble_residue(gq: GlobalQuiver, rep: DoubledRep, j: int):
     leg = gq.legs[("t", j)]
     lam1 = leg.marking[0]
     out = np.dot(*_foot_maps(rep, leg)) if leg.feet else np.zeros((n, n), dtype=complex)
-    scale = abs(lam1) + _fro(out)
+    scale = abs(lam1) + linalg.frobenius(out)
     out.flat[:: n + 1] += lam1
     return out, scale
 
@@ -389,10 +382,10 @@ def exponent_blocks(T: IrregularType, qp: QPPair, residues) -> dict:
     for b in range(T.block_count):
         sl = T.block_slice(b)
         acc = -bracket[sl, sl]
-        scale = _fro(acc)
+        scale = linalg.frobenius(acc)
         for r in residues:
             acc = acc - r[sl, sl]
-            scale += _fro(r[sl, sl])
+            scale += linalg.frobenius(r[sl, sl])
         out[b] = acc, scale
     return out
 
@@ -504,7 +497,7 @@ def _install_leg(rep: DoubledRep, leg: Leg, matrix: np.ndarray):
     """Realize the leg's marking on the matrix and copy the maps in: the
     realization's chain "2>1", "3>2", ... goes to leg.chain, and its foot
     "1>0" is split by rows (the reverse map by columns) over leg.feet."""
-    lr = realize_leg(matrix, leg.marking).rep
+    lr = realize_leg(matrix, leg.marking)
     if not lr.quiver.arrows:  # a length-one marking: no leg
         return
     foot, *chain = (a.id for a in lr.quiver.arrows)
@@ -975,13 +968,14 @@ def instance_from_json(data: dict, exact: bool) -> ProblemInstance:
     return ProblemInstance(n, T, residue_blocks, poles)
 
 
-def rep_to_json(gq: GlobalQuiver, rep: DoubledRep) -> dict:
+def rep_to_json(rep: DoubledRep) -> dict:
+    """The rep's dims and its {arrow: {fwd, rev}} maps, in quiver arrow order."""
     return {
         "schema_version": SCHEMA_VERSION,
         "dims": {v: int(d) for v, d in rep.dims.items()},
         "maps": {
             a.id: {"fwd": matrix_to_json(rep.fwd[a.id]), "rev": matrix_to_json(rep.rev[a.id])}
-            for a in gq.quiver.arrows
+            for a in rep.quiver.arrows
         },
     }
 

@@ -8,19 +8,21 @@ built; argparse, imported only then, reads any other argv with the whole
 tree, which prints help and errors in its own words.  Nothing carries
 over between calls.  Every run writes a JSON report (stdout by default,
 and for -o -); exit status 0 means nonempty/verified/success, 1
-empty/falsified, 2 undecided or error, an unwritable -o path included.
-`main` loads the input once and hands it to the command, which parses
-it once, in the mode its scalars are written in (float if any is a JSON
-float or an [re, im] pair, exact otherwise); check always needs exact
-scalars.  A --tolerance that is not finite and > 0, or a
---max-decompositions or --attempts below 1, is an error (exit 2), never
-a verdict.  Randomized paths follow --seed.
+empty/falsified, 2 undecided or error, an unwritable -o path or a
+closed stdout included.  `main` loads the input once and hands it to
+the command, which parses it once, in the mode its scalars are written
+in (float if any is a JSON float or an [re, im] pair, exact otherwise);
+check always needs exact scalars.  A --tolerance that is not finite and
+> 0, or a --max-decompositions or --attempts below 1, is an error (exit
+2), never a verdict.  Randomized paths follow --seed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import sys
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -137,7 +139,7 @@ def cmd_realize(data, args):
     if result.success:
         report["verification"] = verify_instance(gq, result.rep, certificate=result.stability)
         if report["verification"]["all_ok"]:
-            report["rep"] = rep_to_json(gq, result.rep)
+            report["rep"] = rep_to_json(result.rep)
         else:  # a witness that fails its own checks is no witness
             report["success"], report["stats"]["stop"] = False, "verification-failed"
     return report, 0 if report["success"] else 1
@@ -183,15 +185,14 @@ def cmd_leg(data, args):
     n = _require(data, "n", "", int)
     spec = orbit_spec_from_json(_require(data, "orbit", "", dict), n, exact)
     marking = greedy_marking(spec)
-    matrix = normal_form_matrix(spec)
-    if "matrix" in data:
-        matrix = matrix_from_json(data["matrix"], n, n, exact)
+    matrix = (matrix_from_json(data["matrix"], n, n, exact) if "matrix" in data
+              else normal_form_matrix(spec))
     try:
         leg = realize_leg(matrix, marking)
     except ValueError as e:
         return {"ok": False, "detail": str(e)}, 1
     # equal ranks at every step, with the last 0, hold just in the orbit
-    dims, walked = leg_dimensions(spec, marking), list(leg.rep.dims.values())[1:]
+    dims, walked = leg_dimensions(spec, marking), list(leg.dims.values())[1:]
     if walked != dims:
         return {"ok": False, "detail": f"the matrix is not in the declared orbit: its leg "
                                        f"dimensions are {walked}, the orbit's are {dims}"}, 1
@@ -200,13 +201,7 @@ def cmd_leg(data, args):
         "orbit": orbit_spec_to_json(spec),
         "marking": [scalar_to_json(m) for m in marking],
         "leg_dimensions": dims,
-        "maps": {
-            a.id: {
-                "fwd": matrix_to_json(leg.rep.fwd[a.id]),
-                "rev": matrix_to_json(leg.rep.rev[a.id]),
-            }
-            for a in leg.rep.quiver.arrows
-        },
+        "maps": rep_to_json(leg)["maps"],
     }
     return report, 0
 
@@ -319,7 +314,15 @@ def main(argv=None) -> int:
         except OSError as e:  # an unwritten report is an error, whatever its verdict
             report = {"error": f"{type(e).__name__}: {e}", "schema_version": SCHEMA_VERSION}
             text, code = report_text(report), 2
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # a closed stdout loses the report, as an unwritable -o does
+        with contextlib.suppress(OSError):  # io.UnsupportedOperation: stdout has no descriptor
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)  # so the flush at exit writes nowhere, silently
+            os.close(devnull)
+        return 2
     return code
 
 

@@ -133,16 +133,35 @@ class IrregularType:
         return max(self.separation(p, q) - 1, 0)
 
     def to_float(self) -> "IrregularType":
-        """Same type with complex coefficients (block order preserved)."""
+        """Same type with complex coefficients (block order preserved).
+
+        Raises ValueError when the float coefficients, compared as
+        `make_irregular_type` compares a float payload's, separate two
+        neighbouring blocks at another level than the exact ones do."""
         if not self.exact:
             return self
         blocks = tuple(
             Block(tuple(as_double(c, "irregular type: coefficient") for c in b.coeffs), b.mult)
             for b in self.blocks
         )
+        for b, sep in enumerate(_separations(blocks, self.k, False)):
+            if sep != self.separation(b, b + 1):
+                p, q = sorted(self.source_indices[b : b + 2])
+                raise ValueError(f"irregular type: the largest s with c_s differing between "
+                                 f"blocks {p} and {q} is {self.separation(b, b + 1)}, and "
+                                 f"{sep} in floats; the type has no float form")
         return IrregularType(
             self.n, self.k, blocks, self.starts, self.level_classes, self.source_indices
         )
+
+
+def _separations(blocks, k: int, exact: bool) -> list:
+    """For each pair of neighbouring blocks, the largest s with c_s
+    differing (0 if none), found from the top; floats are compared
+    under FLOAT_COEFF_RTOL."""
+    return [next((s for s in range(k - 1, 0, -1) if not scalars_equal(
+        a.coeffs[s - 1], b.coeffs[s - 1], exact, FLOAT_COEFF_RTOL)), 0)
+        for a, b in zip(blocks, blocks[1:])]
 
 
 def make_irregular_type(k: int, blocks) -> IrregularType:
@@ -176,15 +195,10 @@ def make_irregular_type(k: int, blocks) -> IrregularType:
     order = sorted(enumerate(blk), key=key, reverse=True)
     source = tuple(i for i, _ in order)
     blk = [b for _, b in order]
-    # neighbours share a class at level i iff their largest differing c_s
-    # has s <= i; each pair's s is found once, from the top
-    seps = []
-    for a, b in zip(blk, blk[1:]):
-        sep = next((s for s in range(k - 1, 0, -1) if not scalars_equal(
-            a.coeffs[s - 1], b.coeffs[s - 1], exact, FLOAT_COEFF_RTOL)), 0)
-        if sep == 0:
-            raise ValueError("blocks must be pairwise distinct as polynomials")
-        seps.append(sep)
+    # neighbours share a class at level i iff their separation is <= i
+    seps = _separations(blk, k, exact)
+    if 0 in seps:
+        raise ValueError("blocks must be pairwise distinct as polynomials")
     *starts, pos = itertools.accumulate((b.mult for b in blk), initial=0)
     levels = [tuple(itertools.accumulate((s > i for s in seps), initial=0)) for i in range(k)]
     return IrregularType(pos, k, tuple(blk), tuple(starts), tuple(levels), source)

@@ -14,6 +14,7 @@ import numpy as np
 from .scalars import ONE, ZERO, as_complex
 
 RANK_RTOL = 1e-8
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
 def require_rtol(rtol: float) -> float:
@@ -66,6 +67,13 @@ def to_complex(a: np.ndarray) -> np.ndarray:
 def mat_norm(a: np.ndarray) -> float:
     """Frobenius norm; exact entries are measured through floats."""
     return float(np.linalg.norm(to_complex(a)))
+
+
+def frobenius(a: np.ndarray) -> float:
+    """||a||_F of a float matrix within a relative gamma_{2n+1}, underflow
+    included: the 2n real squares of n entries lose at most eps/2 tiny
+    each to it, with tiny the smallest normal float."""
+    return (float(np.vdot(a, a).real) + a.size * _EPS * _TINY) ** 0.5
 
 
 def is_zero_matrix(a: np.ndarray, rtol: float = 1e-9, scale: float = 1.0) -> bool:
@@ -148,7 +156,9 @@ def product_chain(a: np.ndarray, shifts, rtol: float = RANK_RTOL, scale: float =
     mode takes the pivot columns as f and the non-zero rref rows as r.
     Once a step keeps the width, its shift maps the range onto itself
     (Fitting's lemma), so a repeat of it factors as (a_j - s, I) with no
-    SVD or rref; the rref gives the same pair.
+    SVD or rref; the rref gives the same pair.  A float a_{j-1} - s_j
+    with an infinite or NaN entry raises ValueError: numpy's SVD of a
+    complex matrix holding an infinity may never return.
     """
     exact = is_exact(a)
     if not exact:
@@ -164,6 +174,8 @@ def product_chain(a: np.ndarray, shifts, rtol: float = RANK_RTOL, scale: float =
         elif exact:
             red, pivots = rref(m)
             f, r = m[:, pivots], red[: len(pivots)]
+        elif not np.isfinite(m).all():
+            raise ValueError(f"step {j + 1} of the product chain is not finite")
         else:
             u, sv, vh = np.linalg.svd(m, full_matrices=False)
             w = int(np.sum(sv > rtol * (scale + abs(s))))

@@ -21,9 +21,9 @@ A - l_l on V_{l-1} through V_l, and the two factors are the leg's maps
 along arrow l -> l-1, the inclusion forward and (A - l_l) corestricted
 to V_l backward; the product of the pair at the top plus l_1 recovers
 A.  The widths of the walk are the ranks of the partial products:
-realize_leg reads the marking check off the last one, and
-_rank_profiles, behind orbit_membership and _jordan_pass, reads the
-profiles of powers at each eigenvalue.
+realize_leg reads the marking check off the last one and returns the
+leg's maps as a DoubledRep, and _rank_profiles, behind orbit_membership
+and _jordan_pass, reads the profiles of powers at each eigenvalue.
 """
 
 from __future__ import annotations
@@ -286,8 +286,10 @@ def _rank_profiles(items, rtol: float) -> list:
     the widths of `linalg.product_chain`.  A singular value counts above
     rtol * (max(||R||_2, scale) + |s_j|).  A caller that formed R by
     cancellation passes the size of the terms that cancelled as `scale`;
-    otherwise round-off in a numerically zero R reads as full rank.  Exact
-    mode ranks exactly and ignores `rtol` and `scale`.
+    otherwise round-off in a numerically zero R reads as full rank.  A
+    float R with an infinite or NaN entry gets (inf, None) and no SVD,
+    read off one `np.isfinite` per size.  Exact mode ranks exactly and
+    ignores `rtol` and `scale`.
     """
     out, by_size = [None] * len(items), {}
     for i, (R, chains, _) in enumerate(items):
@@ -296,10 +298,17 @@ def _rank_profiles(items, rtol: float) -> list:
         else:
             by_size.setdefault(R.shape[0], []).append(i)
     for n, where in by_size.items():
+        mats = np.array([items[i][0] for i in where], dtype=complex)
+        finite = np.isfinite(mats).all(axis=(1, 2))
+        if not finite.all():
+            for i in np.compress(~finite, where).tolist():
+                out[i] = np.inf, None
+            where, mats = np.compress(finite, where).tolist(), mats[finite]
+            if not where:
+                continue
         # per item: 0, then the first shift of each one-shift chain
         shifts = [[0j] + [as_complex(s[0]) for s in items[i][1] if len(s) == 1] for i in where]
-        stack = np.repeat(np.array([items[i][0] for i in where], dtype=complex),
-                          [len(s) for s in shifts], axis=0)
+        stack = np.repeat(mats, [len(s) for s in shifts], axis=0)
         # slice k's diagonal, through a strided view, minus shift k
         stack.reshape(len(stack), n * n)[:, :: n + 1] -= np.concatenate(shifts)[:, None]
         rows = iter(np.linalg.svd(stack, compute_uv=False).tolist())
@@ -322,23 +331,11 @@ def _widths(steps) -> list:
     return [f.shape[1] for f, _ in steps]
 
 
-@dataclass
-class LegRealization:
-    """Concrete chain maps for a marking of a matrix orbit.
-
-    Vertices are "0", "1", ..., with V_0 the ambient space; the arrow
-    l -> l-1 carries the inclusion forward and the shifted matrix
-    backward.
-    """
-
-    marking: Marking
-    rep: DoubledRep
-
-
-def realize_leg(L: np.ndarray, marking: Marking) -> LegRealization:
-    """Build the chain of subspaces and maps for a marking of L, from one
-    `linalg.product_chain` walk: arrow l -> l-1 carries f_l forward and
-    r_l backward, for each step before the first of width 0.
+def realize_leg(L: np.ndarray, marking: Marking) -> DoubledRep:
+    """The chain of subspaces and maps for a marking of L, from one
+    `linalg.product_chain` walk: vertices "0", "1", ..., with V_0 the
+    ambient space, and arrow l -> l-1 carrying f_l forward and r_l
+    backward, for each step before the first of width 0.
 
     The marking must annihilate L: the walk's last width is 0, read at
     rtol 1e-8 with ||L||_2 floored at 1, since a zero exponent block
@@ -358,9 +355,7 @@ def realize_leg(L: np.ndarray, marking: Marking) -> LegRealization:
         arrow_id = f"{vertex}>{parent}"
         arrows.append((arrow_id, vertex, parent))
         fwd[arrow_id], rev[arrow_id] = f, r
-    quiver = make_quiver(list(dims.keys()), arrows)
-    rep = DoubledRep(quiver, dims, fwd, rev)
-    return LegRealization(tuple(marking), rep)
+    return DoubledRep(make_quiver(list(dims.keys()), arrows), dims, fwd, rev)
 
 
 def orbit_membership(R, spec, rtol: float = 1e-8, scale=0.0):
@@ -378,7 +373,8 @@ def orbit_membership(R, spec, rtol: float = 1e-8, scale=0.0):
 
     In float mode two declared values lambda, mu with |lambda - mu| <=
     rtol * (max(||R||_2, scale) + max(|lambda|, |mu|)) answer False: at
-    that distance their kernels are one numerical kernel read twice.
+    that distance their kernels are one numerical kernel read twice.  A
+    float R with an infinite or NaN entry is in no orbit.
 
     Given equal-length sequences of matrices, specs and scales, it
     answers for each in a list, and all the float matrices of one size
@@ -393,6 +389,9 @@ def orbit_membership(R, spec, rtol: float = 1e-8, scale=0.0):
              for m, s, c in zip(R, spec, scale, strict=True)]
     answers = []
     for s, (norm, profiles) in zip(spec, _rank_profiles(items, rtol)):
+        if profiles is None:  # a non-finite matrix
+            answers.append(False)
+            continue
         values = [] if norm is None else [as_complex(v) for v, _ in s.eigenvalues]
         apart = not any(abs(a - b) <= rtol * (norm + max(abs(a), abs(b)))
                         for a, b in itertools.combinations(values, 2))

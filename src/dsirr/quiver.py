@@ -37,11 +37,11 @@ dimension at their other ends, and T_x = sum over them of
   of Numerical Algorithms, 3.6), and the m_x sums and the subtraction of
   zeta_x add gamma_{m_x+1}; so ||fl(E_x) - E_x||_F is at most
   (K_x + m_x + 3) eps T_x, and B takes twice that.
-* A Frobenius norm of n entries is taken as sqrt(s + n eps tiny), with
-  s the computed sum of squares and tiny the smallest normal float: the
-  2n real squares lose at most u tiny each to underflow, and the rest is
-  within a relative gamma_{2n+1}.  B adds 2 (v_x^2 + 3) eps times the
-  norm of fl(E_x).
+* A Frobenius norm of n entries is taken as sqrt(s + n eps tiny) by
+  `linalg.frobenius`, with s the computed sum of squares and tiny the
+  smallest normal float: the 2n real squares lose at most u tiny each
+  to underflow, and the rest is within a relative gamma_{2n+1}.  B adds
+  2 (v_x^2 + 3) eps times the norm of fl(E_x).
 * Underflow in forming fl(E_x) adds at most u tiny per operation and
   entry; B adds (K_x + m_x + 3) v_x tiny.
 
@@ -377,12 +377,6 @@ def stability(gens: list, n: int) -> Stability:
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
-def _frobenius(m: np.ndarray) -> float:
-    """||m||_F within a relative gamma_{2n+1}, underflow included: the 2n
-    real squares of n entries lose at most eps/2 tiny each to it."""
-    return (float(np.vdot(m, m).real) + m.size * _EPS * _TINY) ** 0.5
-
-
 def _half_sums(zeta: list, dims: list) -> list:
     """zeta . w for every w of the box prod [0, dims], in row-major
     order: the first entry is w = 0, the last w = dims."""
@@ -400,7 +394,7 @@ def _gap_bound(rep: DoubledRep, zeta: dict) -> float:
     inner = dict.fromkeys(zeta, 0)  # K_x
     for a in rep.quiver.arrows:
         if rep.dims[a.src] and rep.dims[a.dst]:
-            t = _frobenius(rep.fwd[a.id]) * _frobenius(rep.rev[a.id])
+            t = linalg.frobenius(rep.fwd[a.id]) * linalg.frobenius(rep.rev[a.id])
             for x, y in ((a.dst, a.src), (a.src, a.dst)):
                 scale[x] += t
                 ops[x] += 1
@@ -409,7 +403,7 @@ def _gap_bound(rep: DoubledRep, zeta: dict) -> float:
     bound = 0.0
     for x, z in zeta.items():
         d, k = rep.dims[x], ops[x] + inner[x]
-        frob = _frobenius(mu[x] - z * linalg.eye(d, False))
+        frob = linalg.frobenius(mu[x] - z * linalg.eye(d, False))
         rho = 2 * k * _EPS * (scale[x] + abs(z) * d ** 0.5) + 2 * (d * d + 3) * _EPS * frob
         bound += d * (frob + rho + k * d * _TINY)
     return bound

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,18 @@ def pytest_runtest_makereport(item, call):
         if terminal is not None:
             status = "PASS" if rep.passed else "FAIL"
             terminal.write_line(f"[acceptance] {item.name}: {status}")
+
+
+SRC_ENV = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+HANG_TIMEOUT = 30  # s, for runs that return in well under 5 s unless they hang
+
+
+def run_fresh(*args, **kwargs) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh interpreter with src on its path, its
+    output captured as text; a hang raises TimeoutExpired rather than
+    stalling the suite."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=SRC_ENV, timeout=HANG_TIMEOUT, **kwargs)
 
 
 def unit_matrix(n, i, j, exact=False):

@@ -520,17 +520,13 @@ def stabilizes_dt(T, b, rtol: float = 1e-9) -> bool:
     return all(T.in_subspace(b.coeffs[i], i, "diag", rtol) for i in range(1, T.k))
 
 
-def leg_reconstruction(realization, exact: bool = None) -> np.ndarray:
-    """Product of the top arrow pair plus l_1; equals the original matrix."""
-    n = realization.rep.dims["0"]
-    exact = realization.rep.exact if exact is None else exact
-    lam1 = realization.marking[0]
-    ident = linalg.eye(n, exact)
-    if "1" not in realization.rep.dims:
-        return lam1 * ident
-    a = realization.rep.fwd["1>0"]
-    b = realization.rep.rev["1>0"]
-    return np.dot(a, b) + lam1 * ident
+def leg_reconstruction(rep, marking) -> np.ndarray:
+    """Product of the top arrow pair of a `realize_leg` rep plus l_1;
+    equals the original matrix."""
+    ident = linalg.eye(rep.dims["0"], rep.exact)
+    if "1" not in rep.dims:
+        return marking[0] * ident
+    return np.dot(rep.fwd["1>0"], rep.rev["1>0"]) + marking[0] * ident
 
 
 def core_bracket_by_arrows(gq, rep) -> dict:

@@ -1,11 +1,15 @@
 """Record the CLI's exit code and stdout over a fixed set of inputs.
 
     python tests/report_sweep.py OUT.json
+    python tests/report_sweep.py --digests tests/golden/sweep_exact.json
 
 writes {case: [exit code, stdout]} with sorted keys, so the sweeps of two
-checkouts compare with `cmp`.  Each input gets `check`, `build-quiver`,
-`check` of that raw (Q, v, zeta) payload, `realize --seed 1` and, when
-realize finds a witness, `verify` of that witness.  The inputs are every
+checkouts compare with `cmp`; --digests writes {case: SHA-256 of
+[exit code, stdout]} for the cases that touch no BLAS or LAPACK (see
+`exact_digests`), the file tests/test_cli.py pins them to.  Each input
+gets `check`, `build-quiver`, `check` of that raw (Q, v, zeta) payload,
+`realize --seed 1` and, when realize finds a witness, `verify` of that
+witness.  The inputs are every
 problem file in tests/data and its float copy, and the check-generic,
 check-degenerate, realize-verify and realize-infeasible rungs of the
 benchmark ladder at seeds 1-3, with the float copies of the
@@ -27,7 +31,9 @@ the minimal one.  Not a test module: pytest does not collect it.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -45,7 +51,8 @@ from dsirr.cli import main  # noqa: E402
 from dsirr.orbits import (greedy_marking, make_orbit_spec, normal_form_matrix,  # noqa: E402
                           orbit_spec_from_json, orbit_spec_to_json, rank_sequence)
 from dsirr.scalars import ONE  # noqa: E402
-from dsirr.serialize import matrix_from_json, matrix_to_json, scalar_to_json  # noqa: E402
+from dsirr.serialize import (matrix_from_json, matrix_to_json, payload_is_float,  # noqa: E402
+                             scalar_to_json)
 from oracles import bench_ladder, mixed_zeta_problem  # noqa: E402
 
 DATA = TESTS / "data"
@@ -199,12 +206,38 @@ def sweep(tmp: Path) -> dict:
     return cases
 
 
+def exact_digests(cases: dict) -> dict:
+    """{case: SHA-256 of its [exit code, stdout]} for every `check`,
+    `build-quiver` and `build-quiver | check` case, and the `leg` and
+    `reduce` cases whose payload is exact: no float kernel runs on them,
+    so their reports are the same on every machine."""
+    exact = {f"data/{file}: {command}" for command, file in MATRIX_EXAMPLES
+             if command == "reduce" and not payload_is_float(
+                 json.loads((DATA / file).read_text(encoding="utf-8")))}
+    exact.update(f"{name}: leg" for name, data in legs() if not payload_is_float(data))
+    commands = ("check", "build-quiver", "build-quiver | check")
+    return {name: hashlib.sha256(json.dumps(case).encode()).hexdigest()
+            for name, case in cases.items()
+            if name in exact or name.rsplit(": ", 1)[1] in commands}
+
+
+def write_json(path, value):
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(value, f, indent=1, sort_keys=True)
+        f.write("\n")
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit(__doc__)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", nargs="?", help="write every case's [exit code, stdout] here")
+    parser.add_argument("--digests", help="write the machine-independent cases' digests here")
+    args = parser.parse_args()
+    if not (args.out or args.digests):
+        parser.error("name OUT.json, --digests PATH or both")
     with tempfile.TemporaryDirectory() as tmp:
         result = sweep(Path(tmp))
-    with open(sys.argv[1], "w", encoding="utf-8") as f:
-        json.dump(result, f, indent=1, sort_keys=True)
-        f.write("\n")
+    if args.out:
+        write_json(args.out, result)
+    if args.digests:
+        write_json(args.digests, exact_digests(result))
     print(f"{len(result)} cases")

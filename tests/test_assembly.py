@@ -520,7 +520,7 @@ def test_rep_and_connection_json_round_trip():
     inst = rigid_star()
     gq = build_global_quiver(inst.as_float())
     res = realize_numeric(gq, attempts=10, seed=1)
-    data = rep_to_json(gq, res.rep)
+    data = rep_to_json(res.rep)
     rep2 = rep_from_json(gq, data)
     for a in gq.quiver.arrows:
         assert np.allclose(rep2.fwd[a.id], res.rep.fwd[a.id])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import dsirr.cli
+from conftest import HANG_TIMEOUT, SRC_ENV, run_fresh
 from dsirr.cli import COMMANDS, main
 from dsirr.quiver import quiver_from_json
 from dsirr.roots import CartanData
@@ -325,6 +326,16 @@ def test_leg_rejects_an_orbit_of_values_within_the_cutoff(tmp_path, capsys):
     assert code == 1 and not report["ok"]
     assert report["detail"] == ("the matrix is not in the declared orbit: its leg dimensions "
                                 "are [], the orbit's are [1]")
+
+
+def test_leg_refuses_a_chain_that_overflows(tmp_path, capsys):
+    # the first shift, -1.7e308, takes the normal form's entry 1.7e308 to inf
+    data = {"n": 3, "orbit": _simple([[-1.7e308, 0.0], [0.0, 0.0], [1.7e308, 0.0]])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warning
+        code, report = _run_on(data, tmp_path, capsys, "leg")
+    assert (code, report) == (1, {"ok": False, "detail": "step 1 of the product chain is not "
+                                                         "finite", "schema_version": 1})
 
 
 def _reduce_beyond_double(scaled):
@@ -720,6 +731,50 @@ def witness(tmp_path_factory):
     return str(verify_input)
 
 
+def test_verify_answers_a_witness_whose_maps_overflow(tmp_path, capsys):
+    # a reverse map of 1e308 makes the residue at t1 infinite; the SVD
+    # of its orbit test, a Jordan block of size 2, never returned
+    f = path("ladder_n4x3k2_seed1.json")
+    code, real = run(capsys, "realize", f, "--seed", "1")
+    assert code == 0
+    real["rep"]["maps"]["t1.1>p0"]["rev"][0] = [1e308, 1e308]
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps({"instance": json.loads(open(f).read()), "rep": real["rep"]}))
+    done = run_fresh("-m", "dsirr.cli", "verify", str(witness))
+    report = _strict(done.stdout)
+    assert done.returncode == 1 and not report["all_ok"]
+    ok = {c["name"]: c["ok"] for c in report["checks"]}
+    assert not ok["moment_residual"] and not ok["residue_orbit_t1"]
+
+
+@pytest.mark.parametrize("coeff", ["1000000000001/1000000000000",
+                                   "100000000000000000001/100000000000000000000"])
+def test_an_irregular_type_with_no_float_form_is_an_error(coeff, witness, tmp_path, capsys):
+    # the other block's coefficient is 1: distinct exactly, equal as float
+    # coefficients, so realize and verify have no float type to work on
+    # and exit 2, as the float payload of the same doubles does; check
+    # reads the exact type
+    data = json.loads(open(path("star_rigid.json")).read())
+    data["infinity"]["irregular_type"]["blocks"][0]["coeffs"] = [coeff]
+    src, pair = tmp_path / "star.json", tmp_path / "witness.json"
+    src.write_text(json.dumps(data))
+    pair.write_text(json.dumps(dict(json.loads(open(witness).read()), instance=data)))
+    error = ("ValueError: irregular type: the largest s with c_s differing between blocks 0 "
+             "and 1 is 1, and 0 in floats; the type has no float form")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(capsys, "check", str(src))[0] == 0
+        for argv in (["realize", str(src), "--seed", "1"], ["verify", str(pair)]):
+            assert run(capsys, *argv) == (2, {"error": error, "schema_version": 1})
+    for block in data["infinity"]["irregular_type"]["blocks"]:
+        block["coeffs"] = [[float(Fraction(block["coeffs"][0])), 0.0]]
+    src.write_text(json.dumps(data))
+    with pytest.warns(UserWarning, match="float irregular-type coefficients"):
+        assert run(capsys, "realize", str(src), "--seed", "1") == (2, {
+            "error": "ValueError: blocks must be pairwise distinct as polynomials",
+            "schema_version": 1})
+
+
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
 def test_verify_rejects_a_meaningless_tolerance(tolerance, witness, capsys):
     # a usage error, not a falsified witness
@@ -853,14 +908,22 @@ def test_a_dash_report_path_is_stdout(argv, tmp_path, monkeypatch, capsys):
 def test_console_script_path_matches_in_process_main(monkeypatch, capsys):
     # argv=None reads sys.argv, in a fresh interpreter and in this one
     argv = ["check", path("star_rigid.json")]
-    env = dict(os.environ, PYTHONPATH=os.path.join(TESTS, os.pardir, "src"))
-    done = subprocess.run([sys.executable, "-m", "dsirr.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    done = run_fresh("-m", "dsirr.cli", *argv)
     expected = run(capsys, *argv)
     assert (done.returncode, json.loads(done.stdout)) == expected
     monkeypatch.setattr(sys, "argv", ["dsirr", *argv])
     code = main()
     assert (code, json.loads(capsys.readouterr().out)) == expected
+
+
+def test_a_closed_stdout_is_an_error_without_a_traceback():
+    # the report is lost, as to an unwritable -o path: exit 2, and the
+    # BrokenPipeError neither escapes main nor recurs at exit
+    proc = subprocess.Popen([sys.executable, "-m", "dsirr.cli", "check", path("star_rigid.json")],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=SRC_ENV)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=HANG_TIMEOUT)
+    assert (proc.returncode, err) == (2, b"")
 
 
 # runs main on its argv and lists which of argparse and gettext it imported
@@ -902,8 +965,10 @@ def test_an_unwritable_report_path_is_an_error(argv, capsys):
     assert not os.path.exists(os.path.dirname(missing))
 
 
-def test_the_report_writer_matches_json_dumps_on_every_sweep_report(monkeypatch, tmp_path):
-    # every report tests/report_sweep.py makes the CLI write
+@pytest.fixture(scope="module")
+def sweep_run(tmp_path_factory):
+    """One run of tests/report_sweep.py: the module, its cases and every
+    report the CLI wrote for them."""
     import report_sweep
 
     reports = []
@@ -912,11 +977,28 @@ def test_the_report_writer_matches_json_dumps_on_every_sweep_report(monkeypatch,
         reports.append(report)
         return report_text(report)
 
-    monkeypatch.setattr(dsirr.cli, "report_text", recorded)
-    cases = report_sweep.sweep(tmp_path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dsirr.cli, "report_text", recorded)
+        cases = report_sweep.sweep(tmp_path_factory.mktemp("sweep"))
+    return report_sweep, cases, reports
+
+
+def test_the_report_writer_matches_json_dumps_on_every_sweep_report(sweep_run):
+    _, cases, reports = sweep_run
     assert len(reports) == len(cases) > 600
     for report in reports:
         assert report_text(report) == json.dumps(report, indent=2, sort_keys=True)
+
+
+def test_the_machine_independent_sweep_reports_match_their_digests(sweep_run):
+    # regenerate with: python tests/report_sweep.py --digests tests/golden/sweep_exact.json
+    report_sweep, cases, _ = sweep_run
+    with open(os.path.join(TESTS, "golden", "sweep_exact.json"), encoding="utf-8") as f:
+        golden = json.load(f)
+    got = report_sweep.exact_digests(cases)
+    assert len(golden) > 400
+    differ = sorted(name for name in golden.keys() | got.keys() if golden.get(name) != got.get(name))
+    assert not differ, differ
 
 
 @pytest.mark.parametrize("value", [

@@ -119,6 +119,21 @@ def test_duplicate_blocks_rejected():
         make_irregular_type(2, [((1 + 0j,), 1), ((1 + 0j,), 2)])
 
 
+def test_to_float_keeps_the_exact_levels_or_refuses():
+    # block order (largest first) and levels survive the float copy when
+    # the float reader separates the blocks where the exact one does
+    exact = make_irregular_type(3, [((G(0), G(1)), 1), ((G(2), G(1)), 2), ((G(0), G(-1)), 1)])
+    T = exact.to_float()
+    with pytest.warns(UserWarning):
+        read = make_irregular_type(3, [(b.coeffs, b.mult) for b in T.blocks])
+    assert T.level_classes == read.level_classes == exact.level_classes
+    # 1 + 1e-12 and 1 differ exactly, not within FLOAT_COEFF_RTOL: the
+    # copy would separate blocks the float reader calls equal
+    close = make_irregular_type(2, [((G(1),), 1), ((G(Fraction(10**12 + 1, 10**12)),), 1)])
+    with pytest.raises(ValueError, match="blocks 0 and 1 is 1, and 0 in floats"):
+        close.to_float()
+
+
 # --- core quiver -------------------------------------------------------------
 
 

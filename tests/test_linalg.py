@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import run_fresh
 from dsirr import linalg
 from dsirr.assembly import _leg_conditions, build_global_quiver, instance_from_json, realize_numeric
 from dsirr.jets import JetMatrix, jet_inv
@@ -225,3 +226,20 @@ def test_the_walk_factors_each_step_and_ranks_the_powers(is_ex):
                 want = power_ranks_every_step(a - s * linalg.eye(n, is_ex), len(shifts),
                                               scale=None if is_ex else scale + abs(s))
                 assert got == want
+
+
+def test_product_chain_refuses_a_non_finite_step():
+    # the SVD of a complex 4 x 4 matrix holding an infinity never returned;
+    # a shift beyond half the double range overflows a finite matrix
+    done = run_fresh("-c", """
+import numpy as np
+from dsirr import linalg
+R = np.ones((4, 4), complex)
+R[0, 0] = np.inf
+for a, shifts in ((R, [0j, 0j]), (np.diag([1e308, 0, 0, 0]).astype(complex), [-1e308])):
+    try:
+        linalg.product_chain(a, shifts)
+    except ValueError as e:
+        print(e)
+""")
+    assert done.stdout.splitlines() == ["step 1 of the product chain is not finite"] * 2

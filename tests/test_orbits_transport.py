@@ -25,18 +25,18 @@ def test_leg_transport_of_invariant_subspace(rng):
     L[0, 1] = 1.0  # J_2 at eigenvalue 1
     marking = minimal_marking(L)
     leg = realize_leg(L, marking)
-    d = len([v for v in leg.rep.dims if v != "0"])
+    d = len([v for v in leg.dims if v != "0"])
     s = np.zeros((4, 2), dtype=complex)
     s[0, 0] = 1.0
     s[1, 1] = 1.0  # the generalized 1-eigenspace, L-invariant
     chain = [s]
     for l in range(1, d + 1):
-        chain.append(leg.rep.rev[f"{l}>{l-1}"] @ chain[-1])
+        chain.append(leg.rev[f"{l}>{l-1}"] @ chain[-1])
     # the resulting graded collection is invariant both ways
     for l in range(1, d + 1):
-        down = leg.rep.rev[f"{l}>{l-1}"] @ chain[l - 1]
+        down = leg.rev[f"{l}>{l-1}"] @ chain[l - 1]
         assert _contains(chain[l], down)
-        up = leg.rep.fwd[f"{l}>{l-1}"] @ chain[l]
+        up = leg.fwd[f"{l}>{l-1}"] @ chain[l]
         assert _contains(chain[l - 1], up)
 
 
@@ -49,6 +49,6 @@ def test_leg_transport_trivial_cases(rng):
         # zero seed stays zero; a cyclic (generating) seed fills everything
         full = np.eye(n, dtype=complex)
         w = full
-        for l in range(1, len(leg.rep.dims)):
-            w = leg.rep.rev[f"{l}>{l-1}"] @ w
-            assert linalg.rank(w) == leg.rep.dims[str(l)]
+        for l in range(1, len(leg.dims)):
+            w = leg.rev[f"{l}>{l-1}"] @ w
+            assert linalg.rank(w) == leg.dims[str(l)]
