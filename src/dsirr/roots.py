@@ -1,15 +1,15 @@
 """Root system of a loop-free quiver and the non-emptiness criterion.
 
-The symmetrized adjacency a_ij counts arrows between i and j in either
-direction; the bilinear form is (u, v) = sum_i 2 u_i v_i
-- sum_{i != j} a_ij u_i v_j, the Tits form q(v) = (v, v)/2, and
-delta(v) = 1 - q(v) on the same quiver.
+The arrows between i and j in either direction count a_ij, kept as the
+pairs (j, a_ij) with a_ij > 0 at each vertex i; the bilinear form is
+(u, v) = sum_i 2 u_i v_i - sum_{i != j} a_ij u_i v_j, the Tits form
+q(v) = (v, v)/2, and delta(v) = 1 - q(v) on the same quiver.
 
 Positive roots are recognized by the reflection algorithm: reflect at
 a vertex with (v, e_i) > 0; landing on a simple root means a real root,
 going negative means not a root, and a fixed vector is an imaginary
 root exactly when its support is connected.  `is_positive_root` runs
-it on one vector of Python integers.
+it on Python integers; a reflection updates its neighbours' pairings.
 
 The decision procedure: the moduli space for (v, zeta) is non-empty
 iff (1) v is a positive root, (2) zeta . v = 0, and (3) every
@@ -60,40 +60,38 @@ class SearchCapExceeded(Exception):
 
 @dataclass(frozen=True)
 class CartanData:
-    """Symmetrized adjacency and bilinear form of a loop-free quiver."""
+    """Symmetrized arrow counts and bilinear form of a loop-free quiver."""
 
     vertices: tuple
-    adjacency: tuple  # row-major symmetric matrix of arrow counts
+    neighbours: tuple  # entry i: the pairs (j, a_ij) with a_ij > 0, by j
 
     @staticmethod
     def from_quiver(quiver: Quiver) -> "CartanData":
         if not quiver.loop_free:
             raise ValueError("root-system arithmetic requires a loop-free quiver")
         idx = {v: i for i, v in enumerate(quiver.vertices)}
-        m = len(quiver.vertices)
-        a = [[0] * m for _ in range(m)]
+        counts = [{} for _ in quiver.vertices]
         for arrow in quiver.arrows:
             i, j = idx[arrow.src], idx[arrow.dst]
-            a[i][j] += 1
-            a[j][i] += 1
-        return CartanData(tuple(quiver.vertices), tuple(tuple(row) for row in a))
+            counts[i][j] = counts[i].get(j, 0) + 1
+            counts[j][i] = counts[j].get(i, 0) + 1
+        return CartanData(tuple(quiver.vertices), tuple(tuple(sorted(c.items())) for c in counts))
 
     @property
     def size(self) -> int:
         return len(self.vertices)
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The Cartan matrix C = 2I - A in int64, so that (u, v) = u C v."""
-        flat = [2 * (i == j) - a for i, row in enumerate(self.adjacency) for j, a in enumerate(row)]
-        return np.array(flat, dtype=np.int64).reshape(self.size, self.size)
+    def block(self, rows, cols) -> np.ndarray:
+        """The block rows x cols of the Cartan matrix C = 2I - A in int64: (u, v) = u C v."""
+        rows = [(i, dict(self.neighbours[i])) for i in rows]
+        flat = [2 * (i == j) - a.get(j, 0) for i, a in rows for j in cols]
+        return np.array(flat, dtype=np.int64).reshape(len(rows), len(cols))
 
     def reach(self, supp: set, i: int) -> set:
         """The vertices of `supp` joined to i by arrows inside `supp`."""
         seen, stack = {i}, [i]
         while stack:
-            row = self.adjacency[stack.pop()]
-            step = {j for j in supp - seen if row[j]}
+            step = {j for j, _ in self.neighbours[stack.pop()] if j in supp and j not in seen}
             seen |= step
             stack.extend(step)
         return seen
@@ -107,15 +105,17 @@ class CartanData:
     def colour_class(self) -> tuple:
         """Entry i lists the vertices of i's class in a greedy proper
         colouring, a set of pairwise non-adjacent vertices."""
-        colour = []
-        for i, row in enumerate(self.adjacency):
-            used = {colour[j] for j in range(i) if row[j]}
+        colour, classes = [], {}
+        for i, row in enumerate(self.neighbours):
+            used = {colour[j] for j, _ in row if j < i}
             colour.append(next(k for k in itertools.count() if k not in used))
-        return tuple(tuple(j for j, c in enumerate(colour) if c == ci) for ci in colour)
+            classes.setdefault(colour[i], []).append(i)
+        classes = {c: tuple(js) for c, js in classes.items()}  # one tuple shared by a class
+        return tuple(classes[c] for c in colour)
 
     def pairings(self, v) -> list:
         """The pairings (v, e_i) = 2 v_i - sum_j a_ij v_j, in vertex order."""
-        return [2 * x - _dot(row, v) for x, row in zip(v, self.adjacency)]
+        return [2 * x - sum([a * v[j] for j, a in row]) for x, row in zip(v, self.neighbours)]
 
     def pairing(self, u, v) -> int:
         return _dot(u, self.pairings(v))
@@ -169,7 +169,8 @@ def is_positive_root(cartan: CartanData, v, max_steps: int | None = None) -> boo
                 w[j] -= d
                 if w[j] < 0:
                     return False
-                p = [x + a * d for x, a in zip(p, cartan.adjacency[j])]
+                for k, a in cartan.neighbours[j]:
+                    p[k] += a * d
                 p[j] = -d
 
 
@@ -277,11 +278,12 @@ def _violating_decomposition(cartan: CartanData, v, dv: int, cands, budget: int)
     raises `SearchCapExceeded`.
     """
     wc = np.array(cands, dtype=np.int64).reshape(len(cands), len(v))
-    # delta(w) = 1 - (w, w) / 2 for all candidates from one product W C
-    deltas = [1 - q // 2 for q in ((wc @ cartan.matrix) * wc).sum(1).tolist()]
+    i, j, a = np.array([(i, j, a) for i, row in enumerate(cartan.neighbours) for j, a in row
+                        if i < j], dtype=np.int64).reshape(-1, 3).T  # the arrow ends
+    deltas = (1 - (wc * wc).sum(1) + (wc[:, i] * wc[:, j] * a).sum(1)).tolist()
     none = -1 - max(deltas, default=0)
     lead = [[] for _ in v]  # lead[i]: (index, w) of the candidates led by i
-    for c, w in enumerate(wc.tolist()):
+    for c, w in enumerate(cands):
         lead[next(i for i, x in enumerate(w) if x)].append((c, w))
     best = {(0,) * len(v): 0}  # u -> F(u); F(0) = 0 counts as v's own state
     choice = {}  # u -> (the candidate the maximum picks first, u minus it)
@@ -399,10 +401,9 @@ def _zero_zeta_verdict(cartan: CartanData, v, dv: int, budget: int) -> Verdict:
                                     f"isotropic-root search's boxes reach {work} points")
         if zs is None:  # the box of Z in lexicographic order, with q(z)
             zs = np.indices([v[i] + 1 for i in zero], dtype=np.int64).reshape(len(zero), -1).T
-            qz = ((zs @ cartan.matrix[np.ix_(zero, zero)]) * zs).sum(1) // 2
-        for r in np.flatnonzero(qz + zs @ cartan.matrix[zero, j] == -1).tolist():
-            gamma = [0] * len(v)
-            gamma[j] = 1
+            qz = ((zs @ cartan.block(zero, zero)) * zs).sum(1) // 2
+        for r in np.flatnonzero(qz + zs @ cartan.block([j], zero)[0] == -1).tolist():
+            gamma = [int(k == j) for k in range(len(v))]
             for i, x in zip(zero, zs[r].tolist()):
                 gamma[i] = x
             if is_positive_root(cartan, gamma, budget) and is_positive_root(
@@ -410,9 +411,8 @@ def _zero_zeta_verdict(cartan: CartanData, v, dv: int, budget: int) -> Verdict:
                 return _split(v, gamma, dv, "v - gamma is a positive root for an isotropic "
                                             "root gamma with (v, gamma) = -1")
     supp = {i for i, x in enumerate(v) if x}
-    for i, j in itertools.combinations([i for i in sorted(supp) if v[i] == 1], 2):
-        if cartan.adjacency[i][j] != 1:
-            continue
+    for i, j in [(i, j) for i, x in enumerate(v) if x == 1
+                 for j, a in cartan.neighbours[i] if j > i and a == 1 and v[j] == 1]:
         side = cartan.reach(supp - {j}, i)
         u = [x * (k in side) for k, x in enumerate(v)]
         w = [x - y for x, y in zip(v, u)]

@@ -40,6 +40,7 @@ import itertools
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,22 @@ from dsirr.scalars import GaussianRational, as_complex, as_exact, scalar_key
 from dsirr.serialize import _SCALAR_KEYS, _SCALAR_LIST_KEYS
 
 
+@lru_cache(maxsize=256)
+def dense_adjacency(cartan) -> tuple:
+    """The arrow counts a_ij of `cartan` as dense rows of Python ints."""
+    a = [[0] * cartan.size for _ in range(cartan.size)]
+    for i, row in enumerate(cartan.neighbours):
+        for j, x in row:
+            a[i][j] = x
+    return tuple(map(tuple, a))
+
+
+def dense_cartan(cartan) -> np.ndarray:
+    """The Cartan matrix C = 2I - A of `cartan` in int64, so that (u, v) = u C v."""
+    a = np.array(dense_adjacency(cartan), dtype=np.int64).reshape(cartan.size, cartan.size)
+    return 2 * np.eye(cartan.size, dtype=np.int64) - a
+
+
 def reflection_end(cartan, v):
     """Where the scalar reflection loop leaves v, and the vector it stops at.
 
@@ -71,10 +88,10 @@ def reflection_end(cartan, v):
     v = tuple(int(x) for x in v)
     if any(x < 0 for x in v) or not any(v):
         return "not positive", v
-    m = cartan.size
+    m, adj = cartan.size, dense_adjacency(cartan)
     while sum(v) != 1:
         for i in range(m):
-            p = 2 * v[i] - sum(cartan.adjacency[i][j] * v[j] for j in range(m))
+            p = 2 * v[i] - sum(adj[i][j] * v[j] for j in range(m))
             if p > 0:
                 w = list(v)
                 w[i] -= p
@@ -89,12 +106,12 @@ def reflection_end(cartan, v):
 
 def support_connected(cartan, v) -> bool:
     """Whether the vertices where v is non-zero form a connected set."""
-    supp = [i for i, x in enumerate(v) if x]
+    supp, adj = [i for i, x in enumerate(v) if x], dense_adjacency(cartan)
     seen, stack = {supp[0]}, [supp[0]]
     while stack:
         i = stack.pop()
         for j in supp:
-            if j not in seen and cartan.adjacency[i][j]:
+            if j not in seen and adj[i][j]:
                 seen.add(j)
                 stack.append(j)
     return len(seen) == len(supp)
@@ -190,7 +207,7 @@ def mask_violating_decomposition(cartan, v, dv: int, cands):
     wc = np.array(cands, dtype=np.int64).reshape(len(cands), m)
     cols = np.ascontiguousarray(wc.T, dtype=np.min_scalar_type(max(v)))
     rank = [sum(a * b for a, b in zip(w, strides)) for w in cands]
-    deltas = [1 - q // 2 for q in ((wc @ cartan.matrix) * wc).sum(1).tolist()]
+    deltas = [1 - q // 2 for q in ((wc @ dense_cartan(cartan)) * wc).sum(1).tolist()]
     best = {0: 0}
     choice = {}
 
@@ -263,7 +280,7 @@ def unfiltered_solvable(cartan, v, zeta, max_nodes: int = 200_000) -> Verdict:
 def support_connected_rows(cartan, supp: np.ndarray) -> np.ndarray:
     """For each non-empty boolean row of `supp`, whether that vertex set is
     connected, by one reachability pass over all rows at once."""
-    adj = cartan.matrix < 0
+    adj = dense_cartan(cartan) < 0
     reach = np.zeros_like(supp)
     reach[np.arange(len(supp)), supp.argmax(1)] = True
     while True:
@@ -295,7 +312,7 @@ def indispensable_candidates(cartan, v, zeta, cap: int = 2_000_000):
     if np.prod([x + 1 for x in v], dtype=object) > cap:
         raise SearchCapExceeded(f"enumeration budget of {cap} exhausted")
     w = np.indices([x + 1 for x in v], dtype=np.int64).reshape(len(v), -1).T
-    keep = ((w @ cartan.matrix) <= 0).all(1)
+    keep = ((w @ dense_cartan(cartan)) <= 0).all(1)
     keep[0] = False  # w = 0
     fund = np.flatnonzero(keep)
     keep[fund] = support_connected_rows(cartan, w[fund] > 0)
