@@ -300,9 +300,9 @@ def main(argv=None) -> int:
         report, code = COMMANDS[name].handler(_load_json(args.input), args)
     except SchemaError as e:
         report, code = {"error": str(e)}, 2
-    # a payload of the wrong shape raises TypeError or AttributeError on
-    # access; JSONDecodeError is a ValueError
-    except (ValueError, KeyError, TypeError, AttributeError, OSError) as e:
+    # any other failure, a payload of the wrong shape or the program's own
+    # (a RecursionError, a MemoryError), is an error, never a verdict's code
+    except Exception as e:
         report, code = {"error": f"{type(e).__name__}: {e}"}, 2
     report["schema_version"] = SCHEMA_VERSION
     text = report_text(report)

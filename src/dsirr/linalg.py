@@ -2,7 +2,8 @@
 
 Float mode delegates to numpy (SVD ranks and factorizations); exact
 mode uses fraction-exact Gaussian elimination over Q(i).  The float rank
-threshold is relative to the largest singular value.
+threshold is relative to the largest singular value, read on the copy
+`unit_scaled` makes.
 """
 
 from __future__ import annotations
@@ -76,6 +77,30 @@ def frobenius(a: np.ndarray) -> float:
     return (float(np.vdot(a, a).real) + a.size * _EPS * _TINY) ** 0.5
 
 
+def ldexp(x, e):
+    """x * 2^e, a complex x part by part: exact bar underflow, with no zero
+    changing sign and overflow reading as an infinity; x itself if e is 0."""
+    if isinstance(e, int) and not e:
+        return x
+    with np.errstate(over="ignore"):
+        if not np.iscomplexobj(x):
+            return np.ldexp(x, e)
+        out = np.empty(np.shape(x), dtype=complex)
+        out.real, out.imag = np.ldexp(np.real(x), e), np.ldexp(np.imag(x), e)
+        return out if np.ndim(x) else complex(out)
+
+
+def unit_scaled(a: np.ndarray):
+    """(a * 2^-e, e), for each matrix of the float stack a the least e >= 0
+    with every real and imaginary part below 2^(e + 512) (0 if one is not
+    finite).  With every shift and scale times 2^-e too, the copy's
+    singular values and rank cutoffs stay far inside the double range,
+    and a rank read on it is a's.  A matrix with e = 0 is its own copy."""
+    top = abs(a.view(float)).max(axis=(-2, -1), initial=0.0)  # over both parts
+    e = np.maximum(np.frexp(top)[1] - 512, 0)
+    return (ldexp(a, -e[..., None, None]) if e.any() else a), e
+
+
 def is_zero_matrix(a: np.ndarray, rtol: float = 1e-9, scale: float = 1.0) -> bool:
     if is_exact(a):
         return all(not a[idx] for idx in np.ndindex(a.shape))
@@ -134,7 +159,8 @@ def ranks(mats, rtol: float = RANK_RTOL) -> list:
         by_shape.setdefault(a.shape, []).append(i)
     for shape, where in by_shape.items():
         if 0 not in shape:  # a zero-size matrix has rank 0
-            s = np.linalg.svd(np.array([mats[i] for i in where], dtype=complex), compute_uv=False)
+            stack, _ = unit_scaled(np.array([mats[i] for i in where], dtype=complex))
+            s = np.linalg.svd(stack, compute_uv=False)
             for i, k in zip(where, np.sum(s > rtol * s[:, :1], axis=1).tolist()):
                 out[i] = k
     return out
@@ -150,38 +176,47 @@ def product_chain(a: np.ndarray, shifts, rtol: float = RANK_RTOL, scale: float =
 
     Float mode takes f = U_k and r = S_k V_k^H from one SVD per step, k
     counting the singular values above rtol * (scale + |s_j|), so the
-    coordinates stay orthonormal.  scale defaults to ||a||_2; callers
-    that obtained a by cancellation should pass the ambient scale, or a
-    numerically-zero difference gets a spurious positive rank.  Exact
-    mode takes the pivot columns as f and the non-zero rref rows as r.
+    coordinates stay orthonormal.  scale defaults to max(||a||_2, 1), as
+    a numerically zero a formed by cancellation would otherwise read a
+    spurious positive rank; callers that know the ambient scale pass it.
+    The walk runs on a `unit_scaled`, shifts and scale alike, and returns
+    each pair in a's units.  Exact mode takes the pivot columns as f and
+    the non-zero rref rows as r.
     Once a step keeps the width, its shift maps the range onto itself
     (Fitting's lemma), so a repeat of it factors as (a_j - s, I) with no
     SVD or rref; the rref gives the same pair.  A float a_{j-1} - s_j
-    with an infinite or NaN entry raises ValueError: numpy's SVD of a
-    complex matrix holding an infinity may never return.
+    with an infinite or NaN entry raises ValueError, as numpy's SVD of a
+    complex matrix holding an infinity may never return; so does an r_j
+    beyond the double range.
     """
     exact = is_exact(a)
     if not exact:
-        a = np.asarray(a, dtype=complex)
-        scale = np.linalg.norm(a, 2) if scale is None else max(scale, 0.0)
-        shifts = [as_complex(s) for s in shifts]
+        a, e = unit_scaled(np.ascontiguousarray(a, dtype=complex))
+        e = int(e)
+        shifts = [ldexp(as_complex(s), -e) for s in shifts]
+        scale = (max(np.linalg.norm(a, 2), ldexp(1.0, -e)) if scale is None
+                 else ldexp(max(scale, 0.0), -e))
     steps, kept = [], False
     for j, s in enumerate(shifts):
         k = a.shape[0]
         m = a - s * eye(k, exact)
         if k == 0 or (kept and s == shifts[j - 1]):
             f, r = m, eye(k, exact)
+            steps.append((f if exact else ldexp(f, e), r))
         elif exact:
             red, pivots = rref(m)
             f, r = m[:, pivots], red[: len(pivots)]
+            steps.append((f, r))
         elif not np.isfinite(m).all():
             raise ValueError(f"step {j + 1} of the product chain is not finite")
         else:
             u, sv, vh = np.linalg.svd(m, full_matrices=False)
             w = int(np.sum(sv > rtol * (scale + abs(s))))
             f, r = u[:, :w], sv[:w, None] * vh[:w]
+            steps.append((f, ldexp(r, e)))
+            if not np.isfinite(steps[-1][1]).all():
+                raise ValueError(f"step {j + 1} of the product chain is not finite")
         kept = f.shape[1] == k
-        steps.append((f, r))
         a = np.dot(r, f) + s * eye(f.shape[1], exact)
     return steps
 

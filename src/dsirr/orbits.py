@@ -286,7 +286,8 @@ def _rank_profiles(items, rtol: float) -> list:
     the widths of `linalg.product_chain`.  A singular value counts above
     rtol * (max(||R||_2, scale) + |s_j|).  A caller that formed R by
     cancellation passes the size of the terms that cancelled as `scale`;
-    otherwise round-off in a numerically zero R reads as full rank.  A
+    otherwise round-off in a numerically zero R reads as full rank.  Float
+    ranks are read on R `linalg.unit_scaled`, shifts and scale alike.  A
     float R with an infinite or NaN entry gets (inf, None) and no SVD,
     read off one `np.isfinite` per size.  Exact mode ranks exactly and
     ignores `rtol` and `scale`.
@@ -306,23 +307,26 @@ def _rank_profiles(items, rtol: float) -> list:
             where, mats = np.compress(finite, where).tolist(), mats[finite]
             if not where:
                 continue
-        # per item: 0, then the first shift of each one-shift chain
-        shifts = [[0j] + [as_complex(s[0]) for s in items[i][1] if len(s) == 1] for i in where]
+        mats, units = linalg.unit_scaled(mats)
+        # per item: 0, then the first shift of each one-shift chain, scaled alike
+        shifts = [[0j] + [linalg.ldexp(as_complex(s[0]), -e) for s in items[i][1] if len(s) == 1]
+                  for i, e in zip(where, units.tolist())]
         stack = np.repeat(mats, [len(s) for s in shifts], axis=0)
         # slice k's diagonal, through a strided view, minus shift k
         stack.reshape(len(stack), n * n)[:, :: n + 1] -= np.concatenate(shifts)[:, None]
         rows = iter(np.linalg.svd(stack, compute_uv=False).tolist())
-        for i, firsts in zip(where, shifts):
-            R, chains, scale = items[i]
-            norm = max(next(rows)[0], scale)
+        for i, firsts, R, e in zip(where, shifts, mats, units.tolist()):
+            _, chains, scale = items[i]
+            norm = max(next(rows)[0], linalg.ldexp(scale, -e))
             profiles, one_shift = [], iter(firsts[1:])
             for chain in chains:
                 if len(chain) == 1:
                     cutoff = rtol * (norm + abs(next(one_shift)))
                     profiles.append([sum(x > cutoff for x in next(rows))])
                 else:
+                    chain = [linalg.ldexp(as_complex(s), -e) for s in chain]
                     profiles.append(_widths(linalg.product_chain(R, chain, rtol, norm)))
-            out[i] = norm, profiles
+            out[i] = float(linalg.ldexp(norm, e)), profiles
     return out
 
 
@@ -338,11 +342,10 @@ def realize_leg(L: np.ndarray, marking: Marking) -> DoubledRep:
     backward, for each step before the first of width 0.
 
     The marking must annihilate L: the walk's last width is 0, read at
-    rtol 1e-8 with ||L||_2 floored at 1, since a zero exponent block
-    formed by cancellation is only numerically zero.
+    rtol 1e-8 with ||L||_2 floored at 1 (the walk's default), since a
+    zero exponent block formed by cancellation is only numerically zero.
     """
-    scale = None if linalg.is_exact(L) else max(np.linalg.norm(L, 2), 1.0)
-    steps = linalg.product_chain(L, marking, 1e-8, scale)
+    steps = linalg.product_chain(L, marking, 1e-8)
     if not steps or steps[-1][0].shape[1] > 0:
         raise ValueError("invalid marking: the shifted product does not annihilate")
     dims = {"0": L.shape[0]}

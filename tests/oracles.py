@@ -1,9 +1,11 @@
 """Reference implementations that the tests compare the package against.
 
 These are the straightforward algorithms the package used before it
-moved to faster ones: the reflection test for positive roots one
-vector and one vertex at a time, a scan of the whole box with exact
-Q(i) arithmetic for the zeta-orthogonal positive roots, a depth-first
+moved to faster ones, on the dense arrow counts and Cartan matrix of a
+`CartanData`, which keeps only each vertex's neighbours: the reflection
+test for positive roots one vector and one vertex at a time, a scan of
+the whole box with exact Q(i) arithmetic for the zeta-orthogonal
+positive roots, a depth-first
 search over multisets for condition (3) of the criterion, the
 condition-3 DP with each state's parts found by a numpy mask over every
 candidate, and the criterion with that mask DP, never the package's

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -336,6 +337,17 @@ def test_leg_refuses_a_chain_that_overflows(tmp_path, capsys):
         code, report = _run_on(data, tmp_path, capsys, "leg")
     assert (code, report) == (1, {"ok": False, "detail": "step 1 of the product chain is not "
                                                          "finite", "schema_version": 1})
+
+
+@pytest.mark.parametrize("entry", [1e300, 1e308])
+def test_leg_rejects_a_large_matrix_outside_its_orbit(entry, tmp_path, capsys):
+    # every entry is `entry`, so the matrix has rank 1 and is not the zero
+    # matrix of the orbit; at 1e308 its norm overflows, which read every
+    # rank as 0 while the ranks were read unscaled
+    data = {"n": 2, "orbit": {"eigenvalues": [{"value": [0.0, 0.0], "blocks": [1, 1]}]},
+            "matrix": [[entry, 0.0]] * 4}
+    code, report = _run_on(data, tmp_path, capsys, "leg")
+    assert code == 1 and not report["ok"]
 
 
 def _reduce_beyond_double(scaled):
@@ -729,6 +741,51 @@ def witness(tmp_path_factory):
     verify_input.write_text(json.dumps({"instance": instance, "rep": rep}))
     assert main(["verify", str(verify_input), "-o", str(ok)]) == 0
     return str(verify_input)
+
+
+def _rank_n_problem(tmp_path, n):
+    """A rank-n problem whose quiver is about 2n vertices on two type-A
+    legs: one finite pole with the nilpotent orbit of one block [n], and
+    at k = 2 two blocks at infinity of multiplicities n - 1 and 1, the
+    exponent orbits nilpotent with the single blocks [n - 1] and [1]."""
+    data = {"rank": n, "finite_poles": [{"position": "1", "orbit": {
+                "eigenvalues": [{"value": "0", "blocks": [n]}]}}],
+            "infinity": {"irregular_type": {"k": 2, "blocks": [
+                {"mult": n - 1, "coeffs": ["3"]}, {"mult": 1, "coeffs": ["1"]}]},
+                "residue_blocks": [{"eigenvalues": [{"value": "0", "blocks": [n - 1]}]},
+                                   {"eigenvalues": [{"value": "0", "blocks": [1]}]}]}}
+    f = tmp_path / f"rank{n}.json"
+    f.write_text(json.dumps(data))
+    return str(f)
+
+
+def _address_space_2gib():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_check_decides_rank_1000_in_bounded_time_and_memory(tmp_path):
+    # 1 999 vertices and 1 998 arrows: the criterion reads each vertex's
+    # arrow counts, never an m x m form
+    done = run_fresh("-m", "dsirr.cli", "check", _rank_n_problem(tmp_path, 1000),
+                     preexec_fn=_address_space_2gib)
+    report = _strict(done.stdout)
+    assert (done.returncode, report["verdict"], report["failed_condition"], report["delta"]) == (
+        1, "empty", 3, 0)
+    assert len(report["quiver"]["dims"]) == 1999
+
+
+def test_a_payload_nested_too_deep_is_an_error(tmp_path, capsys):
+    # json.load raises RecursionError, which is no verdict's exit code
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    code, report = run(capsys, "check", str(tmp_path / "deep.json"))
+    assert code == 2 and report["error"].startswith("RecursionError: ")
+
+
+def test_running_out_of_memory_is_an_error(tmp_path):
+    # realize's moment plan for rank 1000 asks for tens of TiB
+    done = run_fresh("-m", "dsirr.cli", "realize", "--seed", "1",
+                     _rank_n_problem(tmp_path, 1000), preexec_fn=_address_space_2gib)
+    assert done.returncode == 2 and "MemoryError" in _strict(done.stdout)["error"]
 
 
 def test_verify_answers_a_witness_whose_maps_overflow(tmp_path, capsys):

@@ -70,6 +70,16 @@ def test_stacked_ranks_edge_cases(rng):
     assert linalg.ranks([]) == []
 
 
+def test_large_finite_matrices_keep_their_ranks():
+    # sigma_1 of these overflows, or the cutoff rtol * (scale + |s|) does;
+    # read unscaled, an infinite cutoff makes every rank 0
+    assert linalg.ranks([np.full((3, 3), 1e308, complex)]) == [1]
+    steps = linalg.product_chain(np.diag([1e308, 0]).astype(complex), [1e308])
+    assert [f.shape[1] for f, _ in steps] == [1]
+    (f, r), = steps
+    assert np.array_equal(f @ r, np.diag([0, -1e308]))  # the pair, in the matrix's units
+
+
 def test_inv_round_trip_both_modes():
     a = exact([[1, 2], [3, 5]])
     inv = linalg.inv(a)

@@ -212,6 +212,17 @@ for blocks in ([1, 1], [2, 1]):
     assert done.stdout.splitlines() == ["False [False, True]"] * 2
 
 
+def test_orbit_membership_reads_large_finite_matrices():
+    # the norm of each overflows: read unscaled, its infinite cutoff gave
+    # every matrix rank 0, so any semisimple orbit held it
+    full = np.full((4, 4), 1e308, complex)
+    for value in (0j, 5 + 0j):
+        assert not orbit_membership(full, make_orbit_spec(4, [(value, [1, 1, 1, 1])]))
+    nilpotent = 1e308 * np.array([[1, -1], [1, -1]], complex)  # one Jordan block of size 2
+    assert orbit_membership(nilpotent, make_orbit_spec(2, [(0j, [2])]))
+    assert not orbit_membership(nilpotent, make_orbit_spec(2, [(0j, [1, 1])]))
+
+
 def test_orbit_membership_exact():
     spec = make_orbit_spec(2, [(G(1), [1]), (G(2), [1])])
     m = exact_matrix([[1, 5], [0, 2]])

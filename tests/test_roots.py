@@ -7,6 +7,7 @@ import re
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dsirr.assembly import build_global_quiver, decide_ds, instance_from_json
@@ -291,6 +292,81 @@ def random_quiver(rng):
         for r in range(rng.choice((0, 1, 1, 2, 2)))
     ]
     return CartanData.from_quiver(make_quiver(names, arrows))
+
+
+def random_sparse_quiver(rng):
+    """A loop-free quiver on 1-40 vertices in up to 4 parts, each pair of a
+    part joined with probability 0.05, 0.2 or 0.6 by 1-3 parallel arrows of
+    random directions, so that a part may fall apart further and leave
+    vertices isolated."""
+    m, k, p = rng.randint(1, 40), rng.randint(1, 4), rng.choice((0.05, 0.2, 0.6))
+    part = [rng.randrange(k) for _ in range(m)]
+    names = [f"v{i}" for i in range(m)]
+    arrows = [(names[i], names[j]) if rng.random() < 0.5 else (names[j], names[i])
+              for i, j in itertools.combinations(range(m), 2)
+              if part[i] == part[j] and rng.random() < p
+              for _ in range(rng.randint(1, 3))]
+    return make_quiver(names, [(f"a{k}", s, t) for k, (s, t) in enumerate(arrows)])
+
+
+def dense_form(quiver) -> np.ndarray:
+    """The Cartan matrix C = 2I - A of `quiver`, from its arrows."""
+    idx = {v: i for i, v in enumerate(quiver.vertices)}
+    c = 2 * np.eye(len(idx), dtype=np.int64)
+    for arrow in quiver.arrows:
+        c[idx[arrow.src], idx[arrow.dst]] -= 1
+        c[idx[arrow.dst], idx[arrow.src]] -= 1
+    return c
+
+
+def dense_reach(c, supp, i) -> set:
+    seen, todo = {i}, [i]
+    while todo:
+        k = todo.pop()
+        for j in supp - seen:
+            if c[k, j]:
+                seen.add(j)
+                todo.append(j)
+    return seen
+
+
+def test_the_sparse_form_matches_a_dense_oracle():
+    """Arrow counts, pairings, the forms, blocks of C, reach and connected
+    support equal their values on the dense 2I - A of 300 random sparse
+    quivers, and the colour classes are a proper colouring, one shared
+    tuple per class."""
+    rng = random.Random(34)
+    seen = collections.Counter()
+    for _ in range(300):
+        quiver = random_sparse_quiver(rng)
+        cartan, c = CartanData.from_quiver(quiver), dense_form(quiver)
+        m = cartan.size
+        assert hash(cartan) == hash(CartanData.from_quiver(quiver))
+        assert cartan.neighbours == tuple(tuple((j, -int(c[i, j])) for j in range(m)
+                                                if j != i and c[i, j]) for i in range(m))
+        u, v = (np.array([rng.choice((0, 0, 1, 2, 3)) for _ in range(m)]) for _ in range(2))
+        assert cartan.pairings(v.tolist()) == (c @ v).tolist()
+        assert cartan.pairing(u.tolist(), v.tolist()) == u @ c @ v
+        assert cartan.tits_form(v.tolist()) == v @ c @ v // 2
+        assert cartan.delta(v.tolist()) == 1 - v @ c @ v // 2
+        rows, cols = (rng.sample(range(m), rng.randint(1, m)) for _ in range(2))
+        assert np.array_equal(cartan.block(rows, cols), c[np.ix_(rows, cols)])
+        supp = {i for i in range(m) if v[i]}
+        for i in supp:
+            assert cartan.reach(supp, i) == dense_reach(c, supp, i)
+        assert cartan.connected(v.tolist()) == (bool(supp) and
+                                                dense_reach(c, supp, min(supp)) == supp)
+        classes = cartan.colour_class
+        for i, cls in enumerate(classes):
+            assert i in cls and all(classes[j] is cls for j in cls)
+            assert not any(c[j, k] for j, k in itertools.combinations(cls, 2))
+        parts = {frozenset(dense_reach(c, set(range(m)), i)) for i in range(m)}
+        seen["isolated"] += any(len(p) == 1 for p in parts)
+        seen["connected"] += len(parts) == 1 < m
+        seen["components"] += len(parts) >= 2 and all(len(p) > 1 for p in parts)
+        seen["parallel"] += bool((c < -1).any())
+        seen["disconnected"] += len(supp) >= 2 and not cartan.connected(v.tolist())
+    assert min(seen.values()) >= 30, seen
 
 
 def test_is_positive_root_matches_the_reflection_loop():
