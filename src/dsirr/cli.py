@@ -300,9 +300,14 @@ def main(argv=None) -> int:
         report, code = COMMANDS[name].handler(_load_json(args.input), args)
     except SchemaError as e:
         report, code = {"error": str(e)}, 2
-    # any other failure, a payload of the wrong shape or the program's own
-    # (a RecursionError, a MemoryError), is an error, never a verdict's code
+    # any other failure is an error, never a verdict's exit code.  A payload
+    # of the wrong shape raises TypeError or AttributeError on access, and
+    # JSONDecodeError is a ValueError; past those, such as a RecursionError
+    # or a MemoryError, stderr also gets the traceback
     except Exception as e:
+        if not isinstance(e, (ValueError, KeyError, TypeError, AttributeError, OSError)):
+            import traceback
+            traceback.print_exc()
         report, code = {"error": f"{type(e).__name__}: {e}"}, 2
     report["schema_version"] = SCHEMA_VERSION
     text = report_text(report)

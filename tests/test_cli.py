@@ -775,10 +775,13 @@ def test_check_decides_rank_1000_in_bounded_time_and_memory(tmp_path):
 
 
 def test_a_payload_nested_too_deep_is_an_error(tmp_path, capsys):
-    # json.load raises RecursionError, which is no verdict's exit code
+    # json.load raises RecursionError, which is no verdict's exit code;
+    # stderr keeps where it was raised
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
-    code, report = run(capsys, "check", str(tmp_path / "deep.json"))
-    assert code == 2 and report["error"].startswith("RecursionError: ")
+    code = main(["check", str(tmp_path / "deep.json")])
+    out, err = capsys.readouterr()
+    assert code == 2 and json.loads(out)["error"].startswith("RecursionError: ")
+    assert err.startswith("Traceback") and "RecursionError" in err
 
 
 def test_running_out_of_memory_is_an_error(tmp_path):
@@ -786,6 +789,7 @@ def test_running_out_of_memory_is_an_error(tmp_path):
     done = run_fresh("-m", "dsirr.cli", "realize", "--seed", "1",
                      _rank_n_problem(tmp_path, 1000), preexec_fn=_address_space_2gib)
     assert done.returncode == 2 and "MemoryError" in _strict(done.stdout)["error"]
+    assert "Traceback" in done.stderr
 
 
 def test_verify_answers_a_witness_whose_maps_overflow(tmp_path, capsys):
