@@ -48,8 +48,8 @@ from .quiver import (DoubledRep, delta, is_stable, make_quiver, moment_map, quiv
 from .roots import CartanData, Verdict, cb_solvable
 from .scalars import (GaussianRational, as_complex, as_double, exact_dot, integerize, require_int,
                       scalar_key)
-from .serialize import (SCHEMA_VERSION, matrix_from_json, matrix_to_json, scalar_from_json,
-                        scalar_to_json)
+from .serialize import (SCHEMA_VERSION, dims_from_json, matrix_from_json, matrix_to_json, require,
+                        scalar_from_json, scalar_to_json)
 
 
 @dataclass(frozen=True)
@@ -945,27 +945,25 @@ def instance_to_json(instance: ProblemInstance) -> dict:
     }
 
 
-def instance_from_json(data: dict, exact: bool) -> ProblemInstance:
-    n = data["rank"]
-    T = irregular_type_from_json(data["infinity"]["irregular_type"], exact)
-    blocks_json = data["infinity"]["residue_blocks"]
+def instance_from_json(data: dict, exact: bool, path: str = "") -> ProblemInstance:
+    n = require(data, "rank", path, int)
+    infinity, at = require(data, "infinity", path), f"{path}/infinity"
+    T = irregular_type_from_json(require(infinity, "irregular_type", at), exact,
+                                 f"{at}/irregular_type")
+    blocks_json = require(infinity, "residue_blocks", at, list)
     if len(blocks_json) != T.block_count:
-        raise ValueError("need one residue_blocks entry per irregular block")
-    # residue_blocks are written in the same order as the input blocks;
-    # the type canonicalizes block order, so route through the recorded
-    # permutation
-    residue_blocks = tuple(
-        orbit_spec_from_json(blocks_json[T.source_indices[b]], T.blocks[b].mult, exact)
-        for b in range(T.block_count)
-    )
-    poles = tuple(
-        FinitePole(
-            scalar_from_json(p["position"], exact),
-            orbit_spec_from_json(p["orbit"], n, exact),
-        )
-        for p in data.get("finite_poles", [])
-    )
-    return ProblemInstance(n, T, residue_blocks, poles)
+        raise ValueError(f"need one entry of {at}/residue_blocks per irregular block")
+    # residue_blocks follow the input blocks, whose order the type canonicalizes
+    residue_blocks = tuple(orbit_spec_from_json(blocks_json[i], T.blocks[b].mult, exact,
+                                                f"{at}/residue_blocks/{i}")
+                           for b, i in enumerate(T.source_indices))
+    poles = []
+    for j, p in enumerate(require(data, "finite_poles", path, list, [])):
+        at = f"{path}/finite_poles/{j}"
+        position = scalar_from_json(require(p, "position", at), exact)
+        orbit = orbit_spec_from_json(require(p, "orbit", at), n, exact, f"{at}/orbit")
+        poles.append(FinitePole(position, orbit))
+    return ProblemInstance(n, T, residue_blocks, tuple(poles))
 
 
 def rep_to_json(rep: DoubledRep) -> dict:
@@ -980,17 +978,17 @@ def rep_to_json(rep: DoubledRep) -> dict:
     }
 
 
-def rep_from_json(gq: GlobalQuiver, data: dict) -> DoubledRep:
+def rep_from_json(gq: GlobalQuiver, data: dict, path: str = "") -> DoubledRep:
     """A float representation from its JSON form (see rep_to_json)."""
-    for v, d in data.get("dims", {}).items():
-        if type(d) is not int:  # rejects bool too, an int subclass
-            raise ValueError(f"dimension at vertex {v} must be a JSON integer, got {d!r}")
-        if gq.dims.get(v) != d:
-            raise ValueError(f"dimension mismatch at vertex {v}")
+    dims = require(data, "dims", path, default=gq.dims)  # optional: the instance's
+    for v, d in dims_from_json(dims, gq.quiver.vertices, f"{path}/dims").items():
+        if d != gq.dims[v]:
+            raise ValueError(f"dimension mismatch at {path}/dims/{v}")
+    maps = require(data, "maps", path, dict)
     rep = DoubledRep.zero(gq.quiver, gq.dims)
     for a in gq.quiver.arrows:
-        entry = data["maps"][a.id]
+        entry, at = require(maps, a.id, f"{path}/maps", dict), f"{path}/maps/{a.id}"
         ds, dt = gq.dims[a.src], gq.dims[a.dst]
-        rep.fwd[a.id] = matrix_from_json(entry["fwd"], dt, ds, False)
-        rep.rev[a.id] = matrix_from_json(entry["rev"], ds, dt, False)
+        for key, rows, cols, out in (("fwd", dt, ds, rep.fwd), ("rev", ds, dt, rep.rev)):
+            out[a.id] = matrix_from_json(require(entry, key, at), rows, cols, False, f"{at}/{key}")
     return rep

@@ -12,9 +12,10 @@ empty/falsified, 2 undecided or error, an unwritable -o path or a
 closed stdout included.  `main` loads the input once and hands it to
 the command, which parses it once, in the mode its scalars are written
 in (float if any is a JSON float or an [re, im] pair, exact otherwise);
-check always needs exact scalars.  A --tolerance that is not finite and
-> 0, or a --max-decompositions or --attempts below 1, is an error (exit
-2), never a verdict.  Randomized paths follow --seed.
+check always needs exact scalars.  A malformed payload, a --tolerance
+that is not finite and > 0, or a --max-decompositions or --attempts
+below 1, is an error (exit 2), never a verdict; a payload's error names
+its JSON path.  Randomized paths follow --seed.
 """
 
 from __future__ import annotations
@@ -51,40 +52,8 @@ from .orbits import (
 from .quiver import quiver_from_json, quiver_to_json, to_dot
 from .reduction import normalize
 from .roots import CartanData, cb_solvable
-from .serialize import (SCHEMA_VERSION, matrix_from_json, matrix_to_json, payload_is_float,
-                        report_text, scalar_to_json)
-
-
-class SchemaError(ValueError):
-    """Input does not match the documented JSON schema."""
-
-
-def _require(data, key, path, kind=None):
-    if not isinstance(data, dict):
-        raise SchemaError(f"expected an object at {path or '/'}")
-    if key not in data:
-        raise SchemaError(f"missing required key at {path}/{key}")
-    value = data[key]
-    # a JSON true or false is no integer, though Python's bool is an int
-    if kind is not None and (not isinstance(value, kind)
-                             or kind is int and isinstance(value, bool)):
-        raise SchemaError(f"wrong type at {path}/{key}")
-    return value
-
-
-def _validate_instance_shape(data):
-    _require(data, "rank", "", int)
-    inf = _require(data, "infinity", "", dict)
-    it = _require(inf, "irregular_type", "/infinity", dict)
-    _require(it, "k", "/infinity/irregular_type", int)
-    blocks = _require(it, "blocks", "/infinity/irregular_type", list)
-    for i, b in enumerate(blocks):
-        _require(b, "coeffs", f"/infinity/irregular_type/blocks/{i}", list)
-        _require(b, "mult", f"/infinity/irregular_type/blocks/{i}", int)
-    _require(inf, "residue_blocks", "/infinity", list)
-    for j, p in enumerate(data.get("finite_poles", [])):
-        _require(p, "position", f"/finite_poles/{j}")
-        _require(p, "orbit", f"/finite_poles/{j}", dict)
+from .serialize import (SCHEMA_VERSION, SchemaError, matrix_from_json, matrix_to_json,
+                        payload_is_float, report_text, require, scalar_to_json)
 
 
 def _load_json(path):
@@ -94,21 +63,17 @@ def _load_json(path):
         return json.load(f)
 
 
-def _instance(data):
-    """Validate a problem payload and parse it in its own scalar mode."""
-    _validate_instance_shape(data)
-    return instance_from_json(data, exact=not payload_is_float(data))
+def _instance(data, path=""):
+    """A problem payload, parsed in its own scalar mode."""
+    return instance_from_json(data, not payload_is_float(data), path)
 
 
 def cmd_check(data, args):
     if "vertices" in data:  # raw (Q, v, zeta) payload from build-quiver
         quiver, dims, zeta = quiver_from_json(data)
-        if dims is None or zeta is None:
-            raise SchemaError("quiver payload needs dims and zeta")
         cartan = CartanData.from_quiver(quiver)
         verdict = cb_solvable(cartan, cartan.vec(dims), zeta, max_nodes=args.max_decompositions)
     else:
-        _validate_instance_shape(data)
         ds = decide_ds(instance_from_json(data, exact=True), max_nodes=args.max_decompositions)
         verdict, quiver, dims, zeta = ds.verdict, ds.gq.quiver, ds.gq.dims, ds.gq.zeta
     report = verdict_to_json(verdict, quiver, dims, zeta)
@@ -146,25 +111,26 @@ def cmd_realize(data, args):
 
 
 def cmd_verify(data, args):
-    gq = build_global_quiver(_instance(_require(data, "instance", "", dict)).as_float())
-    rep = rep_from_json(gq, _require(data, "rep", "", dict))
+    gq = build_global_quiver(_instance(require(data, "instance"), "/instance").as_float())
+    rep = rep_from_json(gq, require(data, "rep"), "/rep")
     report = verify_instance(gq, rep, rtol=args.tolerance)
     return report, 0 if report["all_ok"] else 1
 
 
 def cmd_reduce(data, args):
     exact = not payload_is_float(data)
-    T = irregular_type_from_json(_require(data, "irregular_type", "", dict), exact)
-    jet_data = _require(data, "jet", "", dict)
-    k = _require(jet_data, "k", "/jet", int)
-    depth = _require(jet_data, "depth", "/jet", int)
-    coeffs = _require(jet_data, "coeffs", "/jet", list)
+    T = irregular_type_from_json(require(data, "irregular_type"), exact, "/irregular_type")
+    jet_data = require(data, "jet", "", dict)
+    k = require(jet_data, "k", "/jet", int)
+    depth = require(jet_data, "depth", "/jet", int)
+    coeffs = require(jet_data, "coeffs", "/jet", list)
     if len(coeffs) != depth + 1:
         raise SchemaError("wrong number of matrices at /jet/coeffs")
     if k != T.k:  # a usage error, not an incompatible jet
         raise SchemaError(f"/jet/k is {k}, the irregular type's pole order is {T.k}")
     n = T.n
-    jet = ConnectionJet(n, k, tuple(matrix_from_json(c, n, n, exact) for c in coeffs))
+    jet = ConnectionJet(n, k, tuple(matrix_from_json(c, n, n, exact, f"/jet/coeffs/{i}")
+                                    for i, c in enumerate(coeffs)))
     require_rtol(args.tolerance)  # likewise
     try:
         out = normalize(jet, T, rtol=args.tolerance)
@@ -182,10 +148,10 @@ def cmd_reduce(data, args):
 
 def cmd_leg(data, args):
     exact = not payload_is_float(data)
-    n = _require(data, "n", "", int)
-    spec = orbit_spec_from_json(_require(data, "orbit", "", dict), n, exact)
+    n = require(data, "n", "", int)
+    spec = orbit_spec_from_json(require(data, "orbit"), n, exact, "/orbit")
     marking = greedy_marking(spec)
-    matrix = (matrix_from_json(data["matrix"], n, n, exact) if "matrix" in data
+    matrix = (matrix_from_json(data["matrix"], n, n, exact, "/matrix") if "matrix" in data
               else normal_form_matrix(spec))
     try:
         leg = realize_leg(matrix, marking)
@@ -300,9 +266,9 @@ def main(argv=None) -> int:
         report, code = COMMANDS[name].handler(_load_json(args.input), args)
     except SchemaError as e:
         report, code = {"error": str(e)}, 2
-    # any other failure is an error, never a verdict's exit code.  A payload
-    # of the wrong shape raises TypeError or AttributeError on access, and
-    # JSONDecodeError is a ValueError; past those, such as a RecursionError
+    # any other failure is an error, never a verdict's exit code.  A shape
+    # the readers miss raises KeyError, TypeError or AttributeError on access,
+    # and JSONDecodeError is a ValueError; past those, such as a RecursionError
     # or a MemoryError, stderr also gets the traceback
     except Exception as e:
         if not isinstance(e, (ValueError, KeyError, TypeError, AttributeError, OSError)):

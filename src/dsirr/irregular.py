@@ -43,7 +43,7 @@ from . import linalg
 from .jets import ConnectionJet, JetMatrix, PrincipalPart, jet_inv, pp_left_mul, truncated_product
 from .quiver import DoubledRep, make_quiver
 from .scalars import GaussianRational, as_double, require_int, scalar_key, scalars_equal
-from .serialize import scalar_from_json, scalar_to_json
+from .serialize import require, scalar_from_json, scalar_to_json
 
 FLOAT_COEFF_RTOL = 1e-9
 # IrregularType.project: part -> comparison of the row's class with the column's
@@ -392,9 +392,10 @@ def irregular_type_to_json(T: IrregularType) -> dict:
     }
 
 
-def irregular_type_from_json(data: dict, exact: bool) -> IrregularType:
-    blocks = [
-        (tuple(scalar_from_json(c, exact) for c in b["coeffs"]), b["mult"])
-        for b in data["blocks"]
-    ]
-    return make_irregular_type(data["k"], blocks)
+def irregular_type_from_json(data: dict, exact: bool, path: str = "") -> IrregularType:
+    k, blocks = require(data, "k", path, int), []
+    for i, b in enumerate(require(data, "blocks", path, list)):
+        at = f"{path}/blocks/{i}"
+        coeffs = [scalar_from_json(c, exact) for c in require(b, "coeffs", at, list)]
+        blocks.append((coeffs, require(b, "mult", at, int)))
+    return make_irregular_type(k, blocks)

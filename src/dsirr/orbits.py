@@ -38,7 +38,7 @@ import numpy as np
 from . import linalg
 from .quiver import DoubledRep, make_quiver
 from .scalars import GaussianRational, as_complex, as_double, as_exact, require_int, scalar_key
-from .serialize import matrix_from_json, scalar_from_json, scalar_to_json
+from .serialize import SchemaError, matrix_from_json, require, scalar_from_json, scalar_to_json
 
 Marking = tuple
 
@@ -55,6 +55,8 @@ class OrbitSpec:
     trace_error: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"an orbit needs size n >= 1, got {self.n}")
         total = sum(sum(blocks) for _, blocks in self.eigenvalues)
         if total != self.n:
             raise ValueError(f"block sizes sum to {total}, expected n={self.n}")
@@ -415,34 +417,34 @@ def orbit_spec_to_json(spec: OrbitSpec) -> dict:
     return out
 
 
-def orbit_spec_from_json(data: dict, n: int, exact: bool) -> OrbitSpec:
-    marking = None
-    if "marking" in data and "ranks" in data:
-        return _spec_from_marking_ranks(data, n, exact)
-    if "marking" in data:
-        marking = [scalar_from_json(x, exact) for x in data["marking"]]
+def orbit_spec_from_json(data: dict, n: int, exact: bool, path: str = "") -> OrbitSpec:
+    marking = require(data, "marking", path, list, None)
+    if marking is not None:
+        marking = [scalar_from_json(x, exact) for x in marking]
+        if "ranks" in data:
+            return _spec_from_marking_ranks(marking, require(data, "ranks", path, list), n,
+                                            f"{path}/ranks")
     if "eigenvalues" in data:
-        evs = [
-            (scalar_from_json(e["value"], exact), tuple(e["blocks"]))
-            for e in data["eigenvalues"]
-        ]
+        evs = []
+        for i, e in enumerate(require(data, "eigenvalues", path, list)):
+            at = f"{path}/eigenvalues/{i}"
+            value = scalar_from_json(require(e, "value", at), exact)
+            evs.append((value, require(e, "blocks", at, list)))
         return make_orbit_spec(n, evs, marking)
     if "matrix" in data:
-        m = matrix_from_json(data["matrix"], n, n, exact)
-        hints = [scalar_from_json(x, exact) for x in data.get("eigenvalue_hints", [])] or None
-        spec = jordan_from_matrix(m, eigenvalues=hints)
-        if marking is not None:
-            spec = replace(spec, marking_override=tuple(marking))
-        return spec
-    raise ValueError("orbit spec needs 'eigenvalues', 'matrix', or 'marking'+'ranks'")
+        m = matrix_from_json(require(data, "matrix", path), n, n, exact, f"{path}/matrix")
+        hints = [scalar_from_json(x, exact)
+                 for x in require(data, "eigenvalue_hints", path, list, [])]
+        spec = jordan_from_matrix(m, eigenvalues=hints or None)
+        return spec if marking is None else replace(spec, marking_override=tuple(marking))
+    raise SchemaError(f"orbit at {path or '/'} needs 'eigenvalues', 'matrix' or 'marking'+'ranks'")
 
 
-def _spec_from_marking_ranks(data: dict, n: int, exact: bool) -> OrbitSpec:
-    """Rebuild Jordan data from a marking and its rank sequence."""
-    marking = [scalar_from_json(x, exact) for x in data["marking"]]
-    ranks = [require_int(r, "a marking rank", 0) for r in data["ranks"]]
+def _spec_from_marking_ranks(marking: list, ranks: list, n: int, path: str) -> OrbitSpec:
+    """Rebuild Jordan data from a marking and its rank sequence, read at `path`."""
+    ranks = [require_int(r, "a marking rank", 0) for r in ranks]
     if len(ranks) != len(marking) - 1:
-        raise ValueError("rank sequence must have length d-1")
+        raise ValueError(f"rank sequence at {path} must have length d-1 = {len(marking) - 1}")
     dims = [n] + ranks + [0]
     drops = {}  # (Re, Im) -> (scalar, the rank drop at each of its uses)
     for l, lam in enumerate(marking):

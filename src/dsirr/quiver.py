@@ -91,7 +91,7 @@ import numpy as np
 
 from . import linalg
 from .scalars import ONE, GaussianRational, as_complex
-from .serialize import scalar_from_json, scalar_to_json
+from .serialize import SchemaError, dims_from_json, require, scalar_from_json, scalar_to_json
 
 DimVector = dict  # vertex id -> nonnegative int
 ParamVector = dict  # vertex id -> scalar
@@ -501,31 +501,32 @@ def is_stable(rep: DoubledRep) -> bool:
     return rep_stability(rep).stable
 
 
-def quiver_to_json(quiver: Quiver, dims: DimVector = None, zeta: ParamVector = None) -> dict:
-    out = {
+def quiver_to_json(quiver: Quiver, dims: DimVector, zeta: ParamVector) -> dict:
+    return {
         "vertices": list(quiver.vertices),
         "arrows": [[a.id, a.src, a.dst] for a in quiver.arrows],
+        "dims": {v: int(dims[v]) for v in quiver.vertices},
+        "zeta": {v: scalar_to_json(zeta[v]) for v in quiver.vertices},
     }
-    if dims is not None:
-        out["dims"] = {v: int(dims[v]) for v in quiver.vertices}
-    if zeta is not None:
-        out["zeta"] = {v: scalar_to_json(zeta[v]) for v in quiver.vertices}
-    return out
 
 
-def quiver_from_json(data: dict):
+def quiver_from_json(data: dict, path: str = ""):
     """Inverse of quiver_to_json.  The criterion runs on this payload, so
-    dims must be JSON integers and zeta exact scalars (strings or
+    dims must be JSON integers >= 0 and zeta exact scalars (strings or
     integers); floats are rejected, never rounded."""
-    q = make_quiver(data["vertices"], [tuple(a) for a in data["arrows"]])
-    dims = data.get("dims", {})
-    for v, d in dims.items():
-        if type(d) is not int:  # rejects bool too, an int subclass
-            raise ValueError(f"dimension at vertex {v} must be a JSON integer, got {d!r}")
-    zeta = None
-    if "zeta" in data:
-        zeta = {k: scalar_from_json(v, True) for k, v in data["zeta"].items()}
-    return q, dict(dims) or None, zeta
+    vertices = require(data, "vertices", path, list)
+    arrows = require(data, "arrows", path, list)
+    if not vertices or not all(type(v) is str for v in vertices):
+        raise SchemaError(f"expected a non-empty list of strings at {path}/vertices")
+    for i, a in enumerate(arrows):
+        if not (isinstance(a, list) and len(a) == 3 and all(type(x) is str for x in a)):
+            raise SchemaError(f"expected an [id, src, dst] list of strings at {path}/arrows/{i}")
+    q = make_quiver(vertices, arrows)
+    dims = dims_from_json(require(data, "dims", path), q.vertices, f"{path}/dims")
+    zeta = require(data, "zeta", path, dict)
+    if zeta.keys() != dims.keys():
+        raise SchemaError(f"expected an object keyed by exactly the vertices at {path}/zeta")
+    return q, dims, {v: scalar_from_json(x, True) for v, x in zeta.items()}
 
 
 def to_dot(quiver: Quiver, dims: DimVector = None, zeta: ParamVector = None, full: bool = False) -> str:

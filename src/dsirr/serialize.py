@@ -1,10 +1,10 @@
-"""JSON codecs for scalars and matrices, and the report writer.
+"""JSON codecs for scalars, matrices and dims, `require` for the keys
+of every payload reader, and the report writer.
 
-Complex scalars travel as [re, im] pairs in float mode or as strings
-"a/b+c/d i" in exact mode; plain JSON integers are accepted in both
-modes.  Matrices are flat row-major arrays of scalars; shapes come
-from context.
-"""
+Complex scalars travel as [re, im] pairs (two JSON numbers) in float
+mode or as strings "a/b+c/d i" in exact mode; plain JSON integers are
+accepted in both modes.  Matrices are flat row-major arrays of scalars;
+shapes come from context."""
 
 from __future__ import annotations
 
@@ -18,6 +18,39 @@ import numpy as np
 from .scalars import GaussianRational, format_exact, parse_exact
 
 SCHEMA_VERSION = 1  # of every CLI report and saved instance or rep
+
+
+class SchemaError(ValueError):
+    """Input does not match the documented JSON schema."""
+
+
+def require(data, key, path="", kind=None, default=...):
+    """data[key], of type `kind`, where data is the object at JSON path
+    `path`, or the default if one is given and key is absent; else a
+    SchemaError names the place.  A JSON true or false is no int."""
+    if not isinstance(data, dict):
+        raise SchemaError(f"expected an object at {path or '/'}")
+    if key not in data:
+        if default is ...:
+            raise SchemaError(f"missing required key at {path}/{key}")
+        return default
+    value = data[key]
+    if kind is not None and (not isinstance(value, kind) or kind is int and type(value) is bool):
+        raise SchemaError(f"wrong type at {path}/{key}")
+    return value
+
+
+def dims_from_json(data, vertices, path="") -> dict:
+    """A dimension vector: an object at `path` keyed by exactly `vertices`,
+    each value a JSON integer of at least 0."""
+    if not isinstance(data, dict) or data.keys() != set(vertices):
+        raise SchemaError(f"expected an object keyed by exactly the vertices at {path or '/'}")
+    for v, d in data.items():
+        if type(d) is not int:  # rejects bool too, an int subclass
+            raise ValueError(f"dimension at vertex {v} must be a JSON integer, got {d!r}")
+        if d < 0:
+            raise ValueError(f"dimension at {path}/{v} is negative: {d}")
+    return dict(data)
 
 
 def scalar_to_json(x):
@@ -34,19 +67,23 @@ def scalar_from_json(obj, exact: bool):
     if isinstance(obj, str):
         g = parse_exact(obj)
         return g if exact else _finite(g.re, g.im, obj)
-    if isinstance(obj, bool):
-        raise ValueError("booleans are not scalars")
-    if isinstance(obj, int):
+    if isinstance(obj, int) and not isinstance(obj, bool):
         return GaussianRational(obj) if exact else _finite(obj, 0, obj)
     if isinstance(obj, float):
         if exact:
             raise ValueError(f"float {obj!r} not allowed in exact mode; use 'a/b+c/d i' strings")
         return _finite(obj, 0, obj)
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
+    if _is_pair(obj):
         if exact:
             raise ValueError("[re, im] pairs are float-mode scalars; exact mode needs strings")
         return _finite(*obj, obj)
     raise ValueError(f"cannot decode scalar from {obj!r}")
+
+
+def _is_pair(obj) -> bool:
+    """An [re, im] pair: two JSON numbers, neither a boolean."""
+    return (isinstance(obj, (list, tuple)) and len(obj) == 2
+            and all(type(x) in (int, float) for x in obj))
 
 
 def _finite(re, im, obj) -> complex:
@@ -81,7 +118,7 @@ def payload_is_float(obj) -> bool:
                 else:
                     (scalars if key in _SCALAR_KEYS else plain).append(val)
         elif isinstance(obj, list):
-            if scalar and len(obj) == 2 and all(type(x) in (int, float) for x in obj):
+            if scalar and _is_pair(obj):
                 return True
             (scalars if scalar else plain).extend(obj)
         elif isinstance(obj, float):
@@ -93,9 +130,9 @@ def matrix_to_json(a: np.ndarray) -> list:
     return [scalar_to_json(x) for x in np.asarray(a).reshape(-1)]
 
 
-def matrix_from_json(data: list, rows: int, cols: int, exact: bool) -> np.ndarray:
-    if len(data) != rows * cols:
-        raise ValueError(f"matrix payload has {len(data)} entries, expected {rows * cols}")
+def matrix_from_json(data: list, rows: int, cols: int, exact: bool, path: str = "") -> np.ndarray:
+    if not isinstance(data, list) or len(data) != rows * cols:
+        raise SchemaError(f"expected a list of {rows * cols} scalars at {path or '/'}")
     vals = [scalar_from_json(x, exact) for x in data]
     return np.array(vals, dtype=object if exact else complex).reshape(rows, cols)
 

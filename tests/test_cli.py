@@ -1,4 +1,5 @@
 import argparse
+import copy
 import json
 import math
 import os
@@ -15,6 +16,7 @@ import pytest
 import dsirr.cli
 from conftest import HANG_TIMEOUT, SRC_ENV, run_fresh
 from dsirr.cli import COMMANDS, main
+from dsirr.orbits import OrbitSpec
 from dsirr.quiver import quiver_from_json
 from dsirr.roots import CartanData
 from dsirr.scalars import GaussianRational as G
@@ -1086,3 +1088,193 @@ def test_the_report_writer_refuses_what_json_dumps_refuses(value):
         report_text(value)
     assert str(got.value) == str(want.value)
 
+
+
+
+# ---------------------------------------------------------------------------
+# malformed payloads: each is an error (exit 2) that names where it sits,
+# never a verdict, a bare exception or a traceback
+
+DROP = object()  # as a new value: drop the key
+
+
+def _edited(doc, where, value):
+    """A copy of doc with the node at the key path `where` set to value (an
+    index one past a list's end appends it)."""
+    doc = copy.deepcopy(doc)
+    *keys, last = where
+    target = doc
+    for key in keys:
+        target = target[key]
+    if value is DROP:
+        del target[last]
+    elif isinstance(target, list) and last == len(target):
+        target.append(value)
+    else:
+        target[last] = value
+    return doc
+
+
+def _payload_run(capsys, tmp_path, command, doc):
+    """(exit code, report, stderr) of `command` on the payload doc."""
+    src = tmp_path / "payload.json"
+    src.write_text(json.dumps(doc))
+    code = main([command, str(src)])
+    out, err = capsys.readouterr()
+    return code, json.loads(out), err
+
+
+@pytest.fixture(scope="module")
+def payloads(witness, tmp_path_factory):
+    """Valid payloads by name: star_rigid, its build-quiver payload, a verify
+    input holding its witness, and the exact reduce and leg examples."""
+    raw = tmp_path_factory.mktemp("raw") / "raw.json"
+    assert main(["build-quiver", path("star_rigid.json"), "-o", str(raw)]) == 0
+    return {"star": _star_rigid(), "raw": json.loads(raw.read_text()),
+            "verify": json.loads(open(witness).read()),
+            "reduce": json.loads(open(path("reduce_exact.json")).read()),
+            "leg": json.loads(open(path("leg_example.json")).read())}
+
+
+_POLE = ("finite_poles", 0)
+_COEFFS = ("infinity", "irregular_type", "blocks", 0, "coeffs")
+_RANK_2_BLOCKS_2_AND_1 = {"rank": 2, "infinity": {
+    "irregular_type": {"k": 2, "blocks": [{"coeffs": ["1"], "mult": 2},
+                                          {"coeffs": ["3"], "mult": 1}]},
+    "residue_blocks": [{"eigenvalues": [{"value": "0", "blocks": [1, 1]}]},
+                       {"eigenvalues": [{"value": "0", "blocks": [1]}]}]}}
+_LEG_OF_3_ENTRIES = {"n": 2, "orbit": {"eigenvalues": [{"value": "0", "blocks": [2]}]},
+                     "matrix": ["0", "1", "0"]}
+# name: (command, payload name or None for the value itself, key path, new
+# value, what the error says: its place where the reader names one)
+REFUSALS = {
+    "two-poles-at-one-position": ("check", "star", ("finite_poles", 1), {
+        "position": "1", "orbit": {"eigenvalues": [{"value": "0", "blocks": [2]}]}},
+        "finite pole positions must be pairwise distinct"),
+    "multiplicities-2-and-1-at-rank-2": ("check", None, (), _RANK_2_BLOCKS_2_AND_1,
+                                         "irregular type size differs from the declared rank"),
+    "three-residue-blocks-for-two": ("check", "star", ("infinity", "residue_blocks", 2),
+                                     {"eigenvalues": [{"value": "0", "blocks": [1]}]},
+                                     "/infinity/residue_blocks"),
+    "two-coefficients-at-k-2": ("check", "star", _COEFFS, ["3", "1"],
+                                "block needs 1 coefficients, got 2"),
+    "no-blocks": ("check", "star", _COEFFS[:3], [], "irregular type needs at least one block"),
+    "empty-orbit": ("check", "star", (*_POLE, "orbit"), {}, "orbit at /finite_poles/0/orbit needs"),
+    "ranks-too-long-for-the-marking": ("check", "star", (*_POLE, "orbit"),
+                                       {"marking": ["0", "1"], "ranks": [1, 1]},
+                                       "/finite_poles/0/orbit/ranks"),
+    "rep-dimension-off-the-instance": ("verify", "verify", ("rep", "dims", "p0"), 2,
+                                       "dimension mismatch at /rep/dims/p0"),
+    "two-matrices-at-depth-2": ("reduce", "reduce", ("jet", "coeffs", 2), DROP,
+                                "wrong number of matrices at /jet/coeffs"),
+    "depth-minus-1": ("reduce", "reduce", ("jet",), {"k": 2, "depth": -1, "coeffs": []},
+                      "need at least k coefficients"),
+    "a-json-list": ("check", None, (), ["vertices"], "expected an object at /"),
+    "raw-without-zeta": ("check", "raw", ("zeta",), DROP, "missing required key at /zeta"),
+    "position-true": ("check", "star", (*_POLE, "position"), True,
+                      "cannot decode scalar from True"),
+    "position-object": ("check", "star", (*_POLE, "position"), {}, "cannot decode scalar from {}"),
+    "leg-matrix-of-3-entries": ("leg", None, (), _LEG_OF_3_ENTRIES, "4 scalars at /matrix"),
+    "float-scalar-in-check": ("check", "star", (*_POLE, "position"), 1.5,
+                              "float 1.5 not allowed in exact mode"),
+}
+# payloads that once got a verdict or a bare KeyError
+REPRODUCERS = {
+    "raw-negative-dimension": ("check", None, (), {"vertices": ["a"], "arrows": [],
+                                                   "dims": {"a": -1}, "zeta": {"a": "0"}},
+                               "/dims/a is negative"),
+    "finite-poles-object-check": ("check", "star", ("finite_poles",), {}, "/finite_poles"),
+    "finite-poles-object-realize": ("realize", "star", ("finite_poles",), {}, "/finite_poles"),
+    "raw-arrows-object": ("check", "raw", ("arrows",), {}, "/arrows"),
+    "raw-extra-vertex": ("check", "raw", ("dims", "x"), 1, "/dims"),
+    "raw-zeta-missing-a-vertex": ("check", "raw", ("zeta", "p0"), DROP, "/zeta"),
+    "raw-arrow-id-null": ("check", "raw", ("arrows", 0, 0), None, "/arrows/0"),
+    "verify-instance-without-rank": ("verify", "verify", ("instance", "rank"), DROP,
+                                     "missing required key at /instance/rank"),
+    "leg-eigenvalue-without-value": ("leg", "leg", ("orbit", "eigenvalues", 0, "value"), DROP,
+                                     "missing required key at /orbit/eigenvalues/0/value"),
+    "verify-rep-without-a-map": ("verify", "verify", ("rep", "maps", "t0.1>p0"), DROP,
+                                 "missing required key at /rep/maps/t0.1>p0"),
+}
+
+
+def _case_payload(payloads, name, where, value):
+    """The payload of a REFUSALS or REPRODUCERS case."""
+    return value if name is None else _edited(payloads[name], where, value)
+
+
+@pytest.mark.parametrize("command, name, where, value, says", REFUSALS.values(), ids=REFUSALS)
+def test_a_refused_payload_says_why_and_where(command, name, where, value, says, payloads,
+                                             tmp_path, capsys):
+    code, report, err = _payload_run(capsys, tmp_path, command,
+                                     _case_payload(payloads, name, where, value))
+    assert (code, err) == (2, "")
+    assert says in report["error"]
+
+
+@pytest.mark.parametrize("value", [["1", "0"], [True, 0.0], [[], 0]], ids=repr)
+def test_a_float_pair_of_anything_but_two_numbers_is_an_error(value, tmp_path, capsys):
+    # once read as 1 + 0i (ok: true, exit 0), or a bare TypeError from float()
+    doc = {"n": 1, "orbit": {"eigenvalues": [{"value": value, "blocks": [1]}]},
+           "matrix": [[1.0, 0.0]]}
+    code, report, err = _payload_run(capsys, tmp_path, "leg", doc)
+    assert (code, err) == (2, "")
+    assert report["error"] == f"ValueError: cannot decode scalar from {value!r}"
+
+
+def test_an_orbit_of_size_zero_is_an_error(tmp_path, capsys):
+    # once an IndexError in OrbitSpec.exact, with a traceback
+    with pytest.raises(ValueError, match="n >= 1"):
+        OrbitSpec(0, ())
+    doc = {"n": 0, "orbit": {"eigenvalues": []}}
+    code, report, err = _payload_run(capsys, tmp_path, "leg", doc)
+    assert (code, err) == (2, "")
+    assert report["error"] == "ValueError: an orbit needs size n >= 1, got 0"
+
+
+SWAPS = (None, [], {}, "x", 1.5, True, -1, 0)
+
+
+def _mutations(doc):
+    """doc with one key dropped, or with one value (a key's, or one of the
+    first two items of a list) swapped for each of SWAPS, at every depth."""
+    def walk(node, put):  # put(new) is doc with node replaced by new
+        if isinstance(node, dict):
+            for key, value in node.items():
+                yield put({k: v for k, v in node.items() if k != key})
+                yield from swap(value, lambda new, key=key: put({**node, key: new}))
+        elif isinstance(node, list):
+            for i, value in enumerate(node[:2]):
+                yield from swap(value, lambda new, i=i: put(node[:i] + [new] + node[i + 1:]))
+
+    def swap(value, put):
+        for new in SWAPS:
+            yield put(new)
+        yield from walk(value, put)
+
+    yield from walk(doc, lambda new: new)
+
+
+def test_no_mutated_payload_meets_a_bare_exception(payloads, tmp_path, capsys):
+    # every mutation of each command's seed payloads is refused with an error
+    # that names its cause, or answered; none prints a traceback
+    ladder = json.loads(open(path("ladder_n4x3k2_seed1.json")).read())
+    seeds = [("check", payloads["star"]), ("check", ladder), ("build-quiver", payloads["star"]),
+             ("check", payloads["raw"]), ("verify", payloads["verify"]),
+             ("reduce", payloads["reduce"]), ("leg", payloads["leg"]),
+             ("leg", json.loads(open(path("leg_exact_matrix.json")).read()))]
+    runs, bare = 0, []
+    for command, seed in seeds:
+        for doc in _mutations(seed):
+            code, report, err = _payload_run(capsys, tmp_path, command, doc)
+            assert "Traceback" not in err, (command, doc)
+            if report.get("error", "").startswith(
+                    ("KeyError:", "TypeError:", "AttributeError:", "IndexError:")):
+                bare.append((command, report["error"]))
+            runs += 1
+    assert runs > 2000 and not bare, bare[:10]
+    for command, name, where, value, says in REPRODUCERS.values():
+        code, report, err = _payload_run(capsys, tmp_path, command,
+                                         _case_payload(payloads, name, where, value))
+        assert (code, err) == (2, ""), (command, name, where)
+        assert says in report["error"], report["error"]
